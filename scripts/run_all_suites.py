@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from maxnoether.reports import write_jsonl
-from maxnoether.suites import SUITES, SuiteParams, run_suite
+from maxnoether.suites import SUITES, run_suite
 
 
 def main() -> int:
@@ -23,20 +23,10 @@ def main() -> int:
     parser.add_argument("--out-dir", help="write per-suite JSONL streams here")
     args = parser.parse_args()
 
-    params = {
-        "eq4-oracle": SuiteParams(max_genus=8),
-        "local-lemma": SuiteParams(max_genus=10, max_n=4),
-        "blowup": SuiteParams(max_genus=10),
-        "noether-single": SuiteParams(max_genus=8, max_n=4),
-        "noether-multi": SuiteParams(max_n=4),
-        "resolution": SuiteParams(max_n=3),
-        "hyperelliptic-negative": SuiteParams(),
-        "dims": SuiteParams(max_n=3),
-    }
     any_failed = False
     for name in sorted(SUITES):
         t0 = time.perf_counter()
-        reports = run_suite(name, params[name])
+        reports = run_suite(name)
         elapsed = time.perf_counter() - t0
         failed = [r for r in reports if not r.passed]
         any_failed |= bool(failed)

@@ -9,13 +9,11 @@ an independent exact linear-algebra oracle.
 from .blowup import BlowupAnalysis, analyze, genus_drop, nearly_gorenstein_local_checks
 from .curves import (
     Branch,
-    NDifferential,
     NoetherCheck,
     RationalCurveModel,
     ResolutionCheck,
     check_hyperelliptic_resolution,
     check_resolution_quotient,
-    choose_x,
     global_sections,
     is_certified_hyperelliptic,
     local_support_set,
@@ -24,7 +22,7 @@ from .curves import (
     resolve,
     section_valuations,
 )
-from .linalg import Subspace, nullspace, rref, span
+from .linalg import Subspace, nullspace, rref
 from .local import (
     BasisCertificate,
     CertEntry,
@@ -45,11 +43,9 @@ from .valueset import (
     ValueSet,
     canonical_ideal,
     dualizing_values,
-    module_closure,
     n_fold,
     quotient_dim,
     ring_closure,
-    shift,
     sumset,
 )
 
@@ -62,7 +58,6 @@ __all__ = [
     "CertEntry",
     "EpsilonCase",
     "LocalContext",
-    "NDifferential",
     "NoetherCheck",
     "NumericalSemigroup",
     "QDecomposition",
@@ -78,7 +73,6 @@ __all__ = [
     "canonical_ideal",
     "check_hyperelliptic_resolution",
     "check_resolution_quotient",
-    "choose_x",
     "dualizing_values",
     "enumerate_semigroups",
     "epsilon_case",
@@ -88,7 +82,6 @@ __all__ = [
     "local_support_set",
     "max_noether_holds",
     "minimal_epsilon",
-    "module_closure",
     "n_fold",
     "nearly_gorenstein_local_checks",
     "nullspace",
@@ -100,8 +93,6 @@ __all__ = [
     "ring_closure",
     "run_suite",
     "section_valuations",
-    "shift",
-    "span",
     "sumset",
     "verify_local_surjectivity",
     "write_jsonl",

@@ -41,6 +41,21 @@ def _parse_gens(raw: str) -> NumericalSemigroup:
     return NumericalSemigroup.from_generators(gens)
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _print_table(rows: list[tuple[str, str]]) -> None:
     width = max(len(k) for k, _ in rows)
     for key, value in rows:
@@ -195,6 +210,12 @@ def cmd_verify_noether(args) -> int:
 def cmd_verify_corpus(args) -> int:
     params = SuiteParams(max_genus=args.max_genus, max_n=args.n)
     reports = run_suite(args.suite, params)
+    if not reports:
+        print(
+            f"error: suite {args.suite} made no checks at these bounds; nothing was verified",
+            file=sys.stderr,
+        )
+        return 2
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fp:
             write_jsonl(reports, fp)
@@ -232,21 +253,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     local = ver_sub.add_parser("local", help="value-level covering at one singular point")
     local.add_argument("--gens", required=True)
-    local.add_argument("--n", type=int, default=2)
+    local.add_argument("--n", type=_at_least(1), default=2)
     local.add_argument("--json", action="store_true")
     local.set_defaults(func=cmd_verify_local)
 
     noether = ver_sub.add_parser("noether", help="product span versus full section space")
     noether.add_argument("--curve", help="curve spec JSON file")
     noether.add_argument("--gens", help="single singularity at the origin")
-    noether.add_argument("--n", type=int, default=2)
+    noether.add_argument("--n", type=_at_least(1), default=2)
     noether.add_argument("--json", action="store_true")
     noether.set_defaults(func=cmd_verify_noether)
 
     corpus = ver_sub.add_parser("corpus", help="run a named suite, emit JSONL reports")
     corpus.add_argument("--suite", required=True, choices=sorted(SUITES))
-    corpus.add_argument("--max-genus", type=int)
-    corpus.add_argument("--n", type=int)
+    corpus.add_argument("--max-genus", type=_at_least(0))
+    corpus.add_argument("--n", type=_at_least(1))
     corpus.add_argument("--out", help="output JSONL path (default: stdout)")
     corpus.set_defaults(func=cmd_verify_corpus)
 

@@ -12,8 +12,7 @@ canonical subspace comparison.
 
 Everything is exact: ranks and subspace equalities over the rationals are
 stable under field extension, so nothing is lost against an algebraically
-closed ground field, and the genericity needed to pick a minimal-value
-differential only needs the field to be infinite.
+closed ground field.
 """
 
 from __future__ import annotations
@@ -22,11 +21,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from math import comb
 from typing import Iterable, Sequence
 
-from .errors import CurveSpecError, GenericityFailure, MaxNoetherError, NotApplicable
+from .errors import CurveSpecError, MaxNoetherError, NotApplicable
 from .linalg import Subspace, nullspace
 from .semigroup import NumericalSemigroup
 from .valueset import ValueSet, dualizing_values, n_fold
@@ -86,7 +85,11 @@ class RationalCurveModel:
         for i, raw in enumerate(obj["branches"]):
             try:
                 center = Fraction(str(raw["center"]))
-                sg = NumericalSemigroup.from_generators(raw["generators"])
+                gens = raw["generators"]
+                # bool is an int subclass; a JSON true is not a generator
+                if not isinstance(gens, list) or any(type(g) is not int for g in gens):
+                    raise TypeError(f"generators must be a list of integers, got {gens!r}")
+                sg = NumericalSemigroup.from_generators(gens)
             except (KeyError, ValueError, TypeError, ZeroDivisionError, MaxNoetherError) as exc:
                 raise CurveSpecError(f"branch {i}: {exc}") from exc
             branches.append(Branch(center, sg))
@@ -126,6 +129,17 @@ def numerator_ambient(curve: RationalCurveModel, n: int) -> int:
 def local_support_set(s: NumericalSemigroup, n: int) -> ValueSet:
     """Allowed Laurent exponents of a weight-n differential in the local stalk."""
     return n_fold(dualizing_values(s), n)
+
+
+def excluded_exponents(s: NumericalSemigroup, n: int) -> list[int]:
+    """Laurent exponents a weight-n section must avoid at a branch with semigroup ``s``.
+
+    These are the exponents in ``[-n * alpha, threshold)`` outside the local
+    support set: below ``-n * alpha`` the fixed denominator allows no terms,
+    and from the threshold on every exponent is allowed.
+    """
+    support = local_support_set(s, n)
+    return [e for e in range(-n * s.conductor, support.threshold) if e not in support]
 
 
 # -- truncated power series helpers (all exact) -----------------------------
@@ -180,10 +194,7 @@ def _constraint_rows(curve: RationalCurveModel, n: int) -> tuple[list[list[Fract
     rows: list[list[Fraction]] = []
     for i, br in enumerate(curve.branches):
         alpha = br.semigroup.conductor
-        support = local_support_set(br.semigroup, n)
-        excluded = [
-            e for e in range(-n * alpha, support.threshold) if e not in support
-        ]
+        excluded = excluded_exponents(br.semigroup, n)
         if not excluded:
             continue
         order = max(excluded) + n * alpha
@@ -272,87 +283,6 @@ def section_valuations(curve: RationalCurveModel, point, n: int = 1) -> tuple[in
             shift = n * br.semigroup.conductor
             break
     return tuple(k - shift for k in _subspace_orders(space, point))
-
-
-@dataclass(frozen=True)
-class NDifferential:
-    """A weight-n differential: numerator coefficients over the fixed poles."""
-
-    weight: int
-    numerator: tuple[Fraction, ...]
-    poles: tuple[tuple[Fraction, int], ...]
-
-    def valuation_at(self, point) -> int:
-        point = Fraction(point)
-        ordv = _vanishing_order(self.numerator, point)
-        for center, exponent in self.poles:
-            if center == point:
-                return ordv - exponent
-        return ordv
-
-    def __str__(self) -> str:
-        num = _poly_str(self.numerator)
-        dens = " ".join(
-            f"(t - {c})^{e}" if c else f"t^{e}" for c, e in self.poles if e
-        )
-        dt = "dt" if self.weight == 1 else f"(dt)^{self.weight}"
-        return f"({num}) / {dens} {dt}" if dens else f"({num}) {dt}"
-
-
-def _vanishing_order(vec: Sequence[Fraction], point: Fraction) -> int:
-    taylor = _taylor_coefficients(vec, point, len(vec) - 1)
-    for k, c in enumerate(taylor):
-        if c:
-            return k
-    raise ValueError("zero differential has no valuation")
-
-
-def _poly_str(vec: Sequence[Fraction]) -> str:
-    terms = []
-    for d, c in enumerate(vec):
-        if not c:
-            continue
-        if d == 0:
-            terms.append(str(c))
-        else:
-            lead = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-            terms.append(f"{lead}t^{d}" if d > 1 else f"{lead}t")
-    return " + ".join(terms) if terms else "0"
-
-
-def choose_x(curve: RationalCurveModel) -> NDifferential:
-    """Deterministic global differential with minimal value at every branch.
-
-    Minimal local value means the numerator does not vanish at any center.
-    Small integer combinations of the section basis are scanned in a fixed
-    order; a valid one exists over any grid wider than the number of
-    branches, so exhaustion signals a genuine inconsistency.
-    """
-    basis = global_sections(curve, 1).basis
-    if not basis:
-        raise GenericityFailure("the curve has no global differentials")
-    centers = [b.center for b in curve.branches]
-    limit = len(curve.branches) + 1
-    for coeffs in product(range(limit), repeat=len(basis)):
-        if not any(coeffs):
-            continue
-        vec = [
-            sum(c * row[d] for c, row in zip(coeffs, basis))
-            for d in range(len(basis[0]))
-        ]
-        if all(_evaluate(vec, c) != 0 for c in centers):
-            poles = tuple(
-                (b.center, b.semigroup.conductor) for b in curve.branches
-            )
-            return NDifferential(1, tuple(vec), poles)
-    raise GenericityFailure("no minimal-value combination found in the search grid")
-
-
-def _evaluate(vec: Sequence[Fraction], point: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(vec):
-        acc = acc * point + c
-    return acc
 
 
 # -- the surjectivity checks -------------------------------------------------

@@ -41,9 +41,5 @@ class AmbientMismatch(MaxNoetherError):
     """Vectors of different ambient dimensions were combined."""
 
 
-class GenericityFailure(MaxNoetherError):
-    """The deterministic search for a generic global differential was exhausted."""
-
-
 class CurveSpecError(MaxNoetherError):
     """A curve description file is malformed."""

@@ -125,10 +125,6 @@ class Subspace:
         return Subspace.span(self.basis + other.basis, self.ambient)
 
 
-def span(vectors: Iterable[Sequence], ambient: int) -> Subspace:
-    return Subspace.span(vectors, ambient)
-
-
 def nullspace(rows: Iterable[Sequence], ncols: int) -> Subspace:
     """Canonical basis of the solution space of the homogeneous system."""
     mat = [list(r) for r in rows]

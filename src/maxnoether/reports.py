@@ -3,8 +3,8 @@
 Each report records one check: what was predicted, what the independent
 route computed, whether they agree, and a concrete witness on failure.  The
 serialized form is canonical (sorted keys, compact separators, no volatile
-fields), so identical runs produce byte-identical output.  Wall-clock timing
-is kept on the object for interactive display but never serialized.
+fields), so identical runs produce byte-identical output.  The wall-clock
+``elapsed`` field is never serialized.
 """
 
 from __future__ import annotations
@@ -38,7 +38,12 @@ def jsonable(value: Any) -> Any:
 
 @dataclass
 class VerificationReport:
-    """One verified claim: inputs, prediction, oracle value, verdict, witness."""
+    """One verified claim: inputs, prediction, oracle value, verdict, witness.
+
+    ``elapsed`` is the time in seconds since the previous report of the same
+    suite run, or since the run started, so the times of a run add up to it.
+    It is never serialized.
+    """
 
     suite: str
     check: str

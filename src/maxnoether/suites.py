@@ -18,8 +18,10 @@ from .curves import (
     RationalCurveModel,
     check_hyperelliptic_resolution,
     check_resolution_quotient,
+    excluded_exponents,
     global_sections,
     max_noether_holds,
+    numerator_degree_bound,
     products_span,
     _subspace_orders,
 )
@@ -41,7 +43,6 @@ class SuiteParams:
 
     max_genus: int | None = None
     max_n: int | None = None
-    min_multiplicity: int | None = None
 
     def genus(self, default: int) -> int:
         return self.max_genus if self.max_genus is not None else default
@@ -124,97 +125,99 @@ def _nonsymmetric(max_genus: int) -> Iterable[NumericalSemigroup]:
 # -- suites ------------------------------------------------------------------
 
 
-def _report(suite: str, check: str, input_, predicted, oracle, passed, witness=None, t0=None):
-    elapsed = time.perf_counter() - t0 if t0 is not None else 0.0
-    return VerificationReport(suite, check, input_, predicted, oracle, passed, witness, elapsed)
+class _Run:
+    """The report stream of one suite run, in emission order.
+
+    Each report's ``elapsed`` is the time since the previous report of the
+    run, or since the run started, so the times add up to the run's time.
+    ``VerificationReport`` is looked up in this module at call time, because
+    the benchmark workloads rebind it to mark where each check ends.
+    """
+
+    def __init__(self, suite: str):
+        self.suite = suite
+        self.reports: list[VerificationReport] = []
+        self._last = time.perf_counter()
+
+    def add(self, check, input_, predicted, oracle, passed, witness=None) -> None:
+        now = time.perf_counter()
+        self.reports.append(
+            VerificationReport(
+                self.suite, check, input_, predicted, oracle, passed, witness, now - self._last
+            )
+        )
+        self._last = now
+
+    def expect(self, check, input_, ok: bool, witness=None) -> None:
+        """A check predicted to hold; its witness is kept only when it fails."""
+        self.add(check, input_, True, ok, ok, None if ok else witness)
 
 
 def suite_eq4_oracle(params: SuiteParams) -> list[VerificationReport]:
     """Dualizing-value formula against the residue pairing, over a full census."""
     max_genus = params.genus(8)
-    reports = []
-    t0 = time.perf_counter()
+    run = _Run("eq4-oracle")
     tree = list(enumerate_semigroups(max_genus))
     tree_gaps = sorted(s.gaps for s in tree)
     brute = sorted(bruteforce_gap_census(max_genus))
-    reports.append(
-        _report(
-            "eq4-oracle",
-            "semigroup-census",
-            {"max_genus": max_genus},
-            len(tree_gaps),
-            len(brute),
-            tree_gaps == brute,
-            witness=None if tree_gaps == brute else "gap lists differ",
-            t0=t0,
-        )
+    run.add(
+        "semigroup-census",
+        {"max_genus": max_genus},
+        len(tree_gaps),
+        len(brute),
+        tree_gaps == brute,
+        None if tree_gaps == brute else "gap lists differ",
     )
     for s in tree:
-        t0 = time.perf_counter()
         predicted = dualizing_values(s).elements_below(2 * s.conductor + 1)
         oracle = residue_window_values(s)
         passed = predicted == oracle
-        reports.append(
-            _report(
-                "eq4-oracle",
-                "dualizing-window",
-                s.to_json(),
-                predicted,
-                oracle,
-                passed,
-                witness=None if passed else sorted(set(predicted) ^ set(oracle)),
-                t0=t0,
-            )
+        run.add(
+            "dualizing-window",
+            s.to_json(),
+            predicted,
+            oracle,
+            passed,
+            None if passed else sorted(set(predicted) ^ set(oracle)),
         )
-    return reports
+    return run.reports
 
 
 def suite_local_lemma(params: SuiteParams) -> list[VerificationReport]:
     """Value-level covering machinery over every non-symmetric semigroup."""
     max_genus = params.genus(10)
     max_n = params.n(4)
-    reports = []
+    run = _Run("local-lemma")
     for s in _nonsymmetric(max_genus):
         ctx = LocalContext.for_semigroup(s)
         a, b = ctx.alpha, ctx.beta
         info = s.to_json()
         if ctx.r >= 1:
-            t0 = time.perf_counter()
             qd = q_decomposition(ctx)
             ineqs = qd.inequalities(a, b)
             passed = qd.all_strict(a, b)
-            reports.append(
-                _report(
-                    "local-lemma",
-                    "q-decomposition",
-                    info,
-                    [list(p) for p in qd.pairs],
-                    [[lhs, rhs] for lhs, rhs in ineqs],
-                    passed,
-                    witness=None if passed else [lhs for lhs, rhs in ineqs if lhs >= rhs],
-                    t0=t0,
-                )
+            run.add(
+                "q-decomposition",
+                info,
+                [list(p) for p in qd.pairs],
+                [[lhs, rhs] for lhs, rhs in ineqs],
+                passed,
+                None if passed else [lhs for lhs, rhs in ineqs if lhs >= rhs],
             )
-        t0 = time.perf_counter()
         certs = build_certificates(ctx, max(max_n, 2), "i")
         conductor = certs[0]
         expected_values = list(range(a, 2 * a - b))
         got_values = sorted(conductor.values())
         defects = [d for c in certs for d in c.check(ctx.section_values)]
         passed = got_values == expected_values and not defects
-        reports.append(
-            _report(
-                "local-lemma",
-                "conductor-chain-certificates",
-                info,
-                expected_values,
-                got_values,
-                passed,
-                witness=defects or None,
-                t0=t0,
-            )
+        run.add(
+            "conductor-chain-certificates",
+            info,
+            expected_values,
+            got_values,
+            passed,
+            defects or None,
         )
-        t0 = time.perf_counter()
         chain_values = [v for c in certs for v in c.values()]
         eps = 2 * max(max_n, 2) - 1
         chain_dim = quotient_dim(ValueSet.above(a), ValueSet.above(max(max_n, 2) * a - eps))
@@ -222,102 +225,73 @@ def suite_local_lemma(params: SuiteParams) -> list[VerificationReport]:
         duplicates = sorted(
             {v for v in chain_values if chain_values.count(v) > 1}
         )
-        reports.append(
-            _report(
-                "local-lemma",
-                "chain-composition",
-                info,
-                chain_dim,
-                len(chain_values),
-                passed,
-                witness=None if passed else {"duplicates": duplicates},
-                t0=t0,
-            )
+        run.add(
+            "chain-composition",
+            info,
+            chain_dim,
+            len(chain_values),
+            passed,
+            None if passed else {"duplicates": duplicates},
         )
         for n in range(1, max_n + 1):
-            t0 = time.perf_counter()
             res = verify_local_surjectivity(ctx, n, 2 * n - 1)
-            reports.append(
-                _report(
-                    "local-lemma",
-                    f"case-i-covering-n{n}",
-                    info,
-                    True,
-                    res.ok,
-                    res.ok,
-                    witness={"uncovered": list(res.uncovered)} if not res.ok else
-                    {"minimal_epsilon": minimal_epsilon(ctx, n)},
-                    t0=t0,
-                )
+            run.add(
+                f"case-i-covering-n{n}",
+                info,
+                True,
+                res.ok,
+                res.ok,
+                {"uncovered": list(res.uncovered)} if not res.ok else
+                {"minimal_epsilon": minimal_epsilon(ctx, n)},
             )
-    return reports
+    return run.reports
 
 
 def suite_blowup(params: SuiteParams) -> list[VerificationReport]:
     """Blowup stabilization and the almost Gorenstein equivalences."""
     max_genus = params.genus(10)
-    reports = []
+    run = _Run("blowup")
     for s in _nonsymmetric(max_genus):
         info = s.to_json()
-        t0 = time.perf_counter()
         ana = blowup_mod.analyze(s)
         checks = blowup_mod.nearly_gorenstein_local_checks(s)
-        reports.append(
-            _report(
-                "blowup",
-                "gap-one-iff-almost-gorenstein",
-                info,
-                checks.almost_gorenstein,
-                checks.gap_one,
-                checks.consistent,
-                witness=checks.to_json() if not checks.consistent else None,
-                t0=t0,
-            )
+        run.add(
+            "gap-one-iff-almost-gorenstein",
+            info,
+            checks.almost_gorenstein,
+            checks.gap_one,
+            checks.consistent,
+            checks.to_json() if not checks.consistent else None,
         )
-        t0 = time.perf_counter()
         bound = quotient_dim(ana.blowup_values, ana.canonical) + 1
         passed = ana.stabilization_index <= bound
-        reports.append(
-            _report(
-                "blowup",
-                "stabilization-bound",
-                info,
-                f"<= {bound}",
-                ana.stabilization_index,
-                passed,
-                witness=None if passed else {"index": ana.stabilization_index, "bound": bound},
-                t0=t0,
-            )
+        run.add(
+            "stabilization-bound",
+            info,
+            f"<= {bound}",
+            ana.stabilization_index,
+            passed,
+            None if passed else {"index": ana.stabilization_index, "bound": bound},
         )
-        t0 = time.perf_counter()
         drop = blowup_mod.genus_drop(s)
-        reports.append(
-            _report(
-                "blowup",
-                "genus-drop",
-                info,
-                ">= 2",
-                drop,
-                drop >= 2,
-                witness=None if drop >= 2 else {"drop": drop},
-                t0=t0,
-            )
+        run.add(
+            "genus-drop",
+            info,
+            ">= 2",
+            drop,
+            drop >= 2,
+            None if drop >= 2 else {"drop": drop},
         )
-        t0 = time.perf_counter()
         eta_ok = ana.eta < s.genus
-        reports.append(
-            _report(
-                "blowup",
-                "eta-below-genus",
-                info,
-                f"< {s.genus}",
-                ana.eta,
-                eta_ok,
-                witness=None if eta_ok else {"eta": ana.eta, "genus": s.genus},
-                t0=t0,
-            )
+        run.add(
+            "eta-below-genus",
+            info,
+            f"< {s.genus}",
+            ana.eta,
+            eta_ok,
+            None if eta_ok else {"eta": ana.eta, "genus": s.genus},
         )
-    return reports
+    return run.reports
 
 
 def _single_branch_value_sets_agree(s: NumericalSemigroup, n: int) -> tuple[bool, dict]:
@@ -346,7 +320,7 @@ def suite_noether_single(params: SuiteParams) -> list[VerificationReport]:
     """Surjectivity on one-singularity models: sumsets and linear algebra must agree."""
     max_genus = params.genus(8)
     max_n = params.n(4)
-    reports = []
+    run = _Run("noether-single")
     for s in enumerate_semigroups(max_genus, min_multiplicity=3):
         if s.genus < 2:
             continue
@@ -357,54 +331,37 @@ def suite_noether_single(params: SuiteParams) -> list[VerificationReport]:
         curve = RationalCurveModel.from_semigroups([s])
         info = s.to_json()
         for n in range(2, max_n + 1):
-            t0 = time.perf_counter()
             predicted = verify_local_surjectivity(ctx, n, 2 * n - 1).ok
             check = max_noether_holds(curve, n)
             agree, detail = _single_branch_value_sets_agree(s, n)
             passed = predicted and check.holds and agree
-            reports.append(
-                _report(
-                    "noether-single",
-                    f"max-noether-n{n}",
-                    info,
-                    predicted,
-                    check.holds,
-                    passed,
-                    witness=None if passed else {"defect": check.describe(), **detail},
-                    t0=t0,
-                )
+            run.add(
+                f"max-noether-n{n}",
+                info,
+                predicted,
+                check.holds,
+                passed,
+                None if passed else {"defect": check.describe(), **detail},
             )
-    return reports
+    return run.reports
 
 
 def suite_noether_multi(params: SuiteParams) -> list[VerificationReport]:
     """Surjectivity on every multi-branch model whose branches all have multiplicity >= 3."""
     max_n = params.n(4)
-    reports = []
+    run = _Run("noether-multi")
     for curve in _curve_corpus(_MULTI_MENU, 6):
         info = curve.to_json()
         for n in range(2, max_n + 1):
-            t0 = time.perf_counter()
             check = max_noether_holds(curve, n)
-            reports.append(
-                _report(
-                    "noether-multi",
-                    f"max-noether-n{n}",
-                    info,
-                    True,
-                    check.holds,
-                    check.holds,
-                    witness=None if check.holds else check.describe(),
-                    t0=t0,
-                )
-            )
-    return reports
+            run.expect(f"max-noether-n{n}", info, check.holds, check.describe())
+    return run.reports
 
 
 def suite_resolution(params: SuiteParams) -> list[VerificationReport]:
     """Resolution quotients and the hyperelliptic resolved-curve case."""
     max_n = params.n(3)
-    reports = []
+    run = _Run("resolution")
     pairs = [
         ((3, 4, 5), (3, 4, 5)),
         ((3, 4, 5), (3, 5, 7)),
@@ -416,45 +373,20 @@ def suite_resolution(params: SuiteParams) -> list[VerificationReport]:
         info = curve.to_json()
         for index in (0, 1):
             for n in range(2, max_n + 1):
-                t0 = time.perf_counter()
                 res = check_resolution_quotient(curve, index, n)
-                reports.append(
-                    _report(
-                        "resolution",
-                        f"resolution-quotient-branch{index}-n{n}",
-                        info,
-                        True,
-                        res.ok,
-                        res.ok,
-                        witness=None if res.ok else res.to_json(),
-                        t0=t0,
-                    )
-                )
+                run.expect(f"resolution-quotient-branch{index}-n{n}", info, res.ok, res.to_json())
     hyper = RationalCurveModel.from_semigroups(
         [NumericalSemigroup.from_generators((2, 5)), NumericalSemigroup.from_generators((3, 4, 5))]
     )
     info = hyper.to_json()
     for n in range(2, max_n + 1):
-        t0 = time.perf_counter()
         ok = check_hyperelliptic_resolution(hyper, 1, n)
-        reports.append(
-            _report("resolution", f"hyperelliptic-resolution-n{n}", info, True, ok, ok, t0=t0)
-        )
-        t0 = time.perf_counter()
+        run.expect(f"hyperelliptic-resolution-n{n}", info, ok)
         check = max_noether_holds(hyper, n)
-        reports.append(
-            _report(
-                "resolution",
-                f"max-noether-with-gorenstein-cusp-n{n}",
-                info,
-                True,
-                check.holds,
-                check.holds,
-                witness=None if check.holds else check.describe(),
-                t0=t0,
-            )
+        run.expect(
+            f"max-noether-with-gorenstein-cusp-n{n}", info, check.holds, check.describe()
         )
-    return reports
+    return run.reports
 
 
 def suite_hyperelliptic_negative(params: SuiteParams) -> list[VerificationReport]:
@@ -463,30 +395,25 @@ def suite_hyperelliptic_negative(params: SuiteParams) -> list[VerificationReport
     Pass semantics are inverted per line: a report passes when the expected
     failure, with the expected defect, is observed.
     """
-    reports = []
+    run = _Run("hyperelliptic-negative")
     for k in (3, 4, 5):
         s = NumericalSemigroup.from_generators((2, 2 * k + 1))
         curve = RationalCurveModel.from_semigroups([s])
         info = curve.to_json()
-        t0 = time.perf_counter()
         check = max_noether_holds(curve, 2)
         expected_gap = s.genus - 2
         passed = (not check.holds) and check.dimension_gap == expected_gap
         if k == 3:
             passed = passed and check.missing_values == (7,)
-        reports.append(
-            _report(
-                "hyperelliptic-negative",
-                f"expected-noether-failure-k{k}",
-                info,
-                {"holds": False, "dimension_gap": expected_gap},
-                {"holds": check.holds, "dimension_gap": check.dimension_gap},
-                passed,
-                witness={"missing_values": list(check.missing_values or ())},
-                t0=t0,
-            )
+        run.add(
+            f"expected-noether-failure-k{k}",
+            info,
+            {"holds": False, "dimension_gap": expected_gap},
+            {"holds": check.holds, "dimension_gap": check.dimension_gap},
+            passed,
+            {"missing_values": list(check.missing_values or ())},
         )
-    return reports
+    return run.reports
 
 
 def _value_route_dim(curve: RationalCurveModel, n: int) -> int:
@@ -496,16 +423,13 @@ def _value_route_dim(curve: RationalCurveModel, n: int) -> int:
     is the numerator ambient minus the number of effective local exclusions
     (for a single branch an exclusion beyond the degree cap is vacuous).
     """
-    from .curves import numerator_degree_bound
-
     cap = numerator_degree_bound(curve, n)
     total = cap + 1
     single = len(curve.branches) == 1
     for br in curve.branches:
-        alpha = br.semigroup.conductor
-        support = n_fold(dualizing_values(br.semigroup), n)
-        for e in range(-n * alpha, support.threshold):
-            if e not in support and not (single and e + n * alpha > cap):
+        pole = n * br.semigroup.conductor
+        for e in excluded_exponents(br.semigroup, n):
+            if not (single and e + pole > cap):
                 total -= 1
     return total
 
@@ -534,62 +458,43 @@ def suite_dims(params: SuiteParams) -> list[VerificationReport]:
     The value-route count comes from the local support windows instead.
     """
     max_n = params.n(3)
-    reports = []
+    run = _Run("dims")
     for curve in _curve_corpus(_DIM_MENU, 6):
         info = curve.to_json()
         g = curve.genus
-        t0 = time.perf_counter()
         dim1 = global_sections(curve, 1).dim
-        reports.append(
-            _report(
-                "dims",
-                "sections-dim-n1",
-                info,
-                g,
-                dim1,
-                dim1 == g,
-                witness=None if dim1 == g else {"dimension_gap": g - dim1},
-                t0=t0,
-            )
+        run.add(
+            "sections-dim-n1",
+            info,
+            g,
+            dim1,
+            dim1 == g,
+            None if dim1 == g else {"dimension_gap": g - dim1},
         )
         if g >= 2:
             for n in range(2, max_n + 1):
-                t0 = time.perf_counter()
                 expected = (2 * n - 1) * (g - 1) - sum(
                     _power_defect(br.semigroup, n) for br in curve.branches
                 )
                 dim = global_sections(curve, n).dim
-                reports.append(
-                    _report(
-                        "dims",
-                        f"sections-dim-n{n}",
-                        info,
-                        expected,
-                        dim,
-                        dim == expected,
-                        witness=None
-                        if dim == expected
-                        else {"dimension_gap": expected - dim},
-                        t0=t0,
-                    )
+                run.add(
+                    f"sections-dim-n{n}",
+                    info,
+                    expected,
+                    dim,
+                    dim == expected,
+                    None if dim == expected else {"dimension_gap": expected - dim},
                 )
-                t0 = time.perf_counter()
                 predicted = _value_route_dim(curve, n)
-                reports.append(
-                    _report(
-                        "dims",
-                        f"sections-dim-value-route-n{n}",
-                        info,
-                        predicted,
-                        dim,
-                        dim == predicted,
-                        witness=None
-                        if dim == predicted
-                        else {"dimension_gap": predicted - dim},
-                        t0=t0,
-                    )
+                run.add(
+                    f"sections-dim-value-route-n{n}",
+                    info,
+                    predicted,
+                    dim,
+                    dim == predicted,
+                    None if dim == predicted else {"dimension_gap": predicted - dim},
                 )
-    return reports
+    return run.reports
 
 
 SUITES: dict[str, Callable[[SuiteParams], list[VerificationReport]]] = {

@@ -164,14 +164,6 @@ def n_fold(a: ValueSet, n: int) -> ValueSet:
     return acc
 
 
-def module_closure(a: ValueSet, s: NumericalSemigroup) -> ValueSet:
-    """Smallest value set containing ``a`` and closed under adding members of ``s``.
-
-    Since 0 is in every semigroup this is just the sumset with the semigroup.
-    """
-    return sumset(a, ValueSet.from_semigroup(s))
-
-
 def ring_closure(a: ValueSet) -> ValueSet:
     """Smallest additively closed set containing ``a`` (a numerical semigroup).
 
@@ -205,7 +197,3 @@ def quotient_dim(a: ValueSet, b: ValueSet) -> int:
         raise NotNested(f"{a} minus the finite set {b} is infinite")
     top = max(a.threshold, b.threshold)
     return sum(1 for x in a.elements_below(top) if x not in b)
-
-
-def shift(a: ValueSet, e: int) -> ValueSet:
-    return a.shift(e)

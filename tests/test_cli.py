@@ -156,21 +156,54 @@ def test_jsonable_rejects_floats():
         jsonable(1.5)
 
 
-def test_verify_corpus_empty_suite_passes(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "suite, bound",
+    [
+        pytest.param("noether-single", ("--max-genus", "0"), id="noether-single-genus0"),
+        pytest.param("noether-single", ("--n", "1"), id="noether-single-n1"),
+        pytest.param("local-lemma", ("--max-genus", "1"), id="local-lemma-genus1"),
+    ],
+)
+def test_verify_corpus_empty_run_is_usage_error(tmp_path, capsys, suite, bound):
     out_path = tmp_path / "empty.jsonl"
-    code, _, err = run(
-        capsys,
-        "verify",
-        "corpus",
-        "--suite",
-        "noether-single",
-        "--max-genus",
-        "0",
-        "--out",
-        str(out_path),
+    code, out, err = run(
+        capsys, "verify", "corpus", "--suite", suite, *bound, "--out", str(out_path)
     )
-    assert code == 0
-    assert out_path.read_text() == ""
+    assert code == 2
+    assert "made no checks" in err
+    assert not out_path.exists() and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "local", "--gens", "3,4,5", "--n", "0"),
+        ("verify", "noether", "--gens", "3,4,5", "--n", "0"),
+        ("verify", "noether", "--gens", "3,4,5", "--n", "-2"),
+        ("verify", "corpus", "--suite", "dims", "--n", "0"),
+        ("verify", "corpus", "--suite", "local-lemma", "--max-genus", "-1"),
+        ("verify", "corpus", "--suite", "eq4-oracle", "--max-genus", "two"),
+    ],
+    ids=["local-n0", "noether-n0", "noether-n-2", "corpus-n0", "corpus-genus-1", "corpus-genus-word"],
+)
+def test_verify_bounds_out_of_range_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be at least" in err or "expected an integer" in err
+
+
+@pytest.mark.parametrize(
+    "generators", [[3.7, 4, 5], "345", [True, 4, 5]], ids=["float", "string", "bool"]
+)
+def test_verify_noether_rejects_non_integer_generators(tmp_path, capsys, generators):
+    spec = {"branches": [{"center": "0", "generators": generators}]}
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "verify", "noether", "--curve", str(path))
+    assert code == 2
+    assert out == ""
+    assert "generators must be a list of integers" in err
 
 
 def test_verify_noether_missing_file(capsys):

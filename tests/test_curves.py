@@ -8,7 +8,6 @@ from maxnoether.curves import (
     RationalCurveModel,
     check_hyperelliptic_resolution,
     check_resolution_quotient,
-    choose_x,
     global_sections,
     is_certified_hyperelliptic,
     local_support_set,
@@ -88,21 +87,6 @@ def test_sections_dim_is_genus_multibranch():
     ):
         c = curve(*gen_lists)
         assert global_sections(c, 1).dim == c.genus
-
-
-def test_choose_x_single_branches():
-    x = choose_x(curve((3, 4, 5)))
-    assert x.valuation_at(0) == -3
-    assert x.numerator[0] == 1
-    x = choose_x(curve((2, 7)))
-    assert x.valuation_at(0) == -6
-
-
-def test_choose_x_two_branches():
-    c = curve((3, 4, 5), (3, 4, 5))
-    x = choose_x(c)
-    assert x.valuation_at(0) == -3
-    assert x.valuation_at(1) == -3
 
 
 def test_section_valuations():
@@ -283,10 +267,3 @@ def test_products_always_land_in_sections():
         c = curve(*gen_lists)
         for n in (2, 3):
             assert global_sections(c, n).contains(products_span(c, n))
-
-
-def test_choose_x_requires_sections():
-    from maxnoether.errors import GenericityFailure
-
-    with pytest.raises(GenericityFailure):
-        choose_x(RationalCurveModel(()))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxnoether.errors import AmbientMismatch
-from maxnoether.linalg import Subspace, nullspace, rref, span
+from maxnoether.linalg import Subspace, nullspace, rref
 
 
 def F(x):
@@ -116,7 +116,7 @@ def test_rank_nullity(mat):
 @given(matrices)
 def test_span_contains_its_generators(mat):
     ncols = len(mat[0])
-    sp = span(mat, ncols)
+    sp = Subspace.span(mat, ncols)
     for row in mat:
         assert sp.contains_vector(row)
     assert sp.dim == rref(mat)[1]

@@ -9,11 +9,9 @@ from maxnoether.valueset import (
     ValueSet,
     canonical_ideal,
     dualizing_values,
-    module_closure,
     n_fold,
     quotient_dim,
     ring_closure,
-    shift,
     sumset,
 )
 
@@ -90,7 +88,7 @@ def test_dualizing_values_frozen(s, expected):
 
 def test_dualizing_shift_identity():
     for s in enumerate_semigroups(6):
-        assert shift(canonical_ideal(s), -s.conductor) == dualizing_values(s)
+        assert canonical_ideal(s).shift(-s.conductor) == dualizing_values(s)
         assert dualizing_values(s).min == -s.conductor
 
 
@@ -114,10 +112,12 @@ def test_sumset_window_oracle():
 
 
 def test_module_closure_examples():
-    assert module_closure(ValueSet.finite([0]), S345) == ValueSet.from_semigroup(S345)
+    # closing under adding members of S is the sumset with S
+    r345 = ValueSet.from_semigroup(S345)
+    assert sumset(ValueSet.finite([0]), r345) == r345
     k = canonical_ideal(S345)
-    assert module_closure(k, S345) == k
-    assert module_closure(ValueSet.finite([5]), S23) == ValueSet((5,), 7)
+    assert sumset(k, r345) == k
+    assert sumset(ValueSet.finite([5]), ValueSet.from_semigroup(S23)) == ValueSet((5,), 7)
 
 
 def test_ring_closure_examples():
@@ -158,9 +158,9 @@ def test_quotient_dim_not_nested():
 
 
 def test_shift_examples():
-    assert shift(ValueSet.above(6), -1) == ValueSet.above(5)
-    assert shift(ValueSet.finite([0, 1]), 3) == ValueSet.finite([3, 4])
-    assert shift(canonical_ideal(S27), -6) == dualizing_values(S27)
+    assert ValueSet.above(6).shift(-1) == ValueSet.above(5)
+    assert ValueSet.finite([0, 1]).shift(3) == ValueSet.finite([3, 4])
+    assert canonical_ideal(S27).shift(-6) == dualizing_values(S27)
 
 
 def test_eta_bound_over_census():
@@ -173,13 +173,17 @@ def test_eta_bound_over_census():
 
 
 def test_module_closure_idempotent_and_monotone():
+    ring = ValueSet.from_semigroup(S5679)
     k = canonical_ideal(S5679)
-    closed = module_closure(k, S5679)
-    assert module_closure(closed, S5679) == closed
-    bigger = module_closure(ValueSet((0, 1), 5), S5679)
-    assert k.is_subset(k) and closed.is_subset(bigger) or True  # monotonicity below
-    small = ValueSet.finite([0])
-    assert module_closure(small, S5679).is_subset(module_closure(k, S5679))
+    assert k == ValueSet((0, 4, 5, 6, 7), 9)
+    closed = sumset(k, ring)
+    assert closed == k  # K + S = K
+    assert sumset(closed, ring) == closed
+    # monotone: a subset closes into the closure of its superset
+    bigger = ValueSet((0, 1, 4), 5)
+    assert k.is_subset(bigger)
+    assert closed.is_subset(sumset(bigger, ring))
+    assert sumset(ValueSet.finite([0]), ring).is_subset(closed)
 
 
 finite_sets = st.lists(st.integers(-8, 12), min_size=1, max_size=5)
@@ -209,7 +213,7 @@ def test_sumset_matches_window_oracle(a, b):
 @settings(max_examples=60)
 @given(value_sets(), st.integers(-10, 10))
 def test_shift_roundtrip(a, e):
-    assert shift(shift(a, e), -e) == a
+    assert a.shift(e).shift(-e) == a
 
 
 @settings(max_examples=40)
