@@ -243,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     info.set_defaults(func=cmd_sg_info)
 
     enum = sg_sub.add_parser("enumerate", help="all semigroups up to a genus bound")
-    enum.add_argument("--max-genus", type=int, required=True)
-    enum.add_argument("--min-multiplicity", type=int, default=1)
+    enum.add_argument("--max-genus", type=_at_least(0), required=True)
+    enum.add_argument("--min-multiplicity", type=_at_least(1), default=1)
     enum.add_argument("--json", action="store_true")
     enum.set_defaults(func=cmd_sg_enumerate)
 

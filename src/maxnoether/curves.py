@@ -21,7 +21,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from math import comb
 from typing import Iterable, Sequence
 
@@ -29,6 +28,11 @@ from .errors import CurveSpecError, MaxNoetherError, NotApplicable
 from .linalg import Subspace, nullspace
 from .semigroup import NumericalSemigroup
 from .valueset import ValueSet, dualizing_values, n_fold
+
+# Entries kept by each subspace cache.  A check reuses a curve's spaces a few
+# entries later at most, so this keeps every hit while bounding memory over a
+# long corpus run.
+_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -145,8 +149,9 @@ def excluded_exponents(s: NumericalSemigroup, n: int) -> list[int]:
 # -- truncated power series helpers (all exact) -----------------------------
 
 
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _poly_mul(a: Sequence, b: Sequence) -> list:
+    """Product of two coefficient lists, exact over the integers or the rationals."""
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -189,16 +194,16 @@ def _taylor_coefficients(vec: Sequence[Fraction], center: Fraction, order: int) 
 # -- section spaces ----------------------------------------------------------
 
 
-def _constraint_rows(curve: RationalCurveModel, n: int) -> tuple[list[list[Fraction]], int]:
+def _constraint_rows(curve: RationalCurveModel, n: int) -> tuple[list[list], int]:
     ambient = numerator_ambient(curve, n)
-    rows: list[list[Fraction]] = []
-    for i, br in enumerate(curve.branches):
+    rows: list[list] = []
+    for br in curve.branches:
         alpha = br.semigroup.conductor
         excluded = excluded_exponents(br.semigroup, n)
         if not excluded:
             continue
         order = max(excluded) + n * alpha
-        unit = [Fraction(1)] + [Fraction(0)] * order
+        unit = [1] + [0] * order
         for other in curve.branches:
             if other.center == br.center:
                 continue
@@ -206,23 +211,24 @@ def _constraint_rows(curve: RationalCurveModel, n: int) -> tuple[list[list[Fract
                 br.center - other.center, n * other.semigroup.conductor, order
             )
             unit = _series_mul(unit, factor, order)
-        # Taylor transform of the numerator basis, one column per coefficient
-        powers = [br.center**d for d in range(ambient)]
+        # Taylor transform of the numerator basis, one column per coefficient;
+        # an integral center keeps it in integers
+        c = br.center.numerator if br.center.denominator == 1 else br.center
+        powers = [c**d for d in range(ambient)]
         for e in excluded:
             k = e + n * alpha
-            row = []
-            for d in range(ambient):
-                acc = Fraction(0)
-                for t in range(min(k, d) + 1):
-                    h = unit[k - t]
-                    if h:
-                        acc += comb(d, t) * powers[d - t] * h
-                row.append(acc)
+            row = [0] * ambient
+            for t in range(min(k, ambient - 1) + 1):
+                h = unit[k - t]
+                if h:
+                    for d in range(t, ambient):
+                        if powers[d - t]:
+                            row[d] += comb(d, t) * powers[d - t] * h
             rows.append(row)
     return rows, ambient
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def global_sections(curve: RationalCurveModel, n: int) -> Subspace:
     """Exact basis of the weight-n global differentials, as numerator coefficients.
 
@@ -236,7 +242,7 @@ def global_sections(curve: RationalCurveModel, n: int) -> Subspace:
     return nullspace(rows, ambient)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def products_span(curve: RationalCurveModel, n: int) -> Subspace:
     """Span of all n-fold products of weight-1 global differentials."""
     if n < 1:
@@ -245,23 +251,22 @@ def products_span(curve: RationalCurveModel, n: int) -> Subspace:
         return global_sections(curve, 1)
     basis = global_sections(curve, 1).basis
     ambient = numerator_ambient(curve, n)
-    vectors = []
-    for combo in combinations_with_replacement(range(len(basis)), n):
-        prod: Sequence[Fraction] = (Fraction(1),)
-        for idx in combo:
-            prod = _poly_mul(prod, basis[idx])
-        vectors.append(list(prod) + [Fraction(0)] * (ambient - len(prod)))
-    return Subspace.span(vectors, ambient)
+    # each product extends one of degree n - 1 by a basis row of index no smaller
+    level = list(enumerate(basis))
+    for _ in range(n - 1):
+        level = [(j, _poly_mul(prod, basis[j])) for i, prod in level for j in range(i, len(basis))]
+    return Subspace.span([prod + [0] * (ambient - len(prod)) for _, prod in level], ambient)
 
 
 def _subspace_orders(space: Subspace, center: Fraction) -> tuple[int, ...]:
     """Vanishing orders at ``center`` attained by nonzero numerators in the space.
 
     Jet elimination: express the basis in powers of u = t - center and read
-    off the echelon pivots.
+    off the echelon pivots.  At center 0, u = t, so the echelon basis already
+    is the jet basis.
     """
-    if space.dim == 0:
-        return ()
+    if center == 0:
+        return tuple(space.pivots())
     order = space.ambient - 1
     shifted = [_taylor_coefficients(v, center, order) for v in space.basis]
     reduced = Subspace.span(shifted, space.ambient)
@@ -346,7 +351,7 @@ def resolve(curve: RationalCurveModel, index: int) -> RationalCurveModel:
     return RationalCurveModel(tuple(branches))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _embedded_resolved_sections(curve: RationalCurveModel, index: int, n: int) -> Subspace:
     """Sections of the resolved curve, embedded in the ambient of the full one.
 
@@ -358,9 +363,8 @@ def _embedded_resolved_sections(curve: RationalCurveModel, index: int, n: int) -
     resolved = resolve(curve, index)
     sections = global_sections(resolved, n)
     ambient = numerator_ambient(curve, n)
-    factor: list[Fraction] = [Fraction(1)]
-    for _ in range(n * br.semigroup.conductor):
-        factor = _poly_mul(factor, [-br.center, Fraction(1)])
+    m = n * br.semigroup.conductor
+    factor = [comb(m, k) * (-br.center) ** (m - k) for k in range(m + 1)]
     vectors = []
     for vec in sections.basis:
         prod = _poly_mul(vec, factor)

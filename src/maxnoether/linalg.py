@@ -1,10 +1,11 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact dense linear algebra over the rationals, on integer rows.
 
-Rational scalars are stdlib ``fractions.Fraction``.  Elimination is
-fraction-free: rows are scaled to integers, pivoting uses integer
-cross-multiplication with gcd reduction, and pivots are normalized to 1 only
-at the end.  Reduced row echelon form is canonical, so subspace equality is
-structural.
+A subspace is stored as its canonical integer echelon basis: the reduced row
+echelon rows scaled to coprime integers with positive pivots.  That basis is
+unique for the row space, so subspace equality is structural.  Rational input
+is cleared of denominators once, at entry.  Elimination is fraction-free in
+the sense of Bareiss (Math. Comp. 22, 1968): integer cross-multiplication by
+the smallest available pivot, with every row kept primitive by gcd reduction.
 """
 
 from __future__ import annotations
@@ -16,83 +17,83 @@ from typing import Iterable, Sequence
 
 from .errors import AmbientMismatch
 
-Vector = tuple[Fraction, ...]
+Vector = tuple[int, ...]
+
+
+def _primitive(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    return [v // g for v in row] if g > 1 else row
 
 
 def _integer_row(row: Sequence) -> list[int]:
+    """A primitive integer row on the same line through the origin."""
+    if set(map(type, row)) <= {int}:
+        return _primitive(list(row))
     fracs = [Fraction(x) for x in row]
-    den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * den) for f in fracs]
-    g = math.gcd(*ints) if ints else 0
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+    den = math.lcm(*(f.denominator for f in fracs))
+    return _primitive([f.numerator * (den // f.denominator) for f in fracs])
 
 
-def _reduce_row(row: list[int]) -> list[int]:
-    g = math.gcd(*row) if row else 0
-    if g > 1:
-        return [v // g for v in row]
-    return row
+def _pivot(row: Sequence[int]) -> int:
+    return next(j for j, x in enumerate(row) if x)
 
 
-def rref(rows: Iterable[Sequence]) -> tuple[list[list[Fraction]], int]:
-    """Canonical reduced row echelon form and rank.
+def _eliminate(row: list[int], pivot_row: Sequence[int], col: int) -> list[int]:
+    """``row`` with its entry in ``col`` cleared by ``pivot_row``, kept primitive."""
+    p, q = pivot_row[col], row[col]
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
+    return _primitive([a * p - b * q for a, b in zip(row, pivot_row)])
 
-    Keeps the shape of the input; zero rows sink to the bottom.
+
+def rref(rows: Iterable[Sequence]) -> tuple[list[list[int]], int]:
+    """Canonical integer echelon form and rank.
+
+    Each nonzero row is the reduced row echelon row scaled to coprime
+    integers with a positive pivot.  Keeps the shape of the input; zero rows
+    sink to the bottom.
     """
     mat = [_integer_row(r) for r in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
     pivots: list[int] = []
-    prow = 0
     for col in range(ncols):
-        src = next((r for r in range(prow, nrows) if mat[r][col]), None)
-        if src is None:
+        prow = len(pivots)
+        live = [r for r in range(prow, nrows) if mat[r][col]]
+        if not live:
             continue
+        # the smallest pivot keeps the multipliers, and so the entries, small
+        src = min(live, key=lambda r: abs(mat[r][col]))
         mat[prow], mat[src] = mat[src], mat[prow]
-        p = mat[prow][col]
         for r in range(prow + 1, nrows):
-            q = mat[r][col]
-            if q:
-                mat[r] = _reduce_row([mat[r][j] * p - mat[prow][j] * q for j in range(ncols)])
+            if mat[r][col]:
+                mat[r] = _eliminate(mat[r], mat[prow], col)
         pivots.append(col)
-        prow += 1
-        if prow == nrows:
-            break
     # back-substitute, still over the integers
     for i in range(len(pivots) - 1, -1, -1):
-        col = pivots[i]
-        p = mat[i][col]
         for r in range(i):
-            q = mat[r][col]
-            if q:
-                mat[r] = _reduce_row([mat[r][j] * p - mat[i][j] * q for j in range(ncols)])
-    out: list[list[Fraction]] = []
-    for i in range(nrows):
-        if i < len(pivots):
-            p = Fraction(mat[i][pivots[i]])
-            out.append([Fraction(v) / p for v in mat[i]])
-        else:
-            out.append([Fraction(0)] * ncols)
-    return out, len(pivots)
+            if mat[r][pivots[i]]:
+                mat[r] = _eliminate(mat[r], mat[i], pivots[i])
+    for i, col in enumerate(pivots):
+        if mat[i][col] < 0:
+            mat[i] = [-v for v in mat[i]]
+    return mat, len(pivots)
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^ambient with a canonical reduced-echelon basis."""
+    """A subspace of Q^ambient with its canonical integer echelon basis."""
 
     ambient: int
     basis: tuple[Vector, ...]
 
     @classmethod
     def span(cls, vectors: Iterable[Sequence], ambient: int) -> "Subspace":
-        vecs = [tuple(Fraction(x) for x in v) for v in vectors]
+        # repeated vectors (frequent among products of sparse rows) add nothing
+        vecs = list(dict.fromkeys(map(tuple, vectors)))
         for v in vecs:
             if len(v) != ambient:
                 raise AmbientMismatch(f"vector of length {len(v)} in ambient {ambient}")
-        if not vecs:
-            return cls(ambient, ())
         reduced, rank = rref(vecs)
         return cls(ambient, tuple(tuple(row) for row in reduced[:rank]))
 
@@ -102,16 +103,15 @@ class Subspace:
 
     def pivots(self) -> list[int]:
         """Pivot column of each basis row; the attained leading positions."""
-        return [next(j for j, x in enumerate(row) if x) for row in self.basis]
+        return [_pivot(row) for row in self.basis]
 
     def contains_vector(self, vector: Sequence) -> bool:
-        v = [Fraction(x) for x in vector]
-        if len(v) != self.ambient:
-            raise AmbientMismatch(f"vector of length {len(v)} in ambient {self.ambient}")
+        if len(vector) != self.ambient:
+            raise AmbientMismatch(f"vector of length {len(vector)} in ambient {self.ambient}")
+        v = _integer_row(vector)
         for row, piv in zip(self.basis, self.pivots()):
-            c = v[piv]
-            if c:
-                v = [x - c * y for x, y in zip(v, row)]
+            if v[piv]:
+                v = _eliminate(v, row, piv)
         return not any(v)
 
     def contains(self, other: "Subspace") -> bool:
@@ -127,23 +127,19 @@ class Subspace:
 
 def nullspace(rows: Iterable[Sequence], ncols: int) -> Subspace:
     """Canonical basis of the solution space of the homogeneous system."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return Subspace.span(_standard_basis(ncols), ncols)
+    mat = list(rows)
     if any(len(r) != ncols for r in mat):
         raise AmbientMismatch("constraint rows of mixed width")
     reduced, rank = rref(mat)
-    pivots = [next(j for j, x in enumerate(row) if x) for row in reduced[:rank]]
-    free = [j for j in range(ncols) if j not in pivots]
+    echelon = reduced[:rank]
+    pivots = [_pivot(row) for row in echelon]
+    # one solution per free column, scaled so every entry is an integer
+    scale = math.lcm(*(row[piv] for row, piv in zip(echelon, pivots)))
     vectors = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, piv in enumerate(pivots):
-            v[piv] = -reduced[i][f]
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[f] = scale
+        for row, piv in zip(echelon, pivots):
+            v[piv] = -row[f] * (scale // row[piv])
         vectors.append(v)
     return Subspace.span(vectors, ncols)
-
-
-def _standard_basis(n: int) -> list[list[Fraction]]:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]

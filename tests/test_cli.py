@@ -50,6 +50,22 @@ def test_sg_enumerate(capsys):
     assert len(out.strip().splitlines()) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--max-genus", "-1"),
+        ("--max-genus", "2", "--min-multiplicity", "0"),
+        ("--max-genus", "2", "--min-multiplicity", "-3"),
+    ],
+    ids=["genus-1", "multiplicity0", "multiplicity-3"],
+)
+def test_sg_enumerate_bounds_out_of_range_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, "sg", "enumerate", *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be at least" in err
+
+
 def test_verify_local_nonsymmetric(capsys):
     code, out, _ = run(capsys, "verify", "local", "--gens", "3,4,5", "--n", "3")
     assert code == 0

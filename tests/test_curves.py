@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from maxnoether.curves import (
+    Branch,
     RationalCurveModel,
     check_hyperelliptic_resolution,
     check_resolution_quotient,
@@ -19,7 +20,7 @@ from maxnoether.curves import (
     _subspace_orders,
 )
 from maxnoether.errors import CurveSpecError, NotApplicable
-from maxnoether.semigroup import NumericalSemigroup
+from maxnoether.semigroup import NumericalSemigroup, enumerate_semigroups
 from maxnoether.valueset import ValueSet, canonical_ideal, dualizing_values, n_fold
 
 
@@ -225,6 +226,26 @@ def test_noncentral_model_matches_origin_model():
     )
     chk = max_noether_holds(shifted, 2)
     assert not chk.holds and chk.dimension_gap == 1
+
+
+def test_moving_the_center_keeps_valuations_and_dimensions():
+    # at center 0 the orders are the echelon pivots read directly; at any
+    # other center they go through the Taylor shift and a second elimination,
+    # so moving the one branch pins the shortcut against the general route
+    agreements = 0
+    for s in enumerate_semigroups(5, min_multiplicity=3):
+        origin = RationalCurveModel((Branch(Fraction(0), s),))
+        for center in (Fraction(7, 3), Fraction(-1, 2)):
+            moved = RationalCurveModel((Branch(center, s),))
+            for n in (1, 2, 3):
+                assert section_valuations(moved, center, n) == section_valuations(origin, 0, n)
+                assert _subspace_orders(products_span(moved, n), center) == _subspace_orders(
+                    products_span(origin, n), Fraction(0)
+                )
+                assert global_sections(moved, n).dim == global_sections(origin, n).dim
+                assert products_span(moved, n).dim == products_span(origin, n).dim
+                agreements += 1
+    assert agreements == 126
 
 
 def test_smooth_point_valuations_reflect_gonality():

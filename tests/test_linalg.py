@@ -1,5 +1,6 @@
 """Exact linear algebra: canonical echelon forms and subspace lattice ops."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -120,3 +121,45 @@ def test_span_contains_its_generators(mat):
     for row in mat:
         assert sp.contains_vector(row)
     assert sp.dim == rref(mat)[1]
+
+
+def _fraction_gauss_jordan(mat):
+    """Nonzero rows of the reduced row echelon form, by textbook Fraction steps."""
+    m = [[Fraction(x) for x in row] for row in mat]
+    rank = 0
+    for col in range(len(m[0])):
+        src = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if src is None:
+            continue
+        m[rank], m[src] = m[src], m[rank]
+        m[rank] = [x / m[rank][col] for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                q = m[i][col]
+                m[i] = [a - q * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return m[:rank]
+
+
+# plain ints take the integer entry path, Fractions the denominator-clearing one
+mixed_matrices = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-9, 9) | entries, min_size=n, max_size=n), min_size=1, max_size=6
+    )
+)
+
+
+@settings(max_examples=80)
+@given(mixed_matrices)
+def test_span_is_primitive_integer_rref(mat):
+    ncols = len(mat[0])
+    sp = Subspace.span(mat, ncols)
+    reference = _fraction_gauss_jordan(mat)
+    assert len(sp.basis) == len(reference)
+    for row, piv, ref in zip(sp.basis, sp.pivots(), reference):
+        assert all(type(x) is int for x in row)
+        assert math.gcd(*row) == 1 and row[piv] > 0
+        assert [Fraction(x, row[piv]) for x in row] == ref
+    for v in nullspace(mat, ncols).basis:
+        for row in mat:
+            assert sum(Fraction(a) * b for a, b in zip(row, v)) == 0

@@ -10,8 +10,6 @@ from maxnoether.reports import write_jsonl
 from maxnoether.suites import SuiteParams, run_suite
 
 # sha256 of the canonical JSONL (UTF-8) and the report count of each suite.
-# noether-single (~30 s) is not run here; the benchmark gate compares its
-# stream at these bounds with perfbench/expected/single-branch-full.json.
 PINNED = {
     "blowup": (1644, "a3acc77ac5aa4085764d1bf4a8c61a7df04b585c226b1e59773b3e9362db9b0f"),
     "dims": (105, "d8865d61cfd5f8ec189fa2438134c0567f496ce5b82328cded0f86b0ca2159f7"),
@@ -22,6 +20,7 @@ PINNED = {
     ),
     "local-lemma": (2735, "dbbf525711ffcdaaa8a5cdf84f193be5690e4cabb5d801ced525b6d2fccaa15a"),
     "noether-multi": (24, "3a64a3216746f8c29541c1f0e98b7e149aa5994932d01725556a2337417f87b0"),
+    "noether-single": (441, "33327a2bc1526caec591c5b3c452666b31a852c8c42efb427cb1af75a1363248"),
     "resolution": (12, "f0425b94fcb5e85cbecbc5e619cbafaf22e9b578056f53294aaa2b97d57146de"),
 }
 
