@@ -70,6 +70,7 @@ def cmd_sg_info(args) -> int:
     s = _parse_gens(args.gens)
     k = canonical_ideal(s)
     ana = blowup_mod.analyze(s)
+    drop = None if s.is_symmetric() else ana.genus_drop()
     data = {
         "semigroup": s.to_json(),
         "frobenius": s.frobenius,
@@ -80,8 +81,8 @@ def cmd_sg_info(args) -> int:
         "dualizing_values": dualizing_values(s).to_json(),
         "blowup": ana.to_json(),
     }
-    if not s.is_symmetric():
-        data["genus_drop"] = blowup_mod.genus_drop(s)
+    if drop is not None:
+        data["genus_drop"] = drop
     if args.json:
         print(json.dumps(jsonable(data), sort_keys=True))
         return 0
@@ -108,8 +109,8 @@ def cmd_sg_info(args) -> int:
             ("eta", str(ana.eta)),
         ]
     )
-    if not s.is_symmetric():
-        rows.append(("genus drop", str(blowup_mod.genus_drop(s))))
+    if drop is not None:
+        rows.append(("genus drop", str(drop)))
     _print_table(rows)
     return 0
 

@@ -13,6 +13,10 @@ class NotCofinite(MaxNoetherError):
     """The generated monoid has infinite complement in the naturals (gcd > 1)."""
 
 
+class ConductorTooLarge(MaxNoetherError):
+    """A semigroup's conductor is above the limit the library computes."""
+
+
 class NoSingularity(MaxNoetherError):
     """An invariant of a singular point was requested for the full semigroup."""
 

@@ -17,12 +17,12 @@ Three cases govern the admissible shift epsilon of the conductor power:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import HypothesisGap, NotApplicable
 from .semigroup import NumericalSemigroup
-from .valueset import ValueSet, canonical_ideal, n_fold, quotient_dim
+from .valueset import PowerChain, ValueSet, canonical_ideal, missing_below, quotient_dim
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,9 @@ class LocalContext:
     the minimal-value differential; for the one-singularity model this is
     exactly K below the conductor.  ``d1``/``d2`` form a complementary pair
     in K minus S with d1 + d2 = alpha - 1; they exist iff the semigroup is
-    non-symmetric and are ``None`` otherwise.
+    non-symmetric and are ``None`` otherwise.  ``canonical_powers`` and
+    ``section_powers`` hold the sumset powers of K and of the section values
+    made so far for this context, so every weight reuses the lower ones.
     """
 
     semigroup: NumericalSemigroup
@@ -79,6 +81,12 @@ class LocalContext:
     d2: int | None
     r: int
     p: int
+    canonical_powers: PowerChain = field(init=False, repr=False, compare=False)
+    section_powers: PowerChain = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "canonical_powers", PowerChain(self.canonical))
+        object.__setattr__(self, "section_powers", PowerChain(self.section_values))
 
     @classmethod
     def for_semigroup(
@@ -359,12 +367,10 @@ def verify_local_surjectivity(ctx: LocalContext, n: int, epsilon: int) -> Surjec
     Coverage is the value-set inclusion: every element of the n-fold sumset of
     K below n*alpha - epsilon must be an n-fold sum of section values.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    kn = n_fold(ctx.canonical, n)
-    wn = n_fold(ctx.section_values, n)
+    kn = ctx.canonical_powers.power(n)
+    wn = ctx.section_powers.power(n)
     required = tuple(kn.elements_below(n * ctx.alpha - epsilon))
-    uncovered = tuple(v for v in required if v not in wn)
+    uncovered = tuple(missing_below(kn, wn, n * ctx.alpha - epsilon))
     return SurjectivityCheck(not uncovered, n, epsilon, required, uncovered)
 
 
@@ -374,9 +380,9 @@ def minimal_epsilon(ctx: LocalContext, n: int) -> int:
     Reported for comparison with the case bound 2n - 1; nothing is claimed
     about sharpness.
     """
-    kn = n_fold(ctx.canonical, n)
-    wn = n_fold(ctx.section_values, n)
-    uncovered = [v for v in kn.elements_below(n * ctx.alpha) if v not in wn]
+    uncovered = missing_below(
+        ctx.canonical_powers.power(n), ctx.section_powers.power(n), n * ctx.alpha
+    )
     if not uncovered:
         return 0
     return n * ctx.alpha - min(uncovered)

@@ -17,7 +17,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import EmptyGenerators, NoSingularity, NotCofinite
+from .errors import ConductorTooLarge, EmptyGenerators, NoSingularity, NotCofinite
+
+# Largest conductor :meth:`NumericalSemigroup.from_generators` computes.  The
+# membership sieve, and every value set made from the semigroup, grow with it.
+MAX_CONDUCTOR = 10_000
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,8 @@ class NumericalSemigroup:
         """Build the semigroup generated by ``gens``.
 
         The stored generating set is re-minimalized, so redundant input
-        generators are dropped.
+        generators are dropped.  A conductor above :data:`MAX_CONDUCTOR`
+        raises :class:`ConductorTooLarge`.
         """
         uniq = sorted({int(g) for g in gens})
         if not uniq:
@@ -82,16 +87,26 @@ class NumericalSemigroup:
         if math.gcd(*uniq) != 1:
             raise NotCofinite(f"gcd({uniq}) != 1, complement would be infinite")
         beta = uniq[0]
-        bound = 2 * uniq[-1] + 2
+        too_large = ConductorTooLarge(
+            f"the conductor of the semigroup generated by {uniq} exceeds the limit "
+            f"MAX_CONDUCTOR = {MAX_CONDUCTOR}"
+        )
+        if beta > MAX_CONDUCTOR:  # 1, ..., beta - 1 are gaps
+            raise too_large
+        # a run of beta members starting at the limit ends below this bound
+        limit = MAX_CONDUCTOR + beta
+        bound = min(2 * uniq[-1] + 2, limit)
         while True:
             member = [False] * (bound + 1)
             member[0] = True
             for i in range(1, bound + 1):
                 member[i] = any(i >= g and member[i - g] for g in uniq)
             run_start = _consecutive_run(member, beta)
-            if run_start is not None:
+            if run_start is not None or bound == limit:
                 break
-            bound *= 2
+            bound = min(2 * bound, limit)
+        if run_start is None or run_start > MAX_CONDUCTOR:
+            raise too_large
         gaps = tuple(i for i in range(1, run_start) if not member[i])
         return cls._from_gap_tuple(gaps)
 

@@ -9,6 +9,7 @@ byte for byte.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from typing import Callable, Iterable
@@ -222,16 +223,15 @@ def suite_local_lemma(params: SuiteParams) -> list[VerificationReport]:
         eps = 2 * max(max_n, 2) - 1
         chain_dim = quotient_dim(ValueSet.above(a), ValueSet.above(max(max_n, 2) * a - eps))
         passed = len(set(chain_values)) == len(chain_values) == chain_dim
-        duplicates = sorted(
-            {v for v in chain_values if chain_values.count(v) > 1}
-        )
         run.add(
             "chain-composition",
             info,
             chain_dim,
             len(chain_values),
             passed,
-            None if passed else {"duplicates": duplicates},
+            None if passed else {
+                "duplicates": sorted(v for v, count in Counter(chain_values).items() if count > 1)
+            },
         )
         for n in range(1, max_n + 1):
             res = verify_local_surjectivity(ctx, n, 2 * n - 1)
@@ -254,7 +254,7 @@ def suite_blowup(params: SuiteParams) -> list[VerificationReport]:
     for s in _nonsymmetric(max_genus):
         info = s.to_json()
         ana = blowup_mod.analyze(s)
-        checks = blowup_mod.nearly_gorenstein_local_checks(s)
+        checks = ana.nearly_gorenstein_checks()
         run.add(
             "gap-one-iff-almost-gorenstein",
             info,
@@ -273,7 +273,7 @@ def suite_blowup(params: SuiteParams) -> list[VerificationReport]:
             passed,
             None if passed else {"index": ana.stabilization_index, "bound": bound},
         )
-        drop = blowup_mod.genus_drop(s)
+        drop = ana.genus_drop()
         run.add(
             "genus-drop",
             info,
@@ -294,15 +294,17 @@ def suite_blowup(params: SuiteParams) -> list[VerificationReport]:
     return run.reports
 
 
-def _single_branch_value_sets_agree(s: NumericalSemigroup, n: int) -> tuple[bool, dict]:
-    """Linear-algebra value sets versus pure sumset predictions, single branch."""
-    curve = RationalCurveModel.from_semigroups([s])
-    k = canonical_ideal(s)
-    a = s.conductor
-    w = ValueSet.finite(k.elements_below(a))
-    top = n * (a - 2)
-    predicted_sections = n_fold(k, n).elements_below(top + 1)
-    predicted_products = n_fold(w, n).elements_below(top + 1)
+def _single_branch_value_sets_agree(
+    ctx: LocalContext, curve: RationalCurveModel, n: int
+) -> tuple[bool, dict]:
+    """Linear-algebra value sets versus pure sumset predictions, single branch.
+
+    The predictions are the n-th powers of K and of its part below the
+    conductor, the section values of the one-singularity model.
+    """
+    top = n * (ctx.alpha - 2)
+    predicted_sections = ctx.canonical_powers.power(n).elements_below(top + 1)
+    predicted_products = ctx.section_powers.power(n).elements_below(top + 1)
     center = curve.branches[0].center
     oracle_sections = sorted(_subspace_orders(global_sections(curve, n), center))
     oracle_products = sorted(_subspace_orders(products_span(curve, n), center))
@@ -333,7 +335,7 @@ def suite_noether_single(params: SuiteParams) -> list[VerificationReport]:
         for n in range(2, max_n + 1):
             predicted = verify_local_surjectivity(ctx, n, 2 * n - 1).ok
             check = max_noether_holds(curve, n)
-            agree, detail = _single_branch_value_sets_agree(s, n)
+            agree, detail = _single_branch_value_sets_agree(ctx, curve, n)
             passed = predicted and check.holds and agree
             run.add(
                 f"max-noether-n{n}",

@@ -9,12 +9,21 @@ the empty set is representable but rejected by the arithmetic operations.
 The normal form (sorted exceptional values, minimal threshold) is unique, so
 structural equality doubles as set equality and serialized value sets are
 equality certificates.
+
+For arithmetic each set also carries an int bitmask of its exceptional
+values, offset by the minimum (dualizing values are negative): bit i is set
+iff ``min + i`` is an exceptional member.  The ray is not in the mask.  The
+mask is derived from the normal form once per object and is never compared,
+hashed or serialized; membership is a bit test, and a sumset is a shift-OR
+of one operand's mask over the other operand's members, cut at the new
+threshold.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .errors import EmptySet, NotARing, NotNested
@@ -41,6 +50,36 @@ class ValueSet:
                 exc.pop()
         object.__setattr__(self, "exceptional", tuple(exc))
         object.__setattr__(self, "threshold", t)
+
+    @cached_property
+    def _mask(self) -> int:
+        """Bit i is set iff ``min + i`` is an exceptional member."""
+        exc = self.exceptional
+        mask = 0
+        for e in exc:
+            mask |= 1 << (e - exc[0])
+        return mask
+
+    @classmethod
+    def _from_mask(cls, lo: int, mask: int, threshold: int | None) -> "ValueSet":
+        """The set ``{lo + i : bit i of mask} u [threshold, oo)``, built in normal form.
+
+        ``threshold`` must be at least ``lo``; mask bits at or above it are dropped.
+        """
+        if threshold is not None:
+            # the run of members just below the threshold joins the ray
+            top = (~mask & ((1 << (threshold - lo)) - 1)).bit_length()
+            threshold = lo + top
+            mask &= (1 << top) - 1
+        if mask:
+            low = (mask & -mask).bit_length() - 1
+            lo += low
+            mask >>= low
+        vs = object.__new__(cls)
+        object.__setattr__(vs, "exceptional", tuple(_bit_values(lo, mask)))
+        object.__setattr__(vs, "threshold", threshold)
+        vs.__dict__["_mask"] = mask
+        return vs
 
     @classmethod
     def finite(cls, values: Iterable[int]) -> "ValueSet":
@@ -70,9 +109,11 @@ class ValueSet:
         return self.threshold
 
     def contains(self, x: int) -> bool:
-        if self.threshold is not None and x >= self.threshold:
+        t = self.threshold
+        if t is not None and x >= t:
             return True
-        return x in self.exceptional
+        exc = self.exceptional
+        return bool(exc) and x >= exc[0] and (self._mask >> (x - exc[0])) & 1 == 1
 
     __contains__ = contains
 
@@ -82,6 +123,19 @@ class ValueSet:
         if self.threshold is not None and self.threshold < bound:
             out.extend(range(self.threshold, bound))
         return out
+
+    def _bits_below(self, lo: int, bound: int) -> int:
+        """Members in ``[lo, bound)`` as a mask whose bit i stands for ``lo + i``."""
+        if bound <= lo:
+            return 0
+        window = (1 << (bound - lo)) - 1
+        bits = 0
+        if self.exceptional:
+            d = self.exceptional[0] - lo
+            bits = self._mask << d if d >= 0 else self._mask >> -d
+        if self.threshold is not None:
+            bits |= window & ~((1 << max(self.threshold - lo, 0)) - 1)
+        return bits & window
 
     def shift(self, e: int) -> "ValueSet":
         """Translate every element by ``e``."""
@@ -94,7 +148,17 @@ class ValueSet:
             # ray fits iff other's ray starts at or below ours.
             if other.threshold is None or other.threshold > self.threshold:
                 return False
-        return all(e in other for e in self.exceptional)
+        exc, t = self.exceptional, other.threshold
+        if not exc or (t is not None and exc[0] >= t):
+            return True
+        mask = self._mask
+        if t is not None:
+            # members at or above t lie on other's ray
+            mask &= (1 << (t - exc[0])) - 1
+        other_exc = other.exceptional
+        if not other_exc or exc[0] < other_exc[0]:
+            return False
+        return (mask << (exc[0] - other_exc[0])) & ~other._mask == 0
 
     def __le__(self, other: "ValueSet") -> bool:
         return self.is_subset(other)
@@ -111,6 +175,11 @@ class ValueSet:
         if self.threshold is not None:
             parts.append(f"[{self.threshold},oo)")
         return " u ".join(parts)
+
+
+def _bit_values(lo: int, mask: int) -> list[int]:
+    """The values ``lo + i`` for the set bits i of ``mask``, in increasing order."""
+    return [lo + i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 def canonical_ideal(s: NumericalSemigroup) -> ValueSet:
@@ -137,31 +206,56 @@ def sumset(a: ValueSet, b: ValueSet) -> ValueSet:
     """Exact sumset {x + y : x in a, y in b}."""
     if a.is_empty or b.is_empty:
         raise EmptySet("sumset of an empty value set")
-    if a.threshold is None and b.threshold is None:
-        return ValueSet.finite(x + y for x in a.exceptional for y in b.exceptional)
-    tails = []
+    tail = None
     if a.threshold is not None:
-        tails.append(a.threshold + b.min)
+        tail = a.threshold + b.min
     if b.threshold is not None:
-        tails.append(b.threshold + a.min)
-    tail = min(tails)
-    finite = {
-        x + y
-        for x in a.elements_below(tail - b.min)
-        for y in b.elements_below(tail - a.min)
-        if x + y < tail
-    }
-    return ValueSet(tuple(finite), tail)
+        tail = b.threshold + a.min if tail is None else min(tail, b.threshold + a.min)
+    # A sum with a summand on a ray is at least the tail, so below the tail
+    # only exceptional members add up; _from_mask drops the sums past it.
+    if not a.exceptional or not b.exceptional:
+        return ValueSet.above(tail)
+    if len(a.exceptional) > len(b.exceptional):
+        a, b = b, a  # shift the larger mask over the fewer members
+    lo = a.exceptional[0]
+    mask = b._mask
+    acc = 0
+    for x in a.exceptional:
+        acc |= mask << (x - lo)
+    return ValueSet._from_mask(lo + b.exceptional[0], acc, tail)
+
+
+class PowerChain:
+    """The sumset powers a, a + a, a + a + a, ... of one value set, each built once.
+
+    ``power(n)`` extends the chain by the same ``sumset(previous, a)`` steps
+    as :func:`n_fold` and keeps every power it made, so asking for the powers
+    1..n of one set costs n - 1 sumsets in all.
+    """
+
+    def __init__(self, base: ValueSet):
+        self._powers = [base]
+
+    def power(self, n: int) -> ValueSet:
+        if n < 1:
+            raise ValueError("n must be a positive integer")
+        powers = self._powers
+        while len(powers) < n:
+            powers.append(sumset(powers[-1], powers[0]))
+        return powers[n - 1]
 
 
 def n_fold(a: ValueSet, n: int) -> ValueSet:
     """n-fold sumset; n_fold(a, 1) is a itself."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    acc = a
-    for _ in range(n - 1):
-        acc = sumset(acc, a)
-    return acc
+    return PowerChain(a).power(n)
+
+
+def missing_below(a: ValueSet, b: ValueSet, bound: int) -> list[int]:
+    """Sorted members of ``a`` below ``bound`` that are not in ``b``."""
+    lo = a.min
+    if lo is None:
+        return []
+    return _bit_values(lo, a._bits_below(lo, bound) & ~b._bits_below(lo, bound))
 
 
 def ring_closure(a: ValueSet) -> ValueSet:
@@ -195,5 +289,6 @@ def quotient_dim(a: ValueSet, b: ValueSet) -> int:
         return len(a.exceptional) - len(b.exceptional)
     if b.threshold is None:
         raise NotNested(f"{a} minus the finite set {b} is infinite")
-    top = max(a.threshold, b.threshold)
-    return sum(1 for x in a.elements_below(top) if x not in b)
+    # b inside a puts a's threshold at or below b's, so below b's threshold a
+    # has its exceptional values and the run [a.threshold, b.threshold).
+    return len(a.exceptional) + b.threshold - a.threshold - len(b.exceptional)

@@ -7,7 +7,14 @@ from maxnoether.errors import NotApplicable
 from maxnoether.curves import RationalCurveModel
 from maxnoether.semigroup import NumericalSemigroup, enumerate_semigroups
 from maxnoether.suites import _power_defect, _value_route_dim
-from maxnoether.valueset import ValueSet, canonical_ideal, n_fold, quotient_dim
+from maxnoether.valueset import (
+    ValueSet,
+    canonical_ideal,
+    n_fold,
+    quotient_dim,
+    ring_closure,
+    sumset,
+)
 
 
 def sg(*gens):
@@ -123,3 +130,67 @@ def test_power_defect_count_matches_value_route_on_one_branch():
         for n in range(2, 5):
             count = (2 * n - 1) * (s.genus - 1) - _power_defect(s, n)
             assert count == _value_route_dim(curve, n), (s.gaps, n)
+
+
+def fresh_analysis(s, power_bound=4):
+    """The blowup data and checks as computed per call, before power chains were kept."""
+    k = canonical_ideal(s)
+    ohat = ring_closure(k)
+    index, power = 1, k
+    while power != ohat:
+        power = sumset(power, k)
+        index += 1
+    omega_hat = sumset(k, ohat)
+    fields = (
+        k,
+        ohat,
+        index,
+        omega_hat,
+        quotient_dim(k, ValueSet.from_semigroup(s)),
+        quotient_dim(ValueSet.naturals(), ohat),
+    )
+    checks = (
+        s.is_almost_gorenstein(),
+        quotient_dim(omega_hat, k) == 1,
+        n_fold(k, 2) == ohat,
+        all(
+            sumset(n_fold(k, m), ohat) == n_fold(k, m)
+            for m in range(2, max(power_bound, index) + 1)
+        ),
+    )
+    return fields, checks, s.genus - fields[-1]
+
+
+def test_one_analysis_gives_the_per_call_results():
+    for s in enumerate_semigroups(8):
+        ana = analyze(s)
+        fields, checks, drop = fresh_analysis(s)
+        assert (
+            ana.canonical,
+            ana.blowup_values,
+            ana.stabilization_index,
+            ana.omega_blowup_values,
+            ana.eta,
+            ana.blowup_genus,
+        ) == fields
+        assert [ana.power(m) for m in range(1, 7)] == [n_fold(ana.canonical, m) for m in range(1, 7)]
+        if s.is_symmetric():
+            continue
+        assert ana.genus_drop() == genus_drop(s) == drop
+        for power_bound in (1, 2, 4, 6):
+            rec = ana.nearly_gorenstein_checks(power_bound)
+            assert rec == nearly_gorenstein_local_checks(s, power_bound)
+            assert (
+                rec.almost_gorenstein,
+                rec.gap_one,
+                rec.square_is_blowup,
+                rec.powers_collapse,
+            ) == fresh_analysis(s, power_bound)[1]
+
+
+def test_analysis_methods_reject_symmetric():
+    ana = analyze(sg(2, 5))
+    with pytest.raises(NotApplicable):
+        ana.genus_drop()
+    with pytest.raises(NotApplicable):
+        ana.nearly_gorenstein_checks()

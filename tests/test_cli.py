@@ -1,11 +1,13 @@
 """Command-line surface: flags, exit codes, and canonical report output."""
 
 import json
+import time
 
 import pytest
 
 from maxnoether.cli import main
 from maxnoether.reports import jsonable
+from maxnoether.semigroup import MAX_CONDUCTOR
 
 
 def run(capsys, *argv):
@@ -226,3 +228,13 @@ def test_verify_noether_missing_file(capsys):
     code, _, err = run(capsys, "verify", "noether", "--curve", "/nonexistent.json")
     assert code == 2
     assert "cannot read curve spec" in err
+
+
+def test_sg_info_conductor_above_the_cap_is_usage_error(capsys):
+    # <1000,1001> has conductor 999000; the sieve must stop at the cap
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "sg", "info", "--gens", "1000,1001")
+    assert time.perf_counter() - t0 < 2
+    assert code == 2
+    assert out == ""
+    assert f"MAX_CONDUCTOR = {MAX_CONDUCTOR}" in err

@@ -8,6 +8,7 @@ from maxnoether.local import (
     build_certificates,
     epsilon_case,
     minimal_epsilon,
+    SurjectivityCheck,
     q_decomposition,
     verify_local_surjectivity,
 )
@@ -258,3 +259,28 @@ def test_case_ii_iii_full_chain_counts():
         assert len(values) == quotient_dim(ValueSet.above(a), ValueSet.above(modulus))
         for c in certs:
             assert c.check(ctx.section_values) == []
+
+
+def test_reused_power_chains_change_no_result():
+    # each context builds its powers once; asking for the weights out of order
+    # must give what fresh n-fold sumsets give
+    for ctx in census_contexts(8):
+        for n in (4, 1, 3, 2):
+            kn = n_fold(ctx.canonical, n)
+            wn = n_fold(ctx.section_values, n)
+            for eps in (2 * n - 1, 0):
+                required = tuple(kn.elements_below(n * ctx.alpha - eps))
+                uncovered = tuple(v for v in required if v not in wn)
+                assert verify_local_surjectivity(ctx, n, eps) == SurjectivityCheck(
+                    not uncovered, n, eps, required, uncovered
+                )
+            missing = [v for v in kn.elements_below(n * ctx.alpha) if v not in wn]
+            fresh = n * ctx.alpha - min(missing) if missing else 0
+            assert minimal_epsilon(ctx, n) == fresh
+
+
+def test_power_weight_must_be_positive():
+    ctx = ctx_for([3, 4, 5])
+    for fn in (lambda: verify_local_surjectivity(ctx, 0, 0), lambda: minimal_epsilon(ctx, 0)):
+        with pytest.raises(ValueError):
+            fn()

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxnoether.errors import EmptyGenerators, NoSingularity, NotCofinite
-from maxnoether.semigroup import NumericalSemigroup, enumerate_semigroups
+from maxnoether.errors import ConductorTooLarge, EmptyGenerators, NoSingularity, NotCofinite
+from maxnoether.semigroup import MAX_CONDUCTOR, NumericalSemigroup, enumerate_semigroups
 
 
 def closure_members(gens, bound):
@@ -208,3 +208,15 @@ def test_random_generators_membership_matches_oracle(gens):
     members = closure_members(gens, s.conductor + 10)
     for m in range(s.conductor + 10):
         assert s.contains(m) == (m in members)
+
+
+def test_conductor_cap_is_exact():
+    # <2, 2k+1> has conductor 2k
+    at_cap = NumericalSemigroup.from_generators([2, MAX_CONDUCTOR + 1])
+    assert at_cap.conductor == MAX_CONDUCTOR
+    with pytest.raises(ConductorTooLarge, match=str(MAX_CONDUCTOR)):
+        NumericalSemigroup.from_generators([2, MAX_CONDUCTOR + 3])
+    with pytest.raises(ConductorTooLarge):
+        NumericalSemigroup.from_generators([MAX_CONDUCTOR + 1, MAX_CONDUCTOR + 2])
+    # a huge generator next to a unit one is redundant and costs nothing
+    assert NumericalSemigroup.from_generators([1, 10**12]).gaps == ()

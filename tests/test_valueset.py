@@ -9,6 +9,7 @@ from maxnoether.valueset import (
     ValueSet,
     canonical_ideal,
     dualizing_values,
+    missing_below,
     n_fold,
     quotient_dim,
     ring_closure,
@@ -221,3 +222,118 @@ def test_shift_roundtrip(a, e):
 def test_n_fold_consistency(a):
     assert n_fold(a, 1) == a
     assert n_fold(a, 3) == sumset(sumset(a, a), a)
+
+
+# -- differential tests against plain Python sets ------------------------------
+
+# Drawn members are >= -8 and thresholds <= 14, so a sum of up to four members
+# that is <= CUT has every summand <= CUT + 24 <= HI, and every finite part
+# and threshold the operations below produce lies at or below CUT.
+LOW, CUT, HI = -40, 60, 100
+
+
+@st.composite
+def raw_value_sets(draw):
+    """(members, threshold) as handed to the constructor, before normal form."""
+    kind = draw(st.sampled_from(["singleton", "finite", "ray", "mixed"]))
+    if kind == "singleton":
+        return [draw(st.integers(-8, 12))], None
+    if kind == "ray":
+        return [], draw(st.integers(-8, 14))
+    exc = draw(st.lists(st.integers(-8, 12), min_size=1, max_size=8))
+    return exc, None if kind == "finite" else draw(st.integers(-8, 14))
+
+
+def reference(raw, hi=HI):
+    """The members of a raw value set up to ``hi``, as a Python set."""
+    exc, t = raw
+    return set(exc) | (set(range(t, hi + 1)) if t is not None else set())
+
+
+def build(raw):
+    exc, t = raw
+    return ValueSet(tuple(exc), t)
+
+
+def window(vs, hi=CUT):
+    return {x for x in range(LOW, hi + 1) if vs.contains(x)}
+
+
+def set_sum(a, b):
+    return {x + y for x in a for y in b}
+
+
+@settings(max_examples=150)
+@given(raw_value_sets())
+def test_membership_and_listing_match_python_sets(raw):
+    vs, ref = build(raw), reference(raw)
+    assert window(vs) == {x for x in ref if x <= CUT}
+    for bound in range(LOW, CUT + 1, 7):
+        assert vs.elements_below(bound) == sorted(x for x in ref if x < bound)
+    assert vs.min == (min(ref) if ref else None)
+
+
+@settings(max_examples=150)
+@given(raw_value_sets(), raw_value_sets())
+def test_sumset_matches_python_sets(ra, rb):
+    got = sumset(build(ra), build(rb))
+    want = set_sum(reference(ra), reference(rb))
+    assert window(got) == {x for x in want if x <= CUT}
+    assert (got.threshold is None) == (ra[1] is None and rb[1] is None)
+    assert got == ValueSet(tuple(got.exceptional), got.threshold)  # normal form
+
+
+@settings(max_examples=80)
+@given(raw_value_sets(), st.integers(1, 4))
+def test_n_fold_matches_python_sets(raw, n):
+    want = reference(raw)
+    for _ in range(n - 1):
+        want = {x for x in set_sum(want, reference(raw)) if x <= HI}
+    assert window(n_fold(build(raw), n)) == {x for x in want if x <= CUT}
+
+
+@settings(max_examples=150)
+@given(raw_value_sets(), raw_value_sets())
+def test_subset_and_quotient_dim_match_python_sets(ra, rb):
+    a, b = build(ra), build(rb)
+    ref_a, ref_b = reference(ra), reference(rb)
+    # past 14 each reference holds all of the window or none of it, so
+    # comparing the references decides inclusion of the infinite sets
+    assert a.is_subset(b) == (ref_a <= ref_b)
+    if not ref_b <= ref_a:
+        with pytest.raises(NotNested):
+            quotient_dim(a, b)
+    elif ra[1] is not None and rb[1] is None:
+        with pytest.raises(NotNested):
+            quotient_dim(a, b)
+    else:
+        assert quotient_dim(a, b) == len(ref_a - ref_b)
+
+
+@settings(max_examples=150)
+@given(raw_value_sets(), raw_value_sets())
+def test_missing_below_matches_python_sets(ra, rb):
+    a, b = build(ra), build(rb)
+    diff = reference(ra) - reference(rb)
+    for bound in range(LOW, CUT + 1, 3):
+        assert missing_below(a, b, bound) == sorted(x for x in diff if x < bound)
+    assert missing_below(ValueSet.finite([]), a, CUT) == []
+    assert missing_below(a, ValueSet.finite([]), CUT) == a.elements_below(CUT)
+
+
+@settings(max_examples=40)
+@given(raw_value_sets())
+def test_empty_operands_are_rejected(raw):
+    empty, vs = ValueSet.finite([]), build(raw)
+    with pytest.raises(EmptySet):
+        sumset(empty, vs)
+    with pytest.raises(EmptySet):
+        sumset(vs, empty)
+    with pytest.raises(EmptySet):
+        n_fold(empty, 2)
+    assert not empty.contains(0) and empty.is_subset(vs)
+    if raw[1] is None:
+        assert quotient_dim(vs, empty) == len(reference(raw))
+    else:
+        with pytest.raises(NotNested):
+            quotient_dim(vs, empty)
