@@ -6,7 +6,7 @@ and checks Max Noether surjectivity on explicit rational curve models with
 an independent exact linear-algebra oracle.
 """
 
-from .blowup import BlowupAnalysis, analyze, genus_drop, nearly_gorenstein_local_checks
+from .blowup import BlowupAnalysis, analyze
 from .curves import (
     Branch,
     NoetherCheck,
@@ -76,14 +76,12 @@ __all__ = [
     "dualizing_values",
     "enumerate_semigroups",
     "epsilon_case",
-    "genus_drop",
     "global_sections",
     "is_certified_hyperelliptic",
     "local_support_set",
     "max_noether_holds",
     "minimal_epsilon",
     "n_fold",
-    "nearly_gorenstein_local_checks",
     "nullspace",
     "products_span",
     "q_decomposition",

@@ -2,9 +2,10 @@
 
 Powers of the canonical ideal K form an ascending chain that stabilizes to
 the additive closure of K, the value semigroup of the blowup ring.  The
-stabilized data detects the almost Gorenstein property: the overmodule
-generated by K exceeds K by exactly one value precisely in that case, and
-then already the square of K fills the blowup.
+stabilized data detects the almost Gorenstein property: the blowup exceeds
+K by exactly one value precisely in that case, and then already the square
+of K fills the blowup.  As 0 is in K, the blowup is also the module K
+generates over the blowup ring.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ class BlowupAnalysis:
     canonical: ValueSet
     blowup_values: ValueSet
     stabilization_index: int
-    omega_blowup_values: ValueSet
     eta: int
     blowup_genus: int
     powers: tuple[ValueSet, ...] = field(repr=False, compare=False)
@@ -39,7 +39,6 @@ class BlowupAnalysis:
             "canonical": self.canonical.to_json(),
             "blowup": self.blowup_values.to_json(),
             "stabilization_index": self.stabilization_index,
-            "omega_blowup": self.omega_blowup_values.to_json(),
             "eta": self.eta,
             "blowup_genus": self.blowup_genus,
         }
@@ -51,13 +50,14 @@ class BlowupAnalysis:
     def nearly_gorenstein_checks(self, power_bound: int = 4) -> "NearlyGorensteinChecks":
         """Blowup-side reflections of the almost Gorenstein property.
 
-        ``gap_one`` asks whether the blowup module generated by K exceeds K by
-        a single value.  ``powers_collapse`` asks whether the powers of K from
-        2 up to ``power_bound`` are already modules over the blowup ring.
+        ``gap_one`` asks whether the blowup, which is also the module K
+        generates over the blowup ring, exceeds K by a single value.
+        ``powers_collapse`` asks whether the powers of K from 2 up to
+        ``power_bound`` are already modules over the blowup ring.
         """
         s = self._non_gorenstein()
         ohat = self.blowup_values
-        gap_one = quotient_dim(self.omega_blowup_values, self.canonical) == 1
+        gap_one = quotient_dim(ohat, self.canonical) == 1
         square = self.power(2) == ohat
         top = max(power_bound, self.stabilization_index)
         # powers past the index repeat the blowup, so each distinct one is tested once
@@ -81,9 +81,7 @@ def analyze(s: NumericalSemigroup) -> BlowupAnalysis:
     """Compute the blowup value data of a semigroup (symmetric ones included).
 
     The powers of K ascend, as 0 is in K.  The first power that K no longer
-    enlarges is closed under addition, so it is the additive closure of K,
-    and the sumset that showed it, K^index + K, is the module K generates
-    over the blowup ring.
+    enlarges is closed under addition, so it is the additive closure of K.
     """
     k = canonical_ideal(s)
     powers = [k]
@@ -94,7 +92,7 @@ def analyze(s: NumericalSemigroup) -> BlowupAnalysis:
     ohat = powers[-1]
     eta = quotient_dim(k, ValueSet.from_semigroup(s))
     ghat = quotient_dim(ValueSet.naturals(), ohat)
-    return BlowupAnalysis(s, k, ohat, len(powers), nxt, eta, ghat, tuple(powers))
+    return BlowupAnalysis(s, k, ohat, len(powers), eta, ghat, tuple(powers))
 
 
 @dataclass(frozen=True)
@@ -124,14 +122,3 @@ class NearlyGorensteinChecks:
             "consistent": self.consistent,
         }
 
-
-def nearly_gorenstein_local_checks(
-    s: NumericalSemigroup, power_bound: int = 4
-) -> NearlyGorensteinChecks:
-    """:meth:`BlowupAnalysis.nearly_gorenstein_checks` of a fresh analysis of ``s``."""
-    return analyze(s).nearly_gorenstein_checks(power_bound)
-
-
-def genus_drop(s: NumericalSemigroup) -> int:
-    """:meth:`BlowupAnalysis.genus_drop` of a fresh analysis of ``s``."""
-    return analyze(s).genus_drop()

@@ -27,7 +27,7 @@ from .local import (
     q_decomposition,
     verify_local_surjectivity,
 )
-from .reports import jsonable, write_jsonl
+from .reports import write_jsonl
 from .semigroup import NumericalSemigroup, enumerate_semigroups
 from .suites import SUITES, SuiteParams, run_suite
 from .valueset import canonical_ideal, dualizing_values
@@ -84,7 +84,7 @@ def cmd_sg_info(args) -> int:
     if drop is not None:
         data["genus_drop"] = drop
     if args.json:
-        print(json.dumps(jsonable(data), sort_keys=True))
+        print(json.dumps(data, sort_keys=True))
         return 0
     rows = [
         ("semigroup", str(s)),
@@ -118,7 +118,7 @@ def cmd_sg_info(args) -> int:
 def cmd_sg_enumerate(args) -> int:
     for s in enumerate_semigroups(args.max_genus, args.min_multiplicity):
         if args.json:
-            print(json.dumps(jsonable(s.to_json()), sort_keys=True))
+            print(json.dumps(s.to_json(), sort_keys=True))
         else:
             print(f"{str(s):24} genus {s.genus:2}  gaps {_ints(s.gaps)}")
     return 0
@@ -173,7 +173,7 @@ def cmd_verify_local(args) -> int:
         )
     data["coverings"] = coverings
     if args.json:
-        print(json.dumps(jsonable(data), sort_keys=True))
+        print(json.dumps(data, sort_keys=True))
     else:
         print(f"{s}  case ({case.tag})  d1={ctx.d1} d2={ctx.d2} r={ctx.r} p={ctx.p}")
         if "q_pairs" in data:
@@ -202,7 +202,7 @@ def cmd_verify_noether(args) -> int:
         curve = RationalCurveModel.from_semigroups([_parse_gens(args.gens)])
     check = max_noether_holds(curve, args.n)
     if args.json:
-        print(json.dumps(jsonable({"curve": curve.to_json(), "check": check.to_json()}), sort_keys=True))
+        print(json.dumps({"curve": curve.to_json(), "check": check.to_json()}, sort_keys=True))
     else:
         print(f"{curve}  n={args.n}: {check.describe()}")
     return 0 if check.holds else 1

@@ -5,44 +5,29 @@ route computed, whether they agree, and a concrete witness on failure.  The
 serialized form is canonical (sorted keys, compact separators, no volatile
 fields), so identical runs produce byte-identical output.  The wall-clock
 ``elapsed`` field is never serialized.
+
+Report fields are plain JSON data: ``None``, ``bool``, ``int``, ``str``,
+lists and dicts with ``str`` keys.  Floats are banned (the program is exact),
+and a value ``json`` cannot encode, such as a ``Fraction`` or a set, raises
+``TypeError`` at encoding instead of being coerced.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, IO
-
-
-def jsonable(value: Any) -> Any:
-    """Recursively convert library values into plain JSON data."""
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, float):
-        raise TypeError("floating point values are banned from reports")
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = list(value)
-        if isinstance(value, (set, frozenset)):
-            items = sorted(items)
-        return [jsonable(v) for v in items]
-    to_json = getattr(value, "to_json", None)
-    if callable(to_json):
-        return jsonable(to_json())
-    return str(value)
 
 
 @dataclass
 class VerificationReport:
     """One verified claim: inputs, prediction, oracle value, verdict, witness.
 
-    ``elapsed`` is the time in seconds since the previous report of the same
-    suite run, or since the run started, so the times of a run add up to it.
-    It is never serialized.
+    ``input``, ``predicted``, ``oracle`` and ``witness`` must be plain JSON
+    data without floats; :meth:`to_line` raises ``TypeError`` on anything
+    else.  ``elapsed`` is the time in seconds since the previous report of
+    the same suite run, or since the run started, so the times of a run add
+    up to it.  It is never serialized.
     """
 
     suite: str
@@ -54,19 +39,20 @@ class VerificationReport:
     witness: Any = None
     elapsed: float = field(default=0.0, compare=False)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "suite": self.suite,
-            "check": self.check,
-            "input": jsonable(self.input),
-            "predicted": jsonable(self.predicted),
-            "oracle": jsonable(self.oracle),
-            "pass": self.passed,
-            "witness": jsonable(self.witness),
-        }
-
     def to_line(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
+        return json.dumps(
+            {
+                "suite": self.suite,
+                "check": self.check,
+                "input": self.input,
+                "predicted": self.predicted,
+                "oracle": self.oracle,
+                "pass": self.passed,
+                "witness": self.witness,
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
 
 
 def write_jsonl(reports: list[VerificationReport], fp: IO[str]) -> None:

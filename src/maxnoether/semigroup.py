@@ -159,9 +159,10 @@ class NumericalSemigroup:
         """True iff x in S exactly when F - x is a gap, for every integer x.
 
         Symmetry of the gap set characterizes Gorenstein unibranch points.
+        x -> F - x maps the members below the conductor into the gaps, so
+        g >= c/2, with equality exactly when S is symmetric.
         """
-        f = self.frobenius
-        return all(self.contains(x) != self.contains(f - x) for x in range(self.conductor))
+        return 2 * self.genus == self.conductor
 
     def is_almost_gorenstein(self) -> bool:
         """Barucci-Froeberg count: genus == |S below conductor| + type - 1."""

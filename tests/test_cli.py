@@ -6,7 +6,6 @@ import time
 import pytest
 
 from maxnoether.cli import main
-from maxnoether.reports import jsonable
 from maxnoether.semigroup import MAX_CONDUCTOR
 
 
@@ -33,6 +32,7 @@ def test_sg_info_json(capsys):
     assert data["almost_gorenstein"] is True
     assert data["blowup"]["stabilization_index"] == 2
     assert data["genus_drop"] == 2
+    assert "omega_blowup" not in data["blowup"]
 
 
 def test_sg_info_bad_gens(capsys):
@@ -169,9 +169,19 @@ def test_verify_corpus_unknown_suite(capsys):
     assert code == 2
 
 
-def test_jsonable_rejects_floats():
-    with pytest.raises(TypeError):
-        jsonable(1.5)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sg", "info", "--gens", "4,5,11"),
+        ("verify", "local", "--gens", "4,5,11", "--n", "3"),
+        ("verify", "noether", "--gens", "3,4,5", "--n", "3"),
+    ],
+    ids=["sg-info", "verify-local", "verify-noether"],
+)
+def test_json_output_is_plain_json(capsys, assert_plain_json, argv):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert_plain_json(json.loads(out))
 
 
 @pytest.mark.parametrize(

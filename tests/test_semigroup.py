@@ -103,6 +103,16 @@ def test_is_symmetric_frozen(gens, symmetric):
     assert symmetric == (2 * s.genus == s.conductor)
 
 
+def test_is_symmetric_matches_the_definition():
+    semigroups = list(enumerate_semigroups(12))
+    assert len(semigroups) == 1413
+    for s in semigroups:
+        f = s.frobenius
+        # x in S iff F - x is a gap; outside [0, F] exactly one of x, F - x is in S
+        definition = all(s.contains(x) != s.contains(f - x) for x in range(f + 1))
+        assert s.is_symmetric() is definition, s.gaps
+
+
 @pytest.mark.parametrize(
     "gens, ag",
     [([3, 5, 7], True), ([4, 5, 11], False), ([2, 3], True)],

@@ -3,11 +3,12 @@
 import hashlib
 import io
 import time
+from fractions import Fraction
 
 import pytest
 
-from maxnoether.reports import write_jsonl
-from maxnoether.suites import SuiteParams, run_suite
+from maxnoether.reports import VerificationReport, write_jsonl
+from maxnoether.suites import SUITES, SuiteParams, run_suite
 
 # sha256 of the canonical JSONL (UTF-8) and the report count of each suite.
 PINNED = {
@@ -32,6 +33,20 @@ def test_default_report_bytes_are_pinned(name):
     write_jsonl(reports, buf)
     digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
     assert (len(reports), digest) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_report_fields_are_plain_json(name, assert_plain_json):
+    reports = run_suite(name, SuiteParams(max_genus=5, max_n=3))
+    assert reports
+    for r in reports:
+        assert_plain_json([r.suite, r.check, r.input, r.predicted, r.oracle, r.passed, r.witness])
+
+
+def test_report_with_a_non_json_value_does_not_encode():
+    report = VerificationReport("s", "c", {}, 0, 0, False, witness=Fraction(1, 2))
+    with pytest.raises(TypeError):
+        report.to_line()
 
 
 def test_elapsed_times_add_up_to_the_run():
