@@ -26,11 +26,11 @@ from .linalg import Subspace, nullspace, rref
 from .local import (
     BasisCertificate,
     CertEntry,
-    EpsilonCase,
     LocalContext,
     QDecomposition,
     SurjectivityCheck,
     build_certificates,
+    case_epsilon,
     epsilon_case,
     minimal_epsilon,
     q_decomposition,
@@ -56,7 +56,6 @@ __all__ = [
     "BlowupAnalysis",
     "Branch",
     "CertEntry",
-    "EpsilonCase",
     "LocalContext",
     "NoetherCheck",
     "NumericalSemigroup",
@@ -71,6 +70,7 @@ __all__ = [
     "analyze",
     "build_certificates",
     "canonical_ideal",
+    "case_epsilon",
     "check_hyperelliptic_resolution",
     "check_resolution_quotient",
     "dualizing_values",

@@ -22,6 +22,7 @@ from .errors import MaxNoetherError
 from .local import (
     LocalContext,
     build_certificates,
+    case_epsilon,
     epsilon_case,
     minimal_epsilon,
     q_decomposition,
@@ -30,7 +31,7 @@ from .local import (
 from .reports import write_jsonl
 from .semigroup import NumericalSemigroup, enumerate_semigroups
 from .suites import SUITES, SuiteParams, run_suite
-from .valueset import canonical_ideal, dualizing_values
+from .valueset import dualizing_values
 
 
 def _parse_gens(raw: str) -> NumericalSemigroup:
@@ -68,8 +69,8 @@ def _ints(values) -> str:
 
 def cmd_sg_info(args) -> int:
     s = _parse_gens(args.gens)
-    k = canonical_ideal(s)
     ana = blowup_mod.analyze(s)
+    dualizing = dualizing_values(s)
     drop = None if s.is_symmetric() else ana.genus_drop()
     data = {
         "semigroup": s.to_json(),
@@ -77,8 +78,8 @@ def cmd_sg_info(args) -> int:
         "symmetric": s.is_symmetric(),
         "almost_gorenstein": s.is_almost_gorenstein(),
         "pseudo_frobenius": list(s.pseudo_frobenius()) if s.gaps else [],
-        "canonical_ideal": k.to_json(),
-        "dualizing_values": dualizing_values(s).to_json(),
+        "canonical_ideal": ana.canonical.to_json(),
+        "dualizing_values": dualizing.to_json(),
         "blowup": ana.to_json(),
     }
     if drop is not None:
@@ -101,8 +102,8 @@ def cmd_sg_info(args) -> int:
         rows.append(("pseudo-Frobenius", f"{_ints(pf)}  (type {len(pf)})"))
     rows.extend(
         [
-            ("canonical ideal", str(k)),
-            ("dualizing values", str(dualizing_values(s))),
+            ("canonical ideal", str(ana.canonical)),
+            ("dualizing values", str(dualizing)),
             ("blowup values", str(ana.blowup_values)),
             ("stabilization index", str(ana.stabilization_index)),
             ("blowup genus", str(ana.blowup_genus)),
@@ -135,7 +136,7 @@ def cmd_verify_local(args) -> int:
     case = epsilon_case(attained)
     data: dict = {
         "semigroup": s.to_json(),
-        "case": case.tag,
+        "case": case,
         "attained_values": list(attained),
         "d1": ctx.d1,
         "d2": ctx.d2,
@@ -145,7 +146,7 @@ def cmd_verify_local(args) -> int:
     ok = True
     if ctx.r >= 1:
         qd = q_decomposition(ctx)
-        ok &= qd.all_strict(ctx.alpha, ctx.beta)
+        ok &= qd.all_strict(ctx.alpha)
         data["q_pairs"] = [list(p) for p in qd.pairs]
     certs = build_certificates(ctx, max(args.n, 2), case)
     defects = [d for c in certs for d in c.check(ctx.section_values)]
@@ -160,7 +161,7 @@ def cmd_verify_local(args) -> int:
     data["certificate_defects"] = defects
     coverings = []
     for n in range(1, args.n + 1):
-        res = verify_local_surjectivity(ctx, n, case.epsilon(n))
+        res = verify_local_surjectivity(ctx, n, case_epsilon(case, n))
         ok &= res.ok
         coverings.append(
             {
@@ -175,7 +176,7 @@ def cmd_verify_local(args) -> int:
     if args.json:
         print(json.dumps(data, sort_keys=True))
     else:
-        print(f"{s}  case ({case.tag})  d1={ctx.d1} d2={ctx.d2} r={ctx.r} p={ctx.p}")
+        print(f"{s}  case ({case})  d1={ctx.d1} d2={ctx.d2} r={ctx.r} p={ctx.p}")
         if "q_pairs" in data:
             print(f"q-decomposition: {data['q_pairs']}")
         for c in certs:

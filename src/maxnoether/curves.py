@@ -52,10 +52,10 @@ class RationalCurveModel:
     def __post_init__(self) -> None:
         centers = [b.center for b in self.branches]
         if len(set(centers)) != len(centers):
-            raise ValueError("branch centers must be pairwise distinct")
+            raise CurveSpecError("branch centers must be pairwise distinct")
         for b in self.branches:
             if not b.semigroup.gaps:
-                raise ValueError("every branch must carry a proper semigroup")
+                raise CurveSpecError("every branch must carry a proper semigroup")
 
     @property
     def genus(self) -> int:
@@ -67,11 +67,6 @@ class RationalCurveModel:
         return cls(
             tuple(Branch(Fraction(i), s) for i, s in enumerate(semigroups))
         )
-
-    @classmethod
-    def single(cls, generators: Iterable[int]) -> "RationalCurveModel":
-        """One singularity, generated as a semigroup, at the origin."""
-        return cls.from_semigroups([NumericalSemigroup.from_generators(generators)])
 
     def to_json(self) -> dict:
         return {
@@ -97,10 +92,7 @@ class RationalCurveModel:
             except (KeyError, ValueError, TypeError, ZeroDivisionError, MaxNoetherError) as exc:
                 raise CurveSpecError(f"branch {i}: {exc}") from exc
             branches.append(Branch(center, sg))
-        try:
-            return cls(tuple(branches))
-        except ValueError as exc:
-            raise CurveSpecError(str(exc)) from exc
+        return cls(tuple(branches))
 
     @classmethod
     def from_file(cls, path: str) -> "RationalCurveModel":

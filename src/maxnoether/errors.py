@@ -46,4 +46,4 @@ class AmbientMismatch(MaxNoetherError):
 
 
 class CurveSpecError(MaxNoetherError):
-    """A curve description file is malformed."""
+    """A curve description is malformed or names an invalid curve."""

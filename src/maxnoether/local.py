@@ -13,6 +13,8 @@ Three cases govern the admissible shift epsilon of the conductor power:
 * case (i): no section of value 0 at the point, epsilon = 2n - 1;
 * case (ii): a section of value 0 exists, epsilon = 1;
 * case (iii): sections of value 0 and of value 1 or 2 exist, epsilon = 0.
+
+A case is its tag "i", "ii" or "iii"; :func:`case_epsilon` gives its shift.
 """
 
 from __future__ import annotations
@@ -22,41 +24,26 @@ from typing import Iterable
 
 from .errors import HypothesisGap, NotApplicable
 from .semigroup import NumericalSemigroup
-from .valueset import PowerChain, ValueSet, canonical_ideal, missing_below, quotient_dim
+from .valueset import PowerChain, ValueSet, canonical_ideal, missing_below
 
 
-@dataclass(frozen=True)
-class EpsilonCase:
-    """Which conductor shift the covering statement is entitled to."""
-
-    tag: str  # "i", "ii" or "iii"
-
-    def epsilon(self, n: int) -> int:
-        if self.tag == "i":
-            return 2 * n - 1
-        return 1 if self.tag == "ii" else 0
-
-
-def epsilon_case(attained: ValueSet | Iterable[int]) -> EpsilonCase:
-    """Classify a point by the section values attained there."""
-    values = set(attained.exceptional) if isinstance(attained, ValueSet) else set(attained)
-    has_zero = 0 in values or _ray_contains(attained, 0)
-    has_low = any(v in values for v in (1, 2)) or any(
-        _ray_contains(attained, v) for v in (1, 2)
-    )
-    if has_zero and has_low:
-        return EpsilonCase("iii")
-    if has_zero:
-        return EpsilonCase("ii")
-    return EpsilonCase("i")
+def case_epsilon(case: str, n: int) -> int:
+    """The conductor shift epsilon(n) that case ``case`` is entitled to."""
+    if case == "i":
+        return 2 * n - 1
+    if case == "ii":
+        return 1
+    if case == "iii":
+        return 0
+    raise ValueError(f"unknown case tag {case!r}")
 
 
-def _ray_contains(attained, v: int) -> bool:
-    return (
-        isinstance(attained, ValueSet)
-        and attained.threshold is not None
-        and v >= attained.threshold
-    )
+def epsilon_case(attained: Iterable[int]) -> str:
+    """Classify a point by the section values attained there: "i", "ii" or "iii"."""
+    values = set(attained)
+    if 0 not in values:
+        return "i"
+    return "iii" if 1 in values or 2 in values else "ii"
 
 
 @dataclass(frozen=True)
@@ -90,10 +77,7 @@ class LocalContext:
 
     @classmethod
     def for_semigroup(
-        cls,
-        s: NumericalSemigroup,
-        section_values: ValueSet | None = None,
-        d1: int | None = None,
+        cls, s: NumericalSemigroup, section_values: ValueSet | None = None
     ) -> "LocalContext":
         if not s.gaps:
             raise NotApplicable("the full semigroup has no singular point")
@@ -108,11 +92,7 @@ class LocalContext:
                 raise HypothesisGap(
                     "section values plus the conductor ray must equal the canonical ideal"
                 )
-        pool = [d for d in k.elements_below(alpha) if not s.contains(d)]
-        if d1 is None:
-            d1 = pool[0] if pool else None
-        elif d1 not in pool:
-            raise HypothesisGap(f"{d1} is not in K minus S below the conductor")
+        d1 = next((d for d in k.elements_below(alpha) if not s.contains(d)), None)
         d2 = alpha - d1 - 1 if d1 is not None else None
         r = alpha // beta - 1
         return cls(s, k, section_values, alpha, beta, d1, d2, r, alpha - (r + 1) * beta)
@@ -125,18 +105,18 @@ class QDecomposition:
     pairs: tuple[tuple[int, int], ...]
     d1: int
     d2: int
-    swapped: bool
+    beta: int
 
-    def inequalities(self, alpha: int, beta: int) -> list[tuple[int, int]]:
+    def inequalities(self, alpha: int) -> list[tuple[int, int]]:
         """(left side, alpha) for every strict inequality the splitting claims."""
         out = []
         for q1, q2 in self.pairs:
-            out.append((q1 * beta + self.d1, alpha))
-            out.append((q2 * beta + self.d2, alpha))
+            out.append((q1 * self.beta + self.d1, alpha))
+            out.append((q2 * self.beta + self.d2, alpha))
         return out
 
-    def all_strict(self, alpha: int, beta: int) -> bool:
-        return all(lhs < rhs for lhs, rhs in self.inequalities(alpha, beta))
+    def all_strict(self, alpha: int) -> bool:
+        return all(lhs < rhs for lhs, rhs in self.inequalities(alpha))
 
 
 def q_decomposition(ctx: LocalContext) -> QDecomposition:
@@ -149,17 +129,10 @@ def q_decomposition(ctx: LocalContext) -> QDecomposition:
         raise NotApplicable("symmetric semigroup: no complementary gap pair")
     if ctx.r < 1:
         raise NotApplicable("conductor below twice the multiplicity (r = 0)")
-    d1, d2 = ctx.d1, ctx.d2
-    swapped = d1 > d2
-    if swapped:
-        d1, d2 = d2, d1
-    qr2 = d1 // ctx.beta
-    qr1 = ctx.r - qr2
-    pairs = []
-    for i in range(1, ctx.r + 1):
-        q1 = min(i, qr1)
-        pairs.append((q1, i - q1))
-    return QDecomposition(tuple(pairs), d1, d2, swapped)
+    d1, d2 = sorted((ctx.d1, ctx.d2))
+    qr1 = ctx.r - d1 // ctx.beta
+    pairs = tuple((min(i, qr1), i - min(i, qr1)) for i in range(1, ctx.r + 1))
+    return QDecomposition(pairs, d1, d2, ctx.beta)
 
 
 @dataclass(frozen=True)
@@ -173,17 +146,18 @@ class CertEntry:
 
 @dataclass(frozen=True)
 class BasisCertificate:
-    """Products of sections spanning one quotient step of the conductor chain.
+    """Products of sections spanning the value window [lo, hi) of the conductor chain.
 
-    Validity means: as many entries as the quotient dimension, pairwise
+    The window is one quotient step: the values of the larger conductor power
+    that the smaller one misses.  Validity means: hi - lo entries, pairwise
     distinct values (hence independent in the monomial model), every value in
-    the larger set but not the smaller, every factor an available section
-    value summing to the entry value.
+    [lo, hi), every factor an available section value summing to the entry
+    value.
     """
 
     name: str
-    larger: ValueSet
-    smaller: ValueSet
+    lo: int
+    hi: int
     entries: tuple[CertEntry, ...]
 
     def values(self) -> tuple[int, ...]:
@@ -195,11 +169,11 @@ class BasisCertificate:
         vals = self.values()
         if len(set(vals)) != len(vals):
             defects.append("duplicate values")
-        want = quotient_dim(self.larger, self.smaller)
+        want = self.hi - self.lo
         if len(vals) != want:
             defects.append(f"size {len(vals)} != quotient dimension {want}")
         for e in self.entries:
-            if e.value not in self.larger or e.value in self.smaller:
+            if not self.lo <= e.value < self.hi:
                 defects.append(f"{e.label}: value {e.value} outside the quotient window")
             if sum(e.factors) != e.value:
                 defects.append(f"{e.label}: factor values do not sum to {e.value}")
@@ -215,19 +189,23 @@ def _require(value: int, ctx: LocalContext, what: str) -> int:
     return value
 
 
-def build_certificates(ctx: LocalContext, n: int, case: EpsilonCase | str) -> list[BasisCertificate]:
+def build_certificates(ctx: LocalContext, n: int, case: str) -> list[BasisCertificate]:
     """Product tables spanning the conductor chain used for weight n covering.
 
-    For n = 1 no chain is needed and the list is empty.  For n >= 2 the chain
-    starts with the conductor step (dimension alpha - beta), continues with a
-    square step depending on the case, and for n >= 3 adds the power step
-    obtained by multiplying the seed table with powers of the largest
-    available below-conductor value (case i) or of the value-zero section
-    (cases ii/iii).
+    With eps = case_epsilon(case, .), the chain is the windows
+
+    * conductor step [alpha, 2 alpha - beta),
+    * square step [2 alpha - beta, 2 alpha - eps(2)),
+    * power step [2 alpha - eps(2), n alpha - eps(n)), for n >= 3,
+
+    which tile [alpha, n alpha - eps(n)).  For n = 1 the list is empty.  The
+    square step multiplies one section m with the b_j: m = b_(beta-1) in case
+    i, the value-zero section h0 in cases ii and iii, where case iii adds the
+    product of its value-1 or value-2 section.  The power step multiplies the
+    earlier tables, plus the gap-pair product f0 of value alpha - 1 in cases i
+    and ii, with the powers m^1 .. m^(n-2).
     """
-    tag = case.tag if isinstance(case, EpsilonCase) else str(case)
-    if tag not in ("i", "ii", "iii"):
-        raise ValueError(f"unknown case tag {tag!r}")
+    eps2 = case_epsilon(case, 2)
     if n < 1:
         raise ValueError("n must be a positive integer")
     if ctx.d1 is None:
@@ -239,115 +217,53 @@ def build_certificates(ctx: LocalContext, n: int, case: EpsilonCase | str) -> li
     def b_val(j: int) -> int:
         return _require(j + a - b - 1, ctx, f"b{j}")
 
-    conductor_entries: list[CertEntry] = []
+    conductor: list[CertEntry] = []
     if r >= 1:
         qd = q_decomposition(ctx)
         for i in range(1, r + 1):
             m_i = _require(i * b, ctx, f"m{i}")
             for j in range(1, b):
-                conductor_entries.append(CertEntry(f"m{i}*b{j}", m_i + b_val(j), (m_i, b_val(j))))
+                conductor.append(CertEntry(f"m{i}*b{j}", m_i + b_val(j), (m_i, b_val(j))))
             q1, q2 = qd.pairs[i - 1]
             f1 = _require(q1 * b + qd.d1, ctx, "q-split summand")
             f2 = _require(q2 * b + qd.d2, ctx, "q-split summand")
-            conductor_entries.append(CertEntry(f"f{i}", f1 + f2, (f1, f2)))
+            conductor.append(CertEntry(f"f{i}", f1 + f2, (f1, f2)))
     if p > 0:
         m_top = _require((r + 1) * b, ctx, f"m{r + 1}")
         for j in range(1, p + 1):
-            conductor_entries.append(CertEntry(f"m{r + 1}*b{j}", m_top + b_val(j), (m_top, b_val(j))))
-    certs = [
-        BasisCertificate(
-            "conductor-step",
-            ValueSet.above(a),
-            ValueSet.above(2 * a - b),
-            tuple(conductor_entries),
-        )
-    ]
+            conductor.append(CertEntry(f"m{r + 1}*b{j}", m_top + b_val(j), (m_top, b_val(j))))
 
-    if tag == "i":
-        square_entries = [
-            CertEntry(f"b{b - 1}*b{j}", b_val(b - 1) + b_val(j), (b_val(b - 1), b_val(j)))
-            for j in range(3, b)
-        ]
-        certs.append(
-            BasisCertificate(
-                "square-step",
-                ValueSet.above(2 * a - b),
-                ValueSet.above(2 * a - 3),
-                tuple(square_entries),
-            )
-        )
-        seed_extra = [_pair_entry(ctx)]
-        power_multiplier = ("b%d" % (b - 1), b_val(b - 1))
-        power_target = (ValueSet.above(2 * a - 3), lambda m: ValueSet.above(m * a - 2 * m + 1))
-    elif tag == "ii":
-        h0 = _require(a, ctx, "h0")
-        square_entries = [
-            CertEntry(f"h0*b{j}", h0 + b_val(j), (h0, b_val(j))) for j in range(1, b)
-        ]
-        certs.append(
-            BasisCertificate(
-                "square-step",
-                ValueSet.above(2 * a - b),
-                ValueSet.above(2 * a - 1),
-                tuple(square_entries),
-            )
-        )
-        seed_extra = [_pair_entry(ctx)]
-        power_multiplier = ("h0", h0)
-        power_target = (ValueSet.above(2 * a - 1), lambda m: ValueSet.above(m * a - 1))
+    if case == "i":
+        mul_label, mul, first = f"b{b - 1}", b_val(b - 1), 3
     else:
-        h0 = _require(a, ctx, "h0")
-        square_entries = [
-            CertEntry(f"h0*b{j}", h0 + b_val(j), (h0, b_val(j))) for j in range(1, b)
-        ]
-        if a + 1 in ctx.section_values:
-            h1, partner = a + 1, b - 1
-        elif a + 2 in ctx.section_values:
-            h1, partner = a + 2, b - 2
-        else:
+        mul_label, mul, first = "h0", _require(a, ctx, "h0"), 1
+    square = [
+        CertEntry(f"{mul_label}*b{j}", mul + b_val(j), (mul, b_val(j))) for j in range(first, b)
+    ]
+    if case == "iii":
+        h1 = next((v for v in (a + 1, a + 2) if v in ctx.section_values), None)
+        if h1 is None:
             raise HypothesisGap("case iii needs a section of value 1 or 2 at the point")
-        square_entries.append(
-            CertEntry(f"h1*b{partner}", h1 + b_val(partner), (h1, b_val(partner)))
-        )
-        certs.append(
-            BasisCertificate(
-                "square-step",
-                ValueSet.above(2 * a - b),
-                ValueSet.above(2 * a),
-                tuple(square_entries),
-            )
-        )
-        seed_extra = []
-        power_multiplier = ("h0", h0)
-        power_target = (ValueSet.above(2 * a), lambda m: ValueSet.above(m * a))
-
+        partner = a + b - h1
+        square.append(CertEntry(f"h1*b{partner}", h1 + b_val(partner), (h1, b_val(partner))))
+        pair = []
+    else:
+        d1 = _require(ctx.d1, ctx, "gap-pair factor")
+        d2 = _require(ctx.d2, ctx, "gap-pair factor")
+        pair = [CertEntry("f0", d1 + d2, (d1, d2))]
+    certs = [
+        BasisCertificate("conductor-step", a, 2 * a - b, tuple(conductor)),
+        BasisCertificate("square-step", 2 * a - b, 2 * a - eps2, tuple(square)),
+    ]
     if n >= 3:
-        seed = list(conductor_entries) + list(square_entries) + seed_extra
-        mul_label, mul_value = power_multiplier
-        power_entries = []
-        for i in range(1, n - 1):
-            for e in seed:
-                power_entries.append(
-                    CertEntry(
-                        f"{mul_label}^{i}*{e.label}",
-                        e.value + i * mul_value,
-                        e.factors + (mul_value,) * i,
-                    )
-                )
-        larger, smaller_of = power_target
-        certs.append(
-            BasisCertificate("power-step", larger, smaller_of(n), tuple(power_entries))
+        power = tuple(
+            CertEntry(f"{mul_label}^{i}*{e.label}", e.value + i * mul, e.factors + (mul,) * i)
+            for i in range(1, n - 1)
+            for e in conductor + square + pair
         )
+        hi = n * a - case_epsilon(case, n)
+        certs.append(BasisCertificate("power-step", 2 * a - eps2, hi, power))
     return certs
-
-
-def _pair_entry(ctx: LocalContext) -> CertEntry:
-    """Product of the complementary gap pair; its value is alpha - 1."""
-    if ctx.d1 is None:
-        raise NotApplicable("symmetric semigroup: no complementary gap pair")
-    d1 = _require(ctx.d1, ctx, "gap-pair factor")
-    d2 = _require(ctx.d2, ctx, "gap-pair factor")
-    return CertEntry("f0", d1 + d2, (d1, d2))
 
 
 @dataclass(frozen=True)
@@ -357,7 +273,6 @@ class SurjectivityCheck:
     ok: bool
     n: int
     epsilon: int
-    required: tuple[int, ...]
     uncovered: tuple[int, ...]
 
 
@@ -369,9 +284,8 @@ def verify_local_surjectivity(ctx: LocalContext, n: int, epsilon: int) -> Surjec
     """
     kn = ctx.canonical_powers.power(n)
     wn = ctx.section_powers.power(n)
-    required = tuple(kn.elements_below(n * ctx.alpha - epsilon))
     uncovered = tuple(missing_below(kn, wn, n * ctx.alpha - epsilon))
-    return SurjectivityCheck(not uncovered, n, epsilon, required, uncovered)
+    return SurjectivityCheck(not uncovered, n, epsilon, uncovered)
 
 
 def minimal_epsilon(ctx: LocalContext, n: int) -> int:

@@ -195,8 +195,8 @@ def suite_local_lemma(params: SuiteParams) -> list[VerificationReport]:
         info = s.to_json()
         if ctx.r >= 1:
             qd = q_decomposition(ctx)
-            ineqs = qd.inequalities(a, b)
-            passed = qd.all_strict(a, b)
+            ineqs = qd.inequalities(a)
+            passed = qd.all_strict(a)
             run.add(
                 "q-decomposition",
                 info,

@@ -160,9 +160,6 @@ class ValueSet:
             return False
         return (mask << (exc[0] - other_exc[0])) & ~other._mask == 0
 
-    def __le__(self, other: "ValueSet") -> bool:
-        return self.is_subset(other)
-
     def to_json(self) -> dict:
         return {"exceptional": list(self.exceptional), "threshold": self.threshold}
 

@@ -1,6 +1,9 @@
 """Command-line surface: flags, exit codes, and canonical report output."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -117,6 +120,21 @@ def test_verify_noether_malformed_file(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "noether", "--curve", str(path))
     assert code == 2
     assert "line 1" in err
+
+
+def test_verify_noether_full_semigroup_is_usage_error():
+    # <1> has no singular point; the curve model must reject it without a traceback
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "maxnoether", "verify", "noether", "--gens", "1"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_noether_requires_exactly_one_input(capsys):

@@ -4,8 +4,11 @@ import pytest
 
 from maxnoether.errors import HypothesisGap, NotApplicable
 from maxnoether.local import (
+    BasisCertificate,
+    CertEntry,
     LocalContext,
     build_certificates,
+    case_epsilon,
     epsilon_case,
     minimal_epsilon,
     SurjectivityCheck,
@@ -29,17 +32,16 @@ def brute_cover(w_values, k_values, n, bound):
 
 
 def test_epsilon_case_tags():
-    assert epsilon_case([-3, -2]).tag == "i"
-    assert epsilon_case([0, 1, -2]).tag == "iii"
-    assert epsilon_case([0, -3]).tag == "ii"
-    assert epsilon_case([0, 2]).tag == "iii"
-    assert epsilon_case(ValueSet((), 0)).tag == "iii"  # ray attains 0, 1
+    assert epsilon_case([-3, -2]) == "i"
+    assert epsilon_case([0, 1, -2]) == "iii"
+    assert epsilon_case([0, -3]) == "ii"
+    assert epsilon_case([0, 2]) == "iii"
 
 
 def test_epsilon_values():
-    assert epsilon_case([-2]).epsilon(3) == 5
-    assert epsilon_case([0]).epsilon(3) == 1
-    assert epsilon_case([0, 1]).epsilon(3) == 0
+    assert case_epsilon(epsilon_case([-2]), 3) == 5
+    assert case_epsilon(epsilon_case([0]), 3) == 1
+    assert case_epsilon(epsilon_case([0, 1]), 3) == 0
 
 
 def test_context_default_section_values():
@@ -67,8 +69,8 @@ def test_q_decomposition_378():
     assert (ctx.alpha, ctx.beta, ctx.d1, ctx.d2, ctx.r) == (6, 3, 1, 4, 1)
     qd = q_decomposition(ctx)
     assert qd.pairs == ((1, 0),)
-    assert qd.all_strict(ctx.alpha, ctx.beta)
-    assert qd.inequalities(ctx.alpha, ctx.beta) == [(4, 6), (4, 6)]
+    assert qd.all_strict(ctx.alpha)
+    assert qd.inequalities(ctx.alpha) == [(4, 6), (4, 6)]
 
 
 def test_q_decomposition_not_applicable():
@@ -83,7 +85,7 @@ def test_q_decomposition_4511():
     assert (ctx.d1, ctx.d2, ctx.r) == (1, 6, 1)
     qd = q_decomposition(ctx)
     assert qd.pairs == ((1, 0),)
-    assert [lhs for lhs, _ in qd.inequalities(8, 4)] == [5, 6]
+    assert [lhs for lhs, _ in qd.inequalities(8)] == [5, 6]
 
 
 def test_conductor_certificate_378():
@@ -134,6 +136,25 @@ def test_case_ii_and_iii_certificates():
     assert square.check(ctx3.section_values) == []
 
 
+def test_certificate_check_names_each_defect():
+    sections = ValueSet.finite([1, 3, 4])
+    cert = BasisCertificate(
+        "window-5-7",
+        5,
+        7,
+        (CertEntry("a", 4, (1, 3)), CertEntry("b", 7, (3, 4)), CertEntry("c", 6, (2, 3))),
+    )
+    assert cert.check(sections) == [
+        "size 3 != quotient dimension 2",
+        "a: value 4 outside the quotient window",
+        "b: value 7 outside the quotient window",
+        "c: factor values do not sum to 6",
+        "c: factor value 2 is not a section value",
+    ]
+    twice = BasisCertificate("window-0-2", 0, 2, (CertEntry("x", 1, (1,)), CertEntry("y", 1, (1,))))
+    assert twice.check(sections) == ["duplicate values"]
+
+
 def test_case_ii_requires_value_alpha():
     ctx = ctx_for([4, 5, 11])
     with pytest.raises(HypothesisGap):
@@ -157,9 +178,10 @@ def test_surjectivity_frozen_positive(gens, n, eps, ok):
 
 
 def test_surjectivity_345_window():
+    # weight 2 with eps = 3 tests K + K below 2 * 3 - 3, that is 0, 1, 2
     ctx = ctx_for([3, 4, 5])
-    res = verify_local_surjectivity(ctx, 2, 3)
-    assert res.required == (0, 1, 2)
+    assert ctx.canonical_powers.power(2).elements_below(3) == [0, 1, 2]
+    assert verify_local_surjectivity(ctx, 2, 3).uncovered == ()
 
 
 def test_surjectivity_synthetic_hyperelliptic_failure():
@@ -207,7 +229,7 @@ def census_contexts(max_genus):
 def test_census_q_decomposition_strict():
     for ctx in census_contexts(9):
         if ctx.r >= 1:
-            assert q_decomposition(ctx).all_strict(ctx.alpha, ctx.beta)
+            assert q_decomposition(ctx).all_strict(ctx.alpha)
 
 
 def test_census_conductor_values_exact_run():
@@ -243,22 +265,33 @@ def test_census_case_i_covering():
 
 
 def test_case_ii_iii_full_chain_counts():
-    s = NumericalSemigroup.from_generators([4, 5, 11])
-    k = canonical_ideal(s)
-    a = s.conductor
-    base = k.elements_below(a)
-    n = 4
-    for tag, extra, modulus in (
-        ("ii", [a], n * a - 1),
-        ("iii", [a, a + 1], n * a),
-    ):
-        ctx = LocalContext.for_semigroup(s, section_values=ValueSet.finite(base + extra))
-        certs = build_certificates(ctx, n, tag)
-        values = [v for c in certs for v in c.values()]
-        assert len(set(values)) == len(values)
-        assert len(values) == quotient_dim(ValueSet.above(a), ValueSet.above(modulus))
-        for c in certs:
-            assert c.check(ctx.section_values) == []
+    # case iii is taken once with h1 = alpha + 1 and once with h1 = alpha + 2
+    checked = 0
+    for s in enumerate_semigroups(8):
+        if s.is_symmetric():
+            continue
+        a = s.conductor
+        base = canonical_ideal(s).elements_below(a)
+        for tag, extra in (("ii", [a]), ("iii", [a, a + 1]), ("iii", [a, a + 2])):
+            ctx = LocalContext.for_semigroup(s, section_values=ValueSet.finite(base + extra))
+            for n in (2, 3, 4):
+                certs = build_certificates(ctx, n, tag)
+                top = n * a - case_epsilon(tag, n)
+                assert certs[0].lo == a
+                assert [c.hi for c in certs[:-1]] == [c.lo for c in certs[1:]]
+                assert certs[-1].hi == top
+                values = [v for c in certs for v in c.values()]
+                assert len(set(values)) == len(values)
+                assert len(values) == quotient_dim(ValueSet.above(a), ValueSet.above(top))
+                for c in certs:
+                    assert c.check(ctx.section_values) == []
+                checked += 1
+    assert checked == 1116
+
+
+def test_unknown_case_tag_is_rejected():
+    with pytest.raises(ValueError, match="unknown case tag"):
+        build_certificates(ctx_for([4, 5, 11]), 2, "iv")
 
 
 def test_reused_power_chains_change_no_result():
@@ -272,7 +305,7 @@ def test_reused_power_chains_change_no_result():
                 required = tuple(kn.elements_below(n * ctx.alpha - eps))
                 uncovered = tuple(v for v in required if v not in wn)
                 assert verify_local_surjectivity(ctx, n, eps) == SurjectivityCheck(
-                    not uncovered, n, eps, required, uncovered
+                    not uncovered, n, eps, uncovered
                 )
             missing = [v for v in kn.elements_below(n * ctx.alpha) if v not in wn]
             fresh = n * ctx.alpha - min(missing) if missing else 0
