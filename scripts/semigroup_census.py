@@ -5,6 +5,8 @@ count, blowup stabilization, and the sharpness of the covering shift.
 Usage:
     python scripts/semigroup_census.py [--max-genus 10] [--max-n 4]
 
+--max-genus must be at least 0 and --max-n at least 2; other values exit 2.
+
 Prints a per-genus table plus the distribution of minimal covering shifts
 against the case-(i) bound 2n - 1 for the one-singularity model.
 """
@@ -13,14 +15,15 @@ import argparse
 from collections import Counter
 
 from maxnoether.blowup import analyze
+from maxnoether.cli import _at_least
 from maxnoether.local import LocalContext, minimal_epsilon
 from maxnoether.semigroup import enumerate_semigroups
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-genus", type=int, default=10)
-    parser.add_argument("--max-n", type=int, default=4)
+    parser.add_argument("--max-genus", type=_at_least(0), default=10)
+    parser.add_argument("--max-n", type=_at_least(2), default=4)
     args = parser.parse_args()
 
     rows = Counter()

@@ -127,10 +127,11 @@ def cmd_sg_enumerate(args) -> int:
 
 def cmd_verify_local(args) -> int:
     s = _parse_gens(args.gens)
+    # before the symmetry test: <1> is symmetric but has no singular point at all
+    ctx = LocalContext.for_semigroup(s)
     if s.is_symmetric():
         print("symmetric semigroup: the point is Gorenstein, nothing to verify", file=sys.stderr)
         return 2
-    ctx = LocalContext.for_semigroup(s)
     curve = RationalCurveModel.from_semigroups([s])
     attained = section_valuations(curve, curve.branches[0].center)
     case = epsilon_case(attained)

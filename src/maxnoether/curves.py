@@ -10,6 +10,11 @@ support there avoids finitely many forbidden exponents.  Spaces of sections
 are therefore exact nullspaces, and surjectivity of multiplication maps is a
 canonical subspace comparison.
 
+Every row and vector handed to ``linalg`` is a list of integers.  At a center
+p/q the Laurent coefficients are read through one integer change of basis,
+``_shift_matrix``, which scales each row by a nonzero constant (powers of q
+and of the center differences) and so leaves every nullspace and pivot alone.
+
 Everything is exact: ranks and subspace equalities over the rationals are
 stable under field extension, so nothing is lost against an algebraically
 closed ground field.
@@ -21,7 +26,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import CurveSpecError, MaxNoetherError, NotApplicable
@@ -138,11 +144,11 @@ def excluded_exponents(s: NumericalSemigroup, n: int) -> list[int]:
     return [e for e in range(-n * s.conductor, support.threshold) if e not in support]
 
 
-# -- truncated power series helpers (all exact) -----------------------------
+# -- integer series helpers --------------------------------------------------
 
 
-def _poly_mul(a: Sequence, b: Sequence) -> list:
-    """Product of two coefficient lists, exact over the integers or the rationals."""
+def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two integer coefficient lists."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -152,70 +158,55 @@ def _poly_mul(a: Sequence, b: Sequence) -> list:
     return out
 
 
-def _series_mul(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
-    for i, x in enumerate(a[: order + 1]):
-        if x:
-            for j, y in enumerate(b[: order + 1 - i]):
-                if y:
-                    out[i + j] += x * y
-    return out
+def _shift_matrix(center: Fraction, scale: int, size: int) -> list[list[int]]:
+    """Integer change of basis from powers of t to powers of w, t = center + scale * w.
 
-
-def _inverse_power_series(delta: Fraction, m: int, order: int) -> list[Fraction]:
-    """Series of (u + delta)^(-m) around u = 0, for delta != 0, up to u^order."""
-    inv = 1 / Fraction(delta)
-    coeffs = [inv**m]
-    for k in range(1, order + 1):
-        coeffs.append(coeffs[-1] * (-(m + k - 1)) * inv / k)
-    return coeffs
-
-
-def _taylor_coefficients(vec: Sequence[Fraction], center: Fraction, order: int) -> list[Fraction]:
-    """Coefficients of N(center + u) up to u^order for N given by ``vec``."""
-    out = []
-    for k in range(order + 1):
-        acc = Fraction(0)
-        for d in range(k, len(vec)):
-            if vec[d]:
-                acc += vec[d] * comb(d, k) * center ** (d - k)
-        out.append(acc)
-    return out
+    Row k holds the coefficients of w^k in q^(size-1) * t^d for d = k, ...,
+    size - 1, where q is the denominator of the center; t^d has no w^k term
+    for d < k.  At center 0 each row keeps only its diagonal entry, the one
+    that is nonzero.
+    """
+    p, q = center.numerator, center.denominator
+    if p == 0:
+        return [[scale**k] for k in range(size)]
+    # the entry for t^d is comb(d, k) p^(d-k) q^(size-1-d+k) scale^k
+    pq = [p**i * q ** (size - 1 - i) for i in range(size)]
+    return [[comb(d, k) * pq[d - k] * scale**k for d in range(k, size)] for k in range(size)]
 
 
 # -- section spaces ----------------------------------------------------------
 
 
-def _constraint_rows(curve: RationalCurveModel, n: int) -> tuple[list[list], int]:
+def _constraint_rows(curve: RationalCurveModel, n: int) -> tuple[list[list[int]], int]:
     ambient = numerator_ambient(curve, n)
-    rows: list[list] = []
+    rows: list[list[int]] = []
     for br in curve.branches:
         alpha = br.semigroup.conductor
         excluded = excluded_exponents(br.semigroup, n)
         if not excluded:
             continue
         order = max(excluded) + n * alpha
+        # with u = t - center = scale * w, each other branch's factor
+        # (u + delta)^(-m) is delta^(-m) (1 + beta * w)^(-m) for an integer beta;
+        # the constants scale each row, which leaves the nullspace alone
+        others = [
+            (br.center - o.center, n * o.semigroup.conductor) for o in curve.branches if o is not br
+        ]
+        scale = lcm(*(abs(delta.numerator) for delta, _ in others))
         unit = [1] + [0] * order
-        for other in curve.branches:
-            if other.center == br.center:
-                continue
-            factor = _inverse_power_series(
-                br.center - other.center, n * other.semigroup.conductor, order
-            )
-            unit = _series_mul(unit, factor, order)
-        # Taylor transform of the numerator basis, one column per coefficient;
-        # an integral center keeps it in integers
-        c = br.center.numerator if br.center.denominator == 1 else br.center
-        powers = [c**d for d in range(ambient)]
+        for delta, m in others:
+            beta = delta.denominator * scale // delta.numerator
+            series = [comb(m + k - 1, k) * (-beta) ** k for k in range(order + 1)]
+            unit = _poly_mul(unit, series)[: order + 1]
+        shift = _shift_matrix(br.center, scale, ambient)
         for e in excluded:
             k = e + n * alpha
             row = [0] * ambient
             for t in range(min(k, ambient - 1) + 1):
                 h = unit[k - t]
                 if h:
-                    for d in range(t, ambient):
-                        if powers[d - t]:
-                            row[d] += comb(d, t) * powers[d - t] * h
+                    for d, x in enumerate(shift[t], t):
+                        row[d] += h * x
             rows.append(row)
     return rows, ambient
 
@@ -253,16 +244,15 @@ def products_span(curve: RationalCurveModel, n: int) -> Subspace:
 def _subspace_orders(space: Subspace, center: Fraction) -> tuple[int, ...]:
     """Vanishing orders at ``center`` attained by nonzero numerators in the space.
 
-    Jet elimination: express the basis in powers of u = t - center and read
-    off the echelon pivots.  At center 0, u = t, so the echelon basis already
-    is the jet basis.
+    Jet elimination: express the basis in powers of u = t - center, times the
+    constant from ``_shift_matrix``, and read off the echelon pivots.  At
+    center 0, u = t, so the echelon basis already is the jet basis.
     """
     if center == 0:
         return tuple(space.pivots())
-    order = space.ambient - 1
-    shifted = [_taylor_coefficients(v, center, order) for v in space.basis]
-    reduced = Subspace.span(shifted, space.ambient)
-    return tuple(reduced.pivots())
+    shift = _shift_matrix(center, 1, space.ambient)
+    jets = [[sum(map(mul, row, v[k:])) for k, row in enumerate(shift)] for v in space.basis]
+    return tuple(Subspace.span(jets, space.ambient).pivots())
 
 
 def section_valuations(curve: RationalCurveModel, point, n: int = 1) -> tuple[int, ...]:
@@ -356,11 +346,13 @@ def _embedded_resolved_sections(curve: RationalCurveModel, index: int, n: int) -
     sections = global_sections(resolved, n)
     ambient = numerator_ambient(curve, n)
     m = n * br.semigroup.conductor
-    factor = [comb(m, k) * (-br.center) ** (m - k) for k in range(m + 1)]
+    # (q t - p)^m is the factor (t - p/q)^m times the constant q^m
+    p, q = br.center.numerator, br.center.denominator
+    factor = [comb(m, k) * q**k * (-p) ** (m - k) for k in range(m + 1)]
     vectors = []
     for vec in sections.basis:
         prod = _poly_mul(vec, factor)
-        vectors.append(list(prod) + [Fraction(0)] * (ambient - len(prod)))
+        vectors.append(prod + [0] * (ambient - len(prod)))
     return Subspace.span(vectors, ambient)
 
 
@@ -411,17 +403,12 @@ def is_certified_hyperelliptic(curve: RationalCurveModel) -> bool:
     )
 
 
-def check_hyperelliptic_resolution(
-    curve: RationalCurveModel,
-    index: int,
-    n: int,
-    assume_hyperelliptic: bool = False,
-) -> bool:
+def check_hyperelliptic_resolution(curve: RationalCurveModel, index: int, n: int) -> bool:
     """Are the resolved curve's sections inside the product span of the full curve?
 
     Meaningful when the resolved branch has multiplicity at least 3 and the
     resolved curve is hyperelliptic of genus at least 2.  Hyperellipticity is
-    accepted from the certified family or asserted by the caller.
+    accepted only from the certified family of ``is_certified_hyperelliptic``.
     """
     br = curve.branches[index]
     if br.semigroup.multiplicity < 3:
@@ -429,9 +416,7 @@ def check_hyperelliptic_resolution(
     resolved = resolve(curve, index)
     if resolved.genus < 2:
         raise NotApplicable("the resolved curve must have genus at least 2")
-    if not assume_hyperelliptic and not is_certified_hyperelliptic(resolved):
-        raise NotApplicable(
-            "hyperellipticity of the resolved curve is neither certified nor asserted"
-        )
+    if not is_certified_hyperelliptic(resolved):
+        raise NotApplicable("hyperellipticity of the resolved curve is not certified")
     embedded = _embedded_resolved_sections(curve, index, n)
     return products_span(curve, n).contains(embedded)

@@ -137,6 +137,34 @@ def test_verify_noether_full_semigroup_is_usage_error():
     assert "Traceback" not in proc.stderr
 
 
+def test_verify_local_full_semigroup_is_usage_error():
+    # <1> is symmetric, but it has no singular point to call Gorenstein
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "maxnoether", "verify", "local", "--gens", "1"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: the full semigroup has no singular point\n"
+
+
+@pytest.mark.parametrize("argv", [["--max-genus", "-1"], ["--max-n", "1"]])
+def test_semigroup_census_bounds_out_of_range_are_usage_errors(argv):
+    # a bound that admits no row would print an empty table and pass
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "semigroup_census.py")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, script, *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "must be at least" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_verify_noether_requires_exactly_one_input(capsys):
     code, _, err = run(capsys, "verify", "noether")
     assert code == 2

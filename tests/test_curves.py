@@ -1,5 +1,6 @@
 """Curve models: exact section spaces, products, and the surjectivity oracle."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,10 +18,13 @@ from maxnoether.curves import (
     products_span,
     resolve,
     section_valuations,
+    _constraint_rows,
     _subspace_orders,
+    excluded_exponents,
 )
 from maxnoether.errors import CurveSpecError, NotApplicable
 from maxnoether.semigroup import NumericalSemigroup, enumerate_semigroups
+from maxnoether.suites import _value_route_dim
 from maxnoether.valueset import ValueSet, canonical_ideal, dualizing_values, n_fold
 
 
@@ -184,10 +188,6 @@ def test_hyperelliptic_resolution_preconditions():
     c2 = curve((3, 4, 5), (3, 4, 5))
     with pytest.raises(NotApplicable):
         check_hyperelliptic_resolution(c2, 0, 2)  # resolved curve not certified
-    assert check_hyperelliptic_resolution(c2, 0, 2, assume_hyperelliptic=True) in (
-        True,
-        False,
-    )
 
 
 def test_numerator_degree_bound():
@@ -288,3 +288,104 @@ def test_products_always_land_in_sections():
         c = curve(*gen_lists)
         for n in (2, 3):
             assert global_sections(c, n).contains(products_span(c, n))
+
+
+# -- integer rows at rational centers ---------------------------------------
+
+SMALL_MENU = ((2, 3), (2, 5), (3, 4), (3, 4, 5), (3, 5, 7))
+
+
+def random_curves(seed, count, branches=(2, 3)):
+    """Seeded curves whose branches sit at distinct random centers p/q, |p|, q <= 9."""
+    rng = random.Random(seed)
+    curves = []
+    for _ in range(count):
+        k = rng.choice(branches)
+        centers = set()
+        while len(centers) < k:
+            centers.add(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        curves.append(
+            RationalCurveModel(
+                tuple(Branch(c, sg(*rng.choice(SMALL_MENU))) for c in sorted(centers))
+            )
+        )
+    return curves
+
+
+def laurent_at(vec, curve, n, index, order):
+    """Laurent coefficients of a section at branch ``index``, offset by its pole order.
+
+    Entry k is the coefficient of u^(k - n alpha_i), u = t - c_i, in
+    N(t) / prod_j (t - c_j)^(n alpha_j), for k = 0..order.  Textbook Fraction
+    steps: Horner division for the Taylor shift, a geometric series for each
+    other branch's factor.
+    """
+    center = curve.branches[index].center
+    taylor, rest = [], [Fraction(x) for x in vec]
+    while rest:
+        # divide by (t - center); the remainder is the next Taylor coefficient
+        quotient, acc = [], Fraction(0)
+        for x in reversed(rest):
+            acc = acc * center + x
+            quotient.append(acc)
+        taylor.append(quotient.pop())
+        rest = quotient[::-1]
+    out = (taylor + [Fraction(0)] * (order + 1))[: order + 1]
+    for j, other in enumerate(curve.branches):
+        if j == index:
+            continue
+        delta = center - other.center
+        # 1 / (u + delta) = sum_k (-1)^k u^k / delta^(k+1)
+        geometric = [Fraction((-1) ** k) / delta ** (k + 1) for k in range(order + 1)]
+        for _ in range(n * other.semigroup.conductor):
+            out = [
+                sum(out[i] * geometric[k - i] for i in range(k + 1)) for k in range(order + 1)
+            ]
+    return out
+
+
+def test_sections_vanish_on_every_excluded_exponent():
+    for c in random_curves(8, 8):
+        for n in (2, 3):
+            space = global_sections(c, n)
+            assert space.dim == _value_route_dim(c, n)
+            for index, br in enumerate(c.branches):
+                pole = n * br.semigroup.conductor
+                excluded = excluded_exponents(br.semigroup, n)
+                order = max(excluded, default=-pole) + pole
+                for vec in space.basis:
+                    series = laurent_at(vec, c, n, index, order)
+                    assert all(series[e + pole] == 0 for e in excluded)
+
+
+def moved(curve, a, b, rng):
+    """The curve under t -> a t + b with its branches in a shuffled order."""
+    branches = [Branch(a * br.center + b, br.semigroup) for br in curve.branches]
+    rng.shuffle(branches)
+    return RationalCurveModel(tuple(branches))
+
+
+def test_affine_reparametrisation_and_branch_order_change_nothing():
+    rng = random.Random(88)
+    for c in random_curves(88, 6):
+        a = Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 5))
+        b = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        m = moved(c, a, b, rng)
+        for n in (1, 2, 3):
+            assert global_sections(m, n).dim == global_sections(c, n).dim
+            assert products_span(m, n).dim == products_span(c, n).dim
+            assert max_noether_holds(m, n).holds == max_noether_holds(c, n).holds
+            for br in c.branches:
+                assert section_valuations(m, a * br.center + b, n) == section_valuations(
+                    c, br.center, n
+                )
+
+
+def test_constraint_rows_are_integer_at_rational_centers():
+    for c in random_curves(7, 10, branches=(1, 2, 3)):
+        for n in (1, 2, 3):
+            rows, ambient = _constraint_rows(c, n)
+            assert rows
+            for row in rows:
+                assert type(row) is list and len(row) == ambient
+                assert all(type(x) is int for x in row)
