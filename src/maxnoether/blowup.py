@@ -47,24 +47,20 @@ class BlowupAnalysis:
         """K^m; from the stabilization index on, every power is the blowup."""
         return self.powers[min(m, self.stabilization_index) - 1]
 
-    def nearly_gorenstein_checks(self, power_bound: int = 4) -> "NearlyGorensteinChecks":
+    def nearly_gorenstein_checks(self) -> "NearlyGorensteinChecks":
         """Blowup-side reflections of the almost Gorenstein property.
 
         ``gap_one`` asks whether the blowup, which is also the module K
         generates over the blowup ring, exceeds K by a single value.
-        ``powers_collapse`` asks whether the powers of K from 2 up to
-        ``power_bound`` are already modules over the blowup ring.
+        ``powers_collapse`` asks whether every power K^2, ..., K^index is
+        already a module over the blowup ring; the powers past the
+        stabilization index are the blowup itself.
         """
         s = self._non_gorenstein()
         ohat = self.blowup_values
         gap_one = quotient_dim(ohat, self.canonical) == 1
         square = self.power(2) == ohat
-        top = max(power_bound, self.stabilization_index)
-        # powers past the index repeat the blowup, so each distinct one is tested once
-        distinct = {min(m, self.stabilization_index) for m in range(2, top + 1)}
-        collapse = all(
-            sumset(self.powers[i - 1], ohat) == self.powers[i - 1] for i in sorted(distinct)
-        )
+        collapse = all(sumset(power, ohat) == power for power in self.powers[1:])
         return NearlyGorensteinChecks(s.is_almost_gorenstein(), gap_one, square, collapse)
 
     def genus_drop(self) -> int:
@@ -90,7 +86,7 @@ def analyze(s: NumericalSemigroup) -> BlowupAnalysis:
         powers.append(nxt)
         nxt = sumset(nxt, k)
     ohat = powers[-1]
-    eta = quotient_dim(k, ValueSet.from_semigroup(s))
+    eta = quotient_dim(k, s.values)
     ghat = quotient_dim(ValueSet.naturals(), ohat)
     return BlowupAnalysis(s, k, ohat, len(powers), eta, ghat, tuple(powers))
 

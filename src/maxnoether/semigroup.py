@@ -7,7 +7,11 @@ delta invariant, the least positive element is the multiplicity of the point,
 and symmetry of the gap set characterizes Gorenstein points.
 
 Semigroups are value objects: immutable, hashable, with all invariants
-derived from the gap list.  Membership is O(1) after construction.
+derived from the gap list.  Membership is a bit test on the semigroup's value
+set :attr:`NumericalSemigroup.values`, and every construction is value-set
+arithmetic: a generating set is closed with :func:`ring_closure`, and one
+sumset of the nonzero members gives both the closure check of a gap set and
+the minimal generators.
 """
 
 from __future__ import annotations
@@ -18,9 +22,10 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import ConductorTooLarge, EmptyGenerators, NoSingularity, NotCofinite
+from .valueset import ValueSet, missing_below, ring_closure, sumset
 
 # Largest conductor :meth:`NumericalSemigroup.from_generators` computes.  The
-# membership sieve, and every value set made from the semigroup, grow with it.
+# closure window, and every value set made from the semigroup, grow with it.
 MAX_CONDUCTOR = 10_000
 
 
@@ -32,8 +37,9 @@ class NumericalSemigroup:
     gaps: tuple[int, ...]
 
     @cached_property
-    def _gapset(self) -> frozenset[int]:
-        return frozenset(self.gaps)
+    def values(self) -> ValueSet:
+        """The members below the conductor, then the ray; the constructors store theirs."""
+        return ring_closure(ValueSet.finite((0, *self.generators)))
 
     @property
     def conductor(self) -> int:
@@ -48,10 +54,8 @@ class NumericalSemigroup:
     @property
     def multiplicity(self) -> int:
         """Least positive element."""
-        m = 1
-        while m in self._gapset:
-            m += 1
-        return m
+        members = self.values.exceptional
+        return members[1] if len(members) > 1 else max(self.conductor, 1)
 
     @property
     def genus(self) -> int:
@@ -59,17 +63,13 @@ class NumericalSemigroup:
         return len(self.gaps)
 
     def contains(self, m: int) -> bool:
-        if m < 0:
-            return False
-        if m >= self.conductor:
-            return True
-        return m not in self._gapset
+        return self.values.contains(m)
 
     __contains__ = contains
 
     def elements_below(self, bound: int) -> list[int]:
         """Sorted members of the semigroup in [0, bound)."""
-        return [m for m in range(max(bound, 0)) if self.contains(m)]
+        return self.values.elements_below(bound)
 
     @classmethod
     def from_generators(cls, gens: Iterable[int]) -> "NumericalSemigroup":
@@ -87,28 +87,20 @@ class NumericalSemigroup:
         if math.gcd(*uniq) != 1:
             raise NotCofinite(f"gcd({uniq}) != 1, complement would be infinite")
         beta = uniq[0]
-        too_large = ConductorTooLarge(
-            f"the conductor of the semigroup generated by {uniq} exceeds the limit "
-            f"MAX_CONDUCTOR = {MAX_CONDUCTOR}"
-        )
-        if beta > MAX_CONDUCTOR:  # 1, ..., beta - 1 are gaps
-            raise too_large
-        # a run of beta members starting at the limit ends below this bound
+        # Close the generators below the limit, with the ray from the limit on.
+        # A conductor past the cap leaves the gaps F, F - beta, ... (F the
+        # Frobenius number), one in [MAX_CONDUCTOR, limit); so the threshold is
+        # past the cap exactly when the conductor is, and else equals it.  A
+        # beta past the cap leaves the gaps 1, ..., beta - 1.
         limit = MAX_CONDUCTOR + beta
-        bound = min(2 * uniq[-1] + 2, limit)
-        while True:
-            member = [False] * (bound + 1)
-            member[0] = True
-            for i in range(1, bound + 1):
-                member[i] = any(i >= g and member[i - g] for g in uniq)
-            run_start = _consecutive_run(member, beta)
-            if run_start is not None or bound == limit:
-                break
-            bound = min(2 * bound, limit)
-        if run_start is None or run_start > MAX_CONDUCTOR:
-            raise too_large
-        gaps = tuple(i for i in range(1, run_start) if not member[i])
-        return cls._from_gap_tuple(gaps)
+        closed = ring_closure(ValueSet((0, *uniq), limit)) if beta <= MAX_CONDUCTOR else None
+        if closed is None or closed.threshold > MAX_CONDUCTOR:
+            raise ConductorTooLarge(
+                f"the conductor of the semigroup generated by {uniq} exceeds the limit "
+                f"MAX_CONDUCTOR = {MAX_CONDUCTOR}"
+            )
+        gaps = missing_below(ValueSet.naturals(), closed, closed.threshold)
+        return cls._from_values(closed, tuple(gaps))
 
     @classmethod
     def from_gaps(cls, gaps: Iterable[int]) -> "NumericalSemigroup":
@@ -118,29 +110,30 @@ class NumericalSemigroup:
             raise ValueError("gaps must be positive integers")
         gapset = set(gap_tuple)
         conductor = gap_tuple[-1] + 1 if gap_tuple else 0
-        members = [m for m in range(1, conductor) if m not in gapset]
-        for i, a in enumerate(members):
-            for b in members[i:]:
-                if a + b < conductor and (a + b) in gapset:
-                    raise ValueError(
-                        f"complement of {gap_tuple} is not additively closed: "
-                        f"{a} + {b} = {a + b} is a gap"
-                    )
-        return cls._from_gap_tuple(gap_tuple)
+        members = tuple(m for m in range(conductor) if m not in gapset)
+        return cls._from_values(ValueSet(members, conductor), gap_tuple)
 
     @classmethod
-    def _from_gap_tuple(cls, gaps: tuple[int, ...]) -> "NumericalSemigroup":
-        gapset = frozenset(gaps)
-        conductor = gaps[-1] + 1 if gaps else 0
+    def _from_values(cls, values: ValueSet, gaps: tuple[int, ...]) -> "NumericalSemigroup":
+        """The semigroup with members ``values`` and the ``gaps`` they leave.
 
-        def member(m: int) -> bool:
-            return m >= conductor or (m > 0 and m not in gapset) or m == 0
-
-        multiplicity = 1
-        while multiplicity in gapset:
-            multiplicity += 1
-        gens = _minimal_generators(member, conductor, multiplicity)
-        return cls(gens, gaps)
+        One sumset P + P of the nonzero members P decides it: a sum that is a
+        gap is a :class:`ValueError`, and the minimal generators are the
+        members of P below conductor + multiplicity that are no sum.
+        """
+        conductor = values.threshold
+        nonzero = ValueSet(values.exceptional[1:], max(conductor, 1))  # drop 0
+        sums = sumset(nonzero, nonzero)
+        if not sums.is_subset(values):
+            x = missing_below(sums, values, conductor)[0]
+            a = next(a for a in nonzero.elements_below(x) if nonzero.contains(x - a))
+            raise ValueError(
+                f"complement of {gaps} is not additively closed: {a} + {x - a} = {x} is a gap"
+            )
+        gens = missing_below(nonzero, sums, conductor + nonzero.min + 1)
+        s = cls(tuple(gens), gaps)
+        s.__dict__["values"] = values
+        return s
 
     def pseudo_frobenius(self) -> tuple[int, ...]:
         """Gaps x with x + s in S for every nonzero s in S; sorted.
@@ -182,37 +175,6 @@ class NumericalSemigroup:
 
     def __str__(self) -> str:
         return "<" + ",".join(str(g) for g in self.generators) + ">"
-
-
-def _consecutive_run(member: list[bool], length: int) -> int | None:
-    """Start index of the first run of ``length`` consecutive members, if any.
-
-    Once ``length`` consecutive elements are in the semigroup, everything
-    beyond the run start is (add the multiplicity repeatedly), so a found run
-    certifies the sieve bound was large enough.
-    """
-    run = 0
-    for i, ok in enumerate(member):
-        run = run + 1 if ok else 0
-        if run == length:
-            return i - length + 1
-    return None
-
-
-def _minimal_generators(member, conductor: int, multiplicity: int) -> tuple[int, ...]:
-    # Minimal generators all lie below conductor + multiplicity: anything
-    # larger splits off one multiplicity and stays in the semigroup.
-    top = max(conductor + multiplicity, multiplicity + 1)
-    gens = []
-    for s in range(multiplicity, top):
-        if not member(s):
-            continue
-        decomposable = any(
-            member(t) and member(s - t) for t in range(multiplicity, s - multiplicity + 1)
-        )
-        if not decomposable:
-            gens.append(s)
-    return tuple(gens)
 
 
 def enumerate_semigroups(max_genus: int, min_multiplicity: int = 1) -> Iterator[NumericalSemigroup]:

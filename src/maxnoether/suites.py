@@ -445,7 +445,7 @@ def _power_defect(s: NumericalSemigroup, n: int) -> int:
     Value-level only: no section space or matrix is built.
     """
     k = canonical_ideal(s)
-    ring = ValueSet.from_semigroup(s)
+    ring = s.values
     return n * quotient_dim(k, ring) - quotient_dim(n_fold(k, n), ring)
 
 

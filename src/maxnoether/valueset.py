@@ -17,6 +17,10 @@ mask is derived from the normal form once per object and is never compared,
 hashed or serialized; membership is a bit test, and a sumset is a shift-OR
 of one operand's mask over the other operand's members, cut at the new
 threshold.
+
+A numerical semigroup's members are one of these sets
+(``NumericalSemigroup.values``), closed and decomposed by the functions here;
+this module imports nothing from ``semigroup``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from functools import cached_property
 from typing import Iterable
 
 from .errors import EmptySet, NotARing, NotNested
-from .semigroup import NumericalSemigroup
 
 
 @dataclass(frozen=True)
@@ -93,10 +96,6 @@ class ValueSet:
     @classmethod
     def naturals(cls) -> "ValueSet":
         return cls((), 0)
-
-    @classmethod
-    def from_semigroup(cls, s: NumericalSemigroup) -> "ValueSet":
-        return cls(tuple(s.elements_below(s.conductor)), s.conductor)
 
     @property
     def is_empty(self) -> bool:
@@ -179,18 +178,17 @@ def _bit_values(lo: int, mask: int) -> list[int]:
     return [lo + i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
-def canonical_ideal(s: NumericalSemigroup) -> ValueSet:
+def canonical_ideal(s: "NumericalSemigroup") -> ValueSet:
     """Value set of the canonical ideal: `{d : alpha - d - 1 not in S}`.
 
-    Contains S, with equality exactly when S is symmetric; its minimum is 0
-    and its threshold is at most the conductor.
+    Equals [alpha, oo) together with alpha - 1 - gap for every gap.  Contains
+    S, with equality exactly when S is symmetric; its minimum is 0.
     """
     a = s.conductor
-    exc = tuple(d for d in range(a) if not s.contains(a - d - 1))
-    return ValueSet(exc, a)
+    return ValueSet(tuple(a - 1 - h for h in s.gaps), a)
 
 
-def dualizing_values(s: NumericalSemigroup) -> ValueSet:
+def dualizing_values(s: "NumericalSemigroup") -> ValueSet:
     """Values of the dualizing stalk before normalization: `{d : -d-1 not in S}`.
 
     Equals the naturals together with -1-gap for every gap; shifting by the
@@ -258,18 +256,21 @@ def missing_below(a: ValueSet, b: ValueSet, bound: int) -> list[int]:
 def ring_closure(a: ValueSet) -> ValueSet:
     """Smallest additively closed set containing ``a`` (a numerical semigroup).
 
-    Requires 0 in ``a`` and no negative members.
+    Requires 0 in ``a`` and no negative members; a finite ``a`` also needs
+    nonzero members of gcd 1.  Nonzero exceptional members of gcd 1 close to
+    every integer from (min - 1)(max - 1) on (Schur's bound; Brauer, Amer. J.
+    Math. 64, 1942), so the closure starts from that ray when it is lower.
     """
     if a.is_empty or a.min != 0:
         raise NotARing("additive closure needs 0 as the least element")
-    if a.threshold is None:
-        gens = [e for e in a.exceptional if e > 0]
-        if not gens:
-            return a
-        if math.gcd(*gens) != 1:
+    gens, t = a.exceptional[1:], a.threshold
+    if gens and math.gcd(*gens) == 1:
+        schur = (gens[0] - 1) * (gens[-1] - 1)
+        a = ValueSet(a.exceptional, schur if t is None else min(t, schur))
+    elif t is None:
+        if gens:
             raise NotARing(f"closure of {a} is not co-finite above")
-        closed = NumericalSemigroup.from_generators(gens)
-        return ValueSet.from_semigroup(closed)
+        return a
     cur = a
     while True:
         nxt = sumset(cur, cur)

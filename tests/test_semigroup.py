@@ -146,6 +146,28 @@ def test_enumerate_counts_match_bruteforce():
     assert len(tree) == 156
 
 
+def test_from_gaps_accepts_exactly_the_census():
+    # every semigroup of genus g has its gaps in [1, 2g - 1]
+    from itertools import combinations
+
+    from maxnoether.suites import bruteforce_gap_census
+
+    census = set(bruteforce_gap_census(6))
+    tried = accepted = 0
+    for g in range(7):
+        for gaps in combinations(range(1, 2 * g), g):
+            tried += 1
+            if gaps not in census:
+                with pytest.raises(ValueError, match="is a gap"):
+                    NumericalSemigroup.from_gaps(gaps)
+                continue
+            s = NumericalSemigroup.from_gaps(gaps)
+            assert s.gaps == gaps
+            assert NumericalSemigroup.from_generators(s.generators) == s
+            accepted += 1
+    assert (tried, accepted) == (638, len(census))
+
+
 def test_enumerate_per_genus_counts():
     counts = {}
     for s in enumerate_semigroups(8):
@@ -182,6 +204,12 @@ def test_generators_are_minimal_and_regenerate(s):
         if others:
             sub = closure_members(others, g)
             assert g not in sub
+
+
+@given(st.sampled_from(SEMIGROUPS_G7))
+def test_values_of_a_plain_instance_close_the_generators(s):
+    # an instance made without a constructor computes its value set itself
+    assert NumericalSemigroup(s.generators, s.gaps).values == s.values
 
 
 def test_almost_gorenstein_inequality_over_census():

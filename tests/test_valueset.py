@@ -1,5 +1,7 @@
 """Value set arithmetic against window-materialized set oracles."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,7 @@ from maxnoether.valueset import (
     ring_closure,
     sumset,
 )
+from test_semigroup import closure_members
 
 S345 = NumericalSemigroup.from_generators([3, 4, 5])
 S23 = NumericalSemigroup.from_generators([2, 3])
@@ -61,16 +64,16 @@ def test_canonical_ideal_frozen(s, exceptional, threshold):
 
 
 def test_canonical_ideal_equals_semigroup_iff_symmetric():
-    assert canonical_ideal(S23) == ValueSet.from_semigroup(S23)
-    assert canonical_ideal(S345) != ValueSet.from_semigroup(S345)
+    assert canonical_ideal(S23) == S23.values
+    assert canonical_ideal(S345) != S345.values
     for s in enumerate_semigroups(10):
-        assert (canonical_ideal(s) == ValueSet.from_semigroup(s)) == s.is_symmetric()
+        assert (canonical_ideal(s) == s.values) == s.is_symmetric()
 
 
 def test_canonical_ideal_contains_semigroup_with_small_threshold():
     for s in enumerate_semigroups(8):
         k = canonical_ideal(s)
-        assert ValueSet.from_semigroup(s).is_subset(k)
+        assert s.values.is_subset(k)
         assert k.min == 0
         assert k.threshold is not None and k.threshold <= s.conductor
 
@@ -114,17 +117,17 @@ def test_sumset_window_oracle():
 
 def test_module_closure_examples():
     # closing under adding members of S is the sumset with S
-    r345 = ValueSet.from_semigroup(S345)
+    r345 = S345.values
     assert sumset(ValueSet.finite([0]), r345) == r345
     k = canonical_ideal(S345)
     assert sumset(k, r345) == k
-    assert sumset(ValueSet.finite([5]), ValueSet.from_semigroup(S23)) == ValueSet((5,), 7)
+    assert sumset(ValueSet.finite([5]), S23.values) == ValueSet((5,), 7)
 
 
 def test_ring_closure_examples():
     assert ring_closure(ValueSet((0, 1), 3)) == ValueSet.naturals()
     assert ring_closure(ValueSet((0, 4, 5, 6, 7), 9)) == ValueSet((0,), 4)
-    s = ValueSet.from_semigroup(S5679)
+    s = S5679.values
     assert ring_closure(s) == s
 
 
@@ -140,6 +143,21 @@ def test_ring_closure_errors():
 def test_ring_closure_finite_with_unit_gcd():
     assert ring_closure(ValueSet.finite([0, 2, 3])) == ValueSet((0,), 2)
     assert ring_closure(ValueSet.finite([0])) == ValueSet.finite([0])
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(min_value=1, max_value=25), min_size=1, max_size=4))
+def test_ring_closure_finite_matches_oracle(gens):
+    # the oracle is a breadth-first search, independent of sumsets
+    if math.gcd(*gens) != 1:
+        with pytest.raises(NotARing):
+            ring_closure(ValueSet.finite([0, *gens]))
+        return
+    closed = ring_closure(ValueSet.finite([0, *gens]))
+    # Schur's bound: the closure holds everything from (min - 1)(max - 1) on
+    bound = (min(gens) - 1) * (max(gens) - 1) + 25
+    assert materialize(closed, -3, bound) == closure_members(gens, bound)
+    assert closed.threshold <= (min(gens) - 1) * (max(gens) - 1)
 
 
 def test_quotient_dim_frozen():
@@ -169,12 +187,12 @@ def test_eta_bound_over_census():
     for s in enumerate_semigroups(8):
         if s.genus == 0:
             continue
-        eta = quotient_dim(canonical_ideal(s), ValueSet.from_semigroup(s))
+        eta = quotient_dim(canonical_ideal(s), s.values)
         assert eta < s.genus
 
 
 def test_module_closure_idempotent_and_monotone():
-    ring = ValueSet.from_semigroup(S5679)
+    ring = S5679.values
     k = canonical_ideal(S5679)
     assert k == ValueSet((0, 4, 5, 6, 7), 9)
     closed = sumset(k, ring)
