@@ -15,6 +15,16 @@ p/q the Laurent coefficients are read through one integer change of basis,
 ``_shift_matrix``, which scales each row by a nonzero constant (powers of q
 and of the center differences) and so leaves every nullspace and pivot alone.
 
+The product span P of weight n is certified against the section space S
+before anything is eliminated over Q.  With C the constraint rows of S, the
+chain rank_p(P) <= dim P <= dim S holds once every product row v is shown to
+satisfy C v = 0 exactly, and rank_p, the rank modulo one fixed prime, is
+cheap.  When rank_p(P) reaches dim S the chain closes, P = S is proved, and S
+itself is returned; its canonical basis is the one an exact span would give.
+Any mismatch, from a real failure or an unlucky prime, falls back to exact
+integer elimination, which also supplies the failure witness.  Nothing is
+probabilistic: the prime can only cost time, never change an answer.
+
 Everything is exact: ranks and subspace equalities over the rationals are
 stable under field extension, so nothing is lost against an algebraically
 closed ground field.
@@ -31,7 +41,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import CurveSpecError, MaxNoetherError, NotApplicable
-from .linalg import Subspace, nullspace
+from .linalg import Subspace, Vector, modular_rank, nullspace
 from .semigroup import NumericalSemigroup
 from .valueset import ValueSet, dualizing_values, n_fold
 
@@ -177,9 +187,14 @@ def _shift_matrix(center: Fraction, scale: int, size: int) -> list[list[int]]:
 # -- section spaces ----------------------------------------------------------
 
 
-def _constraint_rows(curve: RationalCurveModel, n: int) -> tuple[list[list[int]], int]:
+@lru_cache(maxsize=_CACHE_SIZE)
+def _constraint_rows(curve: RationalCurveModel, n: int) -> tuple[tuple[Vector, ...], int]:
+    """Integer rows C, and the ambient, with H^0(omega^n) the solutions of C v = 0.
+
+    Cached, so the rows are tuples that no caller can change.
+    """
     ambient = numerator_ambient(curve, n)
-    rows: list[list[int]] = []
+    rows: list[Vector] = []
     for br in curve.branches:
         alpha = br.semigroup.conductor
         excluded = excluded_exponents(br.semigroup, n)
@@ -207,8 +222,8 @@ def _constraint_rows(curve: RationalCurveModel, n: int) -> tuple[list[list[int]]
                 if h:
                     for d, x in enumerate(shift[t], t):
                         row[d] += h * x
-            rows.append(row)
-    return rows, ambient
+            rows.append(tuple(row))
+    return tuple(rows), ambient
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -227,7 +242,13 @@ def global_sections(curve: RationalCurveModel, n: int) -> Subspace:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def products_span(curve: RationalCurveModel, n: int) -> Subspace:
-    """Span of all n-fold products of weight-1 global differentials."""
+    """Span of all n-fold products of weight-1 global differentials.
+
+    Returns ``global_sections(curve, n)`` itself when the products certify
+    equality: their rank modulo the prime reaches its dimension and every
+    product satisfies its constraint rows exactly (see the module docstring).
+    Otherwise the products are eliminated exactly.
+    """
     if n < 1:
         raise ValueError("n must be a positive integer")
     if n == 1:
@@ -238,7 +259,26 @@ def products_span(curve: RationalCurveModel, n: int) -> Subspace:
     level = list(enumerate(basis))
     for _ in range(n - 1):
         level = [(j, _poly_mul(prod, basis[j])) for i, prod in level for j in range(i, len(basis))]
-    return Subspace.span([prod + [0] * (ambient - len(prod)) for _, prod in level], ambient)
+    # repeated products (frequent among sparse rows) add nothing
+    rows = list(dict.fromkeys(tuple(prod) + (0,) * (ambient - len(prod)) for _, prod in level))
+    sections = global_sections(curve, n)
+    if modular_rank(rows, sections.dim) == sections.dim and _in_sections(curve, n, rows):
+        return sections
+    return Subspace.span(rows, ambient)
+
+
+def _in_sections(curve: RationalCurveModel, n: int, vectors: Iterable[Sequence[int]]) -> bool:
+    """Does every vector lie in H^0(omega^n)?  Exact: C v = 0 over the integers.
+
+    Each product c . v runs over the nonzero entries of v only, so a monomial
+    costs one multiplication per constraint row.
+    """
+    constraints, _ = _constraint_rows(curve, n)
+    for v in vectors:
+        support = [(j, x) for j, x in enumerate(v) if x]
+        if any(sum(c[j] * x for j, x in support) for c in constraints):
+            return False
+    return True
 
 
 def _subspace_orders(space: Subspace, center: Fraction) -> tuple[int, ...]:
@@ -383,7 +423,11 @@ def check_resolution_quotient(curve: RationalCurveModel, index: int, n: int) -> 
     sections = global_sections(curve, n)
     prods = products_span(curve, n)
     embedded = _embedded_resolved_sections(curve, index, n)
-    combined = prods + embedded
+    # products equal to the sections absorb an embedded basis that lies in them
+    if prods == sections and _in_sections(curve, n, embedded.basis):
+        combined = sections
+    else:
+        combined = prods + embedded
     return ResolutionCheck(
         combined == sections, n, sections.dim, prods.dim, embedded.dim, combined.dim
     )

@@ -6,6 +6,7 @@ unique for the row space, so subspace equality is structural.  Rational input
 is cleared of denominators once, at entry.  Elimination is fraction-free in
 the sense of Bareiss (Math. Comp. 22, 1968): integer cross-multiplication by
 the smallest available pivot, with every row kept primitive by gcd reduction.
+``modular_rank`` gives a cheap lower bound on the rank, modulo one fixed prime.
 """
 
 from __future__ import annotations
@@ -78,6 +79,40 @@ def rref(rows: Iterable[Sequence]) -> tuple[list[list[int]], int]:
         if mat[i][col] < 0:
             mat[i] = [-v for v in mat[i]]
     return mat, len(pivots)
+
+
+# The fixed prime of ``modular_rank``, so every run does the same arithmetic.
+MODULUS = (1 << 61) - 1
+
+
+def modular_rank(rows: Iterable[Sequence[int]], limit: int) -> int:
+    """Rank of integer rows modulo ``MODULUS``, stopping once it reaches ``limit``.
+
+    Never above the rank r over Q: a nonzero minor mod p is a nonzero integer
+    minor.  It falls short only when p divides every r x r minor, so a caller
+    can use it as a certified lower bound and nothing more.
+    """
+    p = MODULUS
+    # pivot column j -> the echelon row from column j on, reduced, with pivot 1
+    echelon: dict[int, list[int]] = {}
+    if limit <= 0:
+        return 0
+    for row in rows:
+        r = [x % p for x in row]
+        for j in range(len(r)):
+            x = r[j] % p
+            if not x:
+                continue
+            tail = echelon.get(j)
+            if tail is None:
+                inv = pow(x, -1, p)
+                echelon[j] = [v * inv % p for v in r[j:]]
+                break
+            # entries grow by less than p^2 a step; they are reduced when read
+            r[j:] = [a - x * b for a, b in zip(r[j:], tail)]
+        if len(echelon) == limit:
+            break
+    return len(echelon)
 
 
 @dataclass(frozen=True)

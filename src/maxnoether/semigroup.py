@@ -21,12 +21,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import ConductorTooLarge, EmptyGenerators, NoSingularity, NotCofinite
-from .valueset import ValueSet, missing_below, ring_closure, sumset
-
-# Largest conductor :meth:`NumericalSemigroup.from_generators` computes.  The
-# closure window, and every value set made from the semigroup, grow with it.
-MAX_CONDUCTOR = 10_000
+from .errors import EmptyGenerators, NoSingularity, NotCofinite
+from .valueset import MAX_CONDUCTOR, ValueSet, missing_below, ring_closure, sumset
 
 
 @dataclass(frozen=True)
@@ -86,19 +82,7 @@ class NumericalSemigroup:
             raise EmptyGenerators("generators must be positive integers")
         if math.gcd(*uniq) != 1:
             raise NotCofinite(f"gcd({uniq}) != 1, complement would be infinite")
-        beta = uniq[0]
-        # Close the generators below the limit, with the ray from the limit on.
-        # A conductor past the cap leaves the gaps F, F - beta, ... (F the
-        # Frobenius number), one in [MAX_CONDUCTOR, limit); so the threshold is
-        # past the cap exactly when the conductor is, and else equals it.  A
-        # beta past the cap leaves the gaps 1, ..., beta - 1.
-        limit = MAX_CONDUCTOR + beta
-        closed = ring_closure(ValueSet((0, *uniq), limit)) if beta <= MAX_CONDUCTOR else None
-        if closed is None or closed.threshold > MAX_CONDUCTOR:
-            raise ConductorTooLarge(
-                f"the conductor of the semigroup generated by {uniq} exceeds the limit "
-                f"MAX_CONDUCTOR = {MAX_CONDUCTOR}"
-            )
+        closed = ring_closure(ValueSet.finite((0, *uniq)))
         gaps = missing_below(ValueSet.naturals(), closed, closed.threshold)
         return cls._from_values(closed, tuple(gaps))
 

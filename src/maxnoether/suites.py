@@ -306,8 +306,13 @@ def _single_branch_value_sets_agree(
     predicted_sections = ctx.canonical_powers.power(n).elements_below(top + 1)
     predicted_products = ctx.section_powers.power(n).elements_below(top + 1)
     center = curve.branches[0].center
-    oracle_sections = sorted(_subspace_orders(global_sections(curve, n), center))
-    oracle_products = sorted(_subspace_orders(products_span(curve, n), center))
+    sections = global_sections(curve, n)
+    prods = products_span(curve, n)
+    oracle_sections = sorted(_subspace_orders(sections, center))
+    # equal spaces attain equal orders; the jets are eliminated once
+    oracle_products = (
+        oracle_sections if prods == sections else sorted(_subspace_orders(prods, center))
+    )
     ok = predicted_sections == oracle_sections and predicted_products == oracle_products
     detail = {
         "sections_predicted": predicted_sections,

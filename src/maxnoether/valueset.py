@@ -30,7 +30,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .errors import EmptySet, NotARing, NotNested
+from .errors import ConductorTooLarge, EmptySet, NotARing, NotNested
+
+# Largest conductor :func:`ring_closure` computes.  The closure window, and
+# every value set made from a semigroup, grow with it.
+MAX_CONDUCTOR = 10_000
 
 
 @dataclass(frozen=True)
@@ -260,23 +264,36 @@ def ring_closure(a: ValueSet) -> ValueSet:
     nonzero members of gcd 1.  Nonzero exceptional members of gcd 1 close to
     every integer from (min - 1)(max - 1) on (Schur's bound; Brauer, Amer. J.
     Math. 64, 1942), so the closure starts from that ray when it is lower.
+    A closure whose conductor is above :data:`MAX_CONDUCTOR` raises
+    :class:`ConductorTooLarge`, after closing at most ``MAX_CONDUCTOR + min``
+    values when Schur's bound applies.
     """
     if a.is_empty or a.min != 0:
         raise NotARing("additive closure needs 0 as the least element")
     gens, t = a.exceptional[1:], a.threshold
+    cur = a
     if gens and math.gcd(*gens) == 1:
-        schur = (gens[0] - 1) * (gens[-1] - 1)
-        a = ValueSet(a.exceptional, schur if t is None else min(t, schur))
+        # Past the cap, close a window of MAX_CONDUCTOR + min values instead:
+        # below its end it closes as ``a`` does, and a conductor past the cap
+        # leaves one of the gaps F, F - min, ... (F the Frobenius number) in
+        # [MAX_CONDUCTOR, MAX_CONDUCTOR + min).
+        ray = min((gens[0] - 1) * (gens[-1] - 1), MAX_CONDUCTOR + gens[0])
+        cur = ValueSet(a.exceptional, ray if t is None else min(t, ray))
     elif t is None:
         if gens:
             raise NotARing(f"closure of {a} is not co-finite above")
         return a
-    cur = a
     while True:
         nxt = sumset(cur, cur)
         if nxt == cur:
-            return cur
+            break
         cur = nxt
+    if cur.threshold > MAX_CONDUCTOR:
+        raise ConductorTooLarge(
+            f"the additive closure of {a} has its conductor above the limit "
+            f"MAX_CONDUCTOR = {MAX_CONDUCTOR}"
+        )
+    return cur
 
 
 def quotient_dim(a: ValueSet, b: ValueSet) -> int:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -14,15 +15,19 @@ from maxnoether.curves import (
     is_certified_hyperelliptic,
     local_support_set,
     max_noether_holds,
+    numerator_ambient,
     numerator_degree_bound,
     products_span,
     resolve,
     section_valuations,
     _constraint_rows,
+    _embedded_resolved_sections,
+    _in_sections,
     _subspace_orders,
     excluded_exponents,
 )
 from maxnoether.errors import CurveSpecError, NotApplicable
+from maxnoether.linalg import Subspace
 from maxnoether.semigroup import NumericalSemigroup, enumerate_semigroups
 from maxnoether.suites import _value_route_dim
 from maxnoether.valueset import ValueSet, canonical_ideal, dualizing_values, n_fold
@@ -274,9 +279,28 @@ def test_epsilon_case_of_one_singularity_models():
         assert epsilon_case(attained) == "i"
 
 
+def raw_products(c, n):
+    """Every n-fold product of the weight-1 basis, as a padded numerator row."""
+    basis = global_sections(c, 1).basis
+    ambient = numerator_ambient(c, n)
+    rows = []
+    for factors in combinations_with_replacement(basis, n):
+        prod = [1]
+        for f in factors:
+            out = [0] * (len(prod) + len(f) - 1)
+            for i, x in enumerate(prod):
+                for j, y in enumerate(f):
+                    out[i + j] += x * y
+            prod = out
+        rows.append(prod + [0] * (ambient - len(prod)))
+    return rows
+
+
 def test_products_always_land_in_sections():
     # products of regular differentials must satisfy every local support
-    # constraint; this pins the support model for the power stalks
+    # constraint; this pins the support model for the power stalks.  Each raw
+    # product is eliminated against the section basis, independently of the
+    # constraint-row test that certifies products_span.
     for gen_lists in (
         ((3, 4, 5),),
         ((2, 7),),
@@ -287,7 +311,10 @@ def test_products_always_land_in_sections():
     ):
         c = curve(*gen_lists)
         for n in (2, 3):
-            assert global_sections(c, n).contains(products_span(c, n))
+            sections = global_sections(c, n)
+            rows = raw_products(c, n)
+            assert rows
+            assert all(sections.contains_vector(row) for row in rows)
 
 
 # -- integer rows at rational centers ---------------------------------------
@@ -387,5 +414,91 @@ def test_constraint_rows_are_integer_at_rational_centers():
             rows, ambient = _constraint_rows(c, n)
             assert rows
             for row in rows:
-                assert type(row) is list and len(row) == ambient
+                assert type(row) is tuple and len(row) == ambient
                 assert all(type(x) is int for x in row)
+
+
+# -- the certified product span ----------------------------------------------
+
+
+def certificate_cases():
+    """Random multi-branch curves at rational centers, then the failing <2,2k+1> family."""
+    for c in random_curves(10, 8):
+        yield c, (2, 3)
+    for k in (3, 4, 5):
+        for center in (Fraction(0), Fraction(7, 3)):
+            yield RationalCurveModel((Branch(center, sg(2, 2 * k + 1)),)), (2, 3)
+
+
+def test_certified_products_equal_the_exact_span():
+    # products_span returns the section space itself when the modular rank
+    # and the containment test certify it; the span of the raw rows decides
+    certified = failures = 0
+    for c, ns in certificate_cases():
+        for n in ns:
+            exact = Subspace.span(raw_products(c, n), numerator_ambient(c, n))
+            assert products_span(c, n) == exact
+            certified += products_span(c, n) is global_sections(c, n)
+            failures += exact != global_sections(c, n)
+    # the hyperelliptic family takes the exact fallback
+    assert certified >= 8 and failures >= 6
+
+
+def test_resolution_quotient_matches_the_exact_sum():
+    for c in random_curves(11, 6):
+        for index in range(len(c.branches)):
+            for n in (2, 3):
+                res = check_resolution_quotient(c, index, n)
+                exact = Subspace.span(raw_products(c, n), numerator_ambient(c, n))
+                combined = exact + _embedded_resolved_sections(c, index, n)
+                assert res.combined_dim == combined.dim
+                assert res.ok == (combined == global_sections(c, n))
+
+
+def test_in_sections_rejects_vectors_outside():
+    for c in random_curves(12, 4):
+        for n in (2, 3):
+            sections = global_sections(c, n)
+            assert _in_sections(c, n, sections.basis)
+            ambient = numerator_ambient(c, n)
+            for j in range(ambient):
+                unit = [0] * ambient
+                unit[j] = 1
+                assert _in_sections(c, n, [unit]) == sections.contains_vector(unit)
+
+
+def test_a_third_oracle_agrees_on_ranks():
+    # sympy's DomainMatrix over QQ shares no code with linalg
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    def rank(rows, ncols):
+        if not rows:
+            return 0
+        return DomainMatrix([[QQ(x) for x in row] for row in rows], (len(rows), ncols), QQ).rank()
+
+    for c in random_curves(13, 6):
+        for n in (1, 2, 3):
+            ambient = numerator_ambient(c, n)
+            constraints, width = _constraint_rows(c, n)
+            assert width == ambient
+            assert global_sections(c, n).dim == ambient - rank(constraints, ambient)
+            if n > 1:
+                assert products_span(c, n).dim == rank(raw_products(c, n), ambient)
+
+
+def test_a_short_modular_rank_falls_back_to_the_exact_span(monkeypatch):
+    # an unlucky prime costs the exact elimination, never the verdict
+    import maxnoether.curves as curves_mod
+
+    monkeypatch.setattr(curves_mod, "modular_rank", lambda rows, limit: limit - 1)
+    products_span.cache_clear()
+    try:
+        for c in random_curves(14, 3):
+            for n in (2, 3):
+                got = products_span(c, n)
+                assert got is not global_sections(c, n)
+                assert got == Subspace.span(raw_products(c, n), numerator_ambient(c, n))
+    finally:
+        products_span.cache_clear()

@@ -1,13 +1,14 @@
 """Exact linear algebra: canonical echelon forms and subspace lattice ops."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxnoether.errors import AmbientMismatch
-from maxnoether.linalg import Subspace, nullspace, rref
+from maxnoether.linalg import MODULUS, Subspace, modular_rank, nullspace, rref
 
 
 def F(x):
@@ -163,3 +164,56 @@ def test_span_is_primitive_integer_rref(mat):
     for v in nullspace(mat, ncols).basis:
         for row in mat:
             assert sum(Fraction(a) * b for a, b in zip(row, v)) == 0
+
+
+# -- the modular rank, a certified lower bound --------------------------------
+
+int_matrices = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-10**30, 10**30), min_size=n, max_size=n), min_size=1, max_size=6
+    )
+)
+
+
+@settings(max_examples=80)
+@given(int_matrices)
+def test_modular_rank_is_at_most_the_exact_rank(mat):
+    _, rank = rref(mat)
+    assert modular_rank(mat, len(mat[0])) <= rank
+    # low-rank rows: every row a combination of the first two
+    combos = [
+        [a * x + b * y for x, y in zip(mat[0], mat[-1])] for a, b in ((1, 2), (3, -1), (7, 5))
+    ]
+    assert modular_rank(combos, len(mat[0])) <= rref(combos)[1] <= 2
+
+
+def test_modular_rank_falls_short_on_multiples_of_the_prime():
+    # exact rank 2, but the second row vanishes mod p
+    rows = [[1, 0, 0], [0, MODULUS, 3 * MODULUS]]
+    assert rref(rows)[1] == 2
+    assert modular_rank(rows, 3) == 1
+    # every 2 x 2 minor is p, although no entry is a multiple of it
+    rows = [[1, 1, 0], [1, MODULUS + 1, MODULUS]]
+    assert rref(rows)[1] == 2
+    assert modular_rank(rows, 3) == 1
+
+
+def test_modular_rank_equals_the_exact_rank_on_small_rows():
+    rng = random.Random(5)
+    for _ in range(50):
+        ncols = rng.randint(1, 6)
+        mat = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(rng.randint(1, 7))]
+        assert modular_rank(mat, ncols) == rref(mat)[1]
+
+
+def test_modular_rank_stops_at_the_limit():
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert [modular_rank(rows, limit) for limit in (0, 1, 2, 3, 4)] == [0, 1, 2, 3, 3]
+    assert modular_rank([], 2) == 0
+
+    def rows_then_boom():
+        yield [1, 0]
+        yield [0, 1]
+        raise AssertionError("read past the limit")
+
+    assert modular_rank(rows_then_boom(), 2) == 2

@@ -1,13 +1,15 @@
 """Value set arithmetic against window-materialized set oracles."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxnoether.errors import EmptySet, NotARing, NotNested
+from maxnoether.errors import ConductorTooLarge, EmptySet, NotARing, NotNested
 from maxnoether.semigroup import NumericalSemigroup, enumerate_semigroups
 from maxnoether.valueset import (
+    MAX_CONDUCTOR,
     ValueSet,
     canonical_ideal,
     dualizing_values,
@@ -158,6 +160,28 @@ def test_ring_closure_finite_matches_oracle(gens):
     bound = (min(gens) - 1) * (max(gens) - 1) + 25
     assert materialize(closed, -3, bound) == closure_members(gens, bound)
     assert closed.threshold <= (min(gens) - 1) * (max(gens) - 1)
+
+
+def test_ring_closure_stops_at_the_conductor_cap():
+    # <400, 401> has conductor 399 * 400, far past the cap; the closure must
+    # say so at once instead of closing a window of that size
+    t0 = time.perf_counter()
+    with pytest.raises(ConductorTooLarge, match=f"MAX_CONDUCTOR = {MAX_CONDUCTOR}"):
+        ring_closure(ValueSet.finite([0, 400, 401]))
+    with pytest.raises(ConductorTooLarge):
+        ring_closure(ValueSet((0, 400, 401), 10**9))
+    with pytest.raises(ConductorTooLarge):
+        ring_closure(ValueSet.finite([0, 2, MAX_CONDUCTOR + 3]))
+    assert time.perf_counter() - t0 < 1
+    # a Schur bound past the cap with a small conductor still closes exactly
+    assert ring_closure(ValueSet.finite([0, 2, 3, 3 * MAX_CONDUCTOR])) == ValueSet((0,), 2)
+    at_cap = ring_closure(ValueSet.finite([0, 2, MAX_CONDUCTOR + 1]))
+    assert at_cap.threshold == MAX_CONDUCTOR
+    # a ray that starts inside the window is kept: <3, 10000> below 10001
+    # has its largest gap at 9998
+    closed = ring_closure(ValueSet((0, 3, MAX_CONDUCTOR), MAX_CONDUCTOR + 1))
+    assert closed.threshold == MAX_CONDUCTOR - 1
+    assert closed.exceptional == tuple(range(0, MAX_CONDUCTOR - 1, 3))
 
 
 def test_quotient_dim_frozen():
