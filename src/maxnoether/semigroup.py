@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import EmptyGenerators, NoSingularity, NotCofinite
-from .valueset import MAX_CONDUCTOR, ValueSet, missing_below, ring_closure, sumset
+from .valueset import ValueSet, missing_below, ring_closure, sumset
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,8 @@ class NumericalSemigroup:
         """Build the semigroup generated by ``gens``.
 
         The stored generating set is re-minimalized, so redundant input
-        generators are dropped.  A conductor above :data:`MAX_CONDUCTOR`
+        generators are dropped.  A conductor above
+        :data:`maxnoether.valueset.MAX_CONDUCTOR`
         raises :class:`ConductorTooLarge`.
         """
         uniq = sorted({int(g) for g in gens})

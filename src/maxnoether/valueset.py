@@ -265,35 +265,48 @@ def ring_closure(a: ValueSet) -> ValueSet:
     every integer from (min - 1)(max - 1) on (Schur's bound; Brauer, Amer. J.
     Math. 64, 1942), so the closure starts from that ray when it is lower.
     A closure whose conductor is above :data:`MAX_CONDUCTOR` raises
-    :class:`ConductorTooLarge`, after closing at most ``MAX_CONDUCTOR + min``
-    values when Schur's bound applies.
+    :class:`ConductorTooLarge`: at once when a lower bound on the conductor is
+    past the cap, else after closing at most ``MAX_CONDUCTOR + min`` values when
+    Schur's bound applies.
     """
     if a.is_empty or a.min != 0:
         raise NotARing("additive closure needs 0 as the least element")
     gens, t = a.exceptional[1:], a.threshold
+    coprime = bool(gens) and math.gcd(*gens) == 1
+    if t is None and not coprime:
+        if gens:
+            raise NotARing(f"closure of {a} is not co-finite above")
+        return a
+    # The values 1, ..., least - 1 are gaps, so the conductor is at least the
+    # least nonzero member.  Without coprime members every value below t is a
+    # multiple of their gcd, so t - 1 or t - 2 is a gap.  Past the cap no
+    # window is built.
+    least = gens[0] if gens else t
+    if least > MAX_CONDUCTOR or (not coprime and t - 1 > MAX_CONDUCTOR):
+        raise _conductor_too_large(a)
     cur = a
-    if gens and math.gcd(*gens) == 1:
+    if coprime:
         # Past the cap, close a window of MAX_CONDUCTOR + min values instead:
         # below its end it closes as ``a`` does, and a conductor past the cap
         # leaves one of the gaps F, F - min, ... (F the Frobenius number) in
         # [MAX_CONDUCTOR, MAX_CONDUCTOR + min).
         ray = min((gens[0] - 1) * (gens[-1] - 1), MAX_CONDUCTOR + gens[0])
         cur = ValueSet(a.exceptional, ray if t is None else min(t, ray))
-    elif t is None:
-        if gens:
-            raise NotARing(f"closure of {a} is not co-finite above")
-        return a
     while True:
         nxt = sumset(cur, cur)
         if nxt == cur:
             break
         cur = nxt
     if cur.threshold > MAX_CONDUCTOR:
-        raise ConductorTooLarge(
-            f"the additive closure of {a} has its conductor above the limit "
-            f"MAX_CONDUCTOR = {MAX_CONDUCTOR}"
-        )
+        raise _conductor_too_large(a)
     return cur
+
+
+def _conductor_too_large(a: ValueSet) -> ConductorTooLarge:
+    return ConductorTooLarge(
+        f"the additive closure of {a} has its conductor above the limit "
+        f"MAX_CONDUCTOR = {MAX_CONDUCTOR}"
+    )
 
 
 def quotient_dim(a: ValueSet, b: ValueSet) -> int:

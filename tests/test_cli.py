@@ -9,7 +9,7 @@ import time
 import pytest
 
 from maxnoether.cli import main
-from maxnoether.semigroup import MAX_CONDUCTOR
+from maxnoether.valueset import MAX_CONDUCTOR
 
 
 def run(capsys, *argv):
@@ -287,10 +287,12 @@ def test_verify_noether_missing_file(capsys):
 
 
 def test_sg_info_conductor_above_the_cap_is_usage_error(capsys):
-    # <1000,1001> has conductor 999000; the sieve must stop at the cap
-    t0 = time.perf_counter()
-    code, out, err = run(capsys, "sg", "info", "--gens", "1000,1001")
-    assert time.perf_counter() - t0 < 2
-    assert code == 2
-    assert out == ""
-    assert f"MAX_CONDUCTOR = {MAX_CONDUCTOR}" in err
+    # <1000,1001> has conductor 999000; the sieve must stop at the cap.  With
+    # a least generator of 10^9 the gaps 1, ..., 10^9 - 1 must not be built.
+    for gens in ("1000,1001", "1000000000,1000000001"):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "sg", "info", "--gens", gens)
+        assert time.perf_counter() - t0 < 2
+        assert code == 2
+        assert out == ""
+        assert f"MAX_CONDUCTOR = {MAX_CONDUCTOR}" in err

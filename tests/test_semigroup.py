@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxnoether.errors import ConductorTooLarge, EmptyGenerators, NoSingularity, NotCofinite
-from maxnoether.semigroup import MAX_CONDUCTOR, NumericalSemigroup, enumerate_semigroups
+from maxnoether.semigroup import NumericalSemigroup, enumerate_semigroups
+from maxnoether.valueset import MAX_CONDUCTOR
 
 
 def closure_members(gens, bound):

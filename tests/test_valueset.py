@@ -1,7 +1,6 @@
 """Value set arithmetic against window-materialized set oracles."""
 
 import math
-import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,15 +163,25 @@ def test_ring_closure_finite_matches_oracle(gens):
 
 def test_ring_closure_stops_at_the_conductor_cap():
     # <400, 401> has conductor 399 * 400, far past the cap; the closure must
-    # say so at once instead of closing a window of that size
-    t0 = time.perf_counter()
+    # say so after a window of MAX_CONDUCTOR + 400 values, not 399 * 400
     with pytest.raises(ConductorTooLarge, match=f"MAX_CONDUCTOR = {MAX_CONDUCTOR}"):
         ring_closure(ValueSet.finite([0, 400, 401]))
     with pytest.raises(ConductorTooLarge):
         ring_closure(ValueSet((0, 400, 401), 10**9))
     with pytest.raises(ConductorTooLarge):
         ring_closure(ValueSet.finite([0, 2, MAX_CONDUCTOR + 3]))
-    assert time.perf_counter() - t0 < 1
+    # a least member past the cap leaves the gaps 1, ..., min - 1, and a
+    # member gcd of 2 leaves t - 1 or t - 2: no window of that size is built
+    with pytest.raises(ConductorTooLarge):
+        ring_closure(ValueSet.finite([0, 10**9, 10**9 + 1]))
+    with pytest.raises(ConductorTooLarge):
+        ring_closure(ValueSet((0,), 10**9))
+    with pytest.raises(ConductorTooLarge):
+        ring_closure(ValueSet((0, 2), 10**9))
+    # the lower bounds are tight at the cap
+    assert ring_closure(ValueSet((0,), MAX_CONDUCTOR)).threshold == MAX_CONDUCTOR
+    closed = ring_closure(ValueSet((0, 2), MAX_CONDUCTOR + 1))
+    assert closed.threshold == MAX_CONDUCTOR
     # a Schur bound past the cap with a small conductor still closes exactly
     assert ring_closure(ValueSet.finite([0, 2, 3, 3 * MAX_CONDUCTOR])) == ValueSet((0,), 2)
     at_cap = ring_closure(ValueSet.finite([0, 2, MAX_CONDUCTOR + 1]))
