@@ -15,15 +15,15 @@ p/q the Laurent coefficients are read through one integer change of basis,
 ``_shift_matrix``, which scales each row by a nonzero constant (powers of q
 and of the center differences) and so leaves every nullspace and pivot alone.
 
-The product span P of weight n is certified against the section space S
-before anything is eliminated over Q.  With C the constraint rows of S, the
-chain rank_p(P) <= dim P <= dim S holds once every product row v is shown to
-satisfy C v = 0 exactly, and rank_p, the rank modulo one fixed prime, is
-cheap.  When rank_p(P) reaches dim S the chain closes, P = S is proved, and S
-itself is returned; its canonical basis is the one an exact span would give.
-Any mismatch, from a real failure or an unlucky prime, falls back to exact
-integer elimination, which also supplies the failure witness.  Nothing is
-probabilistic: the prime can only cost time, never change an answer.
+The product span P of weight n is S_1 . S_1^(n-1), certified against the
+section space S before anything is eliminated over Q.  With C the constraint
+rows of S, the chain rank_p(P) <= dim P <= dim S holds once every formed row v
+is shown, at run time, to satisfy C v = 0 exactly, and rank_p, the rank modulo
+one fixed prime, is cheap.  When rank_p(P) reaches dim S the chain closes,
+P = S is proved, and S itself is returned; its canonical basis is the one an
+exact span would give.  Any mismatch, from a real failure or an unlucky prime,
+falls back to exact integer elimination, which also supplies the failure
+witness.  Nothing is probabilistic: the prime costs time, never an answer.
 
 Everything is exact: ranks and subspace equalities over the rationals are
 stable under field extension, so nothing is lost against an algebraically
@@ -40,7 +40,7 @@ from math import comb, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import CurveSpecError, MaxNoetherError, NotApplicable
+from .errors import CurveSpecError, MaxNoetherError, NotApplicable, WeightTooLarge
 from .linalg import Subspace, Vector, modular_rank, nullspace
 from .semigroup import NumericalSemigroup
 from .valueset import ValueSet, dualizing_values, n_fold
@@ -49,6 +49,10 @@ from .valueset import ValueSet, dualizing_values, n_fold
 # entries later at most, so this keeps every hit while bounding memory over a
 # long corpus run.
 _CACHE_SIZE = 256
+
+# Largest weight of a product span: weight n recurses through every lower
+# weight, and the cap keeps that well inside Python's default recursion limit.
+MAX_WEIGHT = 256
 
 
 @dataclass(frozen=True)
@@ -94,7 +98,7 @@ class RationalCurveModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RationalCurveModel":
-        if not isinstance(obj, dict) or "branches" not in obj:
+        if not isinstance(obj, dict) or not isinstance(obj.get("branches"), list):
             raise CurveSpecError('curve spec must be an object with a "branches" list')
         branches = []
         for i, raw in enumerate(obj["branches"]):
@@ -244,27 +248,25 @@ def global_sections(curve: RationalCurveModel, n: int) -> Subspace:
 def products_span(curve: RationalCurveModel, n: int) -> Subspace:
     """Span of all n-fold products of weight-1 global differentials.
 
-    Returns ``global_sections(curve, n)`` itself when the products certify
-    equality: their rank modulo the prime reaches its dimension and every
-    product satisfies its constraint rows exactly (see the module docstring).
-    Otherwise the products are eliminated exactly.
+    Rows are the distinct products of the weight-1 basis with the basis of the
+    weight n - 1 span, since S_1^n = S_1 . S_1^(n-1).  Returns the sections
+    themselves when ``modular_rank`` reaches their dimension and
+    ``_in_sections`` passes every formed row; else the rows are eliminated exactly.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
+    if n > MAX_WEIGHT:
+        raise WeightTooLarge(f"weight {n} is above MAX_WEIGHT = {MAX_WEIGHT}")
     if n == 1:
         return global_sections(curve, 1)
+    lower = products_span(curve, n - 1).basis
     basis = global_sections(curve, 1).basis
-    ambient = numerator_ambient(curve, n)
-    # each product extends one of degree n - 1 by a basis row of index no smaller
-    level = list(enumerate(basis))
-    for _ in range(n - 1):
-        level = [(j, _poly_mul(prod, basis[j])) for i, prod in level for j in range(i, len(basis))]
     # repeated products (frequent among sparse rows) add nothing
-    rows = list(dict.fromkeys(tuple(prod) + (0,) * (ambient - len(prod)) for _, prod in level))
+    rows = list(dict.fromkeys(tuple(_poly_mul(b, p)) for b in basis for p in lower))
     sections = global_sections(curve, n)
     if modular_rank(rows, sections.dim) == sections.dim and _in_sections(curve, n, rows):
         return sections
-    return Subspace.span(rows, ambient)
+    return Subspace.span(rows, sections.ambient)
 
 
 def _in_sections(curve: RationalCurveModel, n: int, vectors: Iterable[Sequence[int]]) -> bool:

@@ -17,6 +17,10 @@ class ConductorTooLarge(MaxNoetherError):
     """A semigroup's conductor is above the limit the library computes."""
 
 
+class WeightTooLarge(MaxNoetherError):
+    """A product span was requested above the weight the library computes."""
+
+
 class NoSingularity(MaxNoetherError):
     """An invariant of a singular point was requested for the full semigroup."""
 

@@ -161,13 +161,17 @@ class Subspace:
 
 
 def nullspace(rows: Iterable[Sequence], ncols: int) -> Subspace:
-    """Canonical basis of the solution space of the homogeneous system."""
+    """Canonical basis of the solution space of the homogeneous system.
+
+    One elimination, columns reversed: each solution read off then leads at its
+    free column and is zero on the others, so it is the canonical basis already.
+    """
     mat = list(rows)
     if any(len(r) != ncols for r in mat):
         raise AmbientMismatch("constraint rows of mixed width")
-    reduced, rank = rref(mat)
-    echelon = reduced[:rank]
-    pivots = [_pivot(row) for row in echelon]
+    reduced, rank = rref(row[::-1] for row in mat)
+    echelon = [row[::-1] for row in reduced[:rank]]
+    pivots = [ncols - 1 - _pivot(row) for row in reduced[:rank]]
     # one solution per free column, scaled so every entry is an integer
     scale = math.lcm(*(row[piv] for row, piv in zip(echelon, pivots)))
     vectors = []
@@ -176,5 +180,5 @@ def nullspace(rows: Iterable[Sequence], ncols: int) -> Subspace:
         v[f] = scale
         for row, piv in zip(echelon, pivots):
             v[piv] = -row[f] * (scale // row[piv])
-        vectors.append(v)
-    return Subspace.span(vectors, ncols)
+        vectors.append(tuple(_primitive(v)))
+    return Subspace(ncols, tuple(vectors))

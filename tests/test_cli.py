@@ -9,6 +9,7 @@ import time
 import pytest
 
 from maxnoether.cli import main
+from maxnoether.curves import MAX_WEIGHT
 from maxnoether.valueset import MAX_CONDUCTOR
 
 
@@ -296,3 +297,10 @@ def test_sg_info_conductor_above_the_cap_is_usage_error(capsys):
         assert code == 2
         assert out == ""
         assert f"MAX_CONDUCTOR = {MAX_CONDUCTOR}" in err
+
+
+def test_verify_noether_weight_above_the_cap_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "noether", "--gens", "2,3", "--n", "2000")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: weight 2000 is above MAX_WEIGHT = {MAX_WEIGHT}\n"

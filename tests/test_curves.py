@@ -7,6 +7,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from maxnoether.curves import (
+    MAX_WEIGHT,
     Branch,
     RationalCurveModel,
     check_hyperelliptic_resolution,
@@ -26,7 +27,7 @@ from maxnoether.curves import (
     _subspace_orders,
     excluded_exponents,
 )
-from maxnoether.errors import CurveSpecError, NotApplicable
+from maxnoether.errors import CurveSpecError, NotApplicable, WeightTooLarge
 from maxnoether.linalg import Subspace
 from maxnoether.semigroup import NumericalSemigroup, enumerate_semigroups
 from maxnoether.suites import _value_route_dim
@@ -219,9 +220,14 @@ def test_curve_file_errors(tmp_path):
     with pytest.raises(CurveSpecError) as err:
         RationalCurveModel.from_file(str(path))
     assert "line 2" in str(err.value)
-    path.write_text('{"branches": [{"center": "0", "generators": [2, 4]}]}')
-    with pytest.raises(CurveSpecError):
-        RationalCurveModel.from_file(str(path))
+    for spec in (
+        '{"branches": [{"center": "0", "generators": [2, 4]}]}',
+        '{"branches": 5}',
+        '{"branches": "ab"}',
+    ):
+        path.write_text(spec)
+        with pytest.raises(CurveSpecError):
+            RationalCurveModel.from_file(str(path))
 
 
 def test_noncentral_model_matches_origin_model():
@@ -424,10 +430,10 @@ def test_constraint_rows_are_integer_at_rational_centers():
 def certificate_cases():
     """Random multi-branch curves at rational centers, then the failing <2,2k+1> family."""
     for c in random_curves(10, 8):
-        yield c, (2, 3)
+        yield c, (2, 3, 4)
     for k in (3, 4, 5):
         for center in (Fraction(0), Fraction(7, 3)):
-            yield RationalCurveModel((Branch(center, sg(2, 2 * k + 1)),)), (2, 3)
+            yield RationalCurveModel((Branch(center, sg(2, 2 * k + 1)),)), (2, 3, 4)
 
 
 def test_certified_products_equal_the_exact_span():
@@ -486,6 +492,19 @@ def test_a_third_oracle_agrees_on_ranks():
             assert global_sections(c, n).dim == ambient - rank(constraints, ambient)
             if n > 1:
                 assert products_span(c, n).dim == rank(raw_products(c, n), ambient)
+
+
+def test_products_span_weight_cap():
+    # weight n recurses through every lower weight; a cold call at the cap
+    # must stay inside the stack, and the cap must be enforced
+    c = curve((2, 3))
+    products_span.cache_clear()
+    try:
+        assert products_span(c, MAX_WEIGHT) is global_sections(c, MAX_WEIGHT)
+        with pytest.raises(WeightTooLarge, match=f"MAX_WEIGHT = {MAX_WEIGHT}"):
+            products_span(c, MAX_WEIGHT + 1)
+    finally:
+        products_span.cache_clear()
 
 
 def test_a_short_modular_rank_falls_back_to_the_exact_span(monkeypatch):

@@ -161,7 +161,9 @@ def test_span_is_primitive_integer_rref(mat):
         assert all(type(x) is int for x in row)
         assert math.gcd(*row) == 1 and row[piv] > 0
         assert [Fraction(x, row[piv]) for x in row] == ref
-    for v in nullspace(mat, ncols).basis:
+    kernel = nullspace(mat, ncols)
+    assert kernel == Subspace.span(kernel.basis, ncols)
+    for v in kernel.basis:
         for row in mat:
             assert sum(Fraction(a) * b for a, b in zip(row, v)) == 0
 
