@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import nullcontext
 
 from . import blowup as blowup_mod
 from .curves import (
@@ -212,18 +214,22 @@ def cmd_verify_noether(args) -> int:
 
 def cmd_verify_corpus(args) -> int:
     params = SuiteParams(max_genus=args.max_genus, max_n=args.n)
-    reports = run_suite(args.suite, params)
+    # opened before any work, as a shell redirection is, so a bad path fails at once
+    try:
+        sink = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    except OSError as exc:
+        raise MaxNoetherError(f"cannot write output: {exc}") from exc
+    with sink as fp:
+        reports = run_suite(args.suite, params)
+        write_jsonl(reports, fp)
     if not reports:
+        if args.out:
+            os.remove(args.out)  # nothing was written; leave no empty file behind
         print(
             f"error: suite {args.suite} made no checks at these bounds; nothing was verified",
             file=sys.stderr,
         )
         return 2
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fp:
-            write_jsonl(reports, fp)
-    else:
-        write_jsonl(reports, sys.stdout)
     failed = [r for r in reports if not r.passed]
     total = len(reports)
     print(f"suite {args.suite}: {total - len(failed)}/{total} checks passed", file=sys.stderr)

@@ -50,8 +50,8 @@ from .valueset import ValueSet, dualizing_values, n_fold
 # long corpus run.
 _CACHE_SIZE = 256
 
-# Largest weight of a product span: weight n recurses through every lower
-# weight, and the cap keeps that well inside Python's default recursion limit.
+# Largest weight of a section or product space: products of weight n recurse
+# through every lower weight, and the cap keeps that inside the recursion limit.
 MAX_WEIGHT = 256
 
 
@@ -240,6 +240,8 @@ def global_sections(curve: RationalCurveModel, n: int) -> Subspace:
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
+    if n > MAX_WEIGHT:
+        raise WeightTooLarge(f"weight {n} is above MAX_WEIGHT = {MAX_WEIGHT}")
     rows, ambient = _constraint_rows(curve, n)
     return nullspace(rows, ambient)
 
@@ -253,17 +255,14 @@ def products_span(curve: RationalCurveModel, n: int) -> Subspace:
     themselves when ``modular_rank`` reaches their dimension and
     ``_in_sections`` passes every formed row; else the rows are eliminated exactly.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if n > MAX_WEIGHT:
-        raise WeightTooLarge(f"weight {n} is above MAX_WEIGHT = {MAX_WEIGHT}")
+    # first, so a weight out of range fails before any recursion
+    sections = global_sections(curve, n)
     if n == 1:
-        return global_sections(curve, 1)
+        return sections
     lower = products_span(curve, n - 1).basis
     basis = global_sections(curve, 1).basis
     # repeated products (frequent among sparse rows) add nothing
     rows = list(dict.fromkeys(tuple(_poly_mul(b, p)) for b in basis for p in lower))
-    sections = global_sections(curve, n)
     if modular_rank(rows, sections.dim) == sections.dim and _in_sections(curve, n, rows):
         return sections
     return Subspace.span(rows, sections.ambient)
@@ -376,26 +375,23 @@ def resolve(curve: RationalCurveModel, index: int) -> RationalCurveModel:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _embedded_resolved_sections(curve: RationalCurveModel, index: int, n: int) -> Subspace:
-    """Sections of the resolved curve, embedded in the ambient of the full one.
+def _embedded_resolved_sections(curve: RationalCurveModel, index: int, n: int) -> tuple[Vector, ...]:
+    """Basis of the resolved curve's sections, embedded in the ambient of the full one.
 
     The embedding multiplies numerators by the removed branch's denominator
     factor; the result is supported in the natural numbers at that center,
-    hence inside the local support set.
+    hence inside the local support set.  Nothing is eliminated: multiplying by
+    a nonzero polynomial is injective on Q[t], so the images of a basis stay
+    independent, and deg <= bound(resolved) + n * alpha = bound(curve), so each
+    image has exactly the length of the full ambient.
     """
     br = curve.branches[index]
-    resolved = resolve(curve, index)
-    sections = global_sections(resolved, n)
-    ambient = numerator_ambient(curve, n)
+    sections = global_sections(resolve(curve, index), n)
     m = n * br.semigroup.conductor
     # (q t - p)^m is the factor (t - p/q)^m times the constant q^m
     p, q = br.center.numerator, br.center.denominator
     factor = [comb(m, k) * q**k * (-p) ** (m - k) for k in range(m + 1)]
-    vectors = []
-    for vec in sections.basis:
-        prod = _poly_mul(vec, factor)
-        vectors.append(prod + [0] * (ambient - len(prod)))
-    return Subspace.span(vectors, ambient)
+    return tuple(tuple(_poly_mul(vec, factor)) for vec in sections.basis)
 
 
 @dataclass(frozen=True)
@@ -425,13 +421,13 @@ def check_resolution_quotient(curve: RationalCurveModel, index: int, n: int) -> 
     sections = global_sections(curve, n)
     prods = products_span(curve, n)
     embedded = _embedded_resolved_sections(curve, index, n)
-    # products equal to the sections absorb an embedded basis that lies in them
-    if prods == sections and _in_sections(curve, n, embedded.basis):
+    # products equal to the sections absorb embedded vectors that lie in them
+    if prods == sections and _in_sections(curve, n, embedded):
         combined = sections
     else:
-        combined = prods + embedded
+        combined = Subspace.span(prods.basis + embedded, sections.ambient)
     return ResolutionCheck(
-        combined == sections, n, sections.dim, prods.dim, embedded.dim, combined.dim
+        combined == sections, n, sections.dim, prods.dim, len(embedded), combined.dim
     )
 
 
@@ -464,5 +460,5 @@ def check_hyperelliptic_resolution(curve: RationalCurveModel, index: int, n: int
         raise NotApplicable("the resolved curve must have genus at least 2")
     if not is_certified_hyperelliptic(resolved):
         raise NotApplicable("hyperellipticity of the resolved curve is not certified")
-    embedded = _embedded_resolved_sections(curve, index, n)
-    return products_span(curve, n).contains(embedded)
+    prods = products_span(curve, n)
+    return all(map(prods.contains_vector, _embedded_resolved_sections(curve, index, n)))

@@ -18,7 +18,7 @@ class ConductorTooLarge(MaxNoetherError):
 
 
 class WeightTooLarge(MaxNoetherError):
-    """A product span was requested above the weight the library computes."""
+    """A weight-n space was requested above the weight the library computes."""
 
 
 class NoSingularity(MaxNoetherError):

@@ -149,16 +149,6 @@ class Subspace:
                 v = _eliminate(v, row, piv)
         return not any(v)
 
-    def contains(self, other: "Subspace") -> bool:
-        if other.ambient != self.ambient:
-            raise AmbientMismatch(f"ambients {self.ambient} and {other.ambient} differ")
-        return all(self.contains_vector(v) for v in other.basis)
-
-    def __add__(self, other: "Subspace") -> "Subspace":
-        if other.ambient != self.ambient:
-            raise AmbientMismatch(f"ambients {self.ambient} and {other.ambient} differ")
-        return Subspace.span(self.basis + other.basis, self.ambient)
-
 
 def nullspace(rows: Iterable[Sequence], ncols: int) -> Subspace:
     """Canonical basis of the solution space of the homogeneous system.

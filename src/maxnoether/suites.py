@@ -16,6 +16,7 @@ from typing import Callable, Iterable
 
 from . import blowup as blowup_mod
 from .curves import (
+    MAX_WEIGHT,
     RationalCurveModel,
     check_hyperelliptic_resolution,
     check_resolution_quotient,
@@ -26,6 +27,7 @@ from .curves import (
     products_span,
     _subspace_orders,
 )
+from .errors import WeightTooLarge
 from .local import (
     LocalContext,
     build_certificates,
@@ -44,6 +46,11 @@ class SuiteParams:
 
     max_genus: int | None = None
     max_n: int | None = None
+
+    def __post_init__(self) -> None:
+        # fail before any work, not at the first check that reaches the cap
+        if self.max_n is not None and self.max_n > MAX_WEIGHT:
+            raise WeightTooLarge(f"weight {self.max_n} is above MAX_WEIGHT = {MAX_WEIGHT}")
 
     def genus(self, default: int) -> int:
         return self.max_genus if self.max_genus is not None else default

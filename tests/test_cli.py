@@ -304,3 +304,36 @@ def test_verify_noether_weight_above_the_cap_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err == f"error: weight 2000 is above MAX_WEIGHT = {MAX_WEIGHT}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--suite", "dims", "--n", "300"),
+        ("--suite", "noether-single", "--max-genus", "4", "--n", "300"),
+        ("--suite", "local-lemma", "--n", "300"),
+    ],
+    ids=["dims", "noether-single", "local-lemma"],
+)
+def test_verify_corpus_weight_above_the_cap_fails_before_any_work(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "verify", "corpus", *argv)
+    assert time.perf_counter() - t0 < 2
+    assert code == 2
+    assert out == ""
+    assert err == f"error: weight 300 is above MAX_WEIGHT = {MAX_WEIGHT}\n"
+
+
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_verify_corpus_unwritable_out_fails_before_the_suite(tmp_path, monkeypatch, capsys, target):
+    import maxnoether.cli as cli_mod
+
+    def no_suite(*args):
+        raise AssertionError("the suite ran before the output was opened")
+
+    monkeypatch.setattr(cli_mod, "run_suite", no_suite)
+    path = tmp_path if target == "directory" else tmp_path / "missing" / "x.jsonl"
+    code, out, err = run(capsys, "verify", "corpus", "--suite", "blowup", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1

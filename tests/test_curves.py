@@ -455,8 +455,12 @@ def test_resolution_quotient_matches_the_exact_sum():
         for index in range(len(c.branches)):
             for n in (2, 3):
                 res = check_resolution_quotient(c, index, n)
-                exact = Subspace.span(raw_products(c, n), numerator_ambient(c, n))
-                combined = exact + _embedded_resolved_sections(c, index, n)
+                ambient = numerator_ambient(c, n)
+                exact = Subspace.span(raw_products(c, n), ambient)
+                # the embedding is injective: its images need no elimination
+                embedded = _embedded_resolved_sections(c, index, n)
+                assert Subspace.span(embedded, ambient).dim == len(embedded) == res.resolved_dim
+                combined = Subspace.span(exact.basis + embedded, ambient)
                 assert res.combined_dim == combined.dim
                 assert res.ok == (combined == global_sections(c, n))
 
@@ -501,8 +505,9 @@ def test_products_span_weight_cap():
     products_span.cache_clear()
     try:
         assert products_span(c, MAX_WEIGHT) is global_sections(c, MAX_WEIGHT)
-        with pytest.raises(WeightTooLarge, match=f"MAX_WEIGHT = {MAX_WEIGHT}"):
-            products_span(c, MAX_WEIGHT + 1)
+        for space in (products_span, global_sections):
+            with pytest.raises(WeightTooLarge, match=f"MAX_WEIGHT = {MAX_WEIGHT}"):
+                space(c, MAX_WEIGHT + 1)
     finally:
         products_span.cache_clear()
 

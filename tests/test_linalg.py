@@ -1,4 +1,4 @@
-"""Exact linear algebra: canonical echelon forms and subspace lattice ops."""
+"""Exact linear algebra: canonical echelon forms, membership and nullspaces."""
 
 import math
 import random
@@ -43,23 +43,16 @@ def test_span_and_membership():
     e2 = [0, 1]
     u = Subspace.span([e1], 2)
     w = Subspace.span([e1, e2], 2)
-    assert w.contains(u)
-    assert not u.contains(Subspace.span([e2], 2))
+    assert all(map(w.contains_vector, u.basis))
+    assert not u.contains_vector(e2)
     assert Subspace.span([[1, 1]], 2) == Subspace.span([[2, 2]], 2)
 
 
 def test_ambient_mismatch():
     with pytest.raises(AmbientMismatch):
-        Subspace.span([[1, 0]], 2).contains(Subspace.span([[1, 0, 0]], 3))
+        Subspace.span([[1, 0]], 2).contains_vector([1, 0, 0])
     with pytest.raises(AmbientMismatch):
         Subspace.span([[1, 0, 0]], 2)
-
-
-def test_sum_of_subspaces():
-    u = Subspace.span([[1, 0, 0]], 3)
-    v = Subspace.span([[0, 1, 0]], 3)
-    assert (u + v).dim == 2
-    assert (u + u) == u
 
 
 def test_nullspace_solves_system():
