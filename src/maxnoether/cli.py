@@ -15,11 +15,7 @@ import sys
 from contextlib import nullcontext
 
 from . import blowup as blowup_mod
-from .curves import (
-    RationalCurveModel,
-    max_noether_holds,
-    section_valuations,
-)
+from .curves import RationalCurveModel, max_noether_holds, section_valuations
 from .errors import MaxNoetherError
 from .local import (
     LocalContext,
@@ -214,22 +210,26 @@ def cmd_verify_noether(args) -> int:
 
 def cmd_verify_corpus(args) -> int:
     params = SuiteParams(max_genus=args.max_genus, max_n=args.n)
-    # opened before any work, as a shell redirection is, so a bad path fails at once
+    # probed before any work, as a shell redirection is, but truncated only once
+    # the suite has made reports, so a bad path fails at once and loses nothing
+    created = bool(args.out) and not os.path.lexists(args.out)
     try:
-        sink = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+        if args.out:
+            open(args.out, "a", encoding="utf-8").close()
     except OSError as exc:
         raise MaxNoetherError(f"cannot write output: {exc}") from exc
-    with sink as fp:
+    reports = []
+    try:
         reports = run_suite(args.suite, params)
-        write_jsonl(reports, fp)
+    finally:
+        if created and not reports:
+            os.remove(args.out)  # leave behind no file that this run made and did not fill
     if not reports:
-        if args.out:
-            os.remove(args.out)  # nothing was written; leave no empty file behind
-        print(
-            f"error: suite {args.suite} made no checks at these bounds; nothing was verified",
-            file=sys.stderr,
+        raise MaxNoetherError(
+            f"suite {args.suite} made no checks at these bounds; nothing was verified"
         )
-        return 2
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fp:
+        write_jsonl(reports, fp)
     failed = [r for r in reports if not r.passed]
     total = len(reports)
     print(f"suite {args.suite}: {total - len(failed)}/{total} checks passed", file=sys.stderr)

@@ -10,6 +10,7 @@ import pytest
 
 from maxnoether.cli import main
 from maxnoether.curves import MAX_WEIGHT
+from maxnoether.errors import MaxNoetherError
 from maxnoether.valueset import MAX_CONDUCTOR
 
 
@@ -315,10 +316,14 @@ def test_verify_noether_weight_above_the_cap_is_usage_error(capsys):
     ],
     ids=["dims", "noether-single", "local-lemma"],
 )
-def test_verify_corpus_weight_above_the_cap_fails_before_any_work(capsys, argv):
-    t0 = time.perf_counter()
+def test_verify_corpus_weight_above_the_cap_fails_before_any_work(monkeypatch, capsys, argv):
+    import maxnoether.cli as cli_mod
+
+    def no_suite(*args):
+        raise AssertionError("the suite ran although the weight is above the cap")
+
+    monkeypatch.setattr(cli_mod, "run_suite", no_suite)
     code, out, err = run(capsys, "verify", "corpus", *argv)
-    assert time.perf_counter() - t0 < 2
     assert code == 2
     assert out == ""
     assert err == f"error: weight 300 is above MAX_WEIGHT = {MAX_WEIGHT}\n"
@@ -337,3 +342,64 @@ def test_verify_corpus_unwritable_out_fails_before_the_suite(tmp_path, monkeypat
     assert code == 2
     assert out == ""
     assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+
+
+def _stub_suite(monkeypatch, outcome):
+    import maxnoether.cli as cli_mod
+
+    def stub(*args):
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(cli_mod, "run_suite", stub)
+
+
+@pytest.mark.parametrize(
+    "outcome, expected_code",
+    [([], 2), (MaxNoetherError("the suite stopped"), 2), (RuntimeError("the suite crashed"), None)],
+    ids=["empty-run", "error-mid-run", "crash-mid-run"],
+)
+def test_verify_corpus_keeps_an_existing_out_file_when_nothing_is_written(
+    tmp_path, monkeypatch, capsys, outcome, expected_code
+):
+    # the output is probed before the suite, but truncated only once reports exist
+    path = tmp_path / "results.jsonl"
+    path.write_text("earlier results\n")
+    _stub_suite(monkeypatch, outcome)
+    argv = ("verify", "corpus", "--suite", "blowup", "--out", str(path))
+    if expected_code is None:
+        with pytest.raises(RuntimeError):
+            main(list(argv))
+    else:
+        code, out, err = run(capsys, *argv)
+        assert code == expected_code and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert path.read_text() == "earlier results\n"
+
+
+@pytest.mark.parametrize(
+    "outcome",
+    [MaxNoetherError("the suite stopped"), RuntimeError("the suite crashed")],
+    ids=["error-mid-run", "crash-mid-run"],
+)
+def test_verify_corpus_leaves_no_out_file_when_the_suite_stops(
+    tmp_path, monkeypatch, capsys, outcome
+):
+    path = tmp_path / "results.jsonl"
+    _stub_suite(monkeypatch, outcome)
+    try:
+        main(["verify", "corpus", "--suite", "blowup", "--out", str(path)])
+    except RuntimeError:
+        pass
+    assert not path.exists()
+
+
+def test_verify_corpus_replaces_an_existing_out_file(tmp_path, capsys):
+    path = tmp_path / "results.jsonl"
+    path.write_text("earlier results\n" * 1000)
+    code, _, _ = run(
+        capsys, "verify", "corpus", "--suite", "eq4-oracle", "--max-genus", "4", "--out", str(path)
+    )
+    assert code == 0
+    assert all(json.loads(line)["pass"] for line in path.read_text().splitlines())
