@@ -15,8 +15,8 @@ import sys
 from contextlib import nullcontext
 
 from . import blowup as blowup_mod
-from .curves import RationalCurveModel, max_noether_holds, section_valuations
-from .errors import MaxNoetherError
+from .curves import MAX_WEIGHT, RationalCurveModel, max_noether_holds, section_valuations
+from .errors import MaxNoetherError, WeightTooLarge
 from .local import (
     LocalContext,
     build_certificates,
@@ -124,6 +124,8 @@ def cmd_sg_enumerate(args) -> int:
 
 
 def cmd_verify_local(args) -> int:
+    if args.n > MAX_WEIGHT:
+        raise WeightTooLarge(f"weight {args.n} is above MAX_WEIGHT = {MAX_WEIGHT}")
     s = _parse_gens(args.gens)
     # before the symmetry test: <1> is symmetric but has no singular point at all
     ctx = LocalContext.for_semigroup(s)

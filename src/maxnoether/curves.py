@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
-from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import CurveSpecError, MaxNoetherError, NotApplicable, WeightTooLarge
@@ -282,18 +281,17 @@ def _in_sections(curve: RationalCurveModel, n: int, vectors: Iterable[Sequence[i
     return True
 
 
-def _subspace_orders(space: Subspace, center: Fraction) -> tuple[int, ...]:
-    """Vanishing orders at ``center`` attained by nonzero numerators in the space.
+def _subspace_orders(space, curve: RationalCurveModel, n: int, point: Fraction) -> tuple[int, ...]:
+    """Vanishing orders at ``point`` attained by nonzero numerators in ``space(curve, n)``.
 
-    Jet elimination: express the basis in powers of u = t - center, times the
-    constant from ``_shift_matrix``, and read off the echelon pivots.  At
-    center 0, u = t, so the echelon basis already is the jet basis.
+    ``space`` is ``global_sections`` or ``products_span``.  Translation
+    u = t - point fixes infinity, so in u the curve is the same curve with every
+    center moved by -point, and each numerator N(t) becomes N(u + point).  The
+    canonical echelon basis of that curve's space starts each row at its order
+    at u = 0, so the orders are its pivots.
     """
-    if center == 0:
-        return tuple(space.pivots())
-    shift = _shift_matrix(center, 1, space.ambient)
-    jets = [[sum(map(mul, row, v[k:])) for k, row in enumerate(shift)] for v in space.basis]
-    return tuple(Subspace.span(jets, space.ambient).pivots())
+    moved = RationalCurveModel(tuple(Branch(b.center - point, b.semigroup) for b in curve.branches))
+    return tuple(space(moved, n).pivots())
 
 
 def section_valuations(curve: RationalCurveModel, point, n: int = 1) -> tuple[int, ...]:
@@ -304,13 +302,12 @@ def section_valuations(curve: RationalCurveModel, point, n: int = 1) -> tuple[in
     denominator.
     """
     point = Fraction(point)
-    space = global_sections(curve, n)
     shift = 0
     for br in curve.branches:
         if br.center == point:
             shift = n * br.semigroup.conductor
             break
-    return tuple(k - shift for k in _subspace_orders(space, point))
+    return tuple(k - shift for k in _subspace_orders(global_sections, curve, n, point))
 
 
 # -- the surjectivity checks -------------------------------------------------
@@ -361,9 +358,8 @@ def max_noether_holds(curve: RationalCurveModel, n: int) -> NoetherCheck:
     missing: tuple[int, ...] | None = None
     if not holds and len(curve.branches) == 1:
         center = curve.branches[0].center
-        missing = tuple(
-            sorted(set(_subspace_orders(sections, center)) - set(_subspace_orders(prods, center)))
-        )
+        attained = set(_subspace_orders(global_sections, curve, n, center))
+        missing = tuple(sorted(attained - set(_subspace_orders(products_span, curve, n, center))))
     return NoetherCheck(n, holds, prods.dim, sections.dim, missing)
 
 

@@ -313,12 +313,12 @@ def _single_branch_value_sets_agree(
     predicted_sections = ctx.canonical_powers.power(n).elements_below(top + 1)
     predicted_products = ctx.section_powers.power(n).elements_below(top + 1)
     center = curve.branches[0].center
-    sections = global_sections(curve, n)
-    prods = products_span(curve, n)
-    oracle_sections = sorted(_subspace_orders(sections, center))
-    # equal spaces attain equal orders; the jets are eliminated once
+    oracle_sections = sorted(_subspace_orders(global_sections, curve, n, center))
+    # equal spaces attain equal orders: the moved curve's products are built only when they differ
     oracle_products = (
-        oracle_sections if prods == sections else sorted(_subspace_orders(prods, center))
+        oracle_sections
+        if products_span(curve, n) == global_sections(curve, n)
+        else sorted(_subspace_orders(products_span, curve, n, center))
     )
     ok = predicted_sections == oracle_sections and predicted_products == oracle_products
     detail = {

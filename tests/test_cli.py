@@ -300,8 +300,13 @@ def test_sg_info_conductor_above_the_cap_is_usage_error(capsys):
         assert f"MAX_CONDUCTOR = {MAX_CONDUCTOR}" in err
 
 
-def test_verify_noether_weight_above_the_cap_is_usage_error(capsys):
-    code, out, err = run(capsys, "verify", "noether", "--gens", "2,3", "--n", "2000")
+@pytest.mark.parametrize(
+    "argv",
+    [("noether", "--gens", "2,3", "--n", "2000"), ("local", "--gens", "4,5,11", "--n", "2000")],
+    ids=["noether", "local"],
+)
+def test_verify_noether_weight_above_the_cap_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
     assert code == 2
     assert out == ""
     assert err == f"error: weight 2000 is above MAX_WEIGHT = {MAX_WEIGHT}\n"

@@ -24,6 +24,7 @@ from maxnoether.curves import (
     _constraint_rows,
     _embedded_resolved_sections,
     _in_sections,
+    _shift_matrix,
     _subspace_orders,
     excluded_exponents,
 )
@@ -154,8 +155,8 @@ def test_single_branch_value_sets_match_sumsets():
         w = ValueSet.finite(k.elements_below(s.conductor))
         for n in (2, 3):
             top = n * (s.conductor - 2)
-            sections = sorted(_subspace_orders(global_sections(c, n), Fraction(0)))
-            prods = sorted(_subspace_orders(products_span(c, n), Fraction(0)))
+            sections = sorted(_subspace_orders(global_sections, c, n, Fraction(0)))
+            prods = sorted(_subspace_orders(products_span, c, n, Fraction(0)))
             assert sections == n_fold(k, n).elements_below(top + 1)
             assert prods == n_fold(w, n).elements_below(top + 1)
 
@@ -240,9 +241,9 @@ def test_noncentral_model_matches_origin_model():
 
 
 def test_moving_the_center_keeps_valuations_and_dimensions():
-    # at center 0 the orders are the echelon pivots read directly; at any
-    # other center they go through the Taylor shift and a second elimination,
-    # so moving the one branch pins the shortcut against the general route
+    # the dimensions pin the constraint rows built at 7/3 and -1/2 against
+    # those built at 0; the orders at the moved center are read on the curve
+    # translated back to 0, so they pin the translation
     agreements = 0
     for s in enumerate_semigroups(5, min_multiplicity=3):
         origin = RationalCurveModel((Branch(Fraction(0), s),))
@@ -250,8 +251,8 @@ def test_moving_the_center_keeps_valuations_and_dimensions():
             moved = RationalCurveModel((Branch(center, s),))
             for n in (1, 2, 3):
                 assert section_valuations(moved, center, n) == section_valuations(origin, 0, n)
-                assert _subspace_orders(products_span(moved, n), center) == _subspace_orders(
-                    products_span(origin, n), Fraction(0)
+                assert _subspace_orders(products_span, moved, n, center) == _subspace_orders(
+                    products_span, origin, n, Fraction(0)
                 )
                 assert global_sections(moved, n).dim == global_sections(origin, n).dim
                 assert products_span(moved, n).dim == products_span(origin, n).dim
@@ -412,6 +413,25 @@ def test_affine_reparametrisation_and_branch_order_change_nothing():
                 assert section_valuations(m, a * br.center + b, n) == section_valuations(
                     c, br.center, n
                 )
+
+
+def jet_orders(space, center):
+    """Orders at ``center`` read off the Taylor jets of the basis, eliminated once more."""
+    shift = _shift_matrix(center, 1, space.ambient)
+    jets = [
+        [sum(x * y for x, y in zip(row, v[k:])) for k, row in enumerate(shift)]
+        for v in space.basis
+    ]
+    return tuple(Subspace.span(jets, space.ambient).pivots())
+
+
+def test_orders_of_the_translated_curve_equal_the_jet_orders():
+    # 11/10 is never a center here (denominators stay below 10): a smooth point
+    for c in random_curves(13, 6, branches=(1, 2, 3)):
+        for point in [br.center for br in c.branches] + [Fraction(11, 10)]:
+            for n in (1, 2, 3):
+                for space in (global_sections, products_span):
+                    assert _subspace_orders(space, c, n, point) == jet_orders(space(c, n), point)
 
 
 def test_constraint_rows_are_integer_at_rational_centers():
