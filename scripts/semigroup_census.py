@@ -16,7 +16,7 @@ from collections import Counter
 
 from maxnoether.blowup import analyze
 from maxnoether.cli import _at_least
-from maxnoether.local import LocalContext, minimal_epsilon
+from maxnoether.local import LocalContext, case_epsilon, verify_local_surjectivity
 from maxnoether.semigroup import enumerate_semigroups
 
 
@@ -38,8 +38,9 @@ def main() -> None:
             stab[analyze(s).stabilization_index] += 1
             ctx = LocalContext.for_semigroup(s)
             for n in range(2, args.max_n + 1):
-                bound = 2 * n - 1
-                sharp[(n, minimal_epsilon(ctx, n) == bound)] += 1
+                bound = case_epsilon("i", n)
+                res = verify_local_surjectivity(ctx, n, bound)
+                sharp[(n, res.minimal_epsilon == bound)] += 1
 
     print(f"{'genus':>5} {'all':>6} {'symmetric':>10} {'almost-G (non-sym)':>20}")
     for g in range(args.max_genus + 1):

@@ -32,7 +32,6 @@ from .local import (
     build_certificates,
     case_epsilon,
     epsilon_case,
-    minimal_epsilon,
     q_decomposition,
     verify_local_surjectivity,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "is_certified_hyperelliptic",
     "local_support_set",
     "max_noether_holds",
-    "minimal_epsilon",
     "n_fold",
     "nullspace",
     "products_span",

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from dataclasses import asdict
 
 from . import blowup as blowup_mod
 from .curves import MAX_WEIGHT, RationalCurveModel, max_noether_holds, section_valuations
@@ -22,7 +23,6 @@ from .local import (
     build_certificates,
     case_epsilon,
     epsilon_case,
-    minimal_epsilon,
     q_decomposition,
     verify_local_surjectivity,
 )
@@ -164,15 +164,7 @@ def cmd_verify_local(args) -> int:
     for n in range(1, args.n + 1):
         res = verify_local_surjectivity(ctx, n, case_epsilon(case, n))
         ok &= res.ok
-        coverings.append(
-            {
-                "n": n,
-                "epsilon": res.epsilon,
-                "ok": res.ok,
-                "minimal_epsilon": minimal_epsilon(ctx, n),
-                "uncovered": list(res.uncovered),
-            }
-        )
+        coverings.append({**asdict(res), "uncovered": list(res.uncovered)})
     data["coverings"] = coverings
     if args.json:
         print(json.dumps(data, sort_keys=True))

@@ -99,10 +99,16 @@ class RationalCurveModel:
     def from_json(cls, obj: dict) -> "RationalCurveModel":
         if not isinstance(obj, dict) or not isinstance(obj.get("branches"), list):
             raise CurveSpecError('curve spec must be an object with a "branches" list')
+        if not obj["branches"]:
+            raise CurveSpecError("curve spec has no branches: nothing to check")
         branches = []
         for i, raw in enumerate(obj["branches"]):
             try:
-                center = Fraction(str(raw["center"]))
+                center = raw["center"]
+                # any other JSON number has been rounded to a float already; true is not 1
+                if type(center) not in (str, int):
+                    raise TypeError(f'center {center!r} must be a string such as "7/3" or an integer')
+                center = Fraction(center)
                 gens = raw["generators"]
                 # bool is an int subclass; a JSON true is not a generator
                 if not isinstance(gens, list) or any(type(g) is not int for g in gens):

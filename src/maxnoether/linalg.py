@@ -2,10 +2,10 @@
 
 A subspace is stored as its canonical integer echelon basis: the reduced row
 echelon rows scaled to coprime integers with positive pivots.  That basis is
-unique for the row space, so subspace equality is structural.  Rational input
-is cleared of denominators once, at entry.  Elimination is fraction-free in
-the sense of Bareiss (Math. Comp. 22, 1968): integer cross-multiplication by
-the smallest available pivot, with every row kept primitive by gcd reduction.
+unique for the row space, so subspace equality is structural.  Elimination
+is fraction-free in the sense of Bareiss (Math. Comp. 22, 1968): integer
+cross-multiplication by the smallest available pivot, with every row kept
+primitive by gcd reduction.
 ``modular_rank`` gives a cheap lower bound on the rank, modulo one fixed prime.
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import AmbientMismatch
@@ -24,15 +23,6 @@ Vector = tuple[int, ...]
 def _primitive(row: list[int]) -> list[int]:
     g = math.gcd(*row)
     return [v // g for v in row] if g > 1 else row
-
-
-def _integer_row(row: Sequence) -> list[int]:
-    """A primitive integer row on the same line through the origin."""
-    if set(map(type, row)) <= {int}:
-        return _primitive(list(row))
-    fracs = [Fraction(x) for x in row]
-    den = math.lcm(*(f.denominator for f in fracs))
-    return _primitive([f.numerator * (den // f.denominator) for f in fracs])
 
 
 def _pivot(row: Sequence[int]) -> int:
@@ -47,14 +37,14 @@ def _eliminate(row: list[int], pivot_row: Sequence[int], col: int) -> list[int]:
     return _primitive([a * p - b * q for a, b in zip(row, pivot_row)])
 
 
-def rref(rows: Iterable[Sequence]) -> tuple[list[list[int]], int]:
+def rref(rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], int]:
     """Canonical integer echelon form and rank.
 
     Each nonzero row is the reduced row echelon row scaled to coprime
     integers with a positive pivot.  Keeps the shape of the input; zero rows
     sink to the bottom.
     """
-    mat = [_integer_row(r) for r in rows]
+    mat = [_primitive(list(r)) for r in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
     pivots: list[int] = []
@@ -123,7 +113,7 @@ class Subspace:
     basis: tuple[Vector, ...]
 
     @classmethod
-    def span(cls, vectors: Iterable[Sequence], ambient: int) -> "Subspace":
+    def span(cls, vectors: Iterable[Sequence[int]], ambient: int) -> "Subspace":
         # repeated vectors (frequent among products of sparse rows) add nothing
         vecs = list(dict.fromkeys(map(tuple, vectors)))
         for v in vecs:
@@ -140,17 +130,17 @@ class Subspace:
         """Pivot column of each basis row; the attained leading positions."""
         return [_pivot(row) for row in self.basis]
 
-    def contains_vector(self, vector: Sequence) -> bool:
+    def contains_vector(self, vector: Sequence[int]) -> bool:
         if len(vector) != self.ambient:
             raise AmbientMismatch(f"vector of length {len(vector)} in ambient {self.ambient}")
-        v = _integer_row(vector)
+        v = _primitive(list(vector))
         for row, piv in zip(self.basis, self.pivots()):
             if v[piv]:
                 v = _eliminate(v, row, piv)
         return not any(v)
 
 
-def nullspace(rows: Iterable[Sequence], ncols: int) -> Subspace:
+def nullspace(rows: Iterable[Sequence[int]], ncols: int) -> Subspace:
     """Canonical basis of the solution space of the homogeneous system.
 
     One elimination, columns reversed: each solution read off then leads at its

@@ -14,7 +14,8 @@ Three cases govern the admissible shift epsilon of the conductor power:
 * case (ii): a section of value 0 exists, epsilon = 1;
 * case (iii): sections of value 0 and of value 1 or 2 exist, epsilon = 0.
 
-A case is its tag "i", "ii" or "iii"; :func:`case_epsilon` gives its shift.
+A case is its tag "i", "ii" or "iii"; :func:`case_epsilon` gives its shift,
+and a covering check reports beside it the least shift that would suffice.
 """
 
 from __future__ import annotations
@@ -268,35 +269,29 @@ def build_certificates(ctx: LocalContext, n: int, case: str) -> list[BasisCertif
 
 @dataclass(frozen=True)
 class SurjectivityCheck:
-    """Outcome of the value-level covering test, with explicit witnesses."""
+    """Outcome of the value-level covering test, with explicit witnesses.
+
+    ``minimal_epsilon`` is the least shift >= 0 that leaves nothing uncovered.
+    """
 
     ok: bool
     n: int
     epsilon: int
     uncovered: tuple[int, ...]
+    minimal_epsilon: int
 
 
 def verify_local_surjectivity(ctx: LocalContext, n: int, epsilon: int) -> SurjectivityCheck:
     """Do n-fold section values cover the n-th canonical power mod the shifted conductor?
 
     Coverage is the value-set inclusion: every element of the n-fold sumset of
-    K below n*alpha - epsilon must be an n-fold sum of section values.
+    K below n*alpha - epsilon must be an n-fold sum of section values.  The
+    values missing below n*alpha give the verdict and the least shift at once.
     """
-    kn = ctx.canonical_powers.power(n)
-    wn = ctx.section_powers.power(n)
-    uncovered = tuple(missing_below(kn, wn, n * ctx.alpha - epsilon))
-    return SurjectivityCheck(not uncovered, n, epsilon, uncovered)
-
-
-def minimal_epsilon(ctx: LocalContext, n: int) -> int:
-    """Least epsilon >= 0 for which the covering of weight n holds.
-
-    Reported for comparison with the case bound 2n - 1; nothing is claimed
-    about sharpness.
-    """
-    uncovered = missing_below(
-        ctx.canonical_powers.power(n), ctx.section_powers.power(n), n * ctx.alpha
-    )
-    if not uncovered:
-        return 0
-    return n * ctx.alpha - min(uncovered)
+    if epsilon < 0:
+        raise ValueError("epsilon must be non-negative")
+    top = n * ctx.alpha
+    missing = missing_below(ctx.canonical_powers.power(n), ctx.section_powers.power(n), top)
+    uncovered = tuple(v for v in missing if v < top - epsilon)
+    least = top - missing[0] if missing else 0
+    return SurjectivityCheck(not uncovered, n, epsilon, uncovered, least)

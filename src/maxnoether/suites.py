@@ -31,7 +31,7 @@ from .errors import WeightTooLarge
 from .local import (
     LocalContext,
     build_certificates,
-    minimal_epsilon,
+    case_epsilon,
     q_decomposition,
     verify_local_surjectivity,
 )
@@ -227,7 +227,7 @@ def suite_local_lemma(params: SuiteParams) -> list[VerificationReport]:
             defects or None,
         )
         chain_values = [v for c in certs for v in c.values()]
-        eps = 2 * max(max_n, 2) - 1
+        eps = case_epsilon("i", max(max_n, 2))
         chain_dim = quotient_dim(ValueSet.above(a), ValueSet.above(max(max_n, 2) * a - eps))
         passed = len(set(chain_values)) == len(chain_values) == chain_dim
         run.add(
@@ -241,7 +241,7 @@ def suite_local_lemma(params: SuiteParams) -> list[VerificationReport]:
             },
         )
         for n in range(1, max_n + 1):
-            res = verify_local_surjectivity(ctx, n, 2 * n - 1)
+            res = verify_local_surjectivity(ctx, n, case_epsilon("i", n))
             run.add(
                 f"case-i-covering-n{n}",
                 info,
@@ -249,7 +249,7 @@ def suite_local_lemma(params: SuiteParams) -> list[VerificationReport]:
                 res.ok,
                 res.ok,
                 {"uncovered": list(res.uncovered)} if not res.ok else
-                {"minimal_epsilon": minimal_epsilon(ctx, n)},
+                {"minimal_epsilon": res.minimal_epsilon},
             )
     return run.reports
 
@@ -307,11 +307,12 @@ def _single_branch_value_sets_agree(
     """Linear-algebra value sets versus pure sumset predictions, single branch.
 
     The predictions are the n-th powers of K and of its part below the
-    conductor, the section values of the one-singularity model.
+    conductor, the section values of the one-singularity model, below the
+    case-(i) bound n*alpha - epsilon(n).
     """
-    top = n * (ctx.alpha - 2)
-    predicted_sections = ctx.canonical_powers.power(n).elements_below(top + 1)
-    predicted_products = ctx.section_powers.power(n).elements_below(top + 1)
+    bound = n * ctx.alpha - case_epsilon("i", n)
+    predicted_sections = ctx.canonical_powers.power(n).elements_below(bound)
+    predicted_products = ctx.section_powers.power(n).elements_below(bound)
     center = curve.branches[0].center
     oracle_sections = sorted(_subspace_orders(global_sections, curve, n, center))
     # equal spaces attain equal orders: the moved curve's products are built only when they differ
@@ -345,7 +346,7 @@ def suite_noether_single(params: SuiteParams) -> list[VerificationReport]:
         curve = RationalCurveModel.from_semigroups([s])
         info = s.to_json()
         for n in range(2, max_n + 1):
-            predicted = verify_local_surjectivity(ctx, n, 2 * n - 1).ok
+            predicted = verify_local_surjectivity(ctx, n, case_epsilon("i", n)).ok
             check = max_noether_holds(curve, n)
             agree, detail = _single_branch_value_sets_agree(ctx, curve, n)
             passed = predicted and check.holds and agree
@@ -487,9 +488,8 @@ def suite_dims(params: SuiteParams) -> list[VerificationReport]:
         )
         if g >= 2:
             for n in range(2, max_n + 1):
-                expected = (2 * n - 1) * (g - 1) - sum(
-                    _power_defect(br.semigroup, n) for br in curve.branches
-                )
+                defects = sum(_power_defect(br.semigroup, n) for br in curve.branches)
+                expected = n * (2 * g - 2) - defects - (g - 1)
                 dim = global_sections(curve, n).dim
                 run.add(
                     f"sections-dim-n{n}",

@@ -167,6 +167,22 @@ def test_semigroup_census_bounds_out_of_range_are_usage_errors(argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_semigroup_census_reports_the_sharp_case_i_shift():
+    # with the default section values no weight covers below the shift 2n - 1
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "semigroup_census.py")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, script, "--max-genus", "6", "--max-n", "3"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    for n in (2, 3):
+        assert f"  n={n}: sharp for 33, slack for 0\n" in proc.stdout
+
+
 def test_verify_noether_requires_exactly_one_input(capsys):
     code, _, err = run(capsys, "verify", "noether")
     assert code == 2
@@ -280,6 +296,27 @@ def test_verify_noether_rejects_non_integer_generators(tmp_path, capsys, generat
     assert code == 2
     assert out == ""
     assert "generators must be a list of integers" in err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ('{"branches": []}', "error: curve spec has no branches"),
+        (
+            '{"branches": [{"center": 0.33333333333333333333, "generators": [3, 4, 5]}]}',
+            "error: branch 0: center 0.3333333333333333 must be a string",
+        ),
+    ],
+    ids=["no-branches", "float-center"],
+)
+def test_verify_noether_rejects_vacuous_or_rounded_curve_specs(tmp_path, capsys, spec, message):
+    # nothing to check must not pass, and a JSON fraction has been rounded to a float
+    path = tmp_path / "curve.json"
+    path.write_text(spec)
+    code, out, err = run(capsys, "verify", "noether", "--curve", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(message)
 
 
 def test_verify_noether_missing_file(capsys):

@@ -221,14 +221,33 @@ def test_curve_file_errors(tmp_path):
     with pytest.raises(CurveSpecError) as err:
         RationalCurveModel.from_file(str(path))
     assert "line 2" in str(err.value)
-    for spec in (
-        '{"branches": [{"center": "0", "generators": [2, 4]}]}',
-        '{"branches": 5}',
-        '{"branches": "ab"}',
+    for spec, message in (
+        ('{"branches": [{"center": "0", "generators": [2, 4]}]}', "branch 0"),
+        ('{"branches": 5}', '"branches" list'),
+        ('{"branches": "ab"}', '"branches" list'),
+        ('{"branches": []}', "no branches"),
+        # a center is a string or an integer: any other JSON number is a rounded float
+        (
+            '{"branches": [{"center": 0.33333333333333333333, "generators": [3, 4, 5]}]}',
+            "branch 0: center",
+        ),
+        (
+            '{"branches": [{"center": "0", "generators": [3, 4, 5]},'
+            ' {"center": 1e-400, "generators": [3, 5, 7]}]}',
+            "branch 1: center",
+        ),
+        ('{"branches": [{"center": true, "generators": [3, 4, 5]}]}', "branch 0: center"),
     ):
         path.write_text(spec)
-        with pytest.raises(CurveSpecError):
+        with pytest.raises(CurveSpecError, match=message):
             RationalCurveModel.from_file(str(path))
+    # an exact string and a JSON integer are both accepted
+    path.write_text(
+        '{"branches": [{"center": "1e-400", "generators": [3, 4, 5]},'
+        ' {"center": 2, "generators": [2, 5]}]}'
+    )
+    centers = [b.center for b in RationalCurveModel.from_file(str(path)).branches]
+    assert centers == [Fraction(1, 10**400), 2]
 
 
 def test_noncentral_model_matches_origin_model():

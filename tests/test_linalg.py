@@ -32,7 +32,8 @@ def test_rref_normalizes_pivots_and_clears_columns():
 
 
 def test_rref_idempotent_on_fractions():
-    rows = [[F("1/2"), F("1/3")], [F("2/5"), F(1)]]
+    # the rows 1/2, 1/3 and 2/5, 1 scaled by 30: linalg takes integer rows only
+    rows = [[15, 10], [12, 30]]
     once, r1 = rref(rows)
     twice, r2 = rref(once)
     assert once == twice and r1 == r2
@@ -74,9 +75,8 @@ def test_zero_ambient():
     assert s == nullspace([], 0)
 
 
-entries = st.integers(-6, 6).map(Fraction) | st.fractions(
-    min_value=-3, max_value=3, max_denominator=5
-)
+# wide enough that rows share factors, so the gcd reduction runs
+entries = st.integers(-30, 30)
 matrices = st.integers(1, 4).flatmap(
     lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=5)
 )
@@ -135,16 +135,13 @@ def _fraction_gauss_jordan(mat):
     return m[:rank]
 
 
-# plain ints take the integer entry path, Fractions the denominator-clearing one
-mixed_matrices = st.integers(1, 5).flatmap(
-    lambda n: st.lists(
-        st.lists(st.integers(-9, 9) | entries, min_size=n, max_size=n), min_size=1, max_size=6
-    )
+larger_matrices = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=6)
 )
 
 
 @settings(max_examples=80)
-@given(mixed_matrices)
+@given(larger_matrices)
 def test_span_is_primitive_integer_rref(mat):
     ncols = len(mat[0])
     sp = Subspace.span(mat, ncols)

@@ -10,7 +10,6 @@ from maxnoether.local import (
     build_certificates,
     case_epsilon,
     epsilon_case,
-    minimal_epsilon,
     SurjectivityCheck,
     q_decomposition,
     verify_local_surjectivity,
@@ -212,12 +211,13 @@ def test_surjectivity_matches_bruteforce_oracle():
 def test_minimal_epsilon_reporting():
     ctx = ctx_for([2, 7])
     # least shift that removes the uncovered odd values 7, 9, 10, 11
-    assert minimal_epsilon(ctx, 2) == 2 * 6 - 7
+    assert verify_local_surjectivity(ctx, 2, 3).minimal_epsilon == 2 * 6 - 7
     # with the model's finite section values the case-(i) shift is sharp:
     # the value n*alpha - 2n + 1 always exceeds the largest n-fold sum
     for gens in ([3, 4, 5], [3, 7, 8], [4, 5, 11]):
         for n in (2, 3):
-            assert minimal_epsilon(ctx_for(gens), n) == 2 * n - 1
+            eps = case_epsilon("i", n)
+            assert verify_local_surjectivity(ctx_for(gens), n, eps).minimal_epsilon == 2 * n - 1
 
 
 def census_contexts(max_genus):
@@ -301,19 +301,25 @@ def test_reused_power_chains_change_no_result():
         for n in (4, 1, 3, 2):
             kn = n_fold(ctx.canonical, n)
             wn = n_fold(ctx.section_values, n)
+            missing = [v for v in kn.elements_below(n * ctx.alpha) if v not in wn]
+            least = n * ctx.alpha - min(missing) if missing else 0
             for eps in (2 * n - 1, 0):
                 required = tuple(kn.elements_below(n * ctx.alpha - eps))
                 uncovered = tuple(v for v in required if v not in wn)
                 assert verify_local_surjectivity(ctx, n, eps) == SurjectivityCheck(
-                    not uncovered, n, eps, uncovered
+                    not uncovered, n, eps, uncovered, least
                 )
-            missing = [v for v in kn.elements_below(n * ctx.alpha) if v not in wn]
-            fresh = n * ctx.alpha - min(missing) if missing else 0
-            assert minimal_epsilon(ctx, n) == fresh
 
 
 def test_power_weight_must_be_positive():
     ctx = ctx_for([3, 4, 5])
-    for fn in (lambda: verify_local_surjectivity(ctx, 0, 0), lambda: minimal_epsilon(ctx, 0)):
-        with pytest.raises(ValueError):
-            fn()
+    with pytest.raises(ValueError):
+        verify_local_surjectivity(ctx, 0, 0)
+
+
+def test_negative_epsilon_is_rejected():
+    # the one pass reads values below n*alpha only, so a larger bound is refused
+    ctx = ctx_for([3, 4, 5])
+    for n in (1, 2, 3):
+        with pytest.raises(ValueError, match="epsilon"):
+            verify_local_surjectivity(ctx, n, -1)
