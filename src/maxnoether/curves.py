@@ -16,14 +16,20 @@ p/q the Laurent coefficients are read through one integer change of basis,
 and of the center differences) and so leaves every nullspace and pivot alone.
 
 The product span P of weight n is S_1 . S_1^(n-1), certified against the
-section space S before anything is eliminated over Q.  With C the constraint
-rows of S, the chain rank_p(P) <= dim P <= dim S holds once every formed row v
-is shown, at run time, to satisfy C v = 0 exactly, and rank_p, the rank modulo
-one fixed prime, is cheap.  When rank_p(P) reaches dim S the chain closes,
-P = S is proved, and S itself is returned; its canonical basis is the one an
-exact span would give.  Any mismatch, from a real failure or an unlucky prime,
-falls back to exact integer elimination, which also supplies the failure
-witness.  Nothing is probabilistic: the prime costs time, never an answer.
+section space S before anything is eliminated over Q.  Its rows are formed
+over nonzero terms: the (index, coefficient) pairs of each basis vector of
+S_1 and of S_1^(n-1) are found once, and every product multiplies two such
+lists, so the zero runs of sparse vectors (at center 0 nearly every basis
+vector is a monomial) are not scanned again for each product.
+
+With C the constraint rows of S, the chain rank_p(P) <= dim P <= dim S holds
+once every formed row v is shown, at run time, to satisfy C v = 0 exactly,
+and rank_p, the rank modulo one fixed prime, is cheap.  When rank_p(P)
+reaches dim S the chain closes, P = S is proved, and S itself is returned;
+its canonical basis is the one an exact span would give.  Any mismatch,
+from a real failure or an unlucky prime, falls back to exact integer
+elimination, which also supplies the failure witness.  Nothing is
+probabilistic: the prime costs time, never an answer.
 
 Everything is exact: ranks and subspace equalities over the rationals are
 stable under field extension, so nothing is lost against an algebraically
@@ -52,6 +58,12 @@ _CACHE_SIZE = 256
 # Largest weight of a section or product space: products of weight n recurse
 # through every lower weight, and the cap keeps that inside the recursion limit.
 MAX_WEIGHT = 256
+
+# Most decimal digits in the numerator or denominator of a branch center.  The
+# shift matrices raise the denominator to the ambient's power, and a center
+# far past this could not even be printed (Python converts at most 4,300
+# digits of an int to a string).
+MAX_CENTER_DIGITS = 1000
 
 
 @dataclass(frozen=True)
@@ -108,7 +120,7 @@ class RationalCurveModel:
                 # any other JSON number has been rounded to a float already; true is not 1
                 if type(center) not in (str, int):
                     raise TypeError(f'center {center!r} must be a string such as "7/3" or an integer')
-                center = Fraction(center)
+                center = _parse_center(center)
                 gens = raw["generators"]
                 # bool is an int subclass; a JSON true is not a generator
                 if not isinstance(gens, list) or any(type(g) is not int for g in gens):
@@ -132,10 +144,30 @@ class RationalCurveModel:
             raise CurveSpecError(
                 f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from exc
+        except ValueError as exc:  # an integer literal past Python's digit limit
+            raise CurveSpecError(f"{path}: {exc}") from exc
         return cls.from_json(obj)
 
     def __str__(self) -> str:
         return " ".join(f"{b.semigroup}@{b.center}" for b in self.branches) or "smooth"
+
+
+def _parse_center(raw: str | int) -> Fraction:
+    """A branch center read exactly, within ``MAX_CENTER_DIGITS``."""
+    too_large = ValueError(
+        f"center numerator and denominator must have at most MAX_CENTER_DIGITS = "
+        f"{MAX_CENTER_DIGITS} digits"
+    )
+    if isinstance(raw, str):
+        # Fraction builds 10**exponent before its size can be read
+        _, e, exponent = raw.lower().rpartition("e")
+        digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if e and digits.isdigit() and len(digits) > len(str(MAX_CENTER_DIGITS)):
+            raise too_large
+    center = Fraction(raw)
+    if max(abs(center.numerator), center.denominator) >= 10**MAX_CENTER_DIGITS:
+        raise too_large
+    return center
 
 
 def numerator_degree_bound(curve: RationalCurveModel, n: int) -> int:
@@ -166,14 +198,26 @@ def excluded_exponents(s: NumericalSemigroup, n: int) -> list[int]:
 # -- integer series helpers --------------------------------------------------
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Product of two integer coefficient lists."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
+Terms = list[tuple[int, int]]
+
+
+def _terms(v: Sequence[int]) -> Terms:
+    """The nonzero entries of a coefficient list, as (index, coefficient) pairs."""
+    return [(i, x) for i, x in enumerate(v) if x]
+
+
+def _poly_mul(a: Terms, b: Terms, width: int) -> list[int]:
+    """The first ``width`` coefficients of the product of two polynomials given by terms.
+
+    ``b`` must list its indices in increasing order, as ``_terms`` does.
+    """
+    out = [0] * width
+    for i, x in a:
+        for j, y in b:
+            k = i + j
+            if k >= width:
+                break
+            out[k] += x * y
     return out
 
 
@@ -221,7 +265,7 @@ def _constraint_rows(curve: RationalCurveModel, n: int) -> tuple[tuple[Vector, .
         for delta, m in others:
             beta = delta.denominator * scale // delta.numerator
             series = [comb(m + k - 1, k) * (-beta) ** k for k in range(order + 1)]
-            unit = _poly_mul(unit, series)[: order + 1]
+            unit = _poly_mul(_terms(unit), _terms(series), order + 1)
         shift = _shift_matrix(br.center, scale, ambient)
         for e in excluded:
             k = e + n * alpha
@@ -264,10 +308,12 @@ def products_span(curve: RationalCurveModel, n: int) -> Subspace:
     sections = global_sections(curve, n)
     if n == 1:
         return sections
-    lower = products_span(curve, n - 1).basis
-    basis = global_sections(curve, 1).basis
+    # each basis vector's terms are found once, not once per product it enters
+    lower = [_terms(p) for p in products_span(curve, n - 1).basis]
+    basis = [_terms(b) for b in global_sections(curve, 1).basis]
+    width = sections.ambient
     # repeated products (frequent among sparse rows) add nothing
-    rows = list(dict.fromkeys(tuple(_poly_mul(b, p)) for b in basis for p in lower))
+    rows = list(dict.fromkeys(tuple(_poly_mul(b, p, width)) for b in basis for p in lower))
     if modular_rank(rows, sections.dim) == sections.dim and _in_sections(curve, n, rows):
         return sections
     return Subspace.span(rows, sections.ambient)
@@ -281,7 +327,7 @@ def _in_sections(curve: RationalCurveModel, n: int, vectors: Iterable[Sequence[i
     """
     constraints, _ = _constraint_rows(curve, n)
     for v in vectors:
-        support = [(j, x) for j, x in enumerate(v) if x]
+        support = _terms(v)
         if any(sum(c[j] * x for j, x in support) for c in constraints):
             return False
     return True
@@ -392,8 +438,9 @@ def _embedded_resolved_sections(curve: RationalCurveModel, index: int, n: int) -
     m = n * br.semigroup.conductor
     # (q t - p)^m is the factor (t - p/q)^m times the constant q^m
     p, q = br.center.numerator, br.center.denominator
-    factor = [comb(m, k) * q**k * (-p) ** (m - k) for k in range(m + 1)]
-    return tuple(tuple(_poly_mul(vec, factor)) for vec in sections.basis)
+    factor = _terms([comb(m, k) * q**k * (-p) ** (m - k) for k in range(m + 1)])
+    width = sections.ambient + m
+    return tuple(tuple(_poly_mul(_terms(vec), factor, width)) for vec in sections.basis)
 
 
 @dataclass(frozen=True)

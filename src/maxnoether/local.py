@@ -173,13 +173,16 @@ class BasisCertificate:
         want = self.hi - self.lo
         if len(vals) != want:
             defects.append(f"size {len(vals)} != quotient dimension {want}")
+        # entries share a few factor values; test each distinct one once
+        factors = {f for e in self.entries for f in e.factors}
+        unavailable = {f for f in factors if f not in section_values}
         for e in self.entries:
             if not self.lo <= e.value < self.hi:
                 defects.append(f"{e.label}: value {e.value} outside the quotient window")
             if sum(e.factors) != e.value:
                 defects.append(f"{e.label}: factor values do not sum to {e.value}")
             for f in e.factors:
-                if f not in section_values:
+                if f in unavailable:
                     defects.append(f"{e.label}: factor value {f} is not a section value")
         return defects
 

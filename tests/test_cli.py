@@ -9,7 +9,8 @@ import time
 import pytest
 
 from maxnoether.cli import main
-from maxnoether.curves import MAX_WEIGHT
+from maxnoether import curves
+from maxnoether.curves import MAX_CENTER_DIGITS, MAX_WEIGHT
 from maxnoether.errors import MaxNoetherError
 from maxnoether.valueset import MAX_CONDUCTOR
 
@@ -114,6 +115,13 @@ def test_verify_noether_curve_file(tmp_path, capsys):
     path.write_text(json.dumps(spec))
     code, out, _ = run(capsys, "verify", "noether", "--curve", str(path), "--n", "3")
     assert code == 0
+    # centers with a denominator, up to the digit cap
+    for center in ("7/3", "1e-%d" % (MAX_CENTER_DIGITS - 1)):
+        spec["branches"][1]["center"] = center
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "verify", "noether", "--curve", str(path), "--n", "4")
+        assert code == 0 and err == ""
+        assert "n=4: surjective" in out
 
 
 def test_verify_noether_malformed_file(tmp_path, capsys):
@@ -317,6 +325,29 @@ def test_verify_noether_rejects_vacuous_or_rounded_curve_specs(tmp_path, capsys,
     assert code == 2
     assert out == ""
     assert err.startswith(message)
+
+
+@pytest.mark.parametrize(
+    "center", ['"1e-40000"', "1" * 5000, '"%s"' % ("1" * 5000)], ids=["exponent", "int", "string"]
+)
+def test_verify_noether_center_above_the_digit_cap_is_usage_error(
+    tmp_path, capsys, monkeypatch, center
+):
+    # the spec must fail while it is read, before any shift matrix is built;
+    # past 4,300 digits neither json nor Fraction can even read the integer.
+    # ``center`` is JSON text: a string or a bare integer
+    shifts = []
+    monkeypatch.setattr(curves, "_shift_matrix", lambda *args: shifts.append(args))
+    path = tmp_path / "curve.json"
+    path.write_text(
+        '{"branches": [{"center": %s, "generators": [3, 4, 5]},'
+        ' {"center": "0", "generators": [3, 5, 7]}]}' % center
+    )
+    code, out, err = run(capsys, "verify", "noether", "--curve", str(path), "--n", "4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert shifts == []
 
 
 def test_verify_noether_missing_file(capsys):

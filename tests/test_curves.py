@@ -5,8 +5,10 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxnoether.curves import (
+    MAX_CENTER_DIGITS,
     MAX_WEIGHT,
     Branch,
     RationalCurveModel,
@@ -24,14 +26,16 @@ from maxnoether.curves import (
     _constraint_rows,
     _embedded_resolved_sections,
     _in_sections,
+    _poly_mul,
     _shift_matrix,
     _subspace_orders,
+    _terms,
     excluded_exponents,
 )
 from maxnoether.errors import CurveSpecError, NotApplicable, WeightTooLarge
 from maxnoether.linalg import Subspace
 from maxnoether.semigroup import NumericalSemigroup, enumerate_semigroups
-from maxnoether.suites import _value_route_dim
+from maxnoether.suites import _MULTI_MENU, _curve_corpus, _value_route_dim
 from maxnoether.valueset import ValueSet, canonical_ideal, dualizing_values, n_fold
 
 
@@ -237,6 +241,11 @@ def test_curve_file_errors(tmp_path):
             "branch 1: center",
         ),
         ('{"branches": [{"center": true, "generators": [3, 4, 5]}]}', "branch 0: center"),
+        # a center past the digit cap, as a string, a fraction or a JSON integer
+        *(
+            ('{"branches": [{"center": %s, "generators": [3, 5]}]}' % c, "MAX_CENTER_DIGITS")
+            for c in ('"1e-40000"', '"1/%d"' % 10**MAX_CENTER_DIGITS, 10**MAX_CENTER_DIGITS)
+        ),
     ):
         path.write_text(spec)
         with pytest.raises(CurveSpecError, match=message):
@@ -248,6 +257,10 @@ def test_curve_file_errors(tmp_path):
     )
     centers = [b.center for b in RationalCurveModel.from_file(str(path)).branches]
     assert centers == [Fraction(1, 10**400), 2]
+    # the largest numerator and denominator under the cap
+    edge = 10**MAX_CENTER_DIGITS - 1
+    path.write_text('{"branches": [{"center": "-%d/%d", "generators": [3, 5]}]}' % (edge, edge - 2))
+    assert RationalCurveModel.from_file(str(path)).branches[0].center == Fraction(-edge, edge - 2)
 
 
 def test_noncentral_model_matches_origin_model():
@@ -305,6 +318,15 @@ def test_epsilon_case_of_one_singularity_models():
         assert epsilon_case(attained) == "i"
 
 
+def dense_convolution(a, b):
+    """Every coefficient of the product, over all index pairs, zeros included."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def raw_products(c, n):
     """Every n-fold product of the weight-1 basis, as a padded numerator row."""
     basis = global_sections(c, 1).basis
@@ -313,11 +335,7 @@ def raw_products(c, n):
     for factors in combinations_with_replacement(basis, n):
         prod = [1]
         for f in factors:
-            out = [0] * (len(prod) + len(f) - 1)
-            for i, x in enumerate(prod):
-                for j, y in enumerate(f):
-                    out[i + j] += x * y
-            prod = out
+            prod = dense_convolution(prod, f)
         rows.append(prod + [0] * (ambient - len(prod)))
     return rows
 
@@ -565,3 +583,76 @@ def test_a_short_modular_rank_falls_back_to_the_exact_span(monkeypatch):
                 assert got == Subspace.span(raw_products(c, n), numerator_ambient(c, n))
     finally:
         products_span.cache_clear()
+
+
+# -- the product routine -----------------------------------------------------
+
+
+coefficients = st.lists(
+    st.one_of(st.integers(-50, 50), st.integers(-(10**30), 10**30), st.just(0)), max_size=12
+)
+single_entry = st.tuples(st.integers(0, 10), st.integers(-9, 9)).map(
+    lambda t: [0] * t[0] + [t[1]]
+)
+operands = st.one_of(coefficients, single_entry, st.integers(0, 8).map(lambda k: [0] * k))
+
+
+@settings(max_examples=300)
+@given(operands, operands, st.integers(0, 30))
+def test_product_over_terms_matches_the_dense_convolution(a, b, cut):
+    full = len(a) + len(b) - 1
+    assert _terms(a) == [(i, x) for i, x in enumerate(a) if x]
+    if a and b:
+        assert _poly_mul(_terms(a), _terms(b), full) == dense_convolution(a, b)
+        # a shorter width keeps the leading coefficients, as the series products do
+        width = min(cut, full)
+        assert _poly_mul(_terms(a), _terms(b), width) == dense_convolution(a, b)[:width]
+    # an empty list of terms is the zero polynomial, at any width
+    assert _poly_mul([], _terms(b), cut) == [0] * cut
+    assert _poly_mul(_terms(a), [], cut) == [0] * cut
+
+
+def test_products_span_with_empty_bases():
+    # the smooth model has no sections of any weight: every basis, the lower
+    # one included, is empty, and no row is formed
+    smooth = RationalCurveModel(())
+    for n in (1, 2, 3, 4):
+        assert products_span(smooth, n) is global_sections(smooth, n)
+        assert products_span(smooth, n).dim == 0 == numerator_ambient(smooth, n)
+
+
+def noether_multi_at_rational_centers(seed):
+    """The noether-multi curves with their branches moved to distinct centers p/q."""
+    rng = random.Random(seed)
+    heights = sorted({Fraction(p, q) for p in range(-9, 10) for q in range(1, 10)})
+    for c in _curve_corpus(_MULTI_MENU, 6):
+        centers = rng.sample(heights, len(c.branches))
+        yield RationalCurveModel(
+            tuple(Branch(x, b.semigroup) for x, b in zip(centers, c.branches))
+        )
+
+
+def test_products_span_is_the_span_of_the_dense_products():
+    cases = 0
+    for c in noether_multi_at_rational_centers(15):
+        for n in (2, 3, 4):
+            ambient = numerator_ambient(c, n)
+            exact = Subspace.span(raw_products(c, n), ambient)
+            got = products_span(c, n)
+            assert got.basis == exact.basis and got.ambient == exact.ambient
+            cases += 1
+    assert cases == 24
+
+
+def test_a_large_center_exponent_is_rejected_before_it_is_expanded(monkeypatch):
+    # Fraction("1e-1_000_000_000") would build a billion-digit power of ten
+    import maxnoether.curves as curves_mod
+
+    def expand(*args):
+        raise AssertionError(f"the center {args} reached Fraction")
+
+    monkeypatch.setattr(curves_mod, "Fraction", expand)
+    for center in ("1e-40000", "1e-1_000_000_000", " 2.5E+0_0_1_0000 "):
+        spec = {"branches": [{"center": center, "generators": [3, 4, 5]}]}
+        with pytest.raises(CurveSpecError, match=f"MAX_CENTER_DIGITS = {MAX_CENTER_DIGITS}"):
+            RationalCurveModel.from_json(spec)

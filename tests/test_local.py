@@ -154,6 +154,30 @@ def test_certificate_check_names_each_defect():
     assert twice.check(sections) == ["duplicate values"]
 
 
+def test_a_repeated_bad_factor_is_named_at_every_use():
+    # each distinct factor value is tested once, but every entry and every
+    # position that uses a bad one still gets its own defect, in entry order
+    sections = ValueSet.finite([1, 3])
+    cert = BasisCertificate(
+        "window-4-8",
+        4,
+        8,
+        (
+            CertEntry("a", 4, (2, 2)),
+            CertEntry("b", 5, (3, 2)),
+            CertEntry("c", 6, (3, 3)),
+            CertEntry("d", 7, (2, 5)),
+        ),
+    )
+    assert cert.check(sections) == [
+        "a: factor value 2 is not a section value",
+        "a: factor value 2 is not a section value",
+        "b: factor value 2 is not a section value",
+        "d: factor value 2 is not a section value",
+        "d: factor value 5 is not a section value",
+    ]
+
+
 def test_case_ii_requires_value_alpha():
     ctx = ctx_for([4, 5, 11])
     with pytest.raises(HypothesisGap):
