@@ -28,7 +28,7 @@ from .local import (
 )
 from .reports import write_jsonl
 from .semigroup import NumericalSemigroup, enumerate_semigroups
-from .suites import SUITES, SuiteParams, run_suite
+from .suites import SUITES, SuiteParams, check_genus_cap, run_suite
 from .valueset import dualizing_values
 
 
@@ -204,6 +204,7 @@ def cmd_verify_noether(args) -> int:
 
 def cmd_verify_corpus(args) -> int:
     params = SuiteParams(max_genus=args.max_genus, max_n=args.n)
+    check_genus_cap(args.suite, params)  # before --out is touched, as the weight cap is
     # probed before any work, as a shell redirection is, but truncated only once
     # the suite has made reports, so a bad path fails at once and loses nothing
     created = bool(args.out) and not os.path.lexists(args.out)

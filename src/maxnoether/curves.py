@@ -139,17 +139,28 @@ class RationalCurveModel:
         except OSError as exc:
             raise CurveSpecError(f"cannot read curve spec: {exc}") from exc
         try:
-            obj = json.loads(text)
+            obj = json.loads(text, parse_int=_parse_json_int)
         except json.JSONDecodeError as exc:
             raise CurveSpecError(
                 f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from exc
-        except ValueError as exc:  # an integer literal past Python's digit limit
+        except ValueError as exc:  # an integer literal past MAX_CENTER_DIGITS
             raise CurveSpecError(f"{path}: {exc}") from exc
         return cls.from_json(obj)
 
     def __str__(self) -> str:
         return " ".join(f"{b.semigroup}@{b.center}" for b in self.branches) or "smooth"
+
+
+def _parse_json_int(literal: str) -> int:
+    """A JSON integer literal, refused past ``MAX_CENTER_DIGITS`` digits before ``int`` reads it."""
+    digits = len(literal.lstrip("-"))
+    if digits > MAX_CENTER_DIGITS:
+        raise ValueError(
+            f"an integer of {digits} digits is above MAX_CENTER_DIGITS = "
+            f"{MAX_CENTER_DIGITS}, the most digits any number in a curve spec may have"
+        )
+    return int(literal)
 
 
 def _parse_center(raw: str | int) -> Fraction:
@@ -159,11 +170,16 @@ def _parse_center(raw: str | int) -> Fraction:
         f"{MAX_CENTER_DIGITS} digits"
     )
     if isinstance(raw, str):
-        # Fraction builds 10**exponent before its size can be read
-        _, e, exponent = raw.lower().rpartition("e")
+        # Fraction builds 10**exponent before its size can be read, and reads
+        # no integer of more than 4,300 digits: count the digits as written
+        # (leading zeros too) in the numerator and the denominator first
+        mantissa, e, exponent = raw.lower().rpartition("e")
         digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
         if e and digits.isdigit() and len(digits) > len(str(MAX_CENTER_DIGITS)):
             raise too_large
+        for part in (mantissa if e else raw).split("/"):
+            if sum(map(str.isdigit, part)) > MAX_CENTER_DIGITS:
+                raise too_large
     center = Fraction(raw)
     if max(abs(center.numerator), center.denominator) >= 10**MAX_CENTER_DIGITS:
         raise too_large

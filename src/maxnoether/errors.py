@@ -21,6 +21,10 @@ class WeightTooLarge(MaxNoetherError):
     """A weight-n space was requested above the weight the library computes."""
 
 
+class GenusTooLarge(MaxNoetherError):
+    """A suite was asked for a genus bound above the cap that suite runs to."""
+
+
 class NoSingularity(MaxNoetherError):
     """An invariant of a singular point was requested for the full semigroup."""
 

@@ -21,7 +21,7 @@ and a covering check reports beside it the least shift that would suffice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import HypothesisGap, NotApplicable
 from .semigroup import NumericalSemigroup
@@ -93,7 +93,8 @@ class LocalContext:
                 raise HypothesisGap(
                     "section values plus the conductor ray must equal the canonical ideal"
                 )
-        d1 = next((d for d in k.elements_below(alpha) if not s.contains(d)), None)
+        off_ring = missing_below(k, s.values, alpha)
+        d1 = off_ring[0] if off_ring else None
         d2 = alpha - d1 - 1 if d1 is not None else None
         r = alpha // beta - 1
         return cls(s, k, section_values, alpha, beta, d1, d2, r, alpha - (r + 1) * beta)
@@ -136,8 +137,7 @@ def q_decomposition(ctx: LocalContext) -> QDecomposition:
     return QDecomposition(pairs, d1, d2, ctx.beta)
 
 
-@dataclass(frozen=True)
-class CertEntry:
+class CertEntry(NamedTuple):
     """One product of available sections: label, value, and factor values."""
 
     label: str
@@ -165,7 +165,30 @@ class BasisCertificate:
         return tuple(e.value for e in self.entries)
 
     def check(self, section_values: ValueSet) -> list[str]:
-        """Return human-readable defects; empty list means the certificate holds."""
+        """Return human-readable defects; empty list means the certificate holds.
+
+        One pass decides validity: the entry values that fall in the window
+        are OR-ed into a mask, and its bit count equals the number of entries
+        exactly when every value lies in the window and no two are equal.
+        Each distinct factor value is tested once.  Only a certificate that
+        fails is walked again, to name its defects.
+        """
+        lo, hi = self.lo, self.hi
+        _, values, factor_lists = zip(*self.entries) if self.entries else ((), (), ())
+        mask = 0
+        for v in values:
+            if lo <= v < hi:
+                mask |= 1 << (v - lo)
+        # a value outside the window or a repeated one leaves fewer bits than entries
+        if (
+            mask.bit_count() == len(values) == hi - lo
+            and list(map(sum, factor_lists)) == list(values)
+            and all(f in section_values for f in set().union(*factor_lists))
+        ):
+            return []
+        return self._defects(section_values)
+
+    def _defects(self, section_values: ValueSet) -> list[str]:
         defects = []
         vals = self.values()
         if len(set(vals)) != len(vals):
@@ -218,8 +241,14 @@ def build_certificates(ctx: LocalContext, n: int, case: str) -> list[BasisCertif
         return []
     a, b, r, p = ctx.alpha, ctx.beta, ctx.r, ctx.p
 
+    b_vals: dict[int, int] = {}
+
     def b_val(j: int) -> int:
-        return _require(j + a - b - 1, ctx, f"b{j}")
+        # each b_j is required once, at its first use
+        v = b_vals.get(j)
+        if v is None:
+            v = b_vals[j] = _require(j + a - b - 1, ctx, f"b{j}")
+        return v
 
     conductor: list[CertEntry] = []
     if r >= 1:
@@ -227,7 +256,8 @@ def build_certificates(ctx: LocalContext, n: int, case: str) -> list[BasisCertif
         for i in range(1, r + 1):
             m_i = _require(i * b, ctx, f"m{i}")
             for j in range(1, b):
-                conductor.append(CertEntry(f"m{i}*b{j}", m_i + b_val(j), (m_i, b_val(j))))
+                bj = b_val(j)
+                conductor.append(CertEntry(f"m{i}*b{j}", m_i + bj, (m_i, bj)))
             q1, q2 = qd.pairs[i - 1]
             f1 = _require(q1 * b + qd.d1, ctx, "q-split summand")
             f2 = _require(q2 * b + qd.d2, ctx, "q-split summand")
@@ -235,7 +265,8 @@ def build_certificates(ctx: LocalContext, n: int, case: str) -> list[BasisCertif
     if p > 0:
         m_top = _require((r + 1) * b, ctx, f"m{r + 1}")
         for j in range(1, p + 1):
-            conductor.append(CertEntry(f"m{r + 1}*b{j}", m_top + b_val(j), (m_top, b_val(j))))
+            bj = b_val(j)
+            conductor.append(CertEntry(f"m{r + 1}*b{j}", m_top + bj, (m_top, bj)))
 
     if case == "i":
         mul_label, mul, first = f"b{b - 1}", b_val(b - 1), 3
@@ -249,7 +280,8 @@ def build_certificates(ctx: LocalContext, n: int, case: str) -> list[BasisCertif
         if h1 is None:
             raise HypothesisGap("case iii needs a section of value 1 or 2 at the point")
         partner = a + b - h1
-        square.append(CertEntry(f"h1*b{partner}", h1 + b_val(partner), (h1, b_val(partner))))
+        bj = b_val(partner)
+        square.append(CertEntry(f"h1*b{partner}", h1 + bj, (h1, bj)))
         pair = []
     else:
         d1 = _require(ctx.d1, ctx, "gap-pair factor")
@@ -260,13 +292,15 @@ def build_certificates(ctx: LocalContext, n: int, case: str) -> list[BasisCertif
         BasisCertificate("square-step", 2 * a - b, 2 * a - eps2, tuple(square)),
     ]
     if n >= 3:
-        power = tuple(
-            CertEntry(f"{mul_label}^{i}*{e.label}", e.value + i * mul, e.factors + (mul,) * i)
-            for i in range(1, n - 1)
-            for e in conductor + square + pair
-        )
+        power = []
+        for i in range(1, n - 1):
+            prefix, shift, extra = f"{mul_label}^{i}*", i * mul, (mul,) * i
+            power.extend(
+                CertEntry(prefix + label, value + shift, factors + extra)
+                for label, value, factors in conductor + square + pair
+            )
         hi = n * a - case_epsilon(case, n)
-        certs.append(BasisCertificate("power-step", 2 * a - eps2, hi, power))
+        certs.append(BasisCertificate("power-step", 2 * a - eps2, hi, tuple(power)))
     return certs
 
 

@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import EmptyGenerators, NoSingularity, NotCofinite
-from .valueset import ValueSet, missing_below, ring_closure, sumset
+from .valueset import ValueSet, _bit_values, missing_below, ring_closure, sumset
 
 
 @dataclass(frozen=True)
@@ -128,10 +128,14 @@ class NumericalSemigroup:
         """
         if not self.gaps:
             raise NoSingularity("the full semigroup has no pseudo-Frobenius numbers")
-        # x + s lands in S for all s iff it does for every minimal generator.
-        return tuple(
-            x for x in self.gaps if all(self.contains(x + g) for g in self.generators)
-        )
+        # x + s lands in S for all s iff it does for every minimal generator:
+        # bit x of the members shifted right by g says whether x + g is one.
+        c = self.conductor
+        members = self.values._bits_below(0, c + max(self.generators))
+        pf = ~members & ((1 << c) - 1)  # the gaps
+        for g in self.generators:
+            pf &= members >> g
+        return tuple(_bit_values(0, pf))
 
     def is_symmetric(self) -> bool:
         """True iff x in S exactly when F - x is a gap, for every integer x.

@@ -27,7 +27,7 @@ from .curves import (
     products_span,
     _subspace_orders,
 )
-from .errors import WeightTooLarge
+from .errors import GenusTooLarge, WeightTooLarge
 from .local import (
     LocalContext,
     build_certificates,
@@ -38,6 +38,13 @@ from .local import (
 from .reports import VerificationReport
 from .semigroup import NumericalSemigroup, enumerate_semigroups
 from .valueset import ValueSet, canonical_ideal, dualizing_values, n_fold, quotient_dim
+
+
+# Largest --max-genus of each suite that reads one.  At its cap a suite runs
+# in about a minute on a 2-core Xeon VM (eq4-oracle 48 s, local-lemma 56 s,
+# blowup 47 s, noether-single 64 s); one genus more takes ~1.7x as long, and
+# ~4x for eq4-oracle, whose census tries C(2g - 1, g) gap sets at genus g.
+GENUS_CAPS = {"eq4-oracle": 14, "local-lemma": 20, "blowup": 22, "noether-single": 15}
 
 
 @dataclass(frozen=True)
@@ -67,28 +74,21 @@ def bruteforce_gap_census(max_genus: int) -> list[tuple[int, ...]]:
 
     Every semigroup of genus g has all gaps in [1, 2g - 1], so trying each
     g-subset and testing additive closure of the complement is exhaustive.
-    Independent of the generator-tree walk.
+    Independent of the generator-tree walk.  Closure is a mask test: with
+    bit i of ``members`` set iff i is no gap, a member x adds up to a gap iff
+    ``members << x`` meets the gap mask, and only x <= top / 2 need a test.
     """
-    found: list[tuple[int, ...]] = []
-    for g in range(max_genus + 1):
-        if g == 0:
-            found.append(())
-            continue
+    found: list[tuple[int, ...]] = [()] if max_genus >= 0 else []
+    bit = [1 << i for i in range(2 * max_genus)]
+    for g in range(1, max_genus + 1):
         for gaps in combinations(range(1, 2 * g), g):
-            gapset = set(gaps)
             top = gaps[-1]
-            members = [m for m in range(1, top) if m not in gapset]
-            ok = True
-            for i, x in enumerate(members):
-                for y in members[i:]:
-                    if x + y > top:
-                        break
-                    if x + y in gapset:
-                        ok = False
-                        break
-                if not ok:
+            gapmask = sum(map(bit.__getitem__, gaps))
+            members = ~gapmask & ((1 << top) - 1)
+            for x in range(1, top // 2 + 1):
+                if members >> x & 1 and members << x & gapmask:
                     break
-            if ok:
+            else:
                 found.append(gaps)
     return found
 
@@ -97,13 +97,12 @@ def residue_window_values(s: NumericalSemigroup) -> list[int]:
     """Dualizing values on [-2a-2, 2a] from the residue pairing alone.
 
     An exponent survives iff pairing against every monomial of the local ring
-    in the window leaves no residue, i.e. no member s gives s + e = -1.
+    in the window leaves no residue, i.e. no member s gives s + e = -1: the
+    pairing partner -1 - e is no member.
     """
     a = s.conductor
-    members = s.elements_below(2 * a + 2)
-    return [
-        e for e in range(-2 * a - 2, 2 * a + 1) if all(m + e != -1 for m in members)
-    ]
+    members = set(s.elements_below(2 * a + 2))
+    return [e for e in range(-2 * a - 2, 2 * a + 1) if -1 - e not in members]
 
 
 # -- corpora -----------------------------------------------------------------
@@ -523,9 +522,21 @@ SUITES: dict[str, Callable[[SuiteParams], list[VerificationReport]]] = {
 }
 
 
+def check_genus_cap(name: str, params: SuiteParams) -> None:
+    """Refuse a genus bound above the suite's cap, before any of its work."""
+    cap = GENUS_CAPS.get(name)
+    if cap is not None and params.max_genus is not None and params.max_genus > cap:
+        raise GenusTooLarge(
+            f"max genus {params.max_genus} is above the {name} cap "
+            f"GENUS_CAPS[{name!r}] = {cap}"
+        )
+
+
 def run_suite(name: str, params: SuiteParams | None = None) -> list[VerificationReport]:
     """Run one named suite and return its report stream in canonical order."""
     if name not in SUITES:
         known = ", ".join(sorted(SUITES))
         raise ValueError(f"unknown suite {name!r} (known: {known})")
-    return SUITES[name](params or SuiteParams())
+    params = params or SuiteParams()
+    check_genus_cap(name, params)
+    return SUITES[name](params)

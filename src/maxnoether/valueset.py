@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable
 
 from .errors import ConductorTooLarge, EmptySet, NotARing, NotNested
@@ -177,9 +178,14 @@ class ValueSet:
         return " u ".join(parts)
 
 
+# bin() digits "0" and "1" as the bytes 0 and 1, so they can select values
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _bit_values(lo: int, mask: int) -> list[int]:
     """The values ``lo + i`` for the set bits i of ``mask``, in increasing order."""
-    return [lo + i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+    bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)  # bit i at index i
+    return list(compress(range(lo, lo + len(bits)), bits))
 
 
 def canonical_ideal(s: "NumericalSemigroup") -> ValueSet:

@@ -11,7 +11,8 @@ import pytest
 from maxnoether.cli import main
 from maxnoether import curves
 from maxnoether.curves import MAX_CENTER_DIGITS, MAX_WEIGHT
-from maxnoether.errors import MaxNoetherError
+from maxnoether.errors import GenusTooLarge, MaxNoetherError
+from maxnoether.suites import GENUS_CAPS, SUITES, SuiteParams, check_genus_cap, run_suite
 from maxnoether.valueset import MAX_CONDUCTOR
 
 
@@ -347,6 +348,7 @@ def test_verify_noether_center_above_the_digit_cap_is_usage_error(
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"MAX_CENTER_DIGITS = {MAX_CENTER_DIGITS}" in err
     assert shifts == []
 
 
@@ -400,6 +402,62 @@ def test_verify_corpus_weight_above_the_cap_fails_before_any_work(monkeypatch, c
     assert code == 2
     assert out == ""
     assert err == f"error: weight 300 is above MAX_WEIGHT = {MAX_WEIGHT}\n"
+
+
+@pytest.mark.parametrize("suite", sorted(GENUS_CAPS))
+def test_verify_corpus_genus_above_the_suite_cap_fails_before_any_work(
+    tmp_path, monkeypatch, capsys, suite
+):
+    import maxnoether.suites as suites_mod
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("suite work ran although the genus is above the cap")
+
+    for name in SUITES:
+        monkeypatch.setitem(suites_mod.SUITES, name, no_work)
+    monkeypatch.setattr(suites_mod, "enumerate_semigroups", no_work)
+    monkeypatch.setattr(suites_mod, "bruteforce_gap_census", no_work)
+    cap = GENUS_CAPS[suite]
+    path = tmp_path / "reports.jsonl"
+    argv = ("verify", "corpus", "--suite", suite, "--max-genus", str(cap + 1), "--out", str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: max genus {cap + 1} is above the {suite} cap GENUS_CAPS[{suite!r}] = {cap}\n"
+    )
+    assert not path.exists()
+
+
+def test_genus_caps_bound_every_suite_that_reads_a_genus(monkeypatch):
+    # the suites that ignore --max-genus have no corpus that grows with it;
+    # run_suite checks the cap itself, for callers other than the CLI
+    import maxnoether.suites as suites_mod
+
+    assert set(GENUS_CAPS) == {"eq4-oracle", "local-lemma", "blowup", "noether-single"}
+    for suite, cap in GENUS_CAPS.items():
+        monkeypatch.setitem(suites_mod.SUITES, suite, lambda params: ["ran"])
+        check_genus_cap(suite, SuiteParams(max_genus=cap))
+        assert run_suite(suite, SuiteParams(max_genus=cap)) == ["ran"]
+        with pytest.raises(GenusTooLarge, match=f"= {cap}$"):
+            run_suite(suite, SuiteParams(max_genus=cap + 1))
+
+
+def test_semigroup_census_genus_above_the_cap_is_usage_error():
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "semigroup_census.py")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    cap = GENUS_CAPS["local-lemma"]
+    proc = subprocess.run(
+        [sys.executable, script, "--max-genus", str(cap + 1)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"GENUS_CAPS['local-lemma'] = {cap}" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("target", ["directory", "missing-parent"])

@@ -178,6 +178,92 @@ def test_a_repeated_bad_factor_is_named_at_every_use():
     ]
 
 
+_SECTIONS = ValueSet.finite([0, 1, 3, 4, 5])
+
+
+@pytest.mark.parametrize(
+    "lo, hi, entries, defects",
+    [
+        (
+            0,
+            2,
+            (CertEntry("x", 1, (1, 0)), CertEntry("y", 1, (0, 1))),
+            ["duplicate values"],
+        ),
+        (
+            0,
+            3,
+            (CertEntry("x", 0, (0,)), CertEntry("y", 1, (1,))),
+            ["size 2 != quotient dimension 3"],
+        ),
+        (
+            5,
+            7,
+            (CertEntry("a", 4, (1, 3)), CertEntry("b", 6, (1, 5))),
+            ["a: value 4 outside the quotient window"],
+        ),
+        (
+            5,
+            7,
+            (CertEntry("a", 5, (1, 4)), CertEntry("b", 7, (3, 4))),
+            ["b: value 7 outside the quotient window"],
+        ),
+        (
+            5,
+            7,
+            (CertEntry("a", 5, (1, 4)), CertEntry("c", 6, (1, 4))),
+            ["c: factor values do not sum to 6"],
+        ),
+        (
+            5,
+            7,
+            (CertEntry("a", 5, (1, 4)), CertEntry("c", 6, (2, 4))),
+            ["c: factor value 2 is not a section value"],
+        ),
+    ],
+    ids=["duplicate", "size", "below-lo", "at-hi", "factor-sum", "unavailable-factor"],
+)
+def test_certificate_check_names_a_single_defect(lo, hi, entries, defects):
+    # each certificate breaks exactly one rule, so the one-pass test rejects
+    # it and the defect walk names only that rule, in today's words
+    assert BasisCertificate("w", lo, hi, entries).check(_SECTIONS) == defects
+    # mended, the same certificate holds
+    fixed = BasisCertificate(
+        "w",
+        lo,
+        hi,
+        tuple(CertEntry(f"e{v}", v, (v,) if v in _SECTIONS else (1, v - 1)) for v in range(lo, hi)),
+    )
+    assert fixed.check(_SECTIONS) == []
+
+
+def test_certificate_check_orders_two_defects():
+    # certificate-wide defects come first, then each entry's in entry order
+    cert = BasisCertificate(
+        "w", 5, 7, (CertEntry("a", 6, (1, 5)), CertEntry("b", 6, (2, 3)))
+    )
+    assert cert.check(_SECTIONS) == [
+        "duplicate values",
+        "b: factor values do not sum to 6",
+        "b: factor value 2 is not a section value",
+    ]
+    late = BasisCertificate(
+        "w", 5, 7, (CertEntry("a", 7, (3, 3)), CertEntry("b", 6, (1, 5)))
+    )
+    assert late.check(_SECTIONS) == [
+        "a: value 7 outside the quotient window",
+        "a: factor values do not sum to 7",
+    ]
+
+
+def test_certificate_entries_are_plain_tuples():
+    # check() transposes the entries with zip, so each must be a plain 3-tuple
+    entry = CertEntry("m1*b2", 9, (4, 5))
+    assert entry == ("m1*b2", 9, (4, 5))
+    label, value, factors = entry
+    assert (label, value, factors) == (entry.label, entry.value, entry.factors)
+
+
 def test_case_ii_requires_value_alpha():
     ctx = ctx_for([4, 5, 11])
     with pytest.raises(HypothesisGap):

@@ -1,5 +1,7 @@
 """Numerical semigroup invariants against brute-force oracles."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -145,6 +147,34 @@ def test_enumerate_counts_match_bruteforce():
     brute = sorted(bruteforce_gap_census(8))
     assert tree == brute
     assert len(tree) == 156
+
+
+def _pair_loop_census(max_genus):
+    """Gap sets by the plain pair loop: no sum of two non-gaps may be a gap."""
+    from itertools import combinations
+
+    found = []
+    for g in range(max_genus + 1):
+        for gaps in combinations(range(1, 2 * g), g):
+            members = [m for m in range(1, 2 * g) if m not in gaps]
+            if all(x + y not in gaps for x in members for y in members):
+                found.append(gaps)
+    return found
+
+
+def test_bruteforce_census_per_genus_counts():
+    from maxnoether.suites import bruteforce_gap_census
+
+    counts = Counter(len(gaps) for gaps in bruteforce_gap_census(8))
+    assert [counts[g] for g in range(9)] == [1, 1, 2, 4, 7, 12, 23, 39, 67]
+
+
+def test_bruteforce_census_matches_a_pair_loop():
+    # the census tests closure with shifted masks; this oracle shares none of that
+    from maxnoether.suites import bruteforce_gap_census
+
+    assert sorted(bruteforce_gap_census(6)) == sorted(_pair_loop_census(6))
+    assert len(_pair_loop_census(6)) == 1 + 1 + 2 + 4 + 7 + 12 + 23
 
 
 def test_from_gaps_accepts_exactly_the_census():
