@@ -6,7 +6,8 @@ Usage:
     python scripts/semigroup_census.py [--max-genus 10] [--max-n 4]
 
 --max-genus must be at least 0 and at most the local-lemma suite's genus cap
-(maxnoether.suites.GENUS_CAPS), and --max-n at least 2; other values exit 2.
+(maxnoether.suites.GENUS_CAPS), and --max-n at least 2 and at most
+maxnoether.curves.MAX_WEIGHT; other values exit 2 before any work starts.
 
 Prints a per-genus table plus the distribution of minimal covering shifts
 against the case-(i) bound 2n - 1 for the one-singularity model.
@@ -17,7 +18,7 @@ from collections import Counter
 
 from maxnoether.blowup import analyze
 from maxnoether.cli import _at_least
-from maxnoether.errors import GenusTooLarge
+from maxnoether.errors import GenusTooLarge, WeightTooLarge
 from maxnoether.local import LocalContext, case_epsilon, verify_local_surjectivity
 from maxnoether.semigroup import enumerate_semigroups
 from maxnoether.suites import SuiteParams, check_genus_cap
@@ -28,10 +29,11 @@ def main() -> None:
     parser.add_argument("--max-genus", type=_at_least(0), default=10)
     parser.add_argument("--max-n", type=_at_least(2), default=4)
     args = parser.parse_args()
-    # per semigroup the census does the local-lemma coverings, so it shares that cap
+    # per semigroup the census does the local-lemma coverings, so it shares
+    # that suite's genus cap and the weight cap of SuiteParams
     try:
-        check_genus_cap("local-lemma", SuiteParams(max_genus=args.max_genus))
-    except GenusTooLarge as exc:
+        check_genus_cap("local-lemma", SuiteParams(max_genus=args.max_genus, max_n=args.max_n))
+    except (GenusTooLarge, WeightTooLarge) as exc:
         parser.error(str(exc))
 
     rows = Counter()

@@ -97,6 +97,47 @@ def test_verify_local_json(capsys):
     assert all(cov["ok"] for cov in data["coverings"])
 
 
+def test_verify_local_json_certificate_tables_are_pinned(capsys):
+    # every label and value of the three tables, power step included
+    code, out, _ = run(capsys, "verify", "local", "--gens", "4,5,11", "--n", "4", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["certificate_defects"] == []
+    assert data["certificates"] == [
+        {
+            "name": "conductor-step",
+            "entries": [["m1*b1", 8], ["m1*b2", 9], ["m1*b3", 10], ["f1", 11]],
+        },
+        {"name": "square-step", "entries": [["b3*b3", 12]]},
+        {
+            "name": "power-step",
+            "entries": [
+                ["b3^1*m1*b1", 14], ["b3^1*m1*b2", 15], ["b3^1*m1*b3", 16],
+                ["b3^1*f1", 17], ["b3^1*b3*b3", 18], ["b3^1*f0", 13],
+                ["b3^2*m1*b1", 20], ["b3^2*m1*b2", 21], ["b3^2*m1*b3", 22],
+                ["b3^2*f1", 23], ["b3^2*b3*b3", 24], ["b3^2*f0", 19],
+            ],
+        },
+    ]
+
+
+def test_verify_local_text_output_is_pinned(capsys):
+    # r = 1 and p = 3, so the conductor step also has the m2 * b_j products
+    code, out, err = run(capsys, "verify", "local", "--gens", "4,7,9", "--n", "3")
+    assert (code, err) == (0, "")
+    assert out == (
+        "<4,7,9>  case (i)  d1=5 d2=5 r=1 p=3\n"
+        "q-decomposition: [[0, 1]]\n"
+        "conductor-step: m1*b1=11  m1*b2=12  m1*b3=13  f1=14  m2*b1=15  m2*b2=16  m2*b3=17\n"
+        "square-step: b3*b3=18\n"
+        "power-step: b3^1*m1*b1=20  b3^1*m1*b2=21  b3^1*m1*b3=22  b3^1*f1=23"
+        "  b3^1*m2*b1=24  b3^1*m2*b2=25  b3^1*m2*b3=26  b3^1*b3*b3=27  b3^1*f0=19\n"
+        "covering n=1 epsilon=1: ok (minimal epsilon 0)\n"
+        "covering n=2 epsilon=3: ok (minimal epsilon 3)\n"
+        "covering n=3 epsilon=5: ok (minimal epsilon 5)\n"
+    )
+
+
 def test_verify_noether_failure_exit_code(capsys):
     code, out, _ = run(capsys, "verify", "noether", "--gens", "2,7", "--n", "2")
     assert code == 1
@@ -457,6 +498,23 @@ def test_semigroup_census_genus_above_the_cap_is_usage_error():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert f"GENUS_CAPS['local-lemma'] = {cap}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_semigroup_census_weight_above_the_cap_is_usage_error():
+    # refused before the enumeration: at this weight the census would not end
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "semigroup_census.py")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, script, "--max-genus", "4", "--max-n", str(MAX_WEIGHT + 1)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"weight {MAX_WEIGHT + 1} is above MAX_WEIGHT = {MAX_WEIGHT}" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

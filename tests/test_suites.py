@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import json
 import time
 from fractions import Fraction
 
@@ -47,6 +48,84 @@ def test_report_with_a_non_json_value_does_not_encode():
     report = VerificationReport("s", "c", {}, 0, 0, False, witness=Fraction(1, 2))
     with pytest.raises(TypeError):
         report.to_line()
+
+
+def _reference_jsonl(reports):
+    # the canonical line as one json.dumps of the whole report, as it was
+    # built before lines were assembled from parts
+    return "".join(
+        json.dumps(
+            {
+                "suite": r.suite,
+                "check": r.check,
+                "input": r.input,
+                "predicted": r.predicted,
+                "oracle": r.oracle,
+                "pass": r.passed,
+                "witness": r.witness,
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        + "\n"
+        for r in reports
+    )
+
+
+def _jsonl(reports):
+    buf = io.StringIO()
+    write_jsonl(reports, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_write_jsonl_matches_one_dumps_per_report(name):
+    reports = run_suite(name, SuiteParams(max_genus=5, max_n=3))
+    assert _jsonl(reports) == _reference_jsonl(reports)
+    assert [r.to_line() + "\n" for r in reports] == _reference_jsonl(reports).splitlines(True)
+
+
+def test_write_jsonl_with_interleaved_inputs():
+    # a shared input object, then another, then the first again; two equal
+    # but distinct dicts; no input at all; and inputs that compare equal but
+    # encode differently
+    shared = {"gaps": [1, 2], "name": "\u00e9t\u00e9 \u2192 K", "shift": -3}
+    other = {"b": [-1, {"z": None, "a": True}], "a": "x"}
+    twin = {"b": [-1, {"z": None, "a": True}], "a": "x"}
+    reports = [
+        VerificationReport("s", "c1", shared, -1, -1, True),
+        VerificationReport("s", "c2", shared, [1], {"k": "\u00fc"}, False, witness=[-2, "\u00df"]),
+        VerificationReport("s", "c3", other, None, None, True),
+        VerificationReport("t", "c4", shared, 0, 0, True, witness={"y": 1, "x": 2}),
+        VerificationReport("t", "c5", twin, 0, 0, True),
+        VerificationReport("t", "c6", other, 0, 0, True),
+        VerificationReport("t", "c7", None, 0, 0, True),
+        VerificationReport("t", "c8", None, "\u00e9", 0, False),
+        VerificationReport("t", "c9", shared, 0, 0, True),
+        # equal as Python values, not as JSON
+        VerificationReport("u", "c10", {"n": 1}, 0, 0, True),
+        VerificationReport("u", "c11", {"n": True}, 0, 0, True),
+    ]
+    text = _jsonl(reports)
+    assert text == _reference_jsonl(reports)
+    assert "\\u00e9t\\u00e9" in text and text.isascii()
+    assert [json.loads(line)["input"] for line in text.splitlines()] == [r.input for r in reports]
+
+
+@pytest.mark.parametrize("field", ["input", "witness"])
+def test_write_jsonl_with_a_non_json_value_does_not_encode(field):
+    good = VerificationReport("s", "c", {"a": 1}, 0, 0, True)
+    bad = VerificationReport("s", "c", {"a": 1}, 0, 0, True)
+    setattr(bad, field, {"a": Fraction(1, 2)})
+    with pytest.raises(TypeError):
+        _jsonl([good, bad])
+    with pytest.raises(TypeError):
+        bad.to_line()
+
+
+def test_to_line_with_a_set_does_not_encode():
+    with pytest.raises(TypeError):
+        VerificationReport("s", "c", {1, 2}, 0, 0, True).to_line()
 
 
 def test_elapsed_times_add_up_to_the_run():
