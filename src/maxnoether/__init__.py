@@ -16,7 +16,6 @@ from .curves import (
     check_resolution_quotient,
     global_sections,
     is_certified_hyperelliptic,
-    local_support_set,
     max_noether_holds,
     products_span,
     resolve,
@@ -77,7 +76,6 @@ __all__ = [
     "epsilon_case",
     "global_sections",
     "is_certified_hyperelliptic",
-    "local_support_set",
     "max_noether_holds",
     "n_fold",
     "nullspace",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import NotApplicable
 from .semigroup import NumericalSemigroup
-from .valueset import ValueSet, canonical_ideal, quotient_dim, sumset
+from .valueset import PowerChain, ValueSet, canonical_ideal, quotient_dim, sumset
 
 
 @dataclass(frozen=True)
@@ -80,15 +80,14 @@ def analyze(s: NumericalSemigroup) -> BlowupAnalysis:
     enlarges is closed under addition, so it is the additive closure of K.
     """
     k = canonical_ideal(s)
-    powers = [k]
-    nxt = sumset(k, k)
-    while nxt != powers[-1]:
-        powers.append(nxt)
-        nxt = sumset(nxt, k)
-    ohat = powers[-1]
+    chain = PowerChain(k)
+    index = 1
+    while chain.power(index + 1) != chain.power(index):
+        index += 1
+    powers = tuple(chain.power(m) for m in range(1, index + 1))
     eta = quotient_dim(k, s.values)
-    ghat = quotient_dim(ValueSet.naturals(), ohat)
-    return BlowupAnalysis(s, k, ohat, len(powers), eta, ghat, tuple(powers))
+    ghat = quotient_dim(ValueSet.naturals(), powers[-1])
+    return BlowupAnalysis(s, k, powers[-1], index, eta, ghat, powers)
 
 
 @dataclass(frozen=True)

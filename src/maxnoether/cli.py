@@ -17,7 +17,7 @@ from dataclasses import asdict
 
 from . import blowup as blowup_mod
 from .curves import MAX_WEIGHT, RationalCurveModel, max_noether_holds, section_valuations
-from .errors import MaxNoetherError, WeightTooLarge
+from .errors import MaxNoetherError, UnreadBound, WeightTooLarge
 from .local import (
     LocalContext,
     build_certificates,
@@ -28,8 +28,8 @@ from .local import (
 )
 from .reports import write_jsonl
 from .semigroup import NumericalSemigroup, enumerate_semigroups
-from .suites import SUITES, SuiteParams, check_genus_cap, run_suite
-from .valueset import dualizing_values
+from .suites import GENUS_CAPS, READS_N, SUITES, SuiteParams, check_genus_cap, run_suite
+from .valueset import ValueSet, dualizing_values
 
 
 def _parse_gens(raw: str) -> NumericalSemigroup:
@@ -127,13 +127,15 @@ def cmd_verify_local(args) -> int:
     if args.n > MAX_WEIGHT:
         raise WeightTooLarge(f"weight {args.n} is above MAX_WEIGHT = {MAX_WEIGHT}")
     s = _parse_gens(args.gens)
-    # before the symmetry test: <1> is symmetric but has no singular point at all
+    # refuses <1> before the symmetry test: <1> is symmetric but has no singular point
     ctx = LocalContext.for_semigroup(s)
     if s.is_symmetric():
         print("symmetric semigroup: the point is Gorenstein, nothing to verify", file=sys.stderr)
         return 2
     curve = RationalCurveModel.from_semigroups([s])
     attained = section_valuations(curve, curve.branches[0].center)
+    # certify with the values reported: the attained ones, moved by alpha onto K
+    ctx = LocalContext.for_semigroup(s, ValueSet.finite(v + ctx.alpha for v in attained))
     case = epsilon_case(attained)
     data: dict = {
         "semigroup": s.to_json(),
@@ -204,6 +206,13 @@ def cmd_verify_noether(args) -> int:
 
 def cmd_verify_corpus(args) -> int:
     params = SuiteParams(max_genus=args.max_genus, max_n=args.n)
+    # a bound the suite does not read would pass checks it never made
+    for flag, value, readers in (
+        ("--max-genus", args.max_genus, GENUS_CAPS),
+        ("--n", args.n, READS_N),
+    ):
+        if value is not None and args.suite not in readers:
+            raise UnreadBound(f"suite {args.suite} does not read {flag}")
     check_genus_cap(args.suite, params)  # before --out is touched, as the weight cap is
     # probed before any work, as a shell redirection is, but truncated only once
     # the suite has made reports, so a bad path fails at once and loses nothing

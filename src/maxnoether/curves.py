@@ -5,13 +5,15 @@ at finitely many rational centers is replaced by the monomial subring whose
 valuations form a prescribed numerical semigroup.  A global n-fold
 differential is a numerator polynomial over the fixed denominator
 ``prod (t - c_i)^(n * alpha_i)``, regular at infinity iff the numerator
-degree stays below the fixed bound, and regular at a center iff its Laurent
-support there avoids finitely many forbidden exponents.  Spaces of sections
-are therefore exact nullspaces, and surjectivity of multiplication maps is a
-canonical subspace comparison.
+degree stays below the fixed bound, and regular at the centers iff the
+numerator's order at each center lies in K^n, the n-th power of that
+branch's canonical ideal: in the monomial model its expansion there has no
+term on the finitely many gaps of K^n.  Spaces of sections are therefore
+exact nullspaces, and surjectivity of multiplication maps is a canonical
+subspace comparison.
 
 Every row and vector handed to ``linalg`` is a list of integers.  At a center
-p/q the Laurent coefficients are read through one integer change of basis,
+p/q the expansion coefficients are read through one integer change of basis,
 ``_shift_matrix``, which scales each row by a nonzero constant (powers of q
 and of the center differences) and so leaves every nullspace and pivot alone.
 
@@ -45,10 +47,10 @@ from functools import lru_cache
 from math import comb, lcm
 from typing import Iterable, Sequence
 
-from .errors import CurveSpecError, MaxNoetherError, NotApplicable, WeightTooLarge
+from .errors import AmbientTooLarge, CurveSpecError, MaxNoetherError, NotApplicable, WeightTooLarge
 from .linalg import Subspace, Vector, modular_rank, nullspace
 from .semigroup import NumericalSemigroup
-from .valueset import ValueSet, dualizing_values, n_fold
+from .valueset import ValueSet, canonical_ideal, missing_below, n_fold
 
 # Entries kept by each subspace cache.  A check reuses a curve's spaces a few
 # entries later at most, so this keeps every hit while bounding memory over a
@@ -58,6 +60,13 @@ _CACHE_SIZE = 256
 # Largest weight of a section or product space: products of weight n recurse
 # through every lower weight, and the cap keeps that inside the recursion limit.
 MAX_WEIGHT = 256
+
+# Most numerator coefficients of a weight-n space, checked before any row is
+# built.  At the cap a one-branch check takes about a minute on a 2-core Xeon
+# VM (63 s for the ordinary semigroup of multiplicity 1,150 at n = 2, the
+# heaviest one-branch family per coefficient); branches at nonzero centers
+# make dense rows and cost far more.
+MAX_AMBIENT = 2300
 
 # Most decimal digits in the numerator or denominator of a branch center.  The
 # shift matrices raise the denominator to the ambient's power, and a center
@@ -195,20 +204,14 @@ def numerator_ambient(curve: RationalCurveModel, n: int) -> int:
     return max(numerator_degree_bound(curve, n) + 1, 0)
 
 
-def local_support_set(s: NumericalSemigroup, n: int) -> ValueSet:
-    """Allowed Laurent exponents of a weight-n differential in the local stalk."""
-    return n_fold(dualizing_values(s), n)
+def excluded_orders(s: NumericalSemigroup, n: int) -> list[int]:
+    """Numerator orders a weight-n section must avoid at a branch with semigroup ``s``.
 
-
-def excluded_exponents(s: NumericalSemigroup, n: int) -> list[int]:
-    """Laurent exponents a weight-n section must avoid at a branch with semigroup ``s``.
-
-    These are the exponents in ``[-n * alpha, threshold)`` outside the local
-    support set: below ``-n * alpha`` the fixed denominator allows no terms,
-    and from the threshold on every exponent is allowed.
+    These are the gaps of K^n, sorted: the numerator's order at the center
+    lies in K^n, which contains every order from its threshold on.
     """
-    support = local_support_set(s, n)
-    return [e for e in range(-n * s.conductor, support.threshold) if e not in support]
+    power = n_fold(canonical_ideal(s), n)
+    return missing_below(ValueSet.naturals(), power, power.threshold)
 
 
 # -- integer series helpers --------------------------------------------------
@@ -265,11 +268,10 @@ def _constraint_rows(curve: RationalCurveModel, n: int) -> tuple[tuple[Vector, .
     ambient = numerator_ambient(curve, n)
     rows: list[Vector] = []
     for br in curve.branches:
-        alpha = br.semigroup.conductor
-        excluded = excluded_exponents(br.semigroup, n)
+        excluded = excluded_orders(br.semigroup, n)
         if not excluded:
             continue
-        order = max(excluded) + n * alpha
+        order = max(excluded)
         # with u = t - center = scale * w, each other branch's factor
         # (u + delta)^(-m) is delta^(-m) (1 + beta * w)^(-m) for an integer beta;
         # the constants scale each row, which leaves the nullspace alone
@@ -283,8 +285,7 @@ def _constraint_rows(curve: RationalCurveModel, n: int) -> tuple[tuple[Vector, .
             series = [comb(m + k - 1, k) * (-beta) ** k for k in range(order + 1)]
             unit = _poly_mul(_terms(unit), _terms(series), order + 1)
         shift = _shift_matrix(br.center, scale, ambient)
-        for e in excluded:
-            k = e + n * alpha
+        for k in excluded:
             row = [0] * ambient
             for t in range(min(k, ambient - 1) + 1):
                 h = unit[k - t]
@@ -300,14 +301,18 @@ def global_sections(curve: RationalCurveModel, n: int) -> Subspace:
     """Exact basis of the weight-n global differentials, as numerator coefficients.
 
     A numerator qualifies iff its degree respects the bound at infinity and,
-    at every center, its Laurent expansion has zero coefficient on each
-    exponent forbidden by the local support set.
+    at every center, its expansion has zero coefficient on each gap of K^n.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     if n > MAX_WEIGHT:
         raise WeightTooLarge(f"weight {n} is above MAX_WEIGHT = {MAX_WEIGHT}")
-    rows, ambient = _constraint_rows(curve, n)
+    ambient = numerator_ambient(curve, n)
+    if ambient > MAX_AMBIENT:
+        raise AmbientTooLarge(
+            f"numerator ambient {ambient} at weight {n} is above MAX_AMBIENT = {MAX_AMBIENT}"
+        )
+    rows, _ = _constraint_rows(curve, n)
     return nullspace(rows, ambient)
 
 
@@ -443,11 +448,12 @@ def _embedded_resolved_sections(curve: RationalCurveModel, index: int, n: int) -
     """Basis of the resolved curve's sections, embedded in the ambient of the full one.
 
     The embedding multiplies numerators by the removed branch's denominator
-    factor; the result is supported in the natural numbers at that center,
-    hence inside the local support set.  Nothing is eliminated: multiplying by
-    a nonzero polynomial is injective on Q[t], so the images of a basis stay
-    independent, and deg <= bound(resolved) + n * alpha = bound(curve), so each
-    image has exactly the length of the full ambient.
+    factor, so the numerator's order at that center is at least n * alpha and
+    lies in K^n, which holds every order from alpha on.  Nothing is
+    eliminated: multiplying by a nonzero polynomial is injective on Q[t], so
+    the images of a basis stay independent, and deg <= bound(resolved) +
+    n * alpha = bound(curve), so each image has exactly the length of the
+    full ambient.
     """
     br = curve.branches[index]
     sections = global_sections(resolve(curve, index), n)

@@ -21,8 +21,16 @@ class WeightTooLarge(MaxNoetherError):
     """A weight-n space was requested above the weight the library computes."""
 
 
+class AmbientTooLarge(MaxNoetherError):
+    """A weight-n space was requested on more numerator coefficients than the library computes."""
+
+
 class GenusTooLarge(MaxNoetherError):
     """A suite was asked for a genus bound above the cap that suite runs to."""
+
+
+class UnreadBound(MaxNoetherError):
+    """A suite was given a bound that it does not read."""
 
 
 class NoSingularity(MaxNoetherError):

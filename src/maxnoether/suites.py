@@ -20,7 +20,7 @@ from .curves import (
     RationalCurveModel,
     check_hyperelliptic_resolution,
     check_resolution_quotient,
-    excluded_exponents,
+    excluded_orders,
     global_sections,
     max_noether_holds,
     numerator_degree_bound,
@@ -45,6 +45,10 @@ from .valueset import ValueSet, canonical_ideal, dualizing_values, n_fold, quoti
 # blowup 47 s, noether-single 64 s); one genus more takes ~1.7x as long, and
 # ~4x for eq4-oracle, whose census tries C(2g - 1, g) gap sets at genus g.
 GENUS_CAPS = {"eq4-oracle": 14, "local-lemma": 20, "blowup": 22, "noether-single": 15}
+
+# The suites that read a weight bound (--n); the others check fixed weights.
+# The suites that read a genus bound are exactly those in GENUS_CAPS.
+READS_N = frozenset({"local-lemma", "noether-single", "noether-multi", "resolution", "dims"})
 
 
 @dataclass(frozen=True)
@@ -441,9 +445,8 @@ def _value_route_dim(curve: RationalCurveModel, n: int) -> int:
     total = cap + 1
     single = len(curve.branches) == 1
     for br in curve.branches:
-        pole = n * br.semigroup.conductor
-        for e in excluded_exponents(br.semigroup, n):
-            if not (single and e + pole > cap):
+        for k in excluded_orders(br.semigroup, n):
+            if not (single and k > cap):
                 total -= 1
     return total
 

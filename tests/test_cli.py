@@ -10,9 +10,16 @@ import pytest
 
 from maxnoether.cli import main
 from maxnoether import curves
-from maxnoether.curves import MAX_CENTER_DIGITS, MAX_WEIGHT
+from maxnoether.curves import MAX_AMBIENT, MAX_CENTER_DIGITS, MAX_WEIGHT
 from maxnoether.errors import GenusTooLarge, MaxNoetherError
-from maxnoether.suites import GENUS_CAPS, SUITES, SuiteParams, check_genus_cap, run_suite
+from maxnoether.suites import (
+    GENUS_CAPS,
+    READS_N,
+    SUITES,
+    SuiteParams,
+    check_genus_cap,
+    run_suite,
+)
 from maxnoether.valueset import MAX_CONDUCTOR
 
 
@@ -95,6 +102,22 @@ def test_verify_local_json(capsys):
     assert data["case"] == "i"
     assert data["q_pairs"] == [[1, 0]]
     assert all(cov["ok"] for cov in data["coverings"])
+
+
+def test_verify_local_certifies_with_the_reported_values(monkeypatch, capsys):
+    # drop the value -2 (alpha - 2 on K, the factor b_(beta-1) of case i)
+    # from the attained values: the certificates must no longer be built
+    import maxnoether.cli as cli_mod
+
+    real = cli_mod.section_valuations
+    monkeypatch.setattr(
+        cli_mod,
+        "section_valuations",
+        lambda *args: tuple(v for v in real(*args) if v != -2),
+    )
+    code, out, err = run(capsys, "verify", "local", "--gens", "4,5,11", "--n", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: section values plus the conductor ray must equal the canonical ideal\n"
 
 
 def test_verify_local_json_certificate_tables_are_pinned(capsys):
@@ -421,6 +444,60 @@ def test_verify_noether_weight_above_the_cap_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err == f"error: weight 2000 is above MAX_WEIGHT = {MAX_WEIGHT}\n"
+
+
+def test_verify_noether_ambient_above_the_cap_is_usage_error(monkeypatch, capsys):
+    # <100,101> has conductor 9,900, under MAX_CONDUCTOR; at n = 2 its
+    # numerators have 2 * 9,900 - 3 coefficients
+    def no_rows(*args):
+        raise AssertionError("constraint rows were built although the ambient is above the cap")
+
+    monkeypatch.setattr(curves, "_constraint_rows", no_rows)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "verify", "noether", "--gens", "100,101", "--n", "2")
+    assert time.perf_counter() - t0 < 5
+    assert (code, out) == (2, "")
+    assert err == f"error: numerator ambient 19797 at weight 2 is above MAX_AMBIENT = {MAX_AMBIENT}\n"
+
+
+def test_verify_noether_two_branch_ambient_above_the_cap_is_usage_error(tmp_path, capsys):
+    # each branch alone is under the cap; together they pass it
+    path = tmp_path / "curve.json"
+    branch = {"generators": [35, 36]}  # conductor 1,190
+    path.write_text(
+        json.dumps({"branches": [{"center": "0", **branch}, {"center": "1/2", **branch}]})
+    )
+    ambient = 2 * 1190 - 2 + 1
+    assert ambient > MAX_AMBIENT > 1190 - 2 + 1
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "verify", "noether", "--curve", str(path), "--n", "1")
+    assert time.perf_counter() - t0 < 5
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: numerator ambient {ambient} at weight 1 is above MAX_AMBIENT = {MAX_AMBIENT}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "suite, flag",
+    [(s, "--max-genus") for s in sorted(set(SUITES) - set(GENUS_CAPS))]
+    + [(s, "--n") for s in sorted(set(SUITES) - READS_N)],
+)
+def test_verify_corpus_bound_the_suite_does_not_read_is_usage_error(
+    tmp_path, monkeypatch, capsys, suite, flag
+):
+    # hyperelliptic-negative --n 7 once passed its three checks, all at n = 2
+    import maxnoether.cli as cli_mod
+
+    def no_suite(*args):
+        raise AssertionError("the suite ran although it does not read the bound")
+
+    monkeypatch.setattr(cli_mod, "run_suite", no_suite)
+    path = tmp_path / "reports.jsonl"
+    code, out, err = run(capsys, "verify", "corpus", "--suite", suite, flag, "7", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: suite {suite} does not read {flag}\n"
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(

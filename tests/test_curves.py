@@ -7,7 +7,9 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from maxnoether import curves as curves_mod
 from maxnoether.curves import (
+    MAX_AMBIENT,
     MAX_CENTER_DIGITS,
     MAX_WEIGHT,
     Branch,
@@ -15,8 +17,8 @@ from maxnoether.curves import (
     check_hyperelliptic_resolution,
     check_resolution_quotient,
     global_sections,
+    excluded_orders,
     is_certified_hyperelliptic,
-    local_support_set,
     max_noether_holds,
     numerator_ambient,
     numerator_degree_bound,
@@ -30,9 +32,8 @@ from maxnoether.curves import (
     _shift_matrix,
     _subspace_orders,
     _terms,
-    excluded_exponents,
 )
-from maxnoether.errors import CurveSpecError, NotApplicable, WeightTooLarge
+from maxnoether.errors import AmbientTooLarge, CurveSpecError, NotApplicable, WeightTooLarge
 from maxnoether.linalg import Subspace
 from maxnoether.semigroup import NumericalSemigroup, enumerate_semigroups
 from maxnoether.suites import _MULTI_MENU, _curve_corpus, _value_route_dim
@@ -59,22 +60,36 @@ def test_model_validation():
         )  # both at center 0
 
 
-def test_local_support_set_examples():
-    assert local_support_set(sg(3, 4, 5), 1) == ValueSet((-3, -2), 0)
-    assert local_support_set(sg(2, 7), 2) == ValueSet((-12, -10, -8), -6)
+def test_excluded_orders_examples():
+    assert excluded_orders(sg(3, 4, 5), 1) == [2]
+    assert excluded_orders(sg(2, 7), 2) == [1, 3, 5]
     for gens in ((3, 4, 5), (2, 7), (5, 6, 7, 9)):
         s = sg(*gens)
-        assert local_support_set(s, 1).shift(s.conductor) == canonical_ideal(s)
+        # at weight 1 these are the gaps of K = {d : alpha - 1 - d not in S}
+        a = s.conductor
+        assert excluded_orders(s, 1) == [d for d in range(a) if a - 1 - d in s.values]
 
 
-def test_local_support_window_oracle():
-    # brute-force n-fold sums of the weight-1 exponents on a window
+def test_excluded_orders_window_oracle():
+    # brute-force pairwise sums of the weight-1 orders on a window
     s = sg(2, 7)
-    e1 = set(dualizing_values(s).elements_below(30))
-    pairwise = {a + b for a in e1 for b in e1}
-    got = local_support_set(s, 2)
-    for e in range(-24, 20):
-        assert (e in got) == (e in pairwise)
+    a = s.conductor
+    k1 = {d for d in range(40) if a - 1 - d not in s.values}
+    pairwise = {x + y for x in k1 for y in k1}
+    excluded = excluded_orders(s, 2)
+    for k in range(40):
+        assert (k in excluded) == (k not in pairwise)
+
+
+def test_excluded_orders_match_the_dualizing_exponents():
+    # the former definition, in Laurent exponents: those in [-n alpha,
+    # threshold) outside the n-fold sumset of the dualizing values
+    for s in enumerate_semigroups(8):
+        for n in range(1, 5):
+            support = n_fold(dualizing_values(s), n)
+            pole = n * s.conductor
+            reference = [e for e in range(-pole, support.threshold) if e not in support]
+            assert excluded_orders(s, n) == [e + pole for e in reference], (s.gaps, n)
 
 
 def test_sections_single_345():
@@ -421,12 +436,11 @@ def test_sections_vanish_on_every_excluded_exponent():
             space = global_sections(c, n)
             assert space.dim == _value_route_dim(c, n)
             for index, br in enumerate(c.branches):
-                pole = n * br.semigroup.conductor
-                excluded = excluded_exponents(br.semigroup, n)
-                order = max(excluded, default=-pole) + pole
+                excluded = excluded_orders(br.semigroup, n)
+                order = max(excluded, default=0)
                 for vec in space.basis:
                     series = laurent_at(vec, c, n, index, order)
-                    assert all(series[e + pole] == 0 for e in excluded)
+                    assert all(series[k] == 0 for k in excluded)
 
 
 def moved(curve, a, b, rng):
@@ -656,3 +670,25 @@ def test_a_large_center_exponent_is_rejected_before_it_is_expanded(monkeypatch):
         spec = {"branches": [{"center": center, "generators": [3, 4, 5]}]}
         with pytest.raises(CurveSpecError, match=f"MAX_CENTER_DIGITS = {MAX_CENTER_DIGITS}"):
             RationalCurveModel.from_json(spec)
+
+
+def test_ambient_cap_is_checked_before_any_row(monkeypatch):
+    c = curve((3, 4, 5))  # ambient 2 * 3 - 4 + 1 = 3 at n = 2
+    assert numerator_ambient(c, 2) == 3
+    global_sections.cache_clear()
+    products_span.cache_clear()
+    try:
+        monkeypatch.setattr(curves_mod, "MAX_AMBIENT", 3)
+        assert products_span(c, 2) == global_sections(c, 2)
+        global_sections.cache_clear()
+        products_span.cache_clear()
+        monkeypatch.setattr(curves_mod, "MAX_AMBIENT", 2)
+        monkeypatch.setattr(curves_mod, "_constraint_rows", None)  # building a row would fail
+        message = "^numerator ambient 3 at weight 2 is above MAX_AMBIENT = 2$"
+        for space in (global_sections, products_span):
+            with pytest.raises(AmbientTooLarge, match=message):
+                space(c, 2)
+    finally:
+        global_sections.cache_clear()
+        products_span.cache_clear()
+

@@ -3,13 +3,17 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from maxnoether.reports import VerificationReport, write_jsonl
-from maxnoether.suites import SUITES, SuiteParams, run_suite
+from maxnoether.suites import GENUS_CAPS, READS_N, SUITES, SuiteParams, run_suite
 
 # sha256 of the canonical JSONL (UTF-8) and the report count of each suite.
 PINNED = {
@@ -34,6 +38,37 @@ def test_default_report_bytes_are_pinned(name):
     write_jsonl(reports, buf)
     digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
     assert (len(reports), digest) == PINNED[name]
+
+
+def test_run_all_suites_script_writes_the_pinned_streams(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_all_suites.py"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, str(script), "--out-dir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    written = {path.stem: path.read_bytes() for path in tmp_path.glob("*.jsonl")}
+    assert sorted(written) == sorted(PINNED)
+    for name, data in written.items():
+        assert (data.count(b"\n"), hashlib.sha256(data).hexdigest()) == PINNED[name], name
+
+
+def _lines(name, params):
+    return [r.to_line() for r in run_suite(name, params)]
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_suites_read_exactly_the_bounds_listed(name):
+    # the CLI refuses a bound that a suite ignores, so the lists must be exact
+    reads_genus = _lines(name, SuiteParams(max_genus=3)) != _lines(name, SuiteParams(max_genus=4))
+    reads_n = _lines(name, SuiteParams(max_genus=4, max_n=2)) != _lines(
+        name, SuiteParams(max_genus=4, max_n=3)
+    )
+    assert (reads_genus, reads_n) == (name in GENUS_CAPS, name in READS_N)
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
