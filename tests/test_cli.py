@@ -12,14 +12,7 @@ from maxnoether.cli import main
 from maxnoether import curves
 from maxnoether.curves import MAX_AMBIENT, MAX_CENTER_DIGITS, MAX_WEIGHT
 from maxnoether.errors import GenusTooLarge, MaxNoetherError
-from maxnoether.suites import (
-    GENUS_CAPS,
-    READS_N,
-    SUITES,
-    SuiteParams,
-    check_genus_cap,
-    run_suite,
-)
+from maxnoether.suites import GENUS_CAPS, READS_N, SUITES, SuiteParams, check_genus_cap, run_suite
 from maxnoether.valueset import MAX_CONDUCTOR
 
 
@@ -457,7 +450,9 @@ def test_verify_noether_ambient_above_the_cap_is_usage_error(monkeypatch, capsys
     code, out, err = run(capsys, "verify", "noether", "--gens", "100,101", "--n", "2")
     assert time.perf_counter() - t0 < 5
     assert (code, out) == (2, "")
-    assert err == f"error: numerator ambient 19797 at weight 2 is above MAX_AMBIENT = {MAX_AMBIENT}\n"
+    assert err == (
+        f"error: numerator ambient 19797 at weight 2 is above MAX_AMBIENT = {MAX_AMBIENT}\n"
+    )
 
 
 def test_verify_noether_two_branch_ambient_above_the_cap_is_usage_error(tmp_path, capsys):
@@ -494,7 +489,8 @@ def test_verify_corpus_bound_the_suite_does_not_read_is_usage_error(
 
     monkeypatch.setattr(cli_mod, "run_suite", no_suite)
     path = tmp_path / "reports.jsonl"
-    code, out, err = run(capsys, "verify", "corpus", "--suite", suite, flag, "7", "--out", str(path))
+    argv = ("verify", "corpus", "--suite", suite, flag, "7", "--out", str(path))
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: suite {suite} does not read {flag}\n"
     assert not path.exists()

@@ -16,8 +16,8 @@ from maxnoether.curves import (
     RationalCurveModel,
     check_hyperelliptic_resolution,
     check_resolution_quotient,
-    global_sections,
     excluded_orders,
+    global_sections,
     is_certified_hyperelliptic,
     max_noether_holds,
     numerator_ambient,
