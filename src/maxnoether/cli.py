@@ -157,7 +157,7 @@ def cmd_verify_local(args) -> int:
     data["certificates"] = [
         {
             "name": c.name,
-            "entries": [[e.label, e.value] for e in c.entries],
+            "entries": c.labelled_values(),
         }
         for c in certs
     ]
@@ -175,7 +175,7 @@ def cmd_verify_local(args) -> int:
         if "q_pairs" in data:
             print(f"q-decomposition: {data['q_pairs']}")
         for c in certs:
-            table = "  ".join(f"{e.label}={e.value}" for e in c.entries) or "(empty)"
+            table = "  ".join(f"{label}={value}" for label, value in c.labelled_values()) or "(empty)"
             print(f"{c.name}: {table}")
         if defects:
             print("certificate defects: " + "; ".join(defects))

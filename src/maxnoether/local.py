@@ -21,11 +21,12 @@ and a covering check reports beside it the least shift that would suffice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import HypothesisGap, NotApplicable
 from .semigroup import NumericalSemigroup
-from .valueset import PowerChain, ValueSet, canonical_ideal, missing_below
+from .valueset import PowerChain, ValueSet, _bit_values, canonical_ideal, missing_bits
 
 
 def case_epsilon(case: str, n: int) -> int:
@@ -85,16 +86,16 @@ class LocalContext:
         alpha, beta = s.conductor, s.multiplicity
         k = canonical_ideal(s)
         if section_values is None:
-            section_values = ValueSet.finite(k.elements_below(alpha))
+            section_values = k.below(alpha)
         else:
             if not section_values.is_subset(k):
                 raise HypothesisGap("section values must lie in the canonical ideal")
-            if ValueSet(tuple(section_values.elements_below(alpha)), alpha) != k:
+            if section_values.below(alpha) != k.below(alpha):
                 raise HypothesisGap(
                     "section values plus the conductor ray must equal the canonical ideal"
                 )
-        off_ring = missing_below(k, s.values, alpha)
-        d1 = off_ring[0] if off_ring else None
+        lo, off_ring = missing_bits(k, s.values, alpha)
+        d1 = lo + (off_ring & -off_ring).bit_length() - 1 if off_ring else None
         d2 = alpha - d1 - 1 if d1 is not None else None
         r = alpha // beta - 1
         return cls(s, k, section_values, alpha, beta, d1, d2, r, alpha - (r + 1) * beta)
@@ -150,8 +151,13 @@ class BasisCertificate:
     """Products of sections spanning the value window [lo, hi) of the conductor chain.
 
     The window is one quotient step: the values of the larger conductor power
-    that the smaller one misses.  Validity means: hi - lo entries, pairwise
-    distinct values (hence independent in the monomial model), every value in
+    that the smaller one misses.  The entries are a ``base`` table times the
+    powers m^i of one section value m = ``mul``, for i in ``exponents``: base
+    entry e at power i is labelled ``f"{mul_label}^{i}*" + e.label`` (just
+    e.label at i = 0), has value e.value + i*m and the factors of e followed
+    by i copies of m.  The default exponents, only 0, make a flat table whose
+    entries are its base.  Validity means: hi - lo entries, pairwise distinct
+    values (hence independent in the monomial model), every value in
     [lo, hi), every factor an available section value summing to the entry
     value.
     """
@@ -159,47 +165,100 @@ class BasisCertificate:
     name: str
     lo: int
     hi: int
-    entries: tuple[CertEntry, ...]
+    base: tuple[CertEntry, ...]
+    mul_label: str = ""
+    mul: int = 0
+    exponents: range = range(1)
+
+    @property
+    def size(self) -> int:
+        """Number of entries."""
+        return len(self.base) * len(self.exponents)
+
+    def _powers(self):
+        """(label prefix, value shift, extra factors) of each power, in entry order."""
+        for i in self.exponents:
+            prefix = f"{self.mul_label}^{i}*" if i else ""
+            yield prefix, i * self.mul, (self.mul,) * i
+
+    @property
+    def entries(self) -> tuple[CertEntry, ...]:
+        """Every product, base entries within each power, powers in order."""
+        return tuple(
+            CertEntry(prefix + label, value + shift, factors + extra)
+            for prefix, shift, extra in self._powers()
+            for label, value, factors in self.base
+        )
+
+    def labelled_values(self) -> list[tuple[str, int]]:
+        """(label, value) of every entry in entry order, without the factor tuples."""
+        return [
+            (prefix + label, value + shift)
+            for prefix, shift, _ in self._powers()
+            for label, value, _ in self.base
+        ]
 
     def values(self) -> tuple[int, ...]:
-        return tuple(e.value for e in self.entries)
+        return tuple(value + i * self.mul for i in self.exponents for _, value, _ in self.base)
+
+    @cached_property
+    def value_bits(self) -> tuple[int | None, int]:
+        """(least value, mask), bit j set iff least + j is an entry value; (None, 0) if none.
+
+        The base values form one mask, OR-ed once per power at its shift.
+        """
+        if not self.size:
+            return None, 0
+        _, values, _ = zip(*self.base)
+        least = min(values)
+        base_mask = 0
+        for v in values:
+            base_mask |= 1 << (v - least)
+        shifts = [i * self.mul for i in self.exponents]
+        low = min(shifts)
+        mask = 0
+        for shift in shifts:
+            mask |= base_mask << (shift - low)
+        return least + low, mask
 
     def check(self, section_values: ValueSet) -> list[str]:
         """Return human-readable defects; empty list means the certificate holds.
 
-        One pass decides validity: the entry values that fall in the window
-        are OR-ed into a mask, and its bit count equals the number of entries
-        exactly when every value lies in the window and no two are equal.
-        Each distinct factor value is tested once.  Only a certificate that
-        fails is walked again, to name its defects.
+        Validity is decided from the base table: the least and largest value
+        lie in the window, the value mask has one bit per entry (so no two
+        values are equal) and hi - lo of them, each base entry's factors sum
+        to its value, and each distinct base factor, and m where a power
+        uses it, is a section value.  Only a certificate that fails is
+        expanded, to name its defects.
         """
-        lo, hi = self.lo, self.hi
-        _, values, factor_lists = zip(*self.entries) if self.entries else ((), (), ())
-        mask = 0
-        for v in values:
-            if lo <= v < hi:
-                mask |= 1 << (v - lo)
-        # a value outside the window or a repeated one leaves fewer bits than entries
+        least, mask = self.value_bits
+        _, values, factor_lists = zip(*self.base) if self.base else ((), (), ())
+        factors = set().union(*factor_lists)
+        if any(self.exponents):
+            factors.add(self.mul)
+        # a value outside the window or a repeated one fails the window or count test
         if (
-            mask.bit_count() == len(values) == hi - lo
+            (least is None or (self.lo <= least and least + mask.bit_length() <= self.hi))
+            and mask.bit_count() == self.size == self.hi - self.lo
             and list(map(sum, factor_lists)) == list(values)
-            and all(f in section_values for f in set().union(*factor_lists))
+            and all(f in section_values for f in factors)
         ):
             return []
         return self._defects(section_values)
 
     def _defects(self, section_values: ValueSet) -> list[str]:
         defects = []
-        vals = self.values()
+        entries = self.entries
+        vals = [e.value for e in entries]
         if len(set(vals)) != len(vals):
             defects.append("duplicate values")
         want = self.hi - self.lo
         if len(vals) != want:
             defects.append(f"size {len(vals)} != quotient dimension {want}")
         # entries share a few factor values; test each distinct one once
-        factors = {f for e in self.entries for f in e.factors}
+        factors = {f for e in entries for f in e.factors}
         unavailable = {f for f in factors if f not in section_values}
-        for e in self.entries:
+        for e in entries:
             if not self.lo <= e.value < self.hi:
                 defects.append(f"{e.label}: value {e.value} outside the quotient window")
             if sum(e.factors) != e.value:
@@ -292,15 +351,11 @@ def build_certificates(ctx: LocalContext, n: int, case: str) -> list[BasisCertif
         BasisCertificate("square-step", 2 * a - b, 2 * a - eps2, tuple(square)),
     ]
     if n >= 3:
-        power = []
-        for i in range(1, n - 1):
-            prefix, shift, extra = f"{mul_label}^{i}*", i * mul, (mul,) * i
-            power.extend(
-                CertEntry(prefix + label, value + shift, factors + extra)
-                for label, value, factors in conductor + square + pair
-            )
         hi = n * a - case_epsilon(case, n)
-        certs.append(BasisCertificate("power-step", 2 * a - eps2, hi, tuple(power)))
+        base = tuple(conductor + square + pair)
+        certs.append(
+            BasisCertificate("power-step", 2 * a - eps2, hi, base, mul_label, mul, range(1, n - 1))
+        )
     return certs
 
 
@@ -323,12 +378,16 @@ def verify_local_surjectivity(ctx: LocalContext, n: int, epsilon: int) -> Surjec
 
     Coverage is the value-set inclusion: every element of the n-fold sumset of
     K below n*alpha - epsilon must be an n-fold sum of section values.  The
-    values missing below n*alpha give the verdict and the least shift at once.
+    bit difference of the two powers below n*alpha gives the verdict and the
+    least shift at once; its values are listed only when it is not empty.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
     top = n * ctx.alpha
-    missing = missing_below(ctx.canonical_powers.power(n), ctx.section_powers.power(n), top)
-    uncovered = tuple(v for v in missing if v < top - epsilon)
-    least = top - missing[0] if missing else 0
-    return SurjectivityCheck(not uncovered, n, epsilon, uncovered, least)
+    lo, missing = missing_bits(ctx.canonical_powers.power(n), ctx.section_powers.power(n), top)
+    if not missing:
+        return SurjectivityCheck(True, n, epsilon, (), 0)
+    least = lo + (missing & -missing).bit_length() - 1
+    cut = top - epsilon - lo
+    uncovered = tuple(_bit_values(lo, missing & ((1 << cut) - 1))) if cut > 0 else ()
+    return SurjectivityCheck(not uncovered, n, epsilon, uncovered, top - least)

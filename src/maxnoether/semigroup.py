@@ -50,8 +50,9 @@ class NumericalSemigroup:
     @property
     def multiplicity(self) -> int:
         """Least positive element."""
-        members = self.values.exceptional
-        return members[1] if len(members) > 1 else max(self.conductor, 1)
+        # the lowest member in [1, conductor]; the conductor itself is one
+        bits = self.values._bits_below(1, self.conductor + 1)
+        return (bits & -bits).bit_length() or 1
 
     @property
     def genus(self) -> int:
@@ -93,10 +94,10 @@ class NumericalSemigroup:
         gap_tuple = tuple(sorted({int(h) for h in gaps}))
         if gap_tuple and gap_tuple[0] <= 0:
             raise ValueError("gaps must be positive integers")
-        gapset = set(gap_tuple)
         conductor = gap_tuple[-1] + 1 if gap_tuple else 0
-        members = tuple(m for m in range(conductor) if m not in gapset)
-        return cls._from_values(ValueSet(members, conductor), gap_tuple)
+        gapmask = sum(1 << h for h in gap_tuple)
+        members = ValueSet._from_mask(0, ~gapmask & ((1 << conductor) - 1), conductor)
+        return cls._from_values(members, gap_tuple)
 
     @classmethod
     def _from_values(cls, values: ValueSet, gaps: tuple[int, ...]) -> "NumericalSemigroup":
@@ -107,7 +108,7 @@ class NumericalSemigroup:
         members of P below conductor + multiplicity that are no sum.
         """
         conductor = values.threshold
-        nonzero = ValueSet(values.exceptional[1:], max(conductor, 1))  # drop 0
+        nonzero = ValueSet._from_mask(1, values._bits_below(1, conductor), max(conductor, 1))
         sums = sumset(nonzero, nonzero)
         if not sums.is_subset(values):
             x = missing_below(sums, values, conductor)[0]

@@ -6,17 +6,14 @@ values below a threshold, plus the full ray above it.  Purely finite sets
 (no ray) also occur, as value sets of finite dimensional section spaces, and
 the empty set is representable but rejected by the arithmetic operations.
 
-The normal form (sorted exceptional values, minimal threshold) is unique, so
-structural equality doubles as set equality and serialized value sets are
-equality certificates.
-
-For arithmetic each set also carries an int bitmask of its exceptional
-values, offset by the minimum (dualizing values are negative): bit i is set
-iff ``min + i`` is an exceptional member.  The ray is not in the mask.  The
-mask is derived from the normal form once per object and is never compared,
-hashed or serialized; membership is a bit test, and a sumset is a shift-OR
-of one operand's mask over the other operand's members, cut at the new
-threshold.
+A set is stored as an int bitmask of its exceptional values, offset by the
+least of them (dualizing values are negative), and the minimal threshold:
+bit i is set iff ``min + i`` is an exceptional member, and the ray is not in
+the mask.  That normal form is unique, so equality and hashing read it, and
+serialized value sets are equality certificates.  The sorted tuple
+``exceptional`` is derived only when something reads it.  Membership is a
+bit test, and a sumset is a shift-OR of one operand's mask over the other
+operand's members, cut at the new threshold.
 
 A numerical semigroup's members are one of these sets
 (``NumericalSemigroup.values``), closed and decomposed by the functions here;
@@ -26,7 +23,7 @@ this module imports nothing from ``semigroup``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from functools import cached_property
 from itertools import compress
 from typing import Iterable
@@ -38,35 +35,64 @@ from .errors import ConductorTooLarge, EmptySet, NotARing, NotNested
 MAX_CONDUCTOR = 10_000
 
 
-@dataclass(frozen=True)
 class ValueSet:
     """Normalized integer set: ``exceptional`` values plus ``[threshold, oo)``.
 
-    ``threshold is None`` means the set is finite (possibly empty).
+    ``threshold is None`` means the set is finite (possibly empty).  The
+    stored form is ``_lo``, the least exceptional value (``None`` when there
+    is none), the mask of the exceptional values from ``_lo`` and the
+    threshold; ``exceptional`` is derived from the mask when read.  The
+    constructor keeps the sorted tuple it was given and derives the mask when
+    read, so a sparse set with a huge member costs no huge mask unless the
+    arithmetic needs it.
     """
 
-    exceptional: tuple[int, ...] = ()
-    threshold: int | None = None
-
-    def __post_init__(self) -> None:
-        exc = sorted(set(self.exceptional))
-        t = self.threshold
+    def __init__(self, exceptional: Iterable[int] = (), threshold: int | None = None):
+        exc = sorted(set(exceptional))
+        t = threshold
         if t is not None:
             exc = [e for e in exc if e < t]
             while exc and exc[-1] == t - 1:
                 t -= 1
                 exc.pop()
-        object.__setattr__(self, "exceptional", tuple(exc))
-        object.__setattr__(self, "threshold", t)
+        state = self.__dict__
+        state["exceptional"] = tuple(exc)
+        state["_lo"] = exc[0] if exc else None
+        state["threshold"] = t
+
+    @cached_property
+    def exceptional(self) -> tuple[int, ...]:
+        """Sorted members below the threshold that are not on the ray."""
+        return () if self._lo is None else tuple(_bit_values(self._lo, self._mask))
 
     @cached_property
     def _mask(self) -> int:
-        """Bit i is set iff ``min + i`` is an exceptional member."""
+        """Bit i is set iff ``_lo + i`` is an exceptional member."""
         exc = self.exceptional
         mask = 0
         for e in exc:
             mask |= 1 << (e - exc[0])
         return mask
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ValueSet):
+            return NotImplemented
+        return (
+            self.threshold == other.threshold
+            and self._lo == other._lo
+            and self._mask == other._mask
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._lo, self._mask, self.threshold))
+
+    def __repr__(self) -> str:
+        return f"ValueSet(exceptional={self.exceptional!r}, threshold={self.threshold!r})"
 
     @classmethod
     def _from_mask(cls, lo: int, mask: int, threshold: int | None) -> "ValueSet":
@@ -83,10 +109,16 @@ class ValueSet:
             low = (mask & -mask).bit_length() - 1
             lo += low
             mask >>= low
+        return cls._stored(lo if mask else None, mask, threshold)
+
+    @classmethod
+    def _stored(cls, lo: int | None, mask: int, threshold: int | None) -> "ValueSet":
+        """The set with the stored form ``(lo, mask, threshold)``, already normal."""
         vs = object.__new__(cls)
-        object.__setattr__(vs, "exceptional", tuple(_bit_values(lo, mask)))
-        object.__setattr__(vs, "threshold", threshold)
-        vs.__dict__["_mask"] = mask
+        state = vs.__dict__
+        state["_lo"] = lo
+        state["_mask"] = mask
+        state["threshold"] = threshold
         return vs
 
     @classmethod
@@ -96,37 +128,40 @@ class ValueSet:
     @classmethod
     def above(cls, t: int) -> "ValueSet":
         """The ray [t, oo)."""
-        return cls((), t)
+        return cls._stored(None, 0, t)
 
     @classmethod
     def naturals(cls) -> "ValueSet":
-        return cls((), 0)
+        return cls._stored(None, 0, 0)
 
     @property
     def is_empty(self) -> bool:
-        return not self.exceptional and self.threshold is None
+        return self._lo is None and self.threshold is None
 
     @property
     def min(self) -> int | None:
-        if self.exceptional:
-            return self.exceptional[0]
-        return self.threshold
+        return self.threshold if self._lo is None else self._lo
 
     def contains(self, x: int) -> bool:
         t = self.threshold
         if t is not None and x >= t:
             return True
-        exc = self.exceptional
-        return bool(exc) and x >= exc[0] and (self._mask >> (x - exc[0])) & 1 == 1
+        lo = self._lo
+        return lo is not None and x >= lo and (self._mask >> (x - lo)) & 1 == 1
 
     __contains__ = contains
 
     def elements_below(self, bound: int) -> list[int]:
         """Sorted members strictly below ``bound``."""
-        out = [e for e in self.exceptional if e < bound]
-        if self.threshold is not None and self.threshold < bound:
-            out.extend(range(self.threshold, bound))
-        return out
+        lo = self.min
+        return [] if lo is None else _bit_values(lo, self._bits_below(lo, bound))
+
+    def below(self, bound: int) -> "ValueSet":
+        """The finite set of members strictly below ``bound``."""
+        lo = self.min
+        if lo is None:
+            return self
+        return ValueSet._from_mask(lo, self._bits_below(lo, bound), None)
 
     def _bits_below(self, lo: int, bound: int) -> int:
         """Members in ``[lo, bound)`` as a mask whose bit i stands for ``lo + i``."""
@@ -134,8 +169,8 @@ class ValueSet:
             return 0
         window = (1 << (bound - lo)) - 1
         bits = 0
-        if self.exceptional:
-            d = self.exceptional[0] - lo
+        if self._lo is not None:
+            d = self._lo - lo
             bits = self._mask << d if d >= 0 else self._mask >> -d
         if self.threshold is not None:
             bits |= window & ~((1 << max(self.threshold - lo, 0)) - 1)
@@ -144,7 +179,7 @@ class ValueSet:
     def shift(self, e: int) -> "ValueSet":
         """Translate every element by ``e``."""
         t = None if self.threshold is None else self.threshold + e
-        return ValueSet(tuple(x + e for x in self.exceptional), t)
+        return ValueSet._stored(None if self._lo is None else self._lo + e, self._mask, t)
 
     def is_subset(self, other: "ValueSet") -> bool:
         if self.threshold is not None:
@@ -152,17 +187,17 @@ class ValueSet:
             # ray fits iff other's ray starts at or below ours.
             if other.threshold is None or other.threshold > self.threshold:
                 return False
-        exc, t = self.exceptional, other.threshold
-        if not exc or (t is not None and exc[0] >= t):
+        lo, t = self._lo, other.threshold
+        if lo is None or (t is not None and lo >= t):
             return True
         mask = self._mask
         if t is not None:
             # members at or above t lie on other's ray
-            mask &= (1 << (t - exc[0])) - 1
-        other_exc = other.exceptional
-        if not other_exc or exc[0] < other_exc[0]:
+            mask &= (1 << (t - lo)) - 1
+        other_lo = other._lo
+        if other_lo is None or lo < other_lo:
             return False
-        return (mask << (exc[0] - other_exc[0])) & ~other._mask == 0
+        return (mask << (lo - other_lo)) & ~other._mask == 0
 
     def to_json(self) -> dict:
         return {"exceptional": list(self.exceptional), "threshold": self.threshold}
@@ -195,7 +230,8 @@ def canonical_ideal(s: "NumericalSemigroup") -> ValueSet:
     S, with equality exactly when S is symmetric; its minimum is 0.
     """
     a = s.conductor
-    return ValueSet(tuple(a - 1 - h for h in s.gaps), a)
+    # bit d stands for the value d = a - 1 - h of the gap h
+    return ValueSet._from_mask(0, sum(1 << (a - 1 - h) for h in s.gaps), a)
 
 
 def dualizing_values(s: "NumericalSemigroup") -> ValueSet:
@@ -204,7 +240,7 @@ def dualizing_values(s: "NumericalSemigroup") -> ValueSet:
     Equals the naturals together with -1-gap for every gap; shifting by the
     conductor gives :func:`canonical_ideal`.
     """
-    return ValueSet(tuple(-1 - h for h in s.gaps), 0)
+    return canonical_ideal(s).shift(-s.conductor)
 
 
 def sumset(a: ValueSet, b: ValueSet) -> ValueSet:
@@ -218,16 +254,15 @@ def sumset(a: ValueSet, b: ValueSet) -> ValueSet:
         tail = b.threshold + a.min if tail is None else min(tail, b.threshold + a.min)
     # A sum with a summand on a ray is at least the tail, so below the tail
     # only exceptional members add up; _from_mask drops the sums past it.
-    if not a.exceptional or not b.exceptional:
+    if a._lo is None or b._lo is None:
         return ValueSet.above(tail)
-    if len(a.exceptional) > len(b.exceptional):
+    if a._mask.bit_count() > b._mask.bit_count():
         a, b = b, a  # shift the larger mask over the fewer members
-    lo = a.exceptional[0]
-    mask = b._mask
+    lo, mask = a._lo, b._mask
     acc = 0
     for x in a.exceptional:
         acc |= mask << (x - lo)
-    return ValueSet._from_mask(lo + b.exceptional[0], acc, tail)
+    return ValueSet._from_mask(a._lo + b._lo, acc, tail)
 
 
 class PowerChain:
@@ -255,12 +290,20 @@ def n_fold(a: ValueSet, n: int) -> ValueSet:
     return PowerChain(a).power(n)
 
 
-def missing_below(a: ValueSet, b: ValueSet, bound: int) -> list[int]:
-    """Sorted members of ``a`` below ``bound`` that are not in ``b``."""
+def missing_bits(a: ValueSet, b: ValueSet, bound: int) -> tuple[int, int]:
+    """Members of ``a`` below ``bound`` that are not in ``b``, as ``(lo, mask)``.
+
+    Bit i of the mask stands for ``lo + i``; ``lo`` is the least member of ``a``.
+    """
     lo = a.min
     if lo is None:
-        return []
-    return _bit_values(lo, a._bits_below(lo, bound) & ~b._bits_below(lo, bound))
+        return 0, 0
+    return lo, a._bits_below(lo, bound) & ~b._bits_below(lo, bound)
+
+
+def missing_below(a: ValueSet, b: ValueSet, bound: int) -> list[int]:
+    """Sorted members of ``a`` below ``bound`` that are not in ``b``."""
+    return _bit_values(*missing_bits(a, b, bound))
 
 
 def ring_closure(a: ValueSet) -> ValueSet:
@@ -319,10 +362,11 @@ def quotient_dim(a: ValueSet, b: ValueSet) -> int:
     """Cardinality of a - b for nested co-finite sets; the monomial quotient dimension."""
     if not b.is_subset(a):
         raise NotNested(f"{b} is not contained in {a}")
+    size_a, size_b = a._mask.bit_count(), b._mask.bit_count()
     if a.threshold is None:
-        return len(a.exceptional) - len(b.exceptional)
+        return size_a - size_b
     if b.threshold is None:
         raise NotNested(f"{a} minus the finite set {b} is infinite")
     # b inside a puts a's threshold at or below b's, so below b's threshold a
     # has its exceptional values and the run [a.threshold, b.threshold).
-    return len(a.exceptional) + b.threshold - a.threshold - len(b.exceptional)
+    return size_a + b.threshold - a.threshold - size_b

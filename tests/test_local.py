@@ -1,5 +1,7 @@
 """Local covering certificates and the value-level surjectivity verdicts."""
 
+from dataclasses import replace
+
 import pytest
 
 from maxnoether.errors import HypothesisGap, NotApplicable
@@ -257,7 +259,7 @@ def test_certificate_check_orders_two_defects():
 
 
 def test_certificate_entries_are_plain_tuples():
-    # check() transposes the entries with zip, so each must be a plain 3-tuple
+    # check() transposes the base table with zip, so each must be a plain 3-tuple
     entry = CertEntry("m1*b2", 9, (4, 5))
     assert entry == ("m1*b2", 9, (4, 5))
     label, value, factors = entry
@@ -433,3 +435,117 @@ def test_negative_epsilon_is_rejected():
     for n in (1, 2, 3):
         with pytest.raises(ValueError, match="epsilon"):
             verify_local_surjectivity(ctx, n, -1)
+
+
+# -- structured power steps against flat tables ---------------------------------
+
+
+def _flat(cert):
+    """The same certificate with its entries listed one by one."""
+    return BasisCertificate(cert.name, cert.lo, cert.hi, cert.entries)
+
+
+def _mutations(cert, section_values):
+    """Power steps that each break one rule in the base table, with their section values."""
+    base = cert.base
+    first = base[0]
+    # the first power puts this value just below the window
+    moved = first._replace(value=cert.lo - cert.mul - 1)
+    off = base[-1]._replace(factors=base[-1].factors[:-1] + (base[-1].factors[-1] + 1,))
+    without_m = ValueSet.finite(v for v in section_values.exceptional if v != cert.mul)
+    return [
+        (replace(cert, base=(moved,) + base[1:]), section_values),
+        (replace(cert, base=base + (first,)), section_values),
+        (cert, without_m),
+        (replace(cert, base=base[:-1] + (off,)), section_values),
+    ]
+
+
+def _structured_cases():
+    """(context, case) for every non-symmetric g <= 9 in case i, and in ii and iii
+    through section values, as in test_case_ii_and_iii_certificates."""
+    for s in enumerate_semigroups(9):
+        if s.is_symmetric():
+            continue
+        a = s.conductor
+        base = canonical_ideal(s).elements_below(a)
+        yield LocalContext.for_semigroup(s), "i"
+        for tag, extra in (("ii", [a]), ("iii", [a, a + 1]), ("iii", [a, a + 2])):
+            yield LocalContext.for_semigroup(s, ValueSet.finite(base + extra)), tag
+
+
+def test_structured_power_step_matches_its_flat_table():
+    checked = mutated = 0
+    for ctx, case in _structured_cases():
+        for n in range(3, 7):
+            power = build_certificates(ctx, n, case)[-1]
+            assert power.exponents == range(1, n - 1)
+            flat = _flat(power)
+            assert power.values() == flat.values()
+            assert power.labelled_values() == [(e.label, e.value) for e in flat.entries]
+            assert power.size == flat.size == len(flat.entries)
+            assert power.value_bits == flat.value_bits
+            assert power.check(ctx.section_values) == flat.check(ctx.section_values) == []
+            checked += 1
+            if n not in (3, 6):
+                continue  # the shortest and the longest power step get the mutants
+            for bad, sections in _mutations(power, ctx.section_values):
+                defects = bad.check(sections)
+                assert defects and defects == _flat(bad).check(sections)
+                mutated += 1
+    assert (checked, mutated) == (3632, 7264)
+
+
+def test_unavailable_multiplier_is_named_where_the_base_does_not_use_it():
+    # every base factor is a section value and m = 2 is not
+    base = (CertEntry("a", 2, (1, 1)), CertEntry("b", 3, (1, 1, 1)))
+    cert = BasisCertificate("w", 2, 6, base, "m", 2, range(2))
+    sections = ValueSet.finite([1])
+    assert cert.values() == (2, 3, 4, 5)
+    assert cert.check(sections) == _flat(cert).check(sections) == [
+        "m^1*a: factor value 2 is not a section value",
+        "m^1*b: factor value 2 is not a section value",
+    ]
+    assert cert.check(ValueSet.finite([1, 2])) == []
+
+
+def test_power_step_entries_keep_their_order_and_labels():
+    power = build_certificates(ctx_for([4, 5, 11]), 4, "i")[-1]
+    assert (power.mul_label, power.mul, power.exponents) == ("b3", 6, range(1, 3))
+    assert [e.label for e in power.entries[:7]] == [
+        "b3^1*m1*b1", "b3^1*m1*b2", "b3^1*m1*b3", "b3^1*f1", "b3^1*b3*b3", "b3^1*f0",
+        "b3^2*m1*b1",
+    ]
+    assert power.entries[6] == CertEntry("b3^2*m1*b1", 20, (4, 4, 6, 6))
+    assert power.entries[:6] == tuple(
+        CertEntry("b3^1*" + label, value + 6, factors + (6,))
+        for label, value, factors in power.base
+    )
+
+
+# -- mask coverings against the list definition --------------------------------
+
+
+def _listed_covering(ctx, n, epsilon):
+    """(ok, uncovered, minimal epsilon) from listed values, as the verdict was once read."""
+    top = n * ctx.alpha
+    kn, wn = n_fold(ctx.canonical, n), n_fold(ctx.section_values, n)
+    missing = [v for v in kn.elements_below(top) if v not in wn]
+    uncovered = tuple(v for v in missing if v < top - epsilon)
+    return not uncovered, uncovered, top - missing[0] if missing else 0
+
+
+def test_mask_coverings_match_the_list_definition():
+    # symmetric semigroups included: <2, 2k+1> and epsilon = 0 fail to cover
+    failing = 0
+    for s in enumerate_semigroups(10):
+        if not s.gaps:
+            continue
+        ctx = LocalContext.for_semigroup(s)
+        for n in range(1, 7):
+            for eps in sorted({0, 1, 2 * n - 1}):
+                res = verify_local_surjectivity(ctx, n, eps)
+                assert (res.n, res.epsilon) == (n, eps)
+                assert (res.ok, res.uncovered, res.minimal_epsilon) == _listed_covering(ctx, n, eps)
+                failing += not res.ok
+    assert failing > 0

@@ -31,13 +31,24 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED))
-def test_default_report_bytes_are_pinned(name):
-    reports = run_suite(name)
+def _pin(reports):
     buf = io.StringIO()
     write_jsonl(reports, buf)
-    digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
-    assert (len(reports), digest) == PINNED[name]
+    return len(reports), hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_default_report_bytes_are_pinned(name):
+    assert _pin(run_suite(name)) == PINNED[name]
+
+
+def test_local_lemma_with_longer_power_steps_is_pinned():
+    # n up to 6 gives power steps of up to four powers; the default stops at n = 4
+    reports = run_suite("local-lemma", SuiteParams(max_genus=8, max_n=6))
+    assert _pin(reports) == (
+        1063,
+        "b2d6fde303507701248e65db68466f6d88bee00a3caaf4e57f3db55f12303940",
+    )
 
 
 def test_run_all_suites_script_writes_the_pinned_streams(tmp_path):

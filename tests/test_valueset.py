@@ -388,3 +388,31 @@ def test_empty_operands_are_rejected(raw):
     else:
         with pytest.raises(NotNested):
             quotient_dim(vs, empty)
+
+
+@settings(max_examples=150)
+@given(raw_value_sets(), st.integers(0, 5), st.integers(0, 3))
+def test_constructed_and_mask_built_sets_agree(raw, pad, spill):
+    # the constructor keeps a sorted tuple, sumset and _from_mask keep a mask;
+    # one set reached both ways is one normal form
+    built = build(raw)
+    exc, t = raw
+    lo = min(exc + ([] if t is None else [t])) - pad  # an offset below every member
+    mask = sum(1 << (x - lo) for x in set(exc))
+    if t is not None:
+        mask |= ((1 << spill) - 1) << (t - lo)  # bits on the ray are dropped
+    reached = [
+        ValueSet._from_mask(lo, mask, t),
+        sumset(built, ValueSet.finite([0])),
+        sumset(ValueSet.finite([-pad]), built).shift(pad),
+    ]
+    for vs in reached:
+        assert vs == built and hash(vs) == hash(built)
+        assert vs.exceptional == built.exceptional
+        assert vs.min == built.min and vs.is_empty == built.is_empty
+        assert str(vs) == str(built) and vs.to_json() == built.to_json()
+        assert ValueSet(vs.exceptional, vs.threshold) == vs
+    # the same mask and threshold from another offset is another set
+    if built.exceptional:
+        moved = ValueSet._from_mask(lo + 1, mask, None if t is None else t + 1)
+        assert moved != built and moved == built.shift(1)
