@@ -9,11 +9,14 @@ the empty set is representable but rejected by the arithmetic operations.
 A set is stored as an int bitmask of its exceptional values, offset by the
 least of them (dualizing values are negative), and the minimal threshold:
 bit i is set iff ``min + i`` is an exceptional member, and the ray is not in
-the mask.  That normal form is unique, so equality and hashing read it, and
-serialized value sets are equality certificates.  The sorted tuple
-``exceptional`` is derived only when something reads it.  Membership is a
-bit test, and a sumset is a shift-OR of one operand's mask over the other
-operand's members, cut at the new threshold.
+the mask.  That normal form is unique, and so is the sorted tuple
+``exceptional`` that the constructor keeps, so serialized value sets are
+equality certificates.  Equality compares a form both sets hold, and hashing
+reads the least and largest exceptional value, their count and the threshold,
+which either form gives without deriving the other.  The tuple is derived
+only when something reads it.  Membership is a bit test, and a sumset is a
+shift-OR of one operand's mask over the other operand's members, cut at the
+new threshold.
 
 A numerical semigroup's members are one of these sets
 (``NumericalSemigroup.values``), closed and decomposed by the functions here;
@@ -82,14 +85,31 @@ class ValueSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ValueSet):
             return NotImplemented
-        return (
-            self.threshold == other.threshold
-            and self._lo == other._lo
-            and self._mask == other._mask
-        )
+        if self._shape() != other._shape():
+            return False
+        mine, theirs = self.__dict__, other.__dict__
+        if "exceptional" in mine and "exceptional" in theirs:
+            return mine["exceptional"] == theirs["exceptional"]
+        # one of them holds a mask as wide as the other's would be
+        return self._mask == other._mask
 
     def __hash__(self) -> int:
-        return hash((self._lo, self._mask, self.threshold))
+        return hash(self._shape())
+
+    def _shape(self) -> tuple[int | None, int | None, int, int | None]:
+        """Least and largest exceptional value, their count and the threshold.
+
+        Read from whichever form the set holds, without deriving the other.
+        """
+        lo, t = self._lo, self.threshold
+        if lo is None:
+            return None, None, 0, t
+        state = self.__dict__
+        if "_mask" in state:
+            mask = state["_mask"]
+            return lo, lo + mask.bit_length() - 1, mask.bit_count(), t
+        exc = state["exceptional"]
+        return lo, exc[-1], len(exc), t
 
     def __repr__(self) -> str:
         return f"ValueSet(exceptional={self.exceptional!r}, threshold={self.threshold!r})"

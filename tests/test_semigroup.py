@@ -162,19 +162,62 @@ def _pair_loop_census(max_genus):
     return found
 
 
+# Numerical semigroups per genus, g = 0..14 (Bras-Amoros, Semigroup Forum 76,
+# 2008): published counts that owe nothing to this code
+PUBLISHED_GENUS_COUNTS = [1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693]
+
+
 def test_bruteforce_census_per_genus_counts():
     from maxnoether.suites import bruteforce_gap_census
 
-    counts = Counter(len(gaps) for gaps in bruteforce_gap_census(8))
-    assert [counts[g] for g in range(9)] == [1, 1, 2, 4, 7, 12, 23, 39, 67]
+    counts = Counter(len(gaps) for gaps in bruteforce_gap_census(14))
+    assert [counts[g] for g in range(15)] == PUBLISHED_GENUS_COUNTS
+    assert sum(counts.values()) == 4107
 
 
 def test_bruteforce_census_matches_a_pair_loop():
-    # the census tests closure with shifted masks; this oracle shares none of that
+    # the census prunes a member-or-gap search with sum masks; this oracle
+    # tries every g-subset with a plain pair loop and shares none of that
     from maxnoether.suites import bruteforce_gap_census
 
-    assert sorted(bruteforce_gap_census(6)) == sorted(_pair_loop_census(6))
-    assert len(_pair_loop_census(6)) == 1 + 1 + 2 + 4 + 7 + 12 + 23
+    assert sorted(bruteforce_gap_census(8)) == sorted(_pair_loop_census(8))
+    assert len(_pair_loop_census(8)) == sum(PUBLISHED_GENUS_COUNTS[:9])
+
+
+def test_bruteforce_census_keeps_the_subset_scan_order():
+    # the former census: every g-subset of [1, 2g - 1] in combinations order,
+    # kept when no member x <= top / 2 adds up to a gap by a mask shift
+    from itertools import combinations
+
+    from maxnoether.suites import bruteforce_gap_census
+
+    reference = [()]
+    for g in range(1, 10):
+        for gaps in combinations(range(1, 2 * g), g):
+            top = gaps[-1]
+            gapmask = sum(1 << h for h in gaps)
+            members = ~gapmask & ((1 << top) - 1)
+            if not any(
+                members >> x & 1 and members << x & gapmask for x in range(1, top // 2 + 1)
+            ):
+                reference.append(gaps)
+    assert bruteforce_gap_census(9) == reference
+    assert bruteforce_gap_census(0) == [()] and bruteforce_gap_census(-1) == []
+
+
+def test_bruteforce_census_uses_no_semigroup_or_value_set_code(monkeypatch):
+    from maxnoether import semigroup, suites, valueset
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the census must not call this")
+
+    monkeypatch.setattr(NumericalSemigroup, "from_gaps", refuse)
+    monkeypatch.setattr(semigroup, "enumerate_semigroups", refuse)
+    monkeypatch.setattr(suites, "enumerate_semigroups", refuse)
+    monkeypatch.setattr(valueset.ValueSet, "__init__", refuse)
+    monkeypatch.setattr(valueset.ValueSet, "_from_mask", refuse)
+    counts = Counter(len(gaps) for gaps in suites.bruteforce_gap_census(10))
+    assert [counts[g] for g in range(11)] == PUBLISHED_GENUS_COUNTS[:11]
 
 
 def test_from_gaps_accepts_exactly_the_census():

@@ -390,6 +390,39 @@ def test_empty_operands_are_rejected(raw):
             quotient_dim(vs, empty)
 
 
+def mask_built(raw):
+    """The raw set built by ``_from_mask``, which never holds a tuple."""
+    exc, t = raw
+    lo = min(exc + ([] if t is None else [t]))
+    return ValueSet._from_mask(lo, sum(1 << (x - lo) for x in set(exc)), t)
+
+
+@settings(max_examples=150)
+@given(raw_value_sets(), raw_value_sets())
+def test_equal_sets_hash_equal_in_either_form(ra, rb):
+    for other in (ra, rb):
+        same = reference(ra) == reference(other)
+        for make_a in (build, mask_built):
+            for make_b in (build, mask_built):
+                a, b = make_a(ra), make_b(other)
+                assert (a == b) == same
+                if same:
+                    assert hash(a) == hash(b)
+        # two constructed sets compare and hash by their tuples
+        a, b = build(ra), build(other)
+        assert (a == b) == same and hash(a) == hash(build(ra))
+        assert "_mask" not in a.__dict__ and "_mask" not in b.__dict__
+
+
+def test_far_member_compares_and_hashes_without_a_mask():
+    # a mask of these sets would need 10**12 bits
+    a, b = ValueSet.finite([0, 10**12]), ValueSet.finite([0, 10**12])
+    assert a == b and hash(a) == hash(b)
+    assert a != ValueSet.finite([0, 10**12 + 1]) and a != ValueSet.finite([0, 1, 10**12])
+    assert a != ValueSet._from_mask(0, 0b11, None)  # one form each, other shapes
+    assert "_mask" not in a.__dict__ and "_mask" not in b.__dict__
+
+
 @settings(max_examples=150)
 @given(raw_value_sets(), st.integers(0, 5), st.integers(0, 3))
 def test_constructed_and_mask_built_sets_agree(raw, pad, spill):
