@@ -25,6 +25,8 @@ from .linalg import Subspace, nullspace, rref
 from .local import (
     BasisCertificate,
     CertEntry,
+    Columns,
+    GridRow,
     LocalContext,
     QDecomposition,
     SurjectivityCheck,
@@ -54,6 +56,8 @@ __all__ = [
     "BlowupAnalysis",
     "Branch",
     "CertEntry",
+    "Columns",
+    "GridRow",
     "LocalContext",
     "NoetherCheck",
     "NumericalSemigroup",

@@ -6,6 +6,13 @@ stabilized data detects the almost Gorenstein property: the blowup exceeds
 K by exactly one value precisely in that case, and then already the square
 of K fills the blowup.  As 0 is in K, the blowup is also the module K
 generates over the blowup ring.
+
+"Nearly Gorenstein" has two readings in the literature.  The checks here
+test the almost Gorenstein one (Barucci-Froeberg, J. Algebra 188 (1997);
+:meth:`NumericalSemigroup.is_almost_gorenstein`).  The trace reading, M in
+K + (S - K) (Herzog-Hibi-Stamate, Israel J. Math. 233 (2019)), is
+:meth:`NumericalSemigroup.is_nearly_gorenstein`; it is weaker, and <4,5,11>
+has it without being almost Gorenstein.
 """
 
 from __future__ import annotations
@@ -49,6 +56,10 @@ class BlowupAnalysis:
 
     def nearly_gorenstein_checks(self) -> "NearlyGorensteinChecks":
         """Blowup-side reflections of the almost Gorenstein property.
+
+        The name means the almost Gorenstein reading of "nearly Gorenstein"
+        (Barucci-Froeberg).  The trace reading (Herzog-Hibi-Stamate) is
+        :meth:`NumericalSemigroup.is_nearly_gorenstein`.
 
         ``gap_one`` asks whether the blowup, which is also the module K
         generates over the blowup ring, exceeds K by a single value.

@@ -21,8 +21,7 @@ and a covering check reports beside it the least shift that would suffice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import HypothesisGap, NotApplicable
 from .semigroup import NumericalSemigroup
@@ -146,34 +145,166 @@ class CertEntry(NamedTuple):
     factors: tuple[int, ...]
 
 
+def _value_bits(values: Sequence[int]) -> tuple[int | None, int]:
+    """(least, mask) of some integers, bit j set for least + j; (None, 0) for none."""
+    least = min(values, default=None)
+    mask = 0
+    for value in values:
+        mask |= 1 << (value - least)
+    return least, mask
+
+
+class Columns(tuple):
+    """The (label, value) column factors that the rows of one grid share.
+
+    A plain tuple of pairs.  ``bits``, the (least value, mask) of the column
+    values ((None, 0) when there are none), is made with it, once however
+    many rows and steps read it.
+    """
+
+    bits: tuple[int | None, int]
+
+    def __new__(cls, pairs: Iterable[tuple[str, int]] = ()) -> "Columns":
+        self = super().__new__(cls, pairs)
+        self.bits = _value_bits([value for _, value in self])
+        return self
+
+
+class GridRow(NamedTuple):
+    """One section value times each of a run of others: a row of a factor grid.
+
+    Column (c, v) of ``cols`` stands for the entry ``CertEntry(f"{label}*{c}",
+    value + v, (value, v))``: a row stores only factors, and each value is
+    their sum.  The rows of one grid share their :class:`Columns`.
+    """
+
+    label: str
+    value: int
+    cols: Columns
+
+
+def _flat_entries(base: Iterable[CertEntry | GridRow]) -> list[CertEntry]:
+    """The entries of a base table, each grid row expanded into its products."""
+    out = []
+    for item in base:
+        if type(item) is GridRow:
+            label, value, cols = item
+            out.extend(CertEntry(f"{label}*{c}", value + v, (value, v)) for c, v in cols)
+        else:
+            out.append(item)
+    return out
+
+
 @dataclass(frozen=True)
 class BasisCertificate:
     """Products of sections spanning the value window [lo, hi) of the conductor chain.
 
     The window is one quotient step: the values of the larger conductor power
-    that the smaller one misses.  The entries are a ``base`` table times the
+    that the smaller one misses.  The ``base`` table lists flat entries
+    (:class:`CertEntry`, whose value is stored beside its factors) and grid
+    rows (:class:`GridRow`, one row factor times shared column factors,
+    standing for their products).  The entries are that base times the
     powers m^i of one section value m = ``mul``, for i in ``exponents``: base
     entry e at power i is labelled ``f"{mul_label}^{i}*" + e.label`` (just
     e.label at i = 0), has value e.value + i*m and the factors of e followed
-    by i copies of m.  The default exponents, only 0, make a flat table whose
-    entries are its base.  Validity means: hi - lo entries, pairwise distinct
-    values (hence independent in the monomial model), every value in
-    [lo, hi), every factor an available section value summing to the entry
-    value.
+    by i copies of m.  The default exponents, only 0, give the base itself.
+
+    Validity means: hi - lo entries, pairwise distinct values (hence
+    independent in the monomial model), every value in [lo, hi), every
+    factor an available section value summing to the entry value.  A
+    certificate reads its value and factor masks once, when it is made, with
+    work linear in its rows, columns and powers, not in their products: a
+    column mask is shifted once per row value, the base mask once per
+    power, and every distinct factor is one bit of the factor mask.
+    :meth:`check` decides every rule from these masks, and ``size``,
+    ``value_bits`` and :meth:`sorted_values` read them.  Labelled entries
+    are built only when they are read (``entries``, :meth:`labelled_values`,
+    :meth:`values`: ``verify local`` and tests) and when a check fails, to
+    name its defects as a flat table would.
     """
 
     name: str
     lo: int
     hi: int
-    base: tuple[CertEntry, ...]
+    base: tuple[CertEntry | GridRow, ...]
     mul_label: str = ""
     mul: int = 0
     exponents: range = range(1)
+    _scan: tuple[tuple[int | None, int], int, int | None, bool] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_scan", self._read_masks())
+
+    def _read_masks(self) -> tuple[tuple[int | None, int], int, int | None, bool]:
+        """(value bits, entry count, factor mask, factor sums hold) over every entry.
+
+        The values are read as a mask from the window's low end: a flat entry
+        is one bit, a grid row its column mask at the row value, and the base
+        mask is shifted once per power.  The mask keeps one bit per entry iff
+        no value repeats.  Should a value fall below the window, the bits are
+        read from the listed values instead.  Bit f of the factor mask stands
+        for the factor f: the flat entries' factors, the row values and
+        columns of non-empty rows, and m where a power uses it.  It is None
+        when a factor is negative.
+        """
+        exps, mul, lo = self.exponents, self.mul, self.lo
+        low_shift = min(exps[0] * mul, exps[-1] * mul) if exps else 0
+        origin = lo - low_shift  # bit 0 of the base mask
+        base_mask = factors = count = 0
+        below = negative = False
+        sums = True
+        for item in self.base:
+            if type(item) is GridRow:
+                row, cols = item.value, item.cols
+                if not cols:
+                    continue
+                least, mask = cols.bits
+                at = row + least - origin
+                if at < 0:
+                    below = True
+                else:
+                    base_mask |= mask << at
+                if least < 0 or row < 0:
+                    negative = True
+                else:
+                    factors |= mask << least | 1 << row
+                count += len(cols)
+            else:
+                _, value, item_factors = item
+                if value < origin:
+                    below = True
+                else:
+                    base_mask |= 1 << (value - origin)
+                for f in item_factors:
+                    if f < 0:
+                        negative = True
+                    else:
+                        factors |= 1 << f
+                count += 1
+                sums = sums and sum(item_factors) == value
+        if not (count and exps):
+            return (None, 0), 0, 0, sums
+        if any(exps):
+            if mul < 0:
+                negative = True
+            else:
+                factors |= 1 << mul
+        mask = 0
+        for i in exps:
+            mask |= base_mask << (i * mul - low_shift)
+        if below:
+            bits = _value_bits(self.values())
+        else:
+            low = (mask & -mask).bit_length() - 1
+            bits = lo + low, mask >> low
+        return bits, count * len(exps), None if negative else factors, sums
 
     @property
     def size(self) -> int:
         """Number of entries."""
-        return len(self.base) * len(self.exponents)
+        return self._scan[1]
 
     def _powers(self):
         """(label prefix, value shift, extra factors) of each power, in entry order."""
@@ -184,64 +315,56 @@ class BasisCertificate:
     @property
     def entries(self) -> tuple[CertEntry, ...]:
         """Every product, base entries within each power, powers in order."""
+        base = _flat_entries(self.base)
         return tuple(
             CertEntry(prefix + label, value + shift, factors + extra)
             for prefix, shift, extra in self._powers()
-            for label, value, factors in self.base
+            for label, value, factors in base
         )
 
     def labelled_values(self) -> list[tuple[str, int]]:
         """(label, value) of every entry in entry order, without the factor tuples."""
+        base = _flat_entries(self.base)
         return [
             (prefix + label, value + shift)
             for prefix, shift, _ in self._powers()
-            for label, value, _ in self.base
+            for label, value, _ in base
         ]
 
     def values(self) -> tuple[int, ...]:
-        return tuple(value + i * self.mul for i in self.exponents for _, value, _ in self.base)
+        base = [value for _, value, _ in _flat_entries(self.base)]
+        return tuple(value + i * self.mul for i in self.exponents for value in base)
 
-    @cached_property
+    def sorted_values(self) -> list[int]:
+        """The entry values in increasing order, read from the mask when none repeats."""
+        least, mask = self.value_bits
+        if mask.bit_count() == self.size:
+            return _bit_values(least, mask) if mask else []
+        return sorted(self.values())
+
+    @property
     def value_bits(self) -> tuple[int | None, int]:
-        """(least value, mask), bit j set iff least + j is an entry value; (None, 0) if none.
-
-        The base values form one mask, OR-ed once per power at its shift.
-        """
-        if not self.size:
-            return None, 0
-        _, values, _ = zip(*self.base)
-        least = min(values)
-        base_mask = 0
-        for v in values:
-            base_mask |= 1 << (v - least)
-        shifts = [i * self.mul for i in self.exponents]
-        low = min(shifts)
-        mask = 0
-        for shift in shifts:
-            mask |= base_mask << (shift - low)
-        return least + low, mask
+        """(least value, mask), bit j set iff least + j is an entry value; (None, 0) if none."""
+        return self._scan[0]
 
     def check(self, section_values: ValueSet) -> list[str]:
         """Return human-readable defects; empty list means the certificate holds.
 
-        Validity is decided from the base table: the least and largest value
-        lie in the window, the value mask has one bit per entry (so no two
-        values are equal) and hi - lo of them, each base entry's factors sum
-        to its value, and each distinct base factor, and m where a power
-        uses it, is a section value.  Only a certificate that fails is
-        expanded, to name its defects.
+        Validity is decided from the masks: the least and largest value lie
+        in the window, the value mask has one bit per entry (so no two values
+        are equal) and hi - lo of them, each flat entry's factors sum to its
+        value (a grid row's do by definition), and the factor mask lies in
+        the section values.  Only a certificate that fails is expanded into
+        labelled entries, to name its defects in the words of a flat table.
         """
-        least, mask = self.value_bits
-        _, values, factor_lists = zip(*self.base) if self.base else ((), (), ())
-        factors = set().union(*factor_lists)
-        if any(self.exponents):
-            factors.add(self.mul)
+        (least, mask), size, factors, sums = self._scan
         # a value outside the window or a repeated one fails the window or count test
         if (
             (least is None or (self.lo <= least and least + mask.bit_length() <= self.hi))
-            and mask.bit_count() == self.size == self.hi - self.lo
-            and list(map(sum, factor_lists)) == list(values)
-            and all(f in section_values for f in factors)
+            and mask.bit_count() == size == self.hi - self.lo
+            and sums
+            and factors is not None
+            and factors & ~section_values._bits_below(0, factors.bit_length()) == 0
         ):
             return []
         return self._defects(section_values)
@@ -284,12 +407,22 @@ def build_certificates(ctx: LocalContext, n: int, case: str) -> list[BasisCertif
     * square step [2 alpha - beta, 2 alpha - eps(2)),
     * power step [2 alpha - eps(2), n alpha - eps(n)), for n >= 3,
 
-    which tile [alpha, n alpha - eps(n)).  For n = 1 the list is empty.  The
-    square step multiplies one section m with the b_j: m = b_(beta-1) in case
-    i, the value-zero section h0 in cases ii and iii, where case iii adds the
-    product of its value-1 or value-2 section.  The power step multiplies the
-    earlier tables, plus the gap-pair product f0 of value alpha - 1 in cases i
-    and ii, with the powers m^1 .. m^(n-2).
+    which tile [alpha, n alpha - eps(n)).  For n = 1 the list is empty.
+
+    Each step is a few factor grids over the column table b_j = j + alpha -
+    beta - 1 (:class:`GridRow`), with flat two-factor entries between them.
+    The conductor step is the rows m_i = i beta times b_1 .. b_(beta-1) for
+    i = 1..r, each followed by its q-split pair f_i, then the top row
+    m_(r+1) times b_1 .. b_p.  The square step is the row of one section m
+    times b_first .. b_(beta-1): m = b_(beta-1) from b_3 on in case i, the
+    value-zero section h0 from b_1 on in cases ii and iii, where case iii
+    adds the product h1*b_partner of its value-1 or value-2 section.  The
+    power step is the rows and entries of both, plus the gap-pair product f0
+    of value alpha - 1 in cases i and ii, times the powers m^1 .. m^(n-2).
+    Building them requires each factor once, the column table first and
+    then the rest in entry order, so a missing one raises
+    :class:`HypothesisGap` naming the first met.  Each step reads its masks
+    as it is made; no entry is labelled until it is read.
     """
     eps2 = case_epsilon(case, 2)
     if n < 1:
@@ -300,46 +433,38 @@ def build_certificates(ctx: LocalContext, n: int, case: str) -> list[BasisCertif
         return []
     a, b, r, p = ctx.alpha, ctx.beta, ctx.r, ctx.p
 
-    b_vals: dict[int, int] = {}
+    # the column table b_j = j + alpha - beta - 1, j = 1 .. beta-1, required
+    # whole: a missing b_j is named as requiring each in turn would name it
+    missing = ~ctx.section_values._bits_below(a - b, a - 1) & ((1 << (b - 1)) - 1)
+    if missing:
+        j = (missing & -missing).bit_length()
+        _require(j + a - b - 1, ctx, f"b{j}")
+    b_cols = Columns((f"b{j}", j + a - b - 1) for j in range(1, b))
 
-    def b_val(j: int) -> int:
-        # each b_j is required once, at its first use
-        v = b_vals.get(j)
-        if v is None:
-            v = b_vals[j] = _require(j + a - b - 1, ctx, f"b{j}")
-        return v
-
-    conductor: list[CertEntry] = []
+    conductor: list[CertEntry | GridRow] = []
     if r >= 1:
         qd = q_decomposition(ctx)
         for i in range(1, r + 1):
-            m_i = _require(i * b, ctx, f"m{i}")
-            for j in range(1, b):
-                bj = b_val(j)
-                conductor.append(CertEntry(f"m{i}*b{j}", m_i + bj, (m_i, bj)))
+            conductor.append(GridRow(f"m{i}", _require(i * b, ctx, f"m{i}"), b_cols))
             q1, q2 = qd.pairs[i - 1]
             f1 = _require(q1 * b + qd.d1, ctx, "q-split summand")
             f2 = _require(q2 * b + qd.d2, ctx, "q-split summand")
             conductor.append(CertEntry(f"f{i}", f1 + f2, (f1, f2)))
     if p > 0:
         m_top = _require((r + 1) * b, ctx, f"m{r + 1}")
-        for j in range(1, p + 1):
-            bj = b_val(j)
-            conductor.append(CertEntry(f"m{r + 1}*b{j}", m_top + bj, (m_top, bj)))
+        conductor.append(GridRow(f"m{r + 1}", m_top, Columns(b_cols[:p])))
 
     if case == "i":
-        mul_label, mul, first = f"b{b - 1}", b_val(b - 1), 3
+        mul_label, mul, first = f"b{b - 1}", b_cols[-1][1], 3
     else:
         mul_label, mul, first = "h0", _require(a, ctx, "h0"), 1
-    square = [
-        CertEntry(f"{mul_label}*b{j}", mul + b_val(j), (mul, b_val(j))) for j in range(first, b)
-    ]
+    square: list[CertEntry | GridRow] = [GridRow(mul_label, mul, Columns(b_cols[first - 1:]))]
     if case == "iii":
         h1 = next((v for v in (a + 1, a + 2) if v in ctx.section_values), None)
         if h1 is None:
             raise HypothesisGap("case iii needs a section of value 1 or 2 at the point")
         partner = a + b - h1
-        bj = b_val(partner)
+        bj = b_cols[partner - 1][1]
         square.append(CertEntry(f"h1*b{partner}", h1 + bj, (h1, bj)))
         pair = []
     else:

@@ -22,7 +22,14 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import EmptyGenerators, NoSingularity, NotCofinite
-from .valueset import ValueSet, _bit_values, missing_below, ring_closure, sumset
+from .valueset import (
+    ValueSet,
+    _bit_values,
+    canonical_ideal,
+    missing_below,
+    ring_closure,
+    sumset,
+)
 
 
 @dataclass(frozen=True)
@@ -153,6 +160,28 @@ class NumericalSemigroup:
             return True
         n_below = self.conductor - self.genus
         return self.genus == n_below + len(self.pseudo_frobenius()) - 1
+
+    def is_nearly_gorenstein(self) -> bool:
+        """Trace reading (Herzog-Hibi-Stamate): M lies in K + (S - K).
+
+        M is the nonzero members, K the canonical ideal and S - K the x with
+        x + K inside S.  Every x from the conductor c on is in S - K, and so
+        is every member of K + [c, oo) (0 is in K), so only values below c
+        are tested: S - K there is the AND of the member mask shifted down
+        by each value of K below c.  Symmetric semigroups (K = S) hold it.
+        The almost Gorenstein property (:meth:`is_almost_gorenstein`) implies
+        it.
+        """
+        if not self.gaps:
+            return True
+        c = self.conductor
+        k = canonical_ideal(self)
+        members = self.values._bits_below(0, 2 * c)
+        dual = (1 << c) - 1
+        for d in k.elements_below(c):
+            dual &= members >> d
+        trace = sumset(k, ValueSet._from_mask(0, dual, c))
+        return ValueSet._from_mask(1, members >> 1, c).is_subset(trace)
 
     def to_json(self) -> dict:
         return {

@@ -233,7 +233,7 @@ def suite_local_lemma(params: SuiteParams) -> list[VerificationReport]:
         certs = build_certificates(ctx, max(max_n, 2), "i")
         conductor = certs[0]
         expected_values = list(range(a, 2 * a - b))
-        got_values = sorted(conductor.values())
+        got_values = conductor.sorted_values()
         defects = [d for c in certs for d in c.check(ctx.section_values)]
         passed = got_values == expected_values and not defects
         run.add(

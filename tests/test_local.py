@@ -1,5 +1,6 @@
 """Local covering certificates and the value-level surjectivity verdicts."""
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -8,6 +9,8 @@ from maxnoether.errors import HypothesisGap, NotApplicable
 from maxnoether.local import (
     BasisCertificate,
     CertEntry,
+    Columns,
+    GridRow,
     LocalContext,
     build_certificates,
     case_epsilon,
@@ -272,6 +275,16 @@ def test_case_ii_requires_value_alpha():
         build_certificates(ctx, 2, "ii")
 
 
+def test_a_missing_column_factor_is_named():
+    # b_j = j + alpha - beta - 1 lie in K below alpha, so only a context made
+    # without for_semigroup can miss one; the first missing b_j is named
+    ctx = ctx_for([4, 5, 11])
+    assert [v for _, v in build_certificates(ctx, 2, "i")[0].base[0].cols] == [4, 5, 6]
+    sections = ValueSet.finite(v for v in ctx.section_values.exceptional if v not in (5, 6))
+    with pytest.raises(HypothesisGap, match=r"^required section value 5 \(b2\) is unavailable$"):
+        build_certificates(replace(ctx, section_values=sections), 2, "i")
+
+
 def test_certificates_not_applicable_for_symmetric():
     with pytest.raises(NotApplicable):
         build_certificates(ctx_for([2, 7]), 2, "i")
@@ -445,18 +458,26 @@ def _flat(cert):
     return BasisCertificate(cert.name, cert.lo, cert.hi, cert.entries)
 
 
+def _without(section_values, value):
+    return ValueSet.finite(v for v in section_values.exceptional if v != value)
+
+
 def _mutations(cert, section_values):
-    """Power steps that each break one rule in the base table, with their section values."""
+    """Power steps that each break one rule in the base table, with their section values.
+
+    The base's first item with entries is moved or repeated; a grid row is
+    moved by its row value, so that its first product is the moved value.
+    """
     base = cert.base
-    first = base[0]
+    k, first = next((k, e) for k, e in enumerate(base) if type(e) is not GridRow or e.cols)
     # the first power puts this value just below the window
-    moved = first._replace(value=cert.lo - cert.mul - 1)
+    low = cert.lo - cert.mul - 1
+    moved = first._replace(value=low - first.cols[0][1] if type(first) is GridRow else low)
     off = base[-1]._replace(factors=base[-1].factors[:-1] + (base[-1].factors[-1] + 1,))
-    without_m = ValueSet.finite(v for v in section_values.exceptional if v != cert.mul)
     return [
-        (replace(cert, base=(moved,) + base[1:]), section_values),
+        (replace(cert, base=base[:k] + (moved,) + base[k + 1:]), section_values),
         (replace(cert, base=base + (first,)), section_values),
-        (cert, without_m),
+        (cert, _without(section_values, cert.mul)),
         (replace(cert, base=base[:-1] + (off,)), section_values),
     ]
 
@@ -496,6 +517,122 @@ def test_structured_power_step_matches_its_flat_table():
     assert (checked, mutated) == (3632, 7264)
 
 
+def _step_mutations(cert, section_values):
+    """(kind, certificate, section values) of conductor or square steps that each break one rule.
+
+    Each factor a step is built from goes missing in turn: the row value and
+    the first column of every non-empty grid row (an m_i, h0 or b_(beta-1),
+    and a b_j), and the first factor of every flat entry (a q-split summand,
+    or h1), each distinct value once.  The first non-empty row is repeated, and moved
+    so that its first product lies just below the window.
+    """
+    removed = {}
+    for item in cert.base:
+        if type(item) is GridRow:
+            if item.cols:
+                removed.setdefault(item.value, "row value")
+                removed.setdefault(item.cols[0][1], "column")
+        else:
+            removed.setdefault(item.factors[0], "flat factor")
+    out = [(kind, cert, _without(section_values, v)) for v, kind in removed.items()]
+    rows = [k for k, item in enumerate(cert.base) if type(item) is GridRow and item.cols]
+    if rows:
+        k = rows[0]
+        row = cert.base[k]
+        moved = row._replace(value=cert.lo - 1 - row.cols[0][1])
+        out.append(("repeated row", replace(cert, base=cert.base + (row,)), section_values))
+        out.append(
+            ("row below", replace(cert, base=cert.base[:k] + (moved,) + cert.base[k + 1:]), section_values)
+        )
+    return out
+
+
+def test_structured_conductor_and_square_steps_match_their_flat_tables():
+    checked = 0
+    mutated = Counter()
+    for ctx, case in _structured_cases():
+        for cert in build_certificates(ctx, 2, case):
+            flat = _flat(cert)
+            assert cert.values() == flat.values()
+            assert cert.labelled_values() == [(e.label, e.value) for e in flat.entries]
+            assert cert.size == flat.size == len(flat.entries)
+            assert cert.value_bits == flat.value_bits
+            assert cert.sorted_values() == sorted(flat.values())
+            assert cert.check(ctx.section_values) == flat.check(ctx.section_values) == []
+            checked += 1
+            for kind, bad, sections in _step_mutations(cert, ctx.section_values):
+                defects = bad.check(sections)
+                assert defects and defects == _flat(bad).check(sections)
+                mutated[cert.name, kind] += 1
+    assert checked == 1816
+    assert mutated == {
+        ("conductor-step", "row value"): 1284,  # m_i
+        ("conductor-step", "column"): 692,  # b_1, where it is no m_i
+        ("conductor-step", "flat factor"): 548,  # a q-split summand
+        ("conductor-step", "repeated row"): 876,
+        ("conductor-step", "row below"): 876,
+        ("square-step", "row value"): 893,  # b_(beta-1) in case i, h0 in ii and iii
+        ("square-step", "column"): 863,
+        ("square-step", "flat factor"): 454,  # h1
+        ("square-step", "repeated row"): 893,
+        ("square-step", "row below"): 893,
+    }
+
+
+def test_hand_made_grids_name_their_defects_like_flat_tables():
+    cols = Columns((("c1", 3), ("c2", 4)))
+    sections = ValueSet.finite([1, 2, 3, 4])
+
+    def grid(*rows):
+        return BasisCertificate("w", 4, 8, tuple(GridRow(f"x{v}", v, cols) for v in rows))
+
+    assert grid(1, 3).values() == (4, 5, 6, 7)
+    assert grid(1, 3).check(sections) == []
+    # rows 1 and 2 share the value 5
+    repeated = grid(1, 2)
+    assert repeated.value_bits == _flat(repeated).value_bits == (4, 0b111)
+    assert repeated.check(sections) == _flat(repeated).check(sections) == ["duplicate values"]
+    # row 4 reaches 8, past the window
+    above = grid(1, 4)
+    assert above.check(sections) == _flat(above).check(sections) == [
+        "x4*c2: value 8 outside the quotient window"
+    ]
+    # row 0 starts at 3, below it; the bits are then read from the values
+    below = grid(0, 3)
+    assert below.value_bits == _flat(below).value_bits == (3, 0b11011)
+    assert below.check(sections) == _flat(below).check(sections) == [
+        "x0*c1: value 3 outside the quotient window",
+        "x0*c1: factor value 0 is not a section value",
+        "x0*c2: factor value 0 is not a section value",
+    ]
+    # a grid row's value is its factor sum, so the row value is a factor
+    assert grid(1, 3).check(ValueSet.finite([2, 3, 4])) == [
+        "x1*c1: factor value 1 is not a section value",
+        "x1*c2: factor value 1 is not a section value",
+    ]
+
+
+def test_negative_factors_are_decided_by_the_flat_rules():
+    # the factor mask starts at 0, so a negative factor takes the flat walk
+    cols = Columns((("c1", 3), ("c2", 4)))
+    cert = BasisCertificate("w", 2, 4, (GridRow("x", -1, cols),))
+    assert cert.check(ValueSet.finite([-1, 3, 4])) == []
+    assert cert.check(ValueSet.finite([3, 4])) == _flat(cert).check(ValueSet.finite([3, 4])) == [
+        "x*c1: factor value -1 is not a section value",
+        "x*c2: factor value -1 is not a section value",
+    ]
+    flat = BasisCertificate("w", 2, 3, (CertEntry("a", 2, (-1, 3)),))
+    assert flat.check(ValueSet.finite([-1, 3])) == []
+
+
+def test_columns_carry_their_value_mask():
+    assert Columns().bits == (None, 0)
+    assert Columns((("a", 5), ("b", 3), ("c", 4))).bits == (3, 0b111)
+    assert Columns((("a", 5), ("b", 9))).bits == (5, 0b10001)
+    # slices are plain tuples; a grid row takes a new Columns of one
+    assert type(Columns((("a", 1),))[:1]) is tuple
+
+
 def test_unavailable_multiplier_is_named_where_the_base_does_not_use_it():
     # every base factor is a section value and m = 2 is not
     base = (CertEntry("a", 2, (1, 1)), CertEntry("b", 3, (1, 1, 1)))
@@ -510,7 +647,10 @@ def test_unavailable_multiplier_is_named_where_the_base_does_not_use_it():
 
 
 def test_power_step_entries_keep_their_order_and_labels():
-    power = build_certificates(ctx_for([4, 5, 11]), 4, "i")[-1]
+    conductor, square, power = build_certificates(ctx_for([4, 5, 11]), 4, "i")
+    # the power step multiplies the rows and entries of the two steps, then f0
+    f0 = CertEntry("f0", 7, (1, 6))
+    assert power.base == conductor.base + square.base + (f0,)
     assert (power.mul_label, power.mul, power.exponents) == ("b3", 6, range(1, 3))
     assert [e.label for e in power.entries[:7]] == [
         "b3^1*m1*b1", "b3^1*m1*b2", "b3^1*m1*b3", "b3^1*f1", "b3^1*b3*b3", "b3^1*f0",
@@ -519,7 +659,7 @@ def test_power_step_entries_keep_their_order_and_labels():
     assert power.entries[6] == CertEntry("b3^2*m1*b1", 20, (4, 4, 6, 6))
     assert power.entries[:6] == tuple(
         CertEntry("b3^1*" + label, value + 6, factors + (6,))
-        for label, value, factors in power.base
+        for label, value, factors in conductor.entries + square.entries + (f0,)
     )
 
 

@@ -298,6 +298,45 @@ def test_almost_gorenstein_inequality_over_census():
         assert s.is_almost_gorenstein() == (s.genus == n_below + t - 1)
 
 
+def trace_nearly_gorenstein_oracle(s):
+    """M inside K + (S - K), from listed sets on the window [0, 2 * conductor)."""
+    c = s.conductor
+    window = range(2 * c)
+    members = {x for x in window if x >= c or x not in s.gaps}
+    k = {d for d in window if d >= c or (c - 1 - d) not in members}
+    dual = {x for x in window if all(x + d in members or x + d >= c for d in k)}
+    trace = {x + d for x in dual for d in k}
+    return all(m in trace for m in members if 0 < m < c)
+
+
+def test_nearly_gorenstein_counts_per_genus():
+    # non-symmetric semigroups of genus exactly g = 5..10
+    counts = {g: Counter() for g in range(5, 11)}
+    for s in enumerate_semigroups(10):
+        if s.genus < 5 or s.is_symmetric():
+            continue
+        ng, ag = s.is_nearly_gorenstein(), s.is_almost_gorenstein()
+        assert ng == trace_nearly_gorenstein_oracle(s)
+        counts[s.genus].update(total=1, nearly=ng, almost=ag)
+    assert [counts[g]["nearly"] for g in range(5, 11)] == [7, 13, 18, 37, 57, 91]
+    assert [counts[g]["almost"] for g in range(5, 11)] == [6, 11, 14, 28, 41, 64]
+    assert [counts[g]["total"] for g in range(5, 11)] == [9, 17, 31, 60, 103, 184]
+
+
+def test_almost_gorenstein_implies_nearly_gorenstein():
+    only_nearly = []
+    for s in enumerate_semigroups(10):
+        if s.is_almost_gorenstein():
+            assert s.is_nearly_gorenstein(), s
+        elif s.is_nearly_gorenstein():
+            only_nearly.append(s)
+        if s.is_symmetric():
+            assert s.is_nearly_gorenstein(), s
+    assert min(only_nearly, key=lambda s: (s.genus, s.gaps)).generators == (4, 5, 11)
+    s = NumericalSemigroup.from_generators([4, 5, 11])
+    assert s.is_nearly_gorenstein() and not s.is_almost_gorenstein()
+
+
 @given(st.sampled_from(SEMIGROUPS_G7))
 def test_pseudo_frobenius_matches_oracle(s):
     if not s.gaps:
