@@ -54,12 +54,11 @@ class BlowupAnalysis:
         """K^m; from the stabilization index on, every power is the blowup."""
         return self.powers[min(m, self.stabilization_index) - 1]
 
-    def nearly_gorenstein_checks(self) -> "NearlyGorensteinChecks":
-        """Blowup-side reflections of the almost Gorenstein property.
+    def almost_gorenstein_checks(self) -> "AlmostGorensteinChecks":
+        """Blowup-side reflections of the almost Gorenstein property (Barucci-Froeberg).
 
-        The name means the almost Gorenstein reading of "nearly Gorenstein"
-        (Barucci-Froeberg).  The trace reading (Herzog-Hibi-Stamate) is
-        :meth:`NumericalSemigroup.is_nearly_gorenstein`.
+        This is one reading of "nearly Gorenstein"; the trace reading
+        (Herzog-Hibi-Stamate) is :meth:`NumericalSemigroup.is_nearly_gorenstein`.
 
         ``gap_one`` asks whether the blowup, which is also the module K
         generates over the blowup ring, exceeds K by a single value.
@@ -72,7 +71,7 @@ class BlowupAnalysis:
         gap_one = quotient_dim(ohat, self.canonical) == 1
         square = self.power(2) == ohat
         collapse = all(sumset(power, ohat) == power for power in self.powers[1:])
-        return NearlyGorensteinChecks(s.is_almost_gorenstein(), gap_one, square, collapse)
+        return AlmostGorensteinChecks(s.is_almost_gorenstein(), gap_one, square, collapse)
 
     def genus_drop(self) -> int:
         """Genus lost when passing to the blowup; at least 2 at a non-Gorenstein point."""
@@ -102,7 +101,7 @@ def analyze(s: NumericalSemigroup) -> BlowupAnalysis:
 
 
 @dataclass(frozen=True)
-class NearlyGorensteinChecks:
+class AlmostGorensteinChecks:
     """Booleans tying the almost Gorenstein count to the blowup picture."""
 
     almost_gorenstein: bool

@@ -58,6 +58,8 @@ class LocalContext:
     non-symmetric and are ``None`` otherwise.  ``canonical_powers`` and
     ``section_powers`` hold the sumset powers of K and of the section values
     made so far for this context, so every weight reuses the lower ones.
+    ``q_split`` is the :func:`q_decomposition` of the context, made once,
+    and ``None`` where it does not apply (symmetric, or r = 0).
     """
 
     semigroup: NumericalSemigroup
@@ -71,10 +73,13 @@ class LocalContext:
     p: int
     canonical_powers: PowerChain = field(init=False, repr=False, compare=False)
     section_powers: PowerChain = field(init=False, repr=False, compare=False)
+    q_split: QDecomposition | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "canonical_powers", PowerChain(self.canonical))
         object.__setattr__(self, "section_powers", PowerChain(self.section_values))
+        split = q_decomposition(self) if self.d1 is not None and self.r >= 1 else None
+        object.__setattr__(self, "q_split", split)
 
     @classmethod
     def for_semigroup(
@@ -443,7 +448,7 @@ def build_certificates(ctx: LocalContext, n: int, case: str) -> list[BasisCertif
 
     conductor: list[CertEntry | GridRow] = []
     if r >= 1:
-        qd = q_decomposition(ctx)
+        qd = ctx.q_split
         for i in range(1, r + 1):
             conductor.append(GridRow(f"m{i}", _require(i * b, ctx, f"m{i}"), b_cols))
             q1, q2 = qd.pairs[i - 1]
@@ -514,5 +519,6 @@ def verify_local_surjectivity(ctx: LocalContext, n: int, epsilon: int) -> Surjec
         return SurjectivityCheck(True, n, epsilon, (), 0)
     least = lo + (missing & -missing).bit_length() - 1
     cut = top - epsilon - lo
-    uncovered = tuple(_bit_values(lo, missing & ((1 << cut) - 1))) if cut > 0 else ()
+    kept = missing & ((1 << cut) - 1) if cut > 0 else 0
+    uncovered = tuple(_bit_values(lo, kept)) if kept else ()
     return SurjectivityCheck(not uncovered, n, epsilon, uncovered, top - least)

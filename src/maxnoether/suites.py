@@ -1,9 +1,11 @@
 """Verification suites: corpus generation, dual-route checks, report streams.
 
 Every suite pits a combinatorial prediction against an independent route
-(exhaustive enumeration, residue pairing, or exact linear algebra) and emits
-one report per check in a canonical order, so corpus output is reproducible
-byte for byte.
+(exhaustive enumeration, residue pairing, or exact linear algebra).  A suite
+is a generator that yields one check per claim, in a canonical order, as the
+tuple ``(check, input, predicted, oracle, passed, witness)``;
+:func:`run_suite` alone turns them into timed reports, so corpus output is
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import blowup as blowup_mod
 from .curves import (
@@ -32,7 +34,6 @@ from .local import (
     LocalContext,
     build_certificates,
     case_epsilon,
-    q_decomposition,
     verify_local_surjectivity,
 )
 from .reports import VerificationReport
@@ -151,42 +152,18 @@ def _nonsymmetric(max_genus: int) -> Iterable[NumericalSemigroup]:
 # -- suites ------------------------------------------------------------------
 
 
-class _Run:
-    """The report stream of one suite run, in emission order.
-
-    Each report's ``elapsed`` is the time since the previous report of the
-    run, or since the run started, so the times add up to the run's time.
-    ``VerificationReport`` is looked up in this module at call time, because
-    the benchmark workloads rebind it to mark where each check ends.
-    """
-
-    def __init__(self, suite: str):
-        self.suite = suite
-        self.reports: list[VerificationReport] = []
-        self._last = time.perf_counter()
-
-    def add(self, check, input_, predicted, oracle, passed, witness=None) -> None:
-        now = time.perf_counter()
-        self.reports.append(
-            VerificationReport(
-                self.suite, check, input_, predicted, oracle, passed, witness, now - self._last
-            )
-        )
-        self._last = now
-
-    def expect(self, check, input_, ok: bool, witness=None) -> None:
-        """A check predicted to hold; its witness is kept only when it fails."""
-        self.add(check, input_, True, ok, ok, None if ok else witness)
+def _expect(check: str, input_, ok: bool, witness=None) -> tuple:
+    """A check predicted to hold; its witness is kept only when it fails."""
+    return check, input_, True, ok, ok, None if ok else witness
 
 
-def suite_eq4_oracle(params: SuiteParams) -> list[VerificationReport]:
+def suite_eq4_oracle(params: SuiteParams) -> Iterator[tuple]:
     """Dualizing-value formula against the residue pairing, over a full census."""
     max_genus = params.genus(8)
-    run = _Run("eq4-oracle")
     tree = list(enumerate_semigroups(max_genus))
     tree_gaps = sorted(s.gaps for s in tree)
     brute = sorted(bruteforce_gap_census(max_genus))
-    run.add(
+    yield (
         "semigroup-census",
         {"max_genus": max_genus},
         len(tree_gaps),
@@ -198,7 +175,7 @@ def suite_eq4_oracle(params: SuiteParams) -> list[VerificationReport]:
         predicted = dualizing_values(s).elements_below(2 * s.conductor + 1)
         oracle = residue_window_values(s)
         passed = predicted == oracle
-        run.add(
+        yield (
             "dualizing-window",
             s.to_json(),
             predicted,
@@ -206,23 +183,21 @@ def suite_eq4_oracle(params: SuiteParams) -> list[VerificationReport]:
             passed,
             None if passed else sorted(set(predicted) ^ set(oracle)),
         )
-    return run.reports
 
 
-def suite_local_lemma(params: SuiteParams) -> list[VerificationReport]:
+def suite_local_lemma(params: SuiteParams) -> Iterator[tuple]:
     """Value-level covering machinery over every non-symmetric semigroup."""
     max_genus = params.genus(10)
     max_n = params.n(4)
-    run = _Run("local-lemma")
     for s in _nonsymmetric(max_genus):
         ctx = LocalContext.for_semigroup(s)
         a, b = ctx.alpha, ctx.beta
         info = s.to_json()
         if ctx.r >= 1:
-            qd = q_decomposition(ctx)
+            qd = ctx.q_split
             ineqs = qd.inequalities(a)
             passed = qd.all_strict(a)
-            run.add(
+            yield (
                 "q-decomposition",
                 info,
                 [list(p) for p in qd.pairs],
@@ -236,7 +211,7 @@ def suite_local_lemma(params: SuiteParams) -> list[VerificationReport]:
         got_values = conductor.sorted_values()
         defects = [d for c in certs for d in c.check(ctx.section_values)]
         passed = got_values == expected_values and not defects
-        run.add(
+        yield (
             "conductor-chain-certificates",
             info,
             expected_values,
@@ -254,7 +229,7 @@ def suite_local_lemma(params: SuiteParams) -> list[VerificationReport]:
         for least, mask in bits:
             union |= mask << (least - origin)
         passed = union.bit_count() == size == chain_dim
-        run.add(
+        yield (
             "chain-composition",
             info,
             chain_dim,
@@ -270,7 +245,7 @@ def suite_local_lemma(params: SuiteParams) -> list[VerificationReport]:
         )
         for n in range(1, max_n + 1):
             res = verify_local_surjectivity(ctx, n, case_epsilon("i", n))
-            run.add(
+            yield (
                 f"case-i-covering-n{n}",
                 info,
                 True,
@@ -279,18 +254,16 @@ def suite_local_lemma(params: SuiteParams) -> list[VerificationReport]:
                 {"uncovered": list(res.uncovered)} if not res.ok else
                 {"minimal_epsilon": res.minimal_epsilon},
             )
-    return run.reports
 
 
-def suite_blowup(params: SuiteParams) -> list[VerificationReport]:
+def suite_blowup(params: SuiteParams) -> Iterator[tuple]:
     """Blowup stabilization and the almost Gorenstein equivalences."""
     max_genus = params.genus(10)
-    run = _Run("blowup")
     for s in _nonsymmetric(max_genus):
         info = s.to_json()
         ana = blowup_mod.analyze(s)
-        checks = ana.nearly_gorenstein_checks()
-        run.add(
+        checks = ana.almost_gorenstein_checks()
+        yield (
             "gap-one-iff-almost-gorenstein",
             info,
             checks.almost_gorenstein,
@@ -300,7 +273,7 @@ def suite_blowup(params: SuiteParams) -> list[VerificationReport]:
         )
         bound = quotient_dim(ana.blowup_values, ana.canonical) + 1
         passed = ana.stabilization_index <= bound
-        run.add(
+        yield (
             "stabilization-bound",
             info,
             f"<= {bound}",
@@ -309,7 +282,7 @@ def suite_blowup(params: SuiteParams) -> list[VerificationReport]:
             None if passed else {"index": ana.stabilization_index, "bound": bound},
         )
         drop = ana.genus_drop()
-        run.add(
+        yield (
             "genus-drop",
             info,
             ">= 2",
@@ -318,7 +291,7 @@ def suite_blowup(params: SuiteParams) -> list[VerificationReport]:
             None if drop >= 2 else {"drop": drop},
         )
         eta_ok = ana.eta < s.genus
-        run.add(
+        yield (
             "eta-below-genus",
             info,
             f"< {s.genus}",
@@ -326,7 +299,6 @@ def suite_blowup(params: SuiteParams) -> list[VerificationReport]:
             eta_ok,
             None if eta_ok else {"eta": ana.eta, "genus": s.genus},
         )
-    return run.reports
 
 
 def _single_branch_value_sets_agree(
@@ -359,11 +331,10 @@ def _single_branch_value_sets_agree(
     return ok, detail
 
 
-def suite_noether_single(params: SuiteParams) -> list[VerificationReport]:
+def suite_noether_single(params: SuiteParams) -> Iterator[tuple]:
     """Surjectivity on one-singularity models: sumsets and linear algebra must agree."""
     max_genus = params.genus(8)
     max_n = params.n(4)
-    run = _Run("noether-single")
     for s in enumerate_semigroups(max_genus, min_multiplicity=3):
         if s.genus < 2:
             continue
@@ -378,7 +349,7 @@ def suite_noether_single(params: SuiteParams) -> list[VerificationReport]:
             check = max_noether_holds(curve, n)
             agree, detail = _single_branch_value_sets_agree(ctx, curve, n)
             passed = predicted and check.holds and agree
-            run.add(
+            yield (
                 f"max-noether-n{n}",
                 info,
                 predicted,
@@ -386,25 +357,21 @@ def suite_noether_single(params: SuiteParams) -> list[VerificationReport]:
                 passed,
                 None if passed else {"defect": check.describe(), **detail},
             )
-    return run.reports
 
 
-def suite_noether_multi(params: SuiteParams) -> list[VerificationReport]:
+def suite_noether_multi(params: SuiteParams) -> Iterator[tuple]:
     """Surjectivity on every multi-branch model whose branches all have multiplicity >= 3."""
     max_n = params.n(4)
-    run = _Run("noether-multi")
     for curve in _curve_corpus(_MULTI_MENU, 6):
         info = curve.to_json()
         for n in range(2, max_n + 1):
             check = max_noether_holds(curve, n)
-            run.expect(f"max-noether-n{n}", info, check.holds, check.describe())
-    return run.reports
+            yield _expect(f"max-noether-n{n}", info, check.holds, check.describe())
 
 
-def suite_resolution(params: SuiteParams) -> list[VerificationReport]:
+def suite_resolution(params: SuiteParams) -> Iterator[tuple]:
     """Resolution quotients and the hyperelliptic resolved-curve case."""
     max_n = params.n(3)
-    run = _Run("resolution")
     pairs = [
         ((3, 4, 5), (3, 4, 5)),
         ((3, 4, 5), (3, 5, 7)),
@@ -417,28 +384,28 @@ def suite_resolution(params: SuiteParams) -> list[VerificationReport]:
         for index in (0, 1):
             for n in range(2, max_n + 1):
                 res = check_resolution_quotient(curve, index, n)
-                run.expect(f"resolution-quotient-branch{index}-n{n}", info, res.ok, res.to_json())
+                yield _expect(
+                    f"resolution-quotient-branch{index}-n{n}", info, res.ok, res.to_json()
+                )
     hyper = RationalCurveModel.from_semigroups(
         [NumericalSemigroup.from_generators((2, 5)), NumericalSemigroup.from_generators((3, 4, 5))]
     )
     info = hyper.to_json()
     for n in range(2, max_n + 1):
         ok = check_hyperelliptic_resolution(hyper, 1, n)
-        run.expect(f"hyperelliptic-resolution-n{n}", info, ok)
+        yield _expect(f"hyperelliptic-resolution-n{n}", info, ok)
         check = max_noether_holds(hyper, n)
-        run.expect(
+        yield _expect(
             f"max-noether-with-gorenstein-cusp-n{n}", info, check.holds, check.describe()
         )
-    return run.reports
 
 
-def suite_hyperelliptic_negative(params: SuiteParams) -> list[VerificationReport]:
+def suite_hyperelliptic_negative(params: SuiteParams) -> Iterator[tuple]:
     """Negative control: the multiplicity-2 family must fail by exactly genus - 2.
 
     Pass semantics are inverted per line: a report passes when the expected
     failure, with the expected defect, is observed.
     """
-    run = _Run("hyperelliptic-negative")
     for k in (3, 4, 5):
         s = NumericalSemigroup.from_generators((2, 2 * k + 1))
         curve = RationalCurveModel.from_semigroups([s])
@@ -448,7 +415,7 @@ def suite_hyperelliptic_negative(params: SuiteParams) -> list[VerificationReport
         passed = (not check.holds) and check.dimension_gap == expected_gap
         if k == 3:
             passed = passed and check.missing_values == (7,)
-        run.add(
+        yield (
             f"expected-noether-failure-k{k}",
             info,
             {"holds": False, "dimension_gap": expected_gap},
@@ -456,7 +423,6 @@ def suite_hyperelliptic_negative(params: SuiteParams) -> list[VerificationReport
             passed,
             {"missing_values": list(check.missing_values or ())},
         )
-    return run.reports
 
 
 def _value_route_dim(curve: RationalCurveModel, n: int) -> int:
@@ -489,7 +455,7 @@ def _power_defect(s: NumericalSemigroup, n: int) -> int:
     return n * quotient_dim(k, ring) - quotient_dim(n_fold(k, n), ring)
 
 
-def suite_dims(params: SuiteParams) -> list[VerificationReport]:
+def suite_dims(params: SuiteParams) -> Iterator[tuple]:
     """Dimension formulas for the dualizing powers over the mixed curve corpus.
 
     Two predictions are pitted against the exact oracle for n >= 2.  The
@@ -500,12 +466,11 @@ def suite_dims(params: SuiteParams) -> list[VerificationReport]:
     The value-route count comes from the local support windows instead.
     """
     max_n = params.n(3)
-    run = _Run("dims")
     for curve in _curve_corpus(_DIM_MENU, 6):
         info = curve.to_json()
         g = curve.genus
         dim1 = global_sections(curve, 1).dim
-        run.add(
+        yield (
             "sections-dim-n1",
             info,
             g,
@@ -518,7 +483,7 @@ def suite_dims(params: SuiteParams) -> list[VerificationReport]:
                 defects = sum(_power_defect(br.semigroup, n) for br in curve.branches)
                 expected = n * (2 * g - 2) - defects - (g - 1)
                 dim = global_sections(curve, n).dim
-                run.add(
+                yield (
                     f"sections-dim-n{n}",
                     info,
                     expected,
@@ -527,7 +492,7 @@ def suite_dims(params: SuiteParams) -> list[VerificationReport]:
                     None if dim == expected else {"dimension_gap": expected - dim},
                 )
                 predicted = _value_route_dim(curve, n)
-                run.add(
+                yield (
                     f"sections-dim-value-route-n{n}",
                     info,
                     predicted,
@@ -535,10 +500,9 @@ def suite_dims(params: SuiteParams) -> list[VerificationReport]:
                     dim == predicted,
                     None if dim == predicted else {"dimension_gap": predicted - dim},
                 )
-    return run.reports
 
 
-SUITES: dict[str, Callable[[SuiteParams], list[VerificationReport]]] = {
+SUITES: dict[str, Callable[[SuiteParams], Iterator[tuple]]] = {
     "eq4-oracle": suite_eq4_oracle,
     "local-lemma": suite_local_lemma,
     "blowup": suite_blowup,
@@ -561,10 +525,23 @@ def check_genus_cap(name: str, params: SuiteParams) -> None:
 
 
 def run_suite(name: str, params: SuiteParams | None = None) -> list[VerificationReport]:
-    """Run one named suite and return its report stream in canonical order."""
+    """Run one named suite and return its report stream in canonical order.
+
+    Each report's ``elapsed`` is the time since the previous report, or since
+    the run started, so the times add up to the run's time.
+    ``VerificationReport`` is read from this module when the run starts,
+    because the benchmark workloads rebind it to mark where each check ends.
+    """
     if name not in SUITES:
         known = ", ".join(sorted(SUITES))
         raise ValueError(f"unknown suite {name!r} (known: {known})")
     params = params or SuiteParams()
     check_genus_cap(name, params)
-    return SUITES[name](params)
+    make, clock = VerificationReport, time.perf_counter
+    reports = []
+    last = clock()
+    for check, input_, predicted, oracle, passed, witness in SUITES[name](params):
+        now = clock()
+        reports.append(make(name, check, input_, predicted, oracle, passed, witness, now - last))
+        last = now
+    return reports

@@ -45,25 +45,25 @@ def test_analyze_5679():
 
 
 def test_nearly_gorenstein_checks_examples():
-    rec = analyze(sg(3, 5, 7)).nearly_gorenstein_checks()
+    rec = analyze(sg(3, 5, 7)).almost_gorenstein_checks()
     assert rec.almost_gorenstein and rec.gap_one and rec.square_is_blowup
     assert rec.consistent
 
-    rec = analyze(sg(4, 5, 11)).nearly_gorenstein_checks()
+    rec = analyze(sg(4, 5, 11)).almost_gorenstein_checks()
     assert not rec.almost_gorenstein and not rec.gap_one
     assert quotient_dim(
         analyze(sg(4, 5, 11)).blowup_values, canonical_ideal(sg(4, 5, 11))
     ) == 3
     assert rec.consistent
 
-    rec = analyze(sg(3, 4, 5)).nearly_gorenstein_checks()
+    rec = analyze(sg(3, 4, 5)).almost_gorenstein_checks()
     assert rec.almost_gorenstein and rec.gap_one and rec.square_is_blowup
     assert rec.powers_collapse
 
 
 def test_nearly_gorenstein_rejects_symmetric():
     with pytest.raises(NotApplicable):
-        analyze(sg(2, 3)).nearly_gorenstein_checks()
+        analyze(sg(2, 3)).almost_gorenstein_checks()
 
 
 @pytest.mark.parametrize(
@@ -102,7 +102,7 @@ def test_census_chain_strictly_increases_until_stable():
 def test_census_equivalences():
     for s in nonsymmetric(9):
         ana = analyze(s)
-        rec = ana.nearly_gorenstein_checks()
+        rec = ana.almost_gorenstein_checks()
         assert rec.consistent
         if rec.almost_gorenstein:
             assert ana.stabilization_index <= 2
@@ -177,7 +177,7 @@ def test_one_analysis_gives_the_per_call_results():
         if s.is_symmetric():
             continue
         assert ana.genus_drop() == drop
-        rec = ana.nearly_gorenstein_checks()
+        rec = ana.almost_gorenstein_checks()
         assert (
             rec.almost_gorenstein,
             rec.gap_one,
@@ -191,4 +191,4 @@ def test_analysis_methods_reject_symmetric():
     with pytest.raises(NotApplicable):
         ana.genus_drop()
     with pytest.raises(NotApplicable):
-        ana.nearly_gorenstein_checks()
+        ana.almost_gorenstein_checks()

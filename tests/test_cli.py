@@ -548,11 +548,15 @@ def test_genus_caps_bound_every_suite_that_reads_a_genus(monkeypatch):
     # run_suite checks the cap itself, for callers other than the CLI
     import maxnoether.suites as suites_mod
 
+    def one_check(params):
+        yield ("ran", {}, True, True, True, None)
+
     assert set(GENUS_CAPS) == {"eq4-oracle", "local-lemma", "blowup", "noether-single"}
     for suite, cap in GENUS_CAPS.items():
-        monkeypatch.setitem(suites_mod.SUITES, suite, lambda params: ["ran"])
+        monkeypatch.setitem(suites_mod.SUITES, suite, one_check)
         check_genus_cap(suite, SuiteParams(max_genus=cap))
-        assert run_suite(suite, SuiteParams(max_genus=cap)) == ["ran"]
+        [report] = run_suite(suite, SuiteParams(max_genus=cap))
+        assert report.check == "ran"
         with pytest.raises(GenusTooLarge, match=f"= {cap}$"):
             run_suite(suite, SuiteParams(max_genus=cap + 1))
 
@@ -655,6 +659,25 @@ def test_verify_corpus_leaves_no_out_file_when_the_suite_stops(
     except RuntimeError:
         pass
     assert not path.exists()
+
+
+def test_verify_corpus_keeps_an_existing_out_file_when_a_suite_stops_partway(
+    tmp_path, monkeypatch, capsys
+):
+    # the real run_suite: one check is made, then the suite fails
+    import maxnoether.suites as suites_mod
+
+    def stops_partway(params):
+        yield ("made", {}, True, True, True, None)
+        raise MaxNoetherError("the suite stopped")
+
+    monkeypatch.setitem(suites_mod.SUITES, "blowup", stops_partway)
+    path = tmp_path / "results.jsonl"
+    path.write_bytes(b"earlier results\n")
+    code, out, err = run(capsys, "verify", "corpus", "--suite", "blowup", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: the suite stopped\n"
+    assert path.read_bytes() == b"earlier results\n"
 
 
 def test_verify_corpus_replaces_an_existing_out_file(tmp_path, capsys):

@@ -184,3 +184,21 @@ def test_elapsed_times_add_up_to_the_run():
     total = sum(r.elapsed for r in reports)
     assert all(r.elapsed > 0 for r in reports)
     assert 0.95 * wall < total <= wall
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_every_report_is_built_through_the_module_binding(name, monkeypatch):
+    # the benchmark rebinds suites.VerificationReport to mark where each check ends
+    import maxnoether.suites as suites_mod
+
+    made = []
+
+    def counting_report(*args, **kwargs):
+        made.append(VerificationReport(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(suites_mod, "VerificationReport", counting_report)
+    reports = run_suite(name, SuiteParams(max_genus=4, max_n=2))
+    assert reports and len(made) == len(reports)
+    assert all(m is r for m, r in zip(made, reports))
+    assert {r.suite for r in reports} == {name}
