@@ -18,19 +18,23 @@ p/q the expansion coefficients are read through one integer change of basis,
 and of the center differences) and so leaves every nullspace and pivot alone.
 
 The product span P of weight n is S_1 . S_1^(n-1), certified against the
-section space S before anything is eliminated over Q.  Its rows are formed
-over nonzero terms: the (index, coefficient) pairs of each basis vector of
-S_1 and of S_1^(n-1) are found once, and every product multiplies two such
-lists, so the zero runs of sparse vectors (at center 0 nearly every basis
-vector is a monomial) are not scanned again for each product.
+section space S before anything is eliminated over Q.  Its rows are term
+rows, ``linalg.Terms``, from the moment they are formed until a verdict is
+reached: the (index, coefficient) pairs of each basis vector of S_1 and of
+S_1^(n-1) are found once, every product multiplies two such lists into one,
+and coefficients that cancel are dropped, so equal products hash equal.  At
+center 0 nearly every basis vector is a monomial, and so is nearly every
+product.  Deduplication, the modular rank and the membership test all read
+the terms; only the exact fallback makes the rows dense.
 
-With C the constraint rows of S, the chain rank_p(P) <= dim P <= dim S holds
-once every formed row v is shown, at run time, to satisfy C v = 0 exactly,
-and rank_p, the rank modulo one fixed prime, is cheap.  When rank_p(P)
-reaches dim S the chain closes, P = S is proved, and S itself is returned;
-its canonical basis is the one an exact span would give.  Any mismatch,
-from a real failure or an unlucky prime, falls back to exact integer
-elimination, which also supplies the failure witness.  Nothing is
+With C the constraint matrix of S, the chain rank_p(P) <= dim P <= dim S
+holds once every formed row v is shown, at run time, to satisfy C v = 0
+exactly, and rank_p, the rank modulo one fixed prime, is cheap.  C is held
+by column, so C v costs the nonzeros of C in the columns where v has terms.
+When rank_p(P) reaches dim S the chain closes, P = S is proved, and S itself
+is returned; its canonical basis is the one an exact span would give.  Any
+mismatch, from a real failure or an unlucky prime, falls back to exact
+integer elimination, which also supplies the failure witness.  Nothing is
 probabilistic: the prime costs time, never an answer.
 
 Everything is exact: ranks and subspace equalities over the rationals are
@@ -44,11 +48,12 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import comb, lcm
 from typing import Iterable, Sequence
 
 from .errors import AmbientTooLarge, CurveSpecError, MaxNoetherError, NotApplicable, WeightTooLarge
-from .linalg import Subspace, Vector, modular_rank, nullspace
+from .linalg import Subspace, Terms, modular_rank, nullspace
 from .semigroup import NumericalSemigroup
 from .valueset import ValueSet, canonical_ideal, missing_below, n_fold
 
@@ -62,10 +67,10 @@ _CACHE_SIZE = 256
 MAX_WEIGHT = 256
 
 # Most numerator coefficients of a weight-n space, checked before any row is
-# built.  At the cap a one-branch check takes about a minute on a 2-core Xeon
-# VM (63 s for the ordinary semigroup of multiplicity 1,150 at n = 2, the
-# heaviest one-branch family per coefficient); branches at nonzero centers
-# make dense rows and cost far more.
+# built.  At the cap a one-branch check at center 0 takes about 2 s on a
+# 2-core Xeon VM (2.1 s for the ordinary semigroup of multiplicity 1,150 at
+# n = 2, 1.8 s for <2,1149>), since its rows are monomials; branches at
+# nonzero centers make dense rows and cost far more.
 MAX_AMBIENT = 2300
 
 # Most decimal digits in the numerator or denominator of a branch center.  The
@@ -217,27 +222,46 @@ def excluded_orders(s: NumericalSemigroup, n: int) -> list[int]:
 # -- integer series helpers --------------------------------------------------
 
 
-Terms = list[tuple[int, int]]
-
-
 def _terms(v: Sequence[int]) -> Terms:
     """The nonzero entries of a coefficient list, as (index, coefficient) pairs."""
-    return [(i, x) for i, x in enumerate(v) if x]
+    return tuple([(i, x) for i, x in enumerate(v) if x])
 
 
-def _poly_mul(a: Terms, b: Terms, width: int) -> list[int]:
-    """The first ``width`` coefficients of the product of two polynomials given by terms.
-
-    ``b`` must list its indices in increasing order, as ``_terms`` does.
-    """
+def _dense(row: Terms, width: int) -> list[int]:
+    """The coefficient list of width ``width`` that a term row gives."""
     out = [0] * width
+    for i, x in row:
+        out[i] = x
+    return out
+
+
+def _poly_mul(a: Terms, b: Terms, width: int) -> Terms:
+    """The terms below index ``width`` of the product of two polynomials given by terms.
+
+    Both factors list their indices in increasing order, as ``_terms`` does.
+    A monomial factor shifts and scales the other one, and nothing cancels.
+    Otherwise the product accumulates into a list over its own span of
+    indices only, from the sum of the lowest indices to the sum of the
+    highest, and the coefficients that cancel are dropped.
+    """
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        ((i, x),) = a
+        return tuple([(i + j, x * y) for j, y in b if i + j < width])
+    if not a or not b:
+        return ()
+    lo = a[0][0] + b[0][0]
+    hi = a[-1][0] + b[-1][0] + 1
+    size = (hi if hi < width else width) - lo
+    out = [0] * size
     for i, x in a:
         for j, y in b:
-            k = i + j
-            if k >= width:
+            k = i + j - lo
+            if k >= size:
                 break
             out[k] += x * y
-    return out
+    return tuple([(lo + k, x) for k, x in enumerate(out) if x])
 
 
 def _shift_matrix(center: Fraction, scale: int, size: int) -> list[list[int]]:
@@ -259,14 +283,23 @@ def _shift_matrix(center: Fraction, scale: int, size: int) -> list[list[int]]:
 # -- section spaces ----------------------------------------------------------
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _constraint_rows(curve: RationalCurveModel, n: int) -> tuple[tuple[Vector, ...], int]:
-    """Integer rows C, and the ambient, with H^0(omega^n) the solutions of C v = 0.
+# A constraint matrix by column: entry d is None when column d is zero, and
+# otherwise the rows with a nonzero entry there, in increasing order, and those
+# entries.
+Columns = tuple[tuple[tuple[int, ...], tuple[int, ...]] | None, ...]
 
-    Cached, so the rows are tuples that no caller can change.
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _constraint_rows(curve: RationalCurveModel, n: int) -> tuple[Columns, int]:
+    """The integer matrix C, by column, and its row count: H^0(omega^n) solves C v = 0.
+
+    There is one entry per numerator coefficient, so C v reads only the
+    columns where v has terms.  Cached, so the columns are tuples that no
+    caller can change.
     """
     ambient = numerator_ambient(curve, n)
-    rows: list[Vector] = []
+    columns: list = [None] * ambient  # each column is two lists until it is frozen
+    nrows = 0
     for br in curve.branches:
         excluded = excluded_orders(br.semigroup, n)
         if not excluded:
@@ -279,21 +312,33 @@ def _constraint_rows(curve: RationalCurveModel, n: int) -> tuple[tuple[Vector, .
             (br.center - o.center, n * o.semigroup.conductor) for o in curve.branches if o is not br
         ]
         scale = lcm(*(abs(delta.numerator) for delta, _ in others))
-        unit = [1] + [0] * order
+        unit: Terms = ((0, 1),)
         for delta, m in others:
             beta = delta.denominator * scale // delta.numerator
             series = [comb(m + k - 1, k) * (-beta) ** k for k in range(order + 1)]
-            unit = _poly_mul(_terms(unit), _terms(series), order + 1)
+            unit = _poly_mul(unit, _terms(series), order + 1)
         shift = _shift_matrix(br.center, scale, ambient)
         for k in excluded:
+            # the row is the sum of unit[k - t] * shift[t] over the unit's terms
             row = [0] * ambient
-            for t in range(min(k, ambient - 1) + 1):
-                h = unit[k - t]
-                if h:
+            for s, h in unit:
+                t = k - s
+                if t < 0:
+                    break
+                if t < ambient:
                     for d, x in enumerate(shift[t], t):
                         row[d] += h * x
-            rows.append(tuple(row))
-    return tuple(rows), ambient
+            for d in compress(range(ambient), row):
+                if columns[d] is None:
+                    columns[d] = ([], [])
+                indices, entries = columns[d]
+                indices.append(nrows)
+                entries.append(row[d])
+            nrows += 1
+    for d in compress(range(ambient), columns):
+        indices, entries = columns[d]
+        columns[d] = (tuple(indices), tuple(entries))
+    return tuple(columns), nrows
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -312,7 +357,12 @@ def global_sections(curve: RationalCurveModel, n: int) -> Subspace:
         raise AmbientTooLarge(
             f"numerator ambient {ambient} at weight {n} is above MAX_AMBIENT = {MAX_AMBIENT}"
         )
-    rows, _ = _constraint_rows(curve, n)
+    columns, nrows = _constraint_rows(curve, n)
+    rows = [[0] * ambient for _ in range(nrows)]
+    for d in compress(range(ambient), columns):
+        indices, entries = columns[d]
+        for i, x in zip(indices, entries):
+            rows[i][d] = x
     return nullspace(rows, ambient)
 
 
@@ -334,22 +384,28 @@ def products_span(curve: RationalCurveModel, n: int) -> Subspace:
     basis = [_terms(b) for b in global_sections(curve, 1).basis]
     width = sections.ambient
     # repeated products (frequent among sparse rows) add nothing
-    rows = list(dict.fromkeys(tuple(_poly_mul(b, p, width)) for b in basis for p in lower))
+    rows = list(dict.fromkeys(_poly_mul(b, p, width) for b in basis for p in lower))
     if modular_rank(rows, sections.dim) == sections.dim and _in_sections(curve, n, rows):
         return sections
-    return Subspace.span(rows, sections.ambient)
+    return Subspace.span([_dense(row, width) for row in rows], width)
 
 
-def _in_sections(curve: RationalCurveModel, n: int, vectors: Iterable[Sequence[int]]) -> bool:
-    """Does every vector lie in H^0(omega^n)?  Exact: C v = 0 over the integers.
+def _in_sections(curve: RationalCurveModel, n: int, rows: Iterable[Terms]) -> bool:
+    """Does every term row lie in H^0(omega^n)?  Exact: C v = 0 over the integers.
 
-    Each product c . v runs over the nonzero entries of v only, so a monomial
-    costs one multiplication per constraint row.
+    C v sums, column by column over the terms of v, the entries C holds in
+    that column, so a monomial costs one multiplication per nonzero entry of
+    its column, and none in a column no constraint reads.
     """
-    constraints, _ = _constraint_rows(curve, n)
-    for v in vectors:
-        support = _terms(v)
-        if any(sum(c[j] * x for j, x in support) for c in constraints):
+    columns, nrows = _constraint_rows(curve, n)
+    for row in rows:
+        acc = [0] * nrows
+        for d, x in row:
+            if columns[d] is not None:
+                indices, entries = columns[d]
+                for i, c in zip(indices, entries):
+                    acc[i] += c * x
+        if any(acc):
             return False
     return True
 
@@ -364,7 +420,7 @@ def _subspace_orders(space, curve: RationalCurveModel, n: int, point: Fraction) 
     at u = 0, so the orders are its pivots.
     """
     moved = RationalCurveModel(tuple(Branch(b.center - point, b.semigroup) for b in curve.branches))
-    return tuple(space(moved, n).pivots())
+    return space(moved, n).pivots
 
 
 def section_valuations(curve: RationalCurveModel, point, n: int = 1) -> tuple[int, ...]:
@@ -444,8 +500,8 @@ def resolve(curve: RationalCurveModel, index: int) -> RationalCurveModel:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _embedded_resolved_sections(curve: RationalCurveModel, index: int, n: int) -> tuple[Vector, ...]:
-    """Basis of the resolved curve's sections, embedded in the ambient of the full one.
+def _embedded_resolved_sections(curve: RationalCurveModel, index: int, n: int) -> tuple[Terms, ...]:
+    """Basis of the resolved curve's sections, embedded in the ambient of the full one, as terms.
 
     The embedding multiplies numerators by the removed branch's denominator
     factor, so the numerator's order at that center is at least n * alpha and
@@ -462,7 +518,7 @@ def _embedded_resolved_sections(curve: RationalCurveModel, index: int, n: int) -
     p, q = br.center.numerator, br.center.denominator
     factor = _terms([comb(m, k) * q**k * (-p) ** (m - k) for k in range(m + 1)])
     width = sections.ambient + m
-    return tuple(tuple(_poly_mul(_terms(vec), factor, width)) for vec in sections.basis)
+    return tuple(_poly_mul(_terms(vec), factor, width) for vec in sections.basis)
 
 
 @dataclass(frozen=True)
@@ -496,7 +552,8 @@ def check_resolution_quotient(curve: RationalCurveModel, index: int, n: int) -> 
     if prods == sections and _in_sections(curve, n, embedded):
         combined = sections
     else:
-        combined = Subspace.span(prods.basis + embedded, sections.ambient)
+        width = sections.ambient
+        combined = Subspace.span(prods.basis + tuple(_dense(v, width) for v in embedded), width)
     return ResolutionCheck(
         combined == sections, n, sections.dim, prods.dim, len(embedded), combined.dim
     )
@@ -532,4 +589,7 @@ def check_hyperelliptic_resolution(curve: RationalCurveModel, index: int, n: int
     if not is_certified_hyperelliptic(resolved):
         raise NotApplicable("hyperellipticity of the resolved curve is not certified")
     prods = products_span(curve, n)
-    return all(map(prods.contains_vector, _embedded_resolved_sections(curve, index, n)))
+    return all(
+        prods.contains_vector(_dense(v, prods.ambient))
+        for v in _embedded_resolved_sections(curve, index, n)
+    )

@@ -6,18 +6,30 @@ unique for the row space, so subspace equality is structural.  Elimination
 is fraction-free in the sense of Bareiss (Math. Comp. 22, 1968): integer
 cross-multiplication by the smallest available pivot, with every row kept
 primitive by gcd reduction.
+
 ``modular_rank`` gives a cheap lower bound on the rank, modulo one fixed prime.
+It reads term rows, ``Terms``: the nonzero entries of a row as (index,
+coefficient) pairs in increasing index order, so its cost follows the
+nonzeros and not the width.  A row is reduced in one ordered pass over the
+echelon pivots that fall inside its own span of columns, which fill-in can
+only extend to the right.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress, count
 from typing import Iterable, Sequence
 
 from .errors import AmbientMismatch
 
 Vector = tuple[int, ...]
+
+# A row given by its nonzero entries, (index, coefficient) in increasing index order.
+Terms = tuple[tuple[int, int], ...]
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -26,7 +38,7 @@ def _primitive(row: list[int]) -> list[int]:
 
 
 def _pivot(row: Sequence[int]) -> int:
-    return next(j for j, x in enumerate(row) if x)
+    return next(compress(count(), row))
 
 
 def _eliminate(row: list[int], pivot_row: Sequence[int], col: int) -> list[int]:
@@ -75,34 +87,55 @@ def rref(rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], int]:
 MODULUS = (1 << 61) - 1
 
 
-def modular_rank(rows: Iterable[Sequence[int]], limit: int) -> int:
-    """Rank of integer rows modulo ``MODULUS``, stopping once it reaches ``limit``.
+def modular_rank(rows: Iterable[Terms], limit: int) -> int:
+    """Rank of integer term rows modulo ``MODULUS``, stopping once it reaches ``limit``.
 
     Never above the rank r over Q: a nonzero minor mod p is a nonzero integer
     minor.  It falls short only when p divides every r x r minor, so a caller
     can use it as a certified lower bound and nothing more.
     """
     p = MODULUS
-    # pivot column j -> the echelon row from column j on, reduced, with pivot 1
-    echelon: dict[int, list[int]] = {}
     if limit <= 0:
         return 0
+    # pivot column j -> the echelon row from column j to its last nonzero, pivot 1
+    echelon: dict[int, list[int]] = {}
+    pivots: list[int] = []  # the keys of ``echelon``, sorted
     for row in rows:
-        r = [x % p for x in row]
-        for j in range(len(r)):
+        if not row:
+            continue
+        # the row, dense over its own span of columns only: lead .. lead + len(r) - 1
+        lead = row[0][0]
+        r = [0] * (row[-1][0] - lead + 1)
+        for i, x in row:
+            r[i - lead] = x
+        for k in range(bisect_left(pivots, lead), len(pivots)):
+            j = pivots[k] - lead
+            if j >= len(r):
+                break
             x = r[j] % p
             if not x:
                 continue
-            tail = echelon.get(j)
-            if tail is None:
-                inv = pow(x, -1, p)
-                echelon[j] = [v * inv % p for v in r[j:]]
-                break
+            tail = echelon[pivots[k]]
+            end = j + len(tail)
+            if end > len(r):
+                r.extend([0] * (end - len(r)))
             # entries grow by less than p^2 a step; they are reduced when read
-            r[j:] = [a - x * b for a, b in zip(r[j:], tail)]
-        if len(echelon) == limit:
+            r[j:end] = [a - x * b for a, b in zip(r[j:end], tail)]
+        for first, x in enumerate(r):
+            x %= p
+            if x:
+                break
+        else:
+            continue
+        inv = pow(x, -1, p)
+        tail = [v * inv % p for v in r[first:]]
+        while not tail[-1]:
+            tail.pop()
+        echelon[lead + first] = tail
+        insort(pivots, lead + first)
+        if len(pivots) == limit:
             break
-    return len(echelon)
+    return len(pivots)
 
 
 @dataclass(frozen=True)
@@ -126,15 +159,16 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def pivots(self) -> list[int]:
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
         """Pivot column of each basis row; the attained leading positions."""
-        return [_pivot(row) for row in self.basis]
+        return tuple(_pivot(row) for row in self.basis)
 
     def contains_vector(self, vector: Sequence[int]) -> bool:
         if len(vector) != self.ambient:
             raise AmbientMismatch(f"vector of length {len(vector)} in ambient {self.ambient}")
         v = _primitive(list(vector))
-        for row, piv in zip(self.basis, self.pivots()):
+        for row, piv in zip(self.basis, self.pivots):
             if v[piv]:
                 v = _eliminate(v, row, piv)
         return not any(v)

@@ -26,6 +26,7 @@ from maxnoether.curves import (
     resolve,
     section_valuations,
     _constraint_rows,
+    _dense,
     _embedded_resolved_sections,
     _in_sections,
     _poly_mul,
@@ -473,7 +474,7 @@ def jet_orders(space, center):
         [sum(x * y for x, y in zip(row, v[k:])) for k, row in enumerate(shift)]
         for v in space.basis
     ]
-    return tuple(Subspace.span(jets, space.ambient).pivots())
+    return Subspace.span(jets, space.ambient).pivots
 
 
 def test_orders_of_the_translated_curve_equal_the_jet_orders():
@@ -488,11 +489,13 @@ def test_orders_of_the_translated_curve_equal_the_jet_orders():
 def test_constraint_rows_are_integer_at_rational_centers():
     for c in random_curves(7, 10, branches=(1, 2, 3)):
         for n in (1, 2, 3):
-            rows, ambient = _constraint_rows(c, n)
-            assert rows
-            for row in rows:
-                assert type(row) is tuple and len(row) == ambient
-                assert all(type(x) is int for x in row)
+            columns, nrows = _constraint_rows(c, n)
+            assert nrows and type(columns) is tuple and len(columns) == numerator_ambient(c, n)
+            for indices, entries in filter(None, columns):
+                assert type(indices) is tuple and type(entries) is tuple
+                assert list(indices) == sorted(set(indices)) and set(indices) <= set(range(nrows))
+                assert len(entries) == len(indices) > 0
+                assert all(type(x) is int and x for x in entries)
 
 
 # -- the certified product span ----------------------------------------------
@@ -530,6 +533,7 @@ def test_resolution_quotient_matches_the_exact_sum():
                 exact = Subspace.span(raw_products(c, n), ambient)
                 # the embedding is injective: its images need no elimination
                 embedded = _embedded_resolved_sections(c, index, n)
+                embedded = tuple(_dense(v, ambient) for v in embedded)
                 assert Subspace.span(embedded, ambient).dim == len(embedded) == res.resolved_dim
                 combined = Subspace.span(exact.basis + embedded, ambient)
                 assert res.combined_dim == combined.dim
@@ -537,15 +541,38 @@ def test_resolution_quotient_matches_the_exact_sum():
 
 
 def test_in_sections_rejects_vectors_outside():
+    # the term-row membership test against exact elimination by the section basis
+    perturbed = 0
     for c in random_curves(12, 4):
         for n in (2, 3):
             sections = global_sections(c, n)
-            assert _in_sections(c, n, sections.basis)
             ambient = numerator_ambient(c, n)
+            assert _in_sections(c, n, map(_terms, sections.basis))
             for j in range(ambient):
-                unit = [0] * ambient
-                unit[j] = 1
-                assert _in_sections(c, n, [unit]) == sections.contains_vector(unit)
+                unit = ((j, 1),)
+                assert _in_sections(c, n, [unit]) == sections.contains_vector(_dense(unit, ambient))
+            rows = [
+                _poly_mul(_terms(b), _terms(f), ambient)
+                for b in global_sections(c, 1).basis
+                for f in products_span(c, n - 1).basis
+            ]
+            assert _in_sections(c, n, rows)
+            # (q t - p)^k has order exactly k at the center p/q: added to a
+            # section, it puts a nonzero coefficient on the gap k of K^n there
+            for index, br in enumerate(c.branches):
+                p, q = br.center.numerator, br.center.denominator
+                for k in excluded_orders(br.semigroup, n):
+                    if k >= ambient:
+                        continue
+                    power = [1]
+                    for _ in range(k):
+                        power = dense_convolution(power, [-p, q])
+                    row = _dense(rows[(index + k) % len(rows)], ambient)
+                    bad = [x + y for x, y in zip(row, power + [0] * (ambient - k - 1))]
+                    assert not _in_sections(c, n, [_terms(bad)])
+                    assert not sections.contains_vector(bad)
+                    perturbed += 1
+    assert perturbed >= 30
 
 
 def test_a_third_oracle_agrees_on_ranks():
@@ -562,8 +589,11 @@ def test_a_third_oracle_agrees_on_ranks():
     for c in random_curves(13, 6):
         for n in (1, 2, 3):
             ambient = numerator_ambient(c, n)
-            constraints, width = _constraint_rows(c, n)
-            assert width == ambient
+            columns, nrows = _constraint_rows(c, n)
+            constraints = [[0] * ambient for _ in range(nrows)]
+            for d, column in enumerate(columns):
+                for i, x in zip(*column) if column else ():
+                    constraints[i][d] = x
             assert global_sections(c, n).dim == ambient - rank(constraints, ambient)
             if n > 1:
                 assert products_span(c, n).dim == rank(raw_products(c, n), ambient)
@@ -609,21 +639,26 @@ single_entry = st.tuples(st.integers(0, 10), st.integers(-9, 9)).map(
     lambda t: [0] * t[0] + [t[1]]
 )
 operands = st.one_of(coefficients, single_entry, st.integers(0, 8).map(lambda k: [0] * k))
+# a(t) and a(-t): their product is even, so every odd coefficient cancels
+cancelling = coefficients.map(lambda a: (a, [x if i % 2 == 0 else -x for i, x in enumerate(a)]))
 
 
 @settings(max_examples=300)
-@given(operands, operands, st.integers(0, 30))
-def test_product_over_terms_matches_the_dense_convolution(a, b, cut):
+@given(st.one_of(st.tuples(operands, operands), cancelling), st.integers(0, 30))
+def test_product_over_terms_matches_the_dense_convolution(pair, cut):
+    a, b = pair
     full = len(a) + len(b) - 1
-    assert _terms(a) == [(i, x) for i, x in enumerate(a) if x]
+    assert _terms(a) == tuple((i, x) for i, x in enumerate(a) if x)
+    assert _dense(_terms(a), len(a)) == a
     if a and b:
-        assert _poly_mul(_terms(a), _terms(b), full) == dense_convolution(a, b)
+        assert _poly_mul(_terms(a), _terms(b), full) == _terms(dense_convolution(a, b))
         # a shorter width keeps the leading coefficients, as the series products do
-        width = min(cut, full)
-        assert _poly_mul(_terms(a), _terms(b), width) == dense_convolution(a, b)[:width]
+        for width in range(min(cut, full) + 1):
+            expected = _terms(dense_convolution(a, b)[:width])
+            assert _poly_mul(_terms(a), _terms(b), width) == expected
     # an empty list of terms is the zero polynomial, at any width
-    assert _poly_mul([], _terms(b), cut) == [0] * cut
-    assert _poly_mul(_terms(a), [], cut) == [0] * cut
+    assert _poly_mul((), _terms(b), cut) == ()
+    assert _poly_mul(_terms(a), (), cut) == ()
 
 
 def test_products_span_with_empty_bases():

@@ -147,7 +147,7 @@ def test_span_is_primitive_integer_rref(mat):
     sp = Subspace.span(mat, ncols)
     reference = _fraction_gauss_jordan(mat)
     assert len(sp.basis) == len(reference)
-    for row, piv, ref in zip(sp.basis, sp.pivots(), reference):
+    for row, piv, ref in zip(sp.basis, sp.pivots, reference):
         assert all(type(x) is int for x in row)
         assert math.gcd(*row) == 1 and row[piv] > 0
         assert [Fraction(x, row[piv]) for x in row] == ref
@@ -160,9 +160,23 @@ def test_span_is_primitive_integer_rref(mat):
 
 # -- the modular rank, a certified lower bound --------------------------------
 
+
+def terms(row):
+    """A dense integer row as the term row ``modular_rank`` reads."""
+    return tuple((i, x) for i, x in enumerate(row) if x)
+
+
+def mod_rank(mat, limit):
+    return modular_rank(map(terms, mat), limit)
+
+
 int_matrices = st.integers(1, 5).flatmap(
     lambda n: st.lists(
-        st.lists(st.integers(-10**30, 10**30), min_size=n, max_size=n), min_size=1, max_size=6
+        st.lists(
+            st.one_of(st.integers(-10**30, 10**30), st.just(0)), min_size=n, max_size=n
+        ),
+        min_size=1,
+        max_size=6,
     )
 )
 
@@ -171,23 +185,23 @@ int_matrices = st.integers(1, 5).flatmap(
 @given(int_matrices)
 def test_modular_rank_is_at_most_the_exact_rank(mat):
     _, rank = rref(mat)
-    assert modular_rank(mat, len(mat[0])) <= rank
+    assert mod_rank(mat, len(mat[0])) <= rank
     # low-rank rows: every row a combination of the first two
     combos = [
         [a * x + b * y for x, y in zip(mat[0], mat[-1])] for a, b in ((1, 2), (3, -1), (7, 5))
     ]
-    assert modular_rank(combos, len(mat[0])) <= rref(combos)[1] <= 2
+    assert mod_rank(combos, len(mat[0])) <= rref(combos)[1] <= 2
 
 
 def test_modular_rank_falls_short_on_multiples_of_the_prime():
     # exact rank 2, but the second row vanishes mod p
     rows = [[1, 0, 0], [0, MODULUS, 3 * MODULUS]]
     assert rref(rows)[1] == 2
-    assert modular_rank(rows, 3) == 1
+    assert mod_rank(rows, 3) == 1
     # every 2 x 2 minor is p, although no entry is a multiple of it
     rows = [[1, 1, 0], [1, MODULUS + 1, MODULUS]]
     assert rref(rows)[1] == 2
-    assert modular_rank(rows, 3) == 1
+    assert mod_rank(rows, 3) == 1
 
 
 def test_modular_rank_equals_the_exact_rank_on_small_rows():
@@ -195,17 +209,25 @@ def test_modular_rank_equals_the_exact_rank_on_small_rows():
     for _ in range(50):
         ncols = rng.randint(1, 6)
         mat = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(rng.randint(1, 7))]
-        assert modular_rank(mat, ncols) == rref(mat)[1]
+        assert mod_rank(mat, ncols) == rref(mat)[1]
+    # mostly zero rows: spans of columns that start, end and fill in at random places
+    for _ in range(50):
+        ncols = rng.randint(1, 12)
+        mat = [
+            [rng.choice((0, 0, 0, rng.randint(-3, 3))) for _ in range(ncols)]
+            for _ in range(rng.randint(1, 12))
+        ]
+        assert mod_rank(mat, ncols) == rref(mat)[1]
 
 
 def test_modular_rank_stops_at_the_limit():
     rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert [modular_rank(rows, limit) for limit in (0, 1, 2, 3, 4)] == [0, 1, 2, 3, 3]
+    assert [mod_rank(rows, limit) for limit in (0, 1, 2, 3, 4)] == [0, 1, 2, 3, 3]
     assert modular_rank([], 2) == 0
 
     def rows_then_boom():
-        yield [1, 0]
-        yield [0, 1]
+        yield ((0, 1),)
+        yield ((1, 1),)
         raise AssertionError("read past the limit")
 
     assert modular_rank(rows_then_boom(), 2) == 2
