@@ -12,20 +12,27 @@ term on the finitely many gaps of K^n.  Spaces of sections are therefore
 exact nullspaces, and surjectivity of multiplication maps is a canonical
 subspace comparison.
 
-Every row and vector handed to ``linalg`` is a list of integers.  At a center
+Every row and vector handed to ``linalg`` has integer entries.  At a center
 p/q the expansion coefficients are read through one integer change of basis,
 ``_shift_matrix``, which scales each row by a nonzero constant (powers of q
 and of the center differences) and so leaves every nullspace and pivot alone.
 
+Section spaces are term rows, ``linalg.Terms``, from the constraints to the
+canonical basis.  Each constraint row is summed over its own span of
+columns, the constraint matrix is held by column, and ``global_sections``
+reads its term rows off the columns for the sparse ``linalg.nullspace``, so
+building H^0(omega^n) costs the nonzeros of the constraints: at center 0
+every constraint of a lone branch is one unit entry.  A ``Subspace`` holds
+its basis as term rows too.
+
 The product span P of weight n is S_1 . S_1^(n-1), certified against the
 section space S before anything is eliminated over Q.  Its rows are term
-rows, ``linalg.Terms``, from the moment they are formed until a verdict is
-reached: the (index, coefficient) pairs of each basis vector of S_1 and of
-S_1^(n-1) are found once, every product multiplies two such lists into one,
-and coefficients that cancel are dropped, so equal products hash equal.  At
-center 0 nearly every basis vector is a monomial, and so is nearly every
-product.  Deduplication, the modular rank and the membership test all read
-the terms; only the exact fallback makes the rows dense.
+rows from the moment they are formed until a verdict is reached: every
+product multiplies the term rows of a basis vector of S_1 and of S_1^(n-1)
+into one, and coefficients that cancel are dropped, so equal products hash
+equal.  At center 0 nearly every basis vector is a monomial, and so is
+nearly every product.  Deduplication, the modular rank and the membership
+test all read the terms; only the exact fallback makes the rows dense.
 
 With C the constraint matrix of S, the chain rank_p(P) <= dim P <= dim S
 holds once every formed row v is shown, at run time, to satisfy C v = 0
@@ -50,10 +57,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import comb, lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import AmbientTooLarge, CurveSpecError, MaxNoetherError, NotApplicable, WeightTooLarge
-from .linalg import Subspace, Terms, modular_rank, nullspace
+from .linalg import Subspace, Terms, _dense, _terms, modular_rank, nullspace
 from .semigroup import NumericalSemigroup
 from .valueset import ValueSet, canonical_ideal, missing_below, n_fold
 
@@ -67,10 +74,10 @@ _CACHE_SIZE = 256
 MAX_WEIGHT = 256
 
 # Most numerator coefficients of a weight-n space, checked before any row is
-# built.  At the cap a one-branch check at center 0 takes about 2 s on a
-# 2-core Xeon VM (2.1 s for the ordinary semigroup of multiplicity 1,150 at
-# n = 2, 1.8 s for <2,1149>), since its rows are monomials; branches at
-# nonzero centers make dense rows and cost far more.
+# built.  At the cap a one-branch check at center 0 takes about 1.5 s on a
+# 2-core Xeon VM (1.4 s for the ordinary semigroup of multiplicity 1,150 at
+# n = 2, 0.9 s for <2,1149>), since its constraint and product rows are
+# monomials; branches at nonzero centers make dense rows and cost far more.
 MAX_AMBIENT = 2300
 
 # Most decimal digits in the numerator or denominator of a branch center.  The
@@ -222,19 +229,6 @@ def excluded_orders(s: NumericalSemigroup, n: int) -> list[int]:
 # -- integer series helpers --------------------------------------------------
 
 
-def _terms(v: Sequence[int]) -> Terms:
-    """The nonzero entries of a coefficient list, as (index, coefficient) pairs."""
-    return tuple([(i, x) for i, x in enumerate(v) if x])
-
-
-def _dense(row: Terms, width: int) -> list[int]:
-    """The coefficient list of width ``width`` that a term row gives."""
-    out = [0] * width
-    for i, x in row:
-        out[i] = x
-    return out
-
-
 def _poly_mul(a: Terms, b: Terms, width: int) -> Terms:
     """The terms below index ``width`` of the product of two polynomials given by terms.
 
@@ -319,21 +313,29 @@ def _constraint_rows(curve: RationalCurveModel, n: int) -> tuple[Columns, int]:
             unit = _poly_mul(unit, _terms(series), order + 1)
         shift = _shift_matrix(br.center, scale, ambient)
         for k in excluded:
-            # the row is the sum of unit[k - t] * shift[t] over the unit's terms
-            row = [0] * ambient
+            # the row is the sum of unit[k - t] * shift[t] over the unit's terms;
+            # shift[t] starts at column t, and the row is summed over its own span
+            parts = []
             for s, h in unit:
                 t = k - s
                 if t < 0:
                     break
                 if t < ambient:
-                    for d, x in enumerate(shift[t], t):
-                        row[d] += h * x
-            for d in compress(range(ambient), row):
-                if columns[d] is None:
-                    columns[d] = ([], [])
-                indices, entries = columns[d]
-                indices.append(nrows)
-                entries.append(row[d])
+                    parts.append((t, h))
+            if parts:
+                lo = parts[-1][0]
+                row = [0] * (max(t + len(shift[t]) for t, _ in parts) - lo)
+                for t, h in parts:
+                    start = t - lo
+                    end = start + len(shift[t])
+                    row[start:end] = [a + h * x for a, x in zip(row[start:end], shift[t])]
+                for d, x in enumerate(row, lo):
+                    if x:
+                        if columns[d] is None:
+                            columns[d] = ([], [])
+                        indices, entries = columns[d]
+                        indices.append(nrows)
+                        entries.append(x)
             nrows += 1
     for d in compress(range(ambient), columns):
         indices, entries = columns[d]
@@ -358,12 +360,13 @@ def global_sections(curve: RationalCurveModel, n: int) -> Subspace:
             f"numerator ambient {ambient} at weight {n} is above MAX_AMBIENT = {MAX_AMBIENT}"
         )
     columns, nrows = _constraint_rows(curve, n)
-    rows = [[0] * ambient for _ in range(nrows)]
+    # the term rows of C, read off its columns in increasing order
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(nrows)]
     for d in compress(range(ambient), columns):
         indices, entries = columns[d]
         for i, x in zip(indices, entries):
-            rows[i][d] = x
-    return nullspace(rows, ambient)
+            rows[i].append((d, x))
+    return nullspace(map(tuple, rows), ambient)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -379,9 +382,8 @@ def products_span(curve: RationalCurveModel, n: int) -> Subspace:
     sections = global_sections(curve, n)
     if n == 1:
         return sections
-    # each basis vector's terms are found once, not once per product it enters
-    lower = [_terms(p) for p in products_span(curve, n - 1).basis]
-    basis = [_terms(b) for b in global_sections(curve, 1).basis]
+    lower = products_span(curve, n - 1).rows
+    basis = global_sections(curve, 1).rows
     width = sections.ambient
     # repeated products (frequent among sparse rows) add nothing
     rows = list(dict.fromkeys(_poly_mul(b, p, width) for b in basis for p in lower))
@@ -518,7 +520,7 @@ def _embedded_resolved_sections(curve: RationalCurveModel, index: int, n: int) -
     p, q = br.center.numerator, br.center.denominator
     factor = _terms([comb(m, k) * q**k * (-p) ** (m - k) for k in range(m + 1)])
     width = sections.ambient + m
-    return tuple(_poly_mul(_terms(vec), factor, width) for vec in sections.basis)
+    return tuple(_poly_mul(vec, factor, width) for vec in sections.rows)
 
 
 @dataclass(frozen=True)
@@ -553,7 +555,7 @@ def check_resolution_quotient(curve: RationalCurveModel, index: int, n: int) -> 
         combined = sections
     else:
         width = sections.ambient
-        combined = Subspace.span(prods.basis + tuple(_dense(v, width) for v in embedded), width)
+        combined = Subspace.span([_dense(v, width) for v in prods.rows + embedded], width)
     return ResolutionCheck(
         combined == sections, n, sections.dim, prods.dim, len(embedded), combined.dim
     )

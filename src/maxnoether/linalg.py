@@ -1,26 +1,30 @@
-"""Exact dense linear algebra over the rationals, on integer rows.
+"""Exact linear algebra over the rationals, on integer term rows.
 
-A subspace is stored as its canonical integer echelon basis: the reduced row
-echelon rows scaled to coprime integers with positive pivots.  That basis is
-unique for the row space, so subspace equality is structural.  Elimination
-is fraction-free in the sense of Bareiss (Math. Comp. 22, 1968): integer
-cross-multiplication by the smallest available pivot, with every row kept
-primitive by gcd reduction.
+Rows are term rows, ``Terms``: the nonzero entries of a row as (index,
+coefficient) pairs in increasing index order, so the cost of the work on
+them follows the nonzeros and not the width.
 
-``modular_rank`` gives a cheap lower bound on the rank, modulo one fixed prime.
-It reads term rows, ``Terms``: the nonzero entries of a row as (index,
-coefficient) pairs in increasing index order, so its cost follows the
-nonzeros and not the width.  A row is reduced in one ordered pass over the
-echelon pivots that fall inside its own span of columns, which fill-in can
-only extend to the right.
+A subspace is stored as its canonical integer echelon basis, as term rows:
+the reduced row echelon rows scaled to coprime integers with positive
+pivots.  That basis is unique for the row space, so subspace equality is
+structural.  ``nullspace`` builds it from term rows by a sparse,
+fraction-free Gauss-Jordan elimination that keeps every row primitive by gcd
+reduction and dense only over its own span of columns.  ``rref``, a dense
+elimination by integer cross-multiplication in the manner of Bareiss
+(Math. Comp. 22, 1968), remains only for ``Subspace.span``, the exact
+fallback.
+
+``modular_rank`` gives a cheap lower bound on the rank, modulo one fixed
+prime.  A row is reduced in one ordered pass over the echelon pivots that
+fall inside its own span of columns, which fill-in can only extend to the
+right.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress, count
 from typing import Iterable, Sequence
 
@@ -37,8 +41,17 @@ def _primitive(row: list[int]) -> list[int]:
     return [v // g for v in row] if g > 1 else row
 
 
-def _pivot(row: Sequence[int]) -> int:
-    return next(compress(count(), row))
+def _terms(v: Sequence[int]) -> Terms:
+    """The nonzero entries of a coefficient list, as (index, coefficient) pairs."""
+    return tuple([(i, x) for i, x in enumerate(v) if x])
+
+
+def _dense(row: Terms, width: int) -> list[int]:
+    """The coefficient list of width ``width`` that a term row gives."""
+    out = [0] * width
+    for i, x in row:
+        out[i] = x
+    return out
 
 
 def _eliminate(row: list[int], pivot_row: Sequence[int], col: int) -> list[int]:
@@ -140,10 +153,10 @@ def modular_rank(rows: Iterable[Terms], limit: int) -> int:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^ambient with its canonical integer echelon basis."""
+    """A subspace of Q^ambient with its canonical integer echelon basis, as term rows."""
 
     ambient: int
-    basis: tuple[Vector, ...]
+    rows: tuple[Terms, ...]
 
     @classmethod
     def span(cls, vectors: Iterable[Sequence[int]], ambient: int) -> "Subspace":
@@ -153,46 +166,122 @@ class Subspace:
             if len(v) != ambient:
                 raise AmbientMismatch(f"vector of length {len(v)} in ambient {ambient}")
         reduced, rank = rref(vecs)
-        return cls(ambient, tuple(tuple(row) for row in reduced[:rank]))
+        return cls(ambient, tuple(_terms(row) for row in reduced[:rank]))
+
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        """The basis rows written out over the whole ambient; built anew on each read."""
+        return tuple(tuple(_dense(row, self.ambient)) for row in self.rows)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
-    @cached_property
+    @property
     def pivots(self) -> tuple[int, ...]:
         """Pivot column of each basis row; the attained leading positions."""
-        return tuple(_pivot(row) for row in self.basis)
+        return tuple(row[0][0] for row in self.rows)
 
     def contains_vector(self, vector: Sequence[int]) -> bool:
         if len(vector) != self.ambient:
             raise AmbientMismatch(f"vector of length {len(vector)} in ambient {self.ambient}")
         v = _primitive(list(vector))
-        for row, piv in zip(self.basis, self.pivots):
-            if v[piv]:
-                v = _eliminate(v, row, piv)
+        for row in self.rows:
+            piv, p = row[0]
+            q = v[piv]
+            if q:
+                g = math.gcd(p, q)
+                p, q = p // g, q // g
+                v = [x * p for x in v]
+                for i, x in row:
+                    v[i] -= q * x
+                v = _primitive(v)
         return not any(v)
 
 
-def nullspace(rows: Iterable[Sequence[int]], ncols: int) -> Subspace:
-    """Canonical basis of the solution space of the homogeneous system.
+def _clear(row: list[int], lo: int, pivot_row: list[int], pivot_lo: int) -> tuple[list[int], int]:
+    """``row``, dense from column ``lo``, with the pivot of ``pivot_row`` cleared, kept primitive.
 
-    One elimination, columns reversed: each solution read off then leads at its
-    free column and is zero on the others, so it is the canonical basis already.
+    The pivot is the last entry of ``pivot_row``, which is dense from column
+    ``pivot_lo``, and lies inside the span of ``row``.  Returns the row and
+    its first column, which moves left when ``pivot_row`` starts further left.
     """
-    mat = list(rows)
-    if any(len(r) != ncols for r in mat):
-        raise AmbientMismatch("constraint rows of mixed width")
-    reduced, rank = rref(row[::-1] for row in mat)
-    echelon = [row[::-1] for row in reduced[:rank]]
-    pivots = [ncols - 1 - _pivot(row) for row in reduced[:rank]]
-    # one solution per free column, scaled so every entry is an integer
-    scale = math.lcm(*(row[piv] for row, piv in zip(echelon, pivots)))
-    vectors = []
-    for f in sorted(set(range(ncols)) - set(pivots)):
-        v = [0] * ncols
-        v[f] = scale
-        for row, piv in zip(echelon, pivots):
-            v[piv] = -row[f] * (scale // row[piv])
-        vectors.append(tuple(_primitive(v)))
-    return Subspace(ncols, tuple(vectors))
+    p = pivot_row[-1]
+    q = row[pivot_lo + len(pivot_row) - 1 - lo]
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
+    if pivot_lo < lo:
+        row = [0] * (lo - pivot_lo) + row
+        lo = pivot_lo
+    start = pivot_lo - lo
+    end = start + len(pivot_row)
+    out = [x * p for x in row]
+    out[start:end] = [x * p - y * q for x, y in zip(row[start:end], pivot_row)]
+    return _primitive(out), lo
+
+
+def nullspace(rows: Iterable[Terms], ncols: int) -> Subspace:
+    """Canonical basis of the solution space of the homogeneous system given by term rows.
+
+    Sparse, fraction-free Gauss-Jordan elimination, one row at a time.  Each
+    echelon row is held dense over its own span of columns, ends at its
+    pivot, its rightmost column, with a positive entry there, and is
+    primitive and zero at every other pivot.  An incoming row is reduced by
+    the pivots it holds; the fill-in from such reduced rows adds no pivot
+    column.  Its own pivot is then cleared from the older rows.  Each
+    solution, read off one free column, leads there and is zero on the other
+    free columns, so it is a row of the canonical basis.
+    """
+    # pivot column -> the echelon row from its first column through the pivot, and that first column
+    echelon: dict[int, tuple[list[int], int]] = {}
+    pivots: list[int] = []  # the keys of ``echelon``, sorted
+    for terms in rows:
+        if not terms:
+            continue
+        lo, hi = terms[0][0], terms[-1][0]
+        if lo < 0 or hi >= ncols:
+            raise AmbientMismatch(f"term row over columns {lo}..{hi} in ambient {ncols}")
+        row = [0] * (hi - lo + 1)
+        for i, x in terms:
+            row[i - lo] = x
+        for col in pivots[bisect_left(pivots, lo) : bisect_right(pivots, hi)]:
+            if row[col - lo]:
+                row, lo = _clear(row, lo, *echelon[col])
+        while row and not row[-1]:
+            row.pop()
+        if not row:
+            continue
+        first = next(compress(count(), row))
+        row = _primitive(row[first:])
+        lo += first
+        if row[-1] < 0:
+            row = [-x for x in row]
+        col = lo + len(row) - 1
+        # only rows that end past the new pivot can hold it
+        for older in pivots[bisect_right(pivots, col) :]:
+            orow, olo = echelon[older]
+            if olo <= col and orow[col - olo]:
+                echelon[older] = _clear(orow, olo, row, lo)
+        echelon[col] = (row, lo)
+        insort(pivots, col)
+    # free column -> the echelon rows with an entry there: (pivot, entry, pivot entry)
+    touching: dict[int, list[tuple[int, int, int]]] = {}
+    for col in pivots:
+        row, lo = echelon[col]
+        d = row[-1]
+        for j, x in enumerate(row[:-1], lo):
+            if x:
+                touching.setdefault(j, []).append((col, x, d))
+    basis = []
+    for f in range(ncols):
+        if f in echelon:
+            continue
+        entries = touching.get(f)
+        if entries is None:
+            basis.append(((f, 1),))
+            continue
+        # v[f] = scale and v[pivot] = -entry * scale / pivot entry solve every row
+        scale = math.lcm(*(d for _, _, d in entries))
+        v = _primitive([scale] + [-x * (scale // d) for _, x, d in entries])
+        basis.append(tuple(zip([f] + [col for col, _, _ in entries], v)))
+    return Subspace(ncols, tuple(basis))

@@ -39,6 +39,7 @@ from maxnoether.linalg import Subspace
 from maxnoether.semigroup import NumericalSemigroup, enumerate_semigroups
 from maxnoether.suites import _MULTI_MENU, _curve_corpus, _value_route_dim
 from maxnoether.valueset import ValueSet, canonical_ideal, dualizing_values, n_fold
+from test_linalg import dense_nullspace
 
 
 def sg(*gens):
@@ -547,7 +548,7 @@ def test_in_sections_rejects_vectors_outside():
         for n in (2, 3):
             sections = global_sections(c, n)
             ambient = numerator_ambient(c, n)
-            assert _in_sections(c, n, map(_terms, sections.basis))
+            assert _in_sections(c, n, sections.rows)
             for j in range(ambient):
                 unit = ((j, 1),)
                 assert _in_sections(c, n, [unit]) == sections.contains_vector(_dense(unit, ambient))
@@ -575,6 +576,29 @@ def test_in_sections_rejects_vectors_outside():
     assert perturbed >= 30
 
 
+def dense_constraints(c, n):
+    """The constraint matrix of weight n, read off its columns into dense rows."""
+    ambient = numerator_ambient(c, n)
+    columns, nrows = _constraint_rows(c, n)
+    rows = [[0] * ambient for _ in range(nrows)]
+    for d, column in enumerate(columns):
+        for i, x in zip(*column) if column else ():
+            rows[i][d] = x
+    return rows
+
+
+def test_sections_match_the_dense_nullspace_of_the_constraints():
+    # every semigroup of genus <= 6 at center 0, and curves at rational centers
+    cases = [
+        RationalCurveModel.from_semigroups([s]) for s in enumerate_semigroups(6) if s.genus
+    ] + random_curves(12, 4)
+    assert len(cases) == 49 + 4
+    for c in cases:
+        for n in range(1, 5):
+            expected = dense_nullspace(dense_constraints(c, n), numerator_ambient(c, n))
+            assert global_sections(c, n).basis == expected, (str(c), n)
+
+
 def test_a_third_oracle_agrees_on_ranks():
     # sympy's DomainMatrix over QQ shares no code with linalg
     pytest.importorskip("sympy")
@@ -589,12 +613,7 @@ def test_a_third_oracle_agrees_on_ranks():
     for c in random_curves(13, 6):
         for n in (1, 2, 3):
             ambient = numerator_ambient(c, n)
-            columns, nrows = _constraint_rows(c, n)
-            constraints = [[0] * ambient for _ in range(nrows)]
-            for d, column in enumerate(columns):
-                for i, x in zip(*column) if column else ():
-                    constraints[i][d] = x
-            assert global_sections(c, n).dim == ambient - rank(constraints, ambient)
+            assert global_sections(c, n).dim == ambient - rank(dense_constraints(c, n), ambient)
             if n > 1:
                 assert products_span(c, n).dim == rank(raw_products(c, n), ambient)
 

@@ -15,6 +15,11 @@ def F(x):
     return Fraction(x)
 
 
+def terms(row):
+    """A dense integer row as a term row, its nonzero (index, coefficient) pairs."""
+    return tuple((i, x) for i, x in enumerate(row) if x)
+
+
 def test_rref_trivial_cases():
     m, rank = rref([[1, 0], [0, 1]])
     assert m == [[1, 0], [0, 1]] and rank == 2
@@ -58,7 +63,7 @@ def test_ambient_mismatch():
 
 def test_nullspace_solves_system():
     rows = [[1, 2, 3], [0, 1, 1]]
-    ns = nullspace(rows, 3)
+    ns = nullspace(map(terms, rows), 3)
     assert ns.dim == 1
     v = ns.basis[0]
     for row in rows:
@@ -73,6 +78,15 @@ def test_zero_ambient():
     s = Subspace.span([], 0)
     assert s.dim == 0
     assert s == nullspace([], 0)
+
+
+def test_nullspace_rejects_a_term_outside_the_ambient():
+    with pytest.raises(AmbientMismatch):
+        nullspace([((0, 1), (3, 2))], 3)
+    with pytest.raises(AmbientMismatch):
+        nullspace([((1, 1),), ((-1, 4), (2, 1))], 3)
+    with pytest.raises(AmbientMismatch):
+        nullspace([((0, 1),)], 0)
 
 
 # wide enough that rows share factors, so the gcd reduction runs
@@ -104,7 +118,7 @@ def test_rank_invariant_under_row_scaling_and_swaps(mat):
 def test_rank_nullity(mat):
     ncols = len(mat[0])
     _, rank = rref(mat)
-    assert nullspace(mat, ncols).dim == ncols - rank
+    assert nullspace(map(terms, mat), ncols).dim == ncols - rank
 
 
 @settings(max_examples=40)
@@ -151,19 +165,72 @@ def test_span_is_primitive_integer_rref(mat):
         assert all(type(x) is int for x in row)
         assert math.gcd(*row) == 1 and row[piv] > 0
         assert [Fraction(x, row[piv]) for x in row] == ref
-    kernel = nullspace(mat, ncols)
+    kernel = nullspace(map(terms, mat), ncols)
     assert kernel == Subspace.span(kernel.basis, ncols)
     for v in kernel.basis:
         for row in mat:
             assert sum(Fraction(a) * b for a, b in zip(row, v)) == 0
 
 
+def dense_nullspace(mat, ncols):
+    """Canonical kernel basis of dense integer rows, as dense tuples: the reference for ``nullspace``.
+
+    One ``rref`` with the columns reversed; each solution then leads at its
+    free column and is zero on the others, scaled by the lcm of the pivots
+    and made primitive.
+    """
+    reduced, rank = rref(row[::-1] for row in mat)
+    echelon = [row[::-1] for row in reduced[:rank]]
+    pivots = [ncols - 1 - next(i for i, x in enumerate(row) if x) for row in reduced[:rank]]
+    scale = math.lcm(*(row[piv] for row, piv in zip(echelon, pivots)))
+    vectors = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[f] = scale
+        for row, piv in zip(echelon, pivots):
+            v[piv] = -row[f] * (scale // row[piv])
+        g = math.gcd(*v)
+        vectors.append(tuple(x // g for x in v))
+    return tuple(vectors)
+
+
+# mostly zeros, with small entries that share factors and large ones that do not
+sparse_entries = st.one_of(
+    st.just(0), st.just(0), st.just(0), st.integers(-6, 6), st.integers(-10**20, 10**20)
+)
+
+
+@st.composite
+def systems(draw):
+    """A width from 0 and up to 8 rows, plus repeated rows and combinations of two rows."""
+    ncols = draw(st.integers(0, 8))
+    mat = draw(st.lists(st.lists(sparse_entries, min_size=ncols, max_size=ncols), max_size=8))
+    for _ in range(draw(st.integers(0, 3)) if mat else 0):
+        x, y = (mat[draw(st.integers(0, len(mat) - 1))] for _ in range(2))
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        mat.insert(draw(st.integers(0, len(mat))), [a * u + b * v for u, v in zip(x, y)])
+    return ncols, mat
+
+
+@settings(max_examples=300)
+@given(systems())
+def test_nullspace_over_terms_matches_the_dense_route(system):
+    ncols, mat = system
+    got = nullspace(map(terms, mat), ncols)
+    expected = dense_nullspace(mat, ncols)
+    assert got.ambient == ncols
+    assert got.basis == expected
+    assert got.rows == tuple(map(terms, expected))
+
+
+def test_nullspace_of_no_rows_and_of_no_columns_matches_the_dense_route():
+    assert nullspace([], 0) == Subspace(0, ()) and dense_nullspace([], 0) == ()
+    assert nullspace([(), ()], 0).basis == dense_nullspace([[], []], 0) == ()
+    assert nullspace([], 4).basis == dense_nullspace([], 4)
+    assert nullspace([(), ()], 3).basis == dense_nullspace([[0, 0, 0], [0, 0, 0]], 3)
+
+
 # -- the modular rank, a certified lower bound --------------------------------
-
-
-def terms(row):
-    """A dense integer row as the term row ``modular_rank`` reads."""
-    return tuple((i, x) for i, x in enumerate(row) if x)
 
 
 def mod_rank(mat, limit):
