@@ -11,7 +11,9 @@ the verdict, the dimension of H^0(omega^n) and the seconds it took:
 - one ordinary branch <300, ..., 599> at 0, n = 2, whose rows are monomials;
 - one ordinary branch <600, ..., 1199> at 0, n = 2;
 - one branch <7,8> at 0, n = 40, which builds the section space of every
-  weight from 1 to 40 on the way.
+  weight from 1 to 40 on the way;
+- one branch <2,41> at 7/3, n = 3, which is hyperelliptic, so its products
+  miss the sections and are eliminated exactly, at a rational center.
 """
 
 import time
@@ -32,6 +34,7 @@ CASES = (
     ("<300,...,599>@0", _curve((0, range(300, 600))), 2),
     ("<600,...,1199>@0", _curve((0, range(600, 1200))), 2),
     ("<7,8>@0", _curve((0, (7, 8))), 40),
+    ("<2,41>@7/3", _curve((Fraction(7, 3), (2, 41))), 3),
 )
 
 

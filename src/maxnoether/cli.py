@@ -115,6 +115,8 @@ def cmd_sg_info(args) -> int:
 
 
 def cmd_sg_enumerate(args) -> int:
+    # a whole genus level is held at once, ~1.6x the last one; no suite walks deeper than blowup
+    check_genus_cap("blowup", SuiteParams(max_genus=args.max_genus))
     for s in enumerate_semigroups(args.max_genus, args.min_multiplicity):
         if args.json:
             print(json.dumps(s.to_json(), sort_keys=True))

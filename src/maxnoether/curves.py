@@ -32,7 +32,7 @@ product multiplies the term rows of a basis vector of S_1 and of S_1^(n-1)
 into one, and coefficients that cancel are dropped, so equal products hash
 equal.  At center 0 nearly every basis vector is a monomial, and so is
 nearly every product.  Deduplication, the modular rank and the membership
-test all read the terms; only the exact fallback makes the rows dense.
+test all read the terms, and so does the exact fallback.
 
 With C the constraint matrix of S, the chain rank_p(P) <= dim P <= dim S
 holds once every formed row v is shown, at run time, to satisfy C v = 0
@@ -60,7 +60,7 @@ from math import comb, lcm
 from typing import Iterable
 
 from .errors import AmbientTooLarge, CurveSpecError, MaxNoetherError, NotApplicable, WeightTooLarge
-from .linalg import Subspace, Terms, _dense, _terms, modular_rank, nullspace
+from .linalg import Subspace, Terms, _terms, modular_rank, nullspace
 from .semigroup import NumericalSemigroup
 from .valueset import ValueSet, canonical_ideal, missing_below, n_fold
 
@@ -389,7 +389,7 @@ def products_span(curve: RationalCurveModel, n: int) -> Subspace:
     rows = list(dict.fromkeys(_poly_mul(b, p, width) for b in basis for p in lower))
     if modular_rank(rows, sections.dim) == sections.dim and _in_sections(curve, n, rows):
         return sections
-    return Subspace.span([_dense(row, width) for row in rows], width)
+    return Subspace.span(rows, width)
 
 
 def _in_sections(curve: RationalCurveModel, n: int, rows: Iterable[Terms]) -> bool:
@@ -554,8 +554,7 @@ def check_resolution_quotient(curve: RationalCurveModel, index: int, n: int) -> 
     if prods == sections and _in_sections(curve, n, embedded):
         combined = sections
     else:
-        width = sections.ambient
-        combined = Subspace.span([_dense(v, width) for v in prods.rows + embedded], width)
+        combined = Subspace.span(prods.rows + embedded, sections.ambient)
     return ResolutionCheck(
         combined == sections, n, sections.dim, prods.dim, len(embedded), combined.dim
     )
@@ -591,7 +590,4 @@ def check_hyperelliptic_resolution(curve: RationalCurveModel, index: int, n: int
     if not is_certified_hyperelliptic(resolved):
         raise NotApplicable("hyperellipticity of the resolved curve is not certified")
     prods = products_span(curve, n)
-    return all(
-        prods.contains_vector(_dense(v, prods.ambient))
-        for v in _embedded_resolved_sections(curve, index, n)
-    )
+    return all(map(prods.contains_vector, _embedded_resolved_sections(curve, index, n)))

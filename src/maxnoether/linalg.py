@@ -7,12 +7,11 @@ them follows the nonzeros and not the width.
 A subspace is stored as its canonical integer echelon basis, as term rows:
 the reduced row echelon rows scaled to coprime integers with positive
 pivots.  That basis is unique for the row space, so subspace equality is
-structural.  ``nullspace`` builds it from term rows by a sparse,
+structural.  One elimination builds it: ``_echelon``, a sparse,
 fraction-free Gauss-Jordan elimination that keeps every row primitive by gcd
-reduction and dense only over its own span of columns.  ``rref``, a dense
-elimination by integer cross-multiplication in the manner of Bareiss
-(Math. Comp. 22, 1968), remains only for ``Subspace.span``, the exact
-fallback.
+reduction and dense only over its own span of columns.  ``nullspace`` reads
+the solutions off its echelon rows, and ``rref``, which ``Subspace.span``
+runs, reads the echelon rows themselves, with the columns mirrored.
 
 ``modular_rank`` gives a cheap lower bound on the rank, modulo one fixed
 prime.  A row is reduced in one ordered pass over the echelon pivots that
@@ -30,8 +29,6 @@ from typing import Iterable, Sequence
 
 from .errors import AmbientMismatch
 
-Vector = tuple[int, ...]
-
 # A row given by its nonzero entries, (index, coefficient) in increasing index order.
 Terms = tuple[tuple[int, int], ...]
 
@@ -44,56 +41,6 @@ def _primitive(row: list[int]) -> list[int]:
 def _terms(v: Sequence[int]) -> Terms:
     """The nonzero entries of a coefficient list, as (index, coefficient) pairs."""
     return tuple([(i, x) for i, x in enumerate(v) if x])
-
-
-def _dense(row: Terms, width: int) -> list[int]:
-    """The coefficient list of width ``width`` that a term row gives."""
-    out = [0] * width
-    for i, x in row:
-        out[i] = x
-    return out
-
-
-def _eliminate(row: list[int], pivot_row: Sequence[int], col: int) -> list[int]:
-    """``row`` with its entry in ``col`` cleared by ``pivot_row``, kept primitive."""
-    p, q = pivot_row[col], row[col]
-    g = math.gcd(p, q)
-    p, q = p // g, q // g
-    return _primitive([a * p - b * q for a, b in zip(row, pivot_row)])
-
-
-def rref(rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """Canonical integer echelon form and rank.
-
-    Each nonzero row is the reduced row echelon row scaled to coprime
-    integers with a positive pivot.  Keeps the shape of the input; zero rows
-    sink to the bottom.
-    """
-    mat = [_primitive(list(r)) for r in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    pivots: list[int] = []
-    for col in range(ncols):
-        prow = len(pivots)
-        live = [r for r in range(prow, nrows) if mat[r][col]]
-        if not live:
-            continue
-        # the smallest pivot keeps the multipliers, and so the entries, small
-        src = min(live, key=lambda r: abs(mat[r][col]))
-        mat[prow], mat[src] = mat[src], mat[prow]
-        for r in range(prow + 1, nrows):
-            if mat[r][col]:
-                mat[r] = _eliminate(mat[r], mat[prow], col)
-        pivots.append(col)
-    # back-substitute, still over the integers
-    for i in range(len(pivots) - 1, -1, -1):
-        for r in range(i):
-            if mat[r][pivots[i]]:
-                mat[r] = _eliminate(mat[r], mat[i], pivots[i])
-    for i, col in enumerate(pivots):
-        if mat[i][col] < 0:
-            mat[i] = [-v for v in mat[i]]
-    return mat, len(pivots)
 
 
 # The fixed prime of ``modular_rank``, so every run does the same arithmetic.
@@ -159,19 +106,10 @@ class Subspace:
     rows: tuple[Terms, ...]
 
     @classmethod
-    def span(cls, vectors: Iterable[Sequence[int]], ambient: int) -> "Subspace":
-        # repeated vectors (frequent among products of sparse rows) add nothing
-        vecs = list(dict.fromkeys(map(tuple, vectors)))
-        for v in vecs:
-            if len(v) != ambient:
-                raise AmbientMismatch(f"vector of length {len(v)} in ambient {ambient}")
-        reduced, rank = rref(vecs)
-        return cls(ambient, tuple(_terms(row) for row in reduced[:rank]))
-
-    @property
-    def basis(self) -> tuple[Vector, ...]:
-        """The basis rows written out over the whole ambient; built anew on each read."""
-        return tuple(tuple(_dense(row, self.ambient)) for row in self.rows)
+    def span(cls, rows: Iterable[Terms], ambient: int) -> "Subspace":
+        # repeated rows (frequent among products of sparse rows) add nothing
+        reduced, rank = rref(dict.fromkeys(rows), ambient)
+        return cls(ambient, tuple(reduced[:rank]))
 
     @property
     def dim(self) -> int:
@@ -182,21 +120,26 @@ class Subspace:
         """Pivot column of each basis row; the attained leading positions."""
         return tuple(row[0][0] for row in self.rows)
 
-    def contains_vector(self, vector: Sequence[int]) -> bool:
-        if len(vector) != self.ambient:
-            raise AmbientMismatch(f"vector of length {len(vector)} in ambient {self.ambient}")
-        v = _primitive(list(vector))
-        for row in self.rows:
-            piv, p = row[0]
-            q = v[piv]
+    def contains_vector(self, row: Terms) -> bool:
+        """Does the term row lie in the subspace?  One reduction by the basis rows."""
+        if row and (row[0][0] < 0 or row[-1][0] >= self.ambient):
+            raise AmbientMismatch(f"a term row reaches outside ambient {self.ambient}")
+        # a basis row is zero at every other pivot, so clearing its own leaves the others alone
+        v = dict(row)
+        for basis_row in self.rows:
+            piv, p = basis_row[0]
+            q = v.get(piv)
             if q:
                 g = math.gcd(p, q)
                 p, q = p // g, q // g
-                v = [x * p for x in v]
-                for i, x in row:
-                    v[i] -= q * x
-                v = _primitive(v)
-        return not any(v)
+                for i in v:
+                    v[i] *= p
+                for i, x in basis_row:
+                    v[i] = v.get(i, 0) - q * x
+                g = math.gcd(*v.values())
+                if g > 1:
+                    v = {i: x // g for i, x in v.items()}
+        return not any(v.values())
 
 
 def _clear(row: list[int], lo: int, pivot_row: list[int], pivot_lo: int) -> tuple[list[int], int]:
@@ -220,19 +163,17 @@ def _clear(row: list[int], lo: int, pivot_row: list[int], pivot_lo: int) -> tupl
     return _primitive(out), lo
 
 
-def nullspace(rows: Iterable[Terms], ncols: int) -> Subspace:
-    """Canonical basis of the solution space of the homogeneous system given by term rows.
+def _echelon(rows: Iterable[Terms], ncols: int) -> tuple[dict[int, tuple[list[int], int]], list[int]]:
+    """Sparse, fraction-free Gauss-Jordan elimination of term rows, one row at a time.
 
-    Sparse, fraction-free Gauss-Jordan elimination, one row at a time.  Each
-    echelon row is held dense over its own span of columns, ends at its
+    Each echelon row is held dense over its own span of columns, ends at its
     pivot, its rightmost column, with a positive entry there, and is
     primitive and zero at every other pivot.  An incoming row is reduced by
     the pivots it holds; the fill-in from such reduced rows adds no pivot
-    column.  Its own pivot is then cleared from the older rows.  Each
-    solution, read off one free column, leads there and is zero on the other
-    free columns, so it is a row of the canonical basis.
+    column.  Its own pivot is then cleared from the older rows.  Returns
+    pivot column -> (the echelon row from its first column through the
+    pivot, that first column), and the pivot columns, sorted.
     """
-    # pivot column -> the echelon row from its first column through the pivot, and that first column
     echelon: dict[int, tuple[list[int], int]] = {}
     pivots: list[int] = []  # the keys of ``echelon``, sorted
     for terms in rows:
@@ -240,7 +181,7 @@ def nullspace(rows: Iterable[Terms], ncols: int) -> Subspace:
             continue
         lo, hi = terms[0][0], terms[-1][0]
         if lo < 0 or hi >= ncols:
-            raise AmbientMismatch(f"term row over columns {lo}..{hi} in ambient {ncols}")
+            raise AmbientMismatch(f"a term row reaches outside ambient {ncols}")
         row = [0] * (hi - lo + 1)
         for i, x in terms:
             row[i - lo] = x
@@ -264,6 +205,37 @@ def nullspace(rows: Iterable[Terms], ncols: int) -> Subspace:
                 echelon[older] = _clear(orow, olo, row, lo)
         echelon[col] = (row, lo)
         insort(pivots, col)
+    return echelon, pivots
+
+
+def rref(rows: Iterable[Terms], ncols: int) -> tuple[list[Terms], int]:
+    """Canonical integer echelon form and rank of term rows.
+
+    Each nonzero row is the reduced row echelon row scaled to coprime
+    integers, with a positive pivot as its first term; they come in pivot
+    order, and one ``()`` for each zero row follows, so the rows keep their
+    number.  ``_echelon`` runs with the columns mirrored, j -> ncols - 1 - j,
+    so that its pivots, the rows' last columns, become their first.
+    """
+    last = ncols - 1
+    rows = [tuple([(last - i, x) for i, x in reversed(terms)]) for terms in rows]
+    echelon, pivots = _echelon(rows, ncols)
+    reduced: list[Terms] = []
+    for col in reversed(pivots):
+        row, lo = echelon[col]
+        start = last - col
+        reduced.append(tuple([(start + k, x) for k, x in enumerate(reversed(row)) if x]))
+    return reduced + [()] * (len(rows) - len(pivots)), len(pivots)
+
+
+def nullspace(rows: Iterable[Terms], ncols: int) -> Subspace:
+    """Canonical basis of the solution space of the homogeneous system given by term rows.
+
+    ``_echelon`` reduces the rows.  Each solution, read off one free column,
+    leads there and is zero on the other free columns, so it is a row of the
+    canonical basis.
+    """
+    echelon, pivots = _echelon(rows, ncols)
     # free column -> the echelon rows with an entry there: (pivot, entry, pivot entry)
     touching: dict[int, list[tuple[int, int, int]]] = {}
     for col in pivots:

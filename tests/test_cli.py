@@ -60,19 +60,21 @@ def test_sg_enumerate(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ("--max-genus", "-1"),
-        ("--max-genus", "2", "--min-multiplicity", "0"),
-        ("--max-genus", "2", "--min-multiplicity", "-3"),
+        (("--max-genus", "-1"), "must be at least"),
+        (("--max-genus", "2", "--min-multiplicity", "0"), "must be at least"),
+        (("--max-genus", "2", "--min-multiplicity", "-3"), "must be at least"),
+        # each genus level is held whole, so the deepest tree a suite walks is the cap
+        (("--max-genus", "23"), "GENUS_CAPS['blowup'] = 22"),
     ],
-    ids=["genus-1", "multiplicity0", "multiplicity-3"],
+    ids=["genus-1", "multiplicity0", "multiplicity-3", "genus23"],
 )
-def test_sg_enumerate_bounds_out_of_range_are_usage_errors(capsys, argv):
+def test_sg_enumerate_bounds_out_of_range_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, "sg", "enumerate", *argv)
     assert code == 2
     assert out == ""
-    assert "must be at least" in err
+    assert message in err
 
 
 def test_verify_local_nonsymmetric(capsys):

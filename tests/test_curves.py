@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +27,6 @@ from maxnoether.curves import (
     resolve,
     section_valuations,
     _constraint_rows,
-    _dense,
     _embedded_resolved_sections,
     _in_sections,
     _poly_mul,
@@ -39,7 +39,7 @@ from maxnoether.linalg import Subspace
 from maxnoether.semigroup import NumericalSemigroup, enumerate_semigroups
 from maxnoether.suites import _MULTI_MENU, _curve_corpus, _value_route_dim
 from maxnoether.valueset import ValueSet, canonical_ideal, dualizing_values, n_fold
-from test_linalg import dense_nullspace
+from test_linalg import _fraction_gauss_jordan, basis, dense, dense_nullspace
 
 
 def sg(*gens):
@@ -99,7 +99,7 @@ def test_sections_single_345():
     sec = global_sections(c, 1)
     assert sec.dim == 2 == c.genus
     # basis numerators 1 and t over t^3, i.e. values -3 and -2
-    assert sec.basis == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    assert basis(sec) == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
     assert global_sections(c, 2).dim == 3
 
 
@@ -346,10 +346,9 @@ def dense_convolution(a, b):
 
 def raw_products(c, n):
     """Every n-fold product of the weight-1 basis, as a padded numerator row."""
-    basis = global_sections(c, 1).basis
     ambient = numerator_ambient(c, n)
     rows = []
-    for factors in combinations_with_replacement(basis, n):
+    for factors in combinations_with_replacement(basis(global_sections(c, 1)), n):
         prod = [1]
         for f in factors:
             prod = dense_convolution(prod, f)
@@ -375,7 +374,7 @@ def test_products_always_land_in_sections():
             sections = global_sections(c, n)
             rows = raw_products(c, n)
             assert rows
-            assert all(sections.contains_vector(row) for row in rows)
+            assert all(sections.contains_vector(_terms(row)) for row in rows)
 
 
 # -- integer rows at rational centers ---------------------------------------
@@ -440,7 +439,7 @@ def test_sections_vanish_on_every_excluded_exponent():
             for index, br in enumerate(c.branches):
                 excluded = excluded_orders(br.semigroup, n)
                 order = max(excluded, default=0)
-                for vec in space.basis:
+                for vec in basis(space):
                     series = laurent_at(vec, c, n, index, order)
                     assert all(series[k] == 0 for k in excluded)
 
@@ -473,9 +472,9 @@ def jet_orders(space, center):
     shift = _shift_matrix(center, 1, space.ambient)
     jets = [
         [sum(x * y for x, y in zip(row, v[k:])) for k, row in enumerate(shift)]
-        for v in space.basis
+        for v in basis(space)
     ]
-    return Subspace.span(jets, space.ambient).pivots
+    return Subspace.span(map(_terms, jets), space.ambient).pivots
 
 
 def test_orders_of_the_translated_curve_equal_the_jet_orders():
@@ -517,12 +516,32 @@ def test_certified_products_equal_the_exact_span():
     certified = failures = 0
     for c, ns in certificate_cases():
         for n in ns:
-            exact = Subspace.span(raw_products(c, n), numerator_ambient(c, n))
+            exact = Subspace.span(map(_terms, raw_products(c, n)), numerator_ambient(c, n))
             assert products_span(c, n) == exact
             certified += products_span(c, n) is global_sections(c, n)
             failures += exact != global_sections(c, n)
     # the hyperelliptic family takes the exact fallback
     assert certified >= 8 and failures >= 6
+
+
+def test_the_exact_fallback_matches_the_fraction_reference():
+    # <2,2k+1> is hyperelliptic, so its products miss the sections and are
+    # eliminated exactly; Fraction steps on the dense raw products share no
+    # code with that elimination
+    fallbacks = 0
+    for k in (3, 4, 5, 6):
+        for center in (Fraction(0), Fraction(7, 3), Fraction(-5, 7)):
+            c = RationalCurveModel((Branch(center, sg(2, 2 * k + 1)),))
+            for n in (2, 3):
+                got = products_span(c, n)
+                fallbacks += got != global_sections(c, n)
+                reference = _fraction_gauss_jordan(raw_products(c, n), numerator_ambient(c, n))
+                assert len(got.rows) == len(reference)
+                for row, values, ref in zip(got.rows, basis(got), reference):
+                    _, p = row[0]
+                    assert p > 0 and gcd(*values) == 1
+                    assert [Fraction(x, p) for x in values] == ref
+    assert fallbacks == 24
 
 
 def test_resolution_quotient_matches_the_exact_sum():
@@ -531,12 +550,11 @@ def test_resolution_quotient_matches_the_exact_sum():
             for n in (2, 3):
                 res = check_resolution_quotient(c, index, n)
                 ambient = numerator_ambient(c, n)
-                exact = Subspace.span(raw_products(c, n), ambient)
+                exact = Subspace.span(map(_terms, raw_products(c, n)), ambient)
                 # the embedding is injective: its images need no elimination
                 embedded = _embedded_resolved_sections(c, index, n)
-                embedded = tuple(_dense(v, ambient) for v in embedded)
                 assert Subspace.span(embedded, ambient).dim == len(embedded) == res.resolved_dim
-                combined = Subspace.span(exact.basis + embedded, ambient)
+                combined = Subspace.span(exact.rows + embedded, ambient)
                 assert res.combined_dim == combined.dim
                 assert res.ok == (combined == global_sections(c, n))
 
@@ -551,11 +569,11 @@ def test_in_sections_rejects_vectors_outside():
             assert _in_sections(c, n, sections.rows)
             for j in range(ambient):
                 unit = ((j, 1),)
-                assert _in_sections(c, n, [unit]) == sections.contains_vector(_dense(unit, ambient))
+                assert _in_sections(c, n, [unit]) == sections.contains_vector(unit)
             rows = [
-                _poly_mul(_terms(b), _terms(f), ambient)
-                for b in global_sections(c, 1).basis
-                for f in products_span(c, n - 1).basis
+                _poly_mul(b, f, ambient)
+                for b in global_sections(c, 1).rows
+                for f in products_span(c, n - 1).rows
             ]
             assert _in_sections(c, n, rows)
             # (q t - p)^k has order exactly k at the center p/q: added to a
@@ -568,9 +586,9 @@ def test_in_sections_rejects_vectors_outside():
                     power = [1]
                     for _ in range(k):
                         power = dense_convolution(power, [-p, q])
-                    row = _dense(rows[(index + k) % len(rows)], ambient)
-                    bad = [x + y for x, y in zip(row, power + [0] * (ambient - k - 1))]
-                    assert not _in_sections(c, n, [_terms(bad)])
+                    row = dense(rows[(index + k) % len(rows)], ambient)
+                    bad = _terms([x + y for x, y in zip(row, power + [0] * (ambient - k - 1))])
+                    assert not _in_sections(c, n, [bad])
                     assert not sections.contains_vector(bad)
                     perturbed += 1
     assert perturbed >= 30
@@ -596,7 +614,7 @@ def test_sections_match_the_dense_nullspace_of_the_constraints():
     for c in cases:
         for n in range(1, 5):
             expected = dense_nullspace(dense_constraints(c, n), numerator_ambient(c, n))
-            assert global_sections(c, n).basis == expected, (str(c), n)
+            assert basis(global_sections(c, n)) == expected, (str(c), n)
 
 
 def test_a_third_oracle_agrees_on_ranks():
@@ -643,7 +661,8 @@ def test_a_short_modular_rank_falls_back_to_the_exact_span(monkeypatch):
             for n in (2, 3):
                 got = products_span(c, n)
                 assert got is not global_sections(c, n)
-                assert got == Subspace.span(raw_products(c, n), numerator_ambient(c, n))
+                exact = Subspace.span(map(_terms, raw_products(c, n)), numerator_ambient(c, n))
+                assert got == exact
     finally:
         products_span.cache_clear()
 
@@ -668,7 +687,7 @@ def test_product_over_terms_matches_the_dense_convolution(pair, cut):
     a, b = pair
     full = len(a) + len(b) - 1
     assert _terms(a) == tuple((i, x) for i, x in enumerate(a) if x)
-    assert _dense(_terms(a), len(a)) == a
+    assert dense(_terms(a), len(a)) == a
     if a and b:
         assert _poly_mul(_terms(a), _terms(b), full) == _terms(dense_convolution(a, b))
         # a shorter width keeps the leading coefficients, as the series products do
@@ -705,9 +724,9 @@ def test_products_span_is_the_span_of_the_dense_products():
     for c in noether_multi_at_rational_centers(15):
         for n in (2, 3, 4):
             ambient = numerator_ambient(c, n)
-            exact = Subspace.span(raw_products(c, n), ambient)
+            exact = Subspace.span(map(_terms, raw_products(c, n)), ambient)
             got = products_span(c, n)
-            assert got.basis == exact.basis and got.ambient == exact.ambient
+            assert basis(got) == basis(exact) and got.ambient == exact.ambient
             cases += 1
     assert cases == 24
 

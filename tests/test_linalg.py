@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from maxnoether.errors import AmbientMismatch
 from maxnoether.linalg import MODULUS, Subspace, modular_rank, nullspace, rref
@@ -20,52 +20,97 @@ def terms(row):
     return tuple((i, x) for i, x in enumerate(row) if x)
 
 
+def dense(row, width):
+    """The coefficient list of width ``width`` that a term row gives."""
+    out = [0] * width
+    for i, x in row:
+        out[i] = x
+    return out
+
+
+def basis(space):
+    """The basis rows of a ``Subspace``, each written out over the whole ambient."""
+    return tuple(tuple(dense(row, space.ambient)) for row in space.rows)
+
+
+def _fraction_gauss_jordan(mat, ncols):
+    """Nonzero rows of the reduced row echelon form, by textbook Fraction steps."""
+    m = [[Fraction(x) for x in row] for row in mat]
+    rank = 0
+    for col in range(ncols):
+        src = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if src is None:
+            continue
+        m[rank], m[src] = m[src], m[rank]
+        m[rank] = [x / m[rank][col] for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                q = m[i][col]
+                m[i] = [a - q * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return m[:rank]
+
+
+def exact_rank(mat):
+    """Rank over Q of dense integer rows, by the Fraction reference."""
+    return len(_fraction_gauss_jordan(mat, len(mat[0])))
+
+
 def test_rref_trivial_cases():
-    m, rank = rref([[1, 0], [0, 1]])
-    assert m == [[1, 0], [0, 1]] and rank == 2
-    m, rank = rref([[1, 2], [2, 4]])
-    assert m == [[1, 2], [0, 0]] and rank == 1
-    m, rank = rref([[0, 0], [0, 0]])
-    assert m == [[0, 0], [0, 0]] and rank == 0
+    m, rank = rref([((0, 1),), ((1, 1),)], 2)
+    assert m == [((0, 1),), ((1, 1),)] and rank == 2
+    m, rank = rref([((0, 1), (1, 2)), ((0, 2), (1, 4))], 2)
+    assert m == [((0, 1), (1, 2)), ()] and rank == 1
+    m, rank = rref([(), ()], 2)
+    assert m == [(), ()] and rank == 0
 
 
 def test_rref_normalizes_pivots_and_clears_columns():
-    m, rank = rref([[2, 4, 6], [1, 3, 5]])
+    m, rank = rref(map(terms, [[2, 4, 6], [1, 3, 5]]), 3)
     assert rank == 2
-    assert m[0] == [1, 0, -1]
-    assert m[1] == [0, 1, 2]
+    assert m[0] == ((0, 1), (2, -1))
+    assert m[1] == ((1, 1), (2, 2))
 
 
-def test_rref_idempotent_on_fractions():
-    # the rows 1/2, 1/3 and 2/5, 1 scaled by 30: linalg takes integer rows only
-    rows = [[15, 10], [12, 30]]
-    once, r1 = rref(rows)
-    twice, r2 = rref(once)
+def test_rref_idempotent_on_rows_with_common_factors():
+    # each row shares a factor of its own: 5 and 6
+    rows = [((0, 15), (1, 10)), ((0, 12), (1, 30))]
+    once, r1 = rref(rows, 2)
+    twice, r2 = rref(once, 2)
     assert once == twice and r1 == r2
 
 
 def test_span_and_membership():
-    e1 = [1, 0]
-    e2 = [0, 1]
+    e1 = ((0, 1),)
+    e2 = ((1, 1),)
     u = Subspace.span([e1], 2)
     w = Subspace.span([e1, e2], 2)
-    assert all(map(w.contains_vector, u.basis))
+    assert all(map(w.contains_vector, u.rows))
     assert not u.contains_vector(e2)
-    assert Subspace.span([[1, 1]], 2) == Subspace.span([[2, 2]], 2)
+    assert u.contains_vector(()) and Subspace.span([], 2).contains_vector(())
+    assert Subspace.span([((0, 1), (1, 1))], 2) == Subspace.span([((0, 2), (1, 2))], 2)
 
 
 def test_ambient_mismatch():
+    space = Subspace.span([((0, 1),)], 2)
+    for row in (((0, 1), (2, 1)), ((-1, 1),), ((5, 3),)):
+        with pytest.raises(AmbientMismatch):
+            space.contains_vector(row)
+        with pytest.raises(AmbientMismatch):
+            Subspace.span([((0, 1),), row], 2)
+        with pytest.raises(AmbientMismatch):
+            rref([row], 2)
     with pytest.raises(AmbientMismatch):
-        Subspace.span([[1, 0]], 2).contains_vector([1, 0, 0])
+        Subspace.span([((0, 1),)], 0)
     with pytest.raises(AmbientMismatch):
-        Subspace.span([[1, 0, 0]], 2)
+        Subspace(0, ()).contains_vector(((0, 1),))
 
 
 def test_nullspace_solves_system():
     rows = [[1, 2, 3], [0, 1, 1]]
     ns = nullspace(map(terms, rows), 3)
     assert ns.dim == 1
-    v = ns.basis[0]
+    v = basis(ns)[0]
     for row in rows:
         assert sum(F(a) * b for a, b in zip(row, v)) == 0
 
@@ -99,17 +144,19 @@ matrices = st.integers(1, 4).flatmap(
 @settings(max_examples=60)
 @given(matrices)
 def test_rref_idempotent_random(mat):
-    once, r1 = rref(mat)
-    twice, r2 = rref(once)
+    ncols = len(mat[0])
+    once, r1 = rref(map(terms, mat), ncols)
+    twice, r2 = rref(once, ncols)
     assert once == twice and r1 == r2
 
 
 @settings(max_examples=60)
 @given(matrices)
 def test_rank_invariant_under_row_scaling_and_swaps(mat):
-    _, rank = rref(mat)
+    ncols = len(mat[0])
+    _, rank = rref(map(terms, mat), ncols)
     scaled = [[3 * x for x in row] for row in reversed(mat)]
-    _, rank2 = rref(scaled)
+    _, rank2 = rref(map(terms, scaled), ncols)
     assert rank == rank2
 
 
@@ -117,7 +164,7 @@ def test_rank_invariant_under_row_scaling_and_swaps(mat):
 @given(matrices)
 def test_rank_nullity(mat):
     ncols = len(mat[0])
-    _, rank = rref(mat)
+    _, rank = rref(map(terms, mat), ncols)
     assert nullspace(map(terms, mat), ncols).dim == ncols - rank
 
 
@@ -125,28 +172,10 @@ def test_rank_nullity(mat):
 @given(matrices)
 def test_span_contains_its_generators(mat):
     ncols = len(mat[0])
-    sp = Subspace.span(mat, ncols)
+    sp = Subspace.span(map(terms, mat), ncols)
     for row in mat:
-        assert sp.contains_vector(row)
-    assert sp.dim == rref(mat)[1]
-
-
-def _fraction_gauss_jordan(mat):
-    """Nonzero rows of the reduced row echelon form, by textbook Fraction steps."""
-    m = [[Fraction(x) for x in row] for row in mat]
-    rank = 0
-    for col in range(len(m[0])):
-        src = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if src is None:
-            continue
-        m[rank], m[src] = m[src], m[rank]
-        m[rank] = [x / m[rank][col] for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col]:
-                q = m[i][col]
-                m[i] = [a - q * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return m[:rank]
+        assert sp.contains_vector(terms(row))
+    assert sp.dim == rref(map(terms, mat), ncols)[1]
 
 
 larger_matrices = st.integers(1, 5).flatmap(
@@ -158,16 +187,16 @@ larger_matrices = st.integers(1, 5).flatmap(
 @given(larger_matrices)
 def test_span_is_primitive_integer_rref(mat):
     ncols = len(mat[0])
-    sp = Subspace.span(mat, ncols)
-    reference = _fraction_gauss_jordan(mat)
-    assert len(sp.basis) == len(reference)
-    for row, piv, ref in zip(sp.basis, sp.pivots, reference):
+    sp = Subspace.span(map(terms, mat), ncols)
+    reference = _fraction_gauss_jordan(mat, ncols)
+    assert len(basis(sp)) == len(reference)
+    for row, piv, ref in zip(basis(sp), sp.pivots, reference):
         assert all(type(x) is int for x in row)
         assert math.gcd(*row) == 1 and row[piv] > 0
         assert [Fraction(x, row[piv]) for x in row] == ref
     kernel = nullspace(map(terms, mat), ncols)
-    assert kernel == Subspace.span(kernel.basis, ncols)
-    for v in kernel.basis:
+    assert kernel == Subspace.span(kernel.rows, ncols)
+    for v in basis(kernel):
         for row in mat:
             assert sum(Fraction(a) * b for a, b in zip(row, v)) == 0
 
@@ -175,22 +204,22 @@ def test_span_is_primitive_integer_rref(mat):
 def dense_nullspace(mat, ncols):
     """Canonical kernel basis of dense integer rows, as dense tuples: the reference for ``nullspace``.
 
-    One ``rref`` with the columns reversed; each solution then leads at its
-    free column and is zero on the others, scaled by the lcm of the pivots
-    and made primitive.
+    One Fraction Gauss-Jordan elimination with the columns reversed, so each
+    pivot is its row's last column; each solution then leads at its free
+    column and is zero on the others, and is scaled to coprime integers.
     """
-    reduced, rank = rref(row[::-1] for row in mat)
-    echelon = [row[::-1] for row in reduced[:rank]]
-    pivots = [ncols - 1 - next(i for i, x in enumerate(row) if x) for row in reduced[:rank]]
-    scale = math.lcm(*(row[piv] for row, piv in zip(echelon, pivots)))
+    reduced = _fraction_gauss_jordan([row[::-1] for row in mat], ncols)
+    echelon = [row[::-1] for row in reduced]
+    pivots = [ncols - 1 - next(i for i, x in enumerate(row) if x) for row in reduced]
     vectors = []
     for f in sorted(set(range(ncols)) - set(pivots)):
-        v = [0] * ncols
-        v[f] = scale
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
         for row, piv in zip(echelon, pivots):
-            v[piv] = -row[f] * (scale // row[piv])
-        g = math.gcd(*v)
-        vectors.append(tuple(x // g for x in v))
+            v[piv] = -row[f]
+        scale = math.lcm(*(x.denominator for x in v))
+        g = math.gcd(*(int(x * scale) for x in v))
+        vectors.append(tuple(int(x * scale) // g for x in v))
     return tuple(vectors)
 
 
@@ -219,15 +248,38 @@ def test_nullspace_over_terms_matches_the_dense_route(system):
     got = nullspace(map(terms, mat), ncols)
     expected = dense_nullspace(mat, ncols)
     assert got.ambient == ncols
-    assert got.basis == expected
+    assert basis(got) == expected
     assert got.rows == tuple(map(terms, expected))
 
 
 def test_nullspace_of_no_rows_and_of_no_columns_matches_the_dense_route():
     assert nullspace([], 0) == Subspace(0, ()) and dense_nullspace([], 0) == ()
-    assert nullspace([(), ()], 0).basis == dense_nullspace([[], []], 0) == ()
-    assert nullspace([], 4).basis == dense_nullspace([], 4)
-    assert nullspace([(), ()], 3).basis == dense_nullspace([[0, 0, 0], [0, 0, 0]], 3)
+    assert basis(nullspace([(), ()], 0)) == dense_nullspace([[], []], 0) == ()
+    assert basis(nullspace([], 4)) == dense_nullspace([], 4)
+    assert basis(nullspace([(), ()], 3)) == dense_nullspace([[0, 0, 0], [0, 0, 0]], 3)
+
+
+@settings(max_examples=300)
+@given(systems())
+@example((0, []))
+@example((0, [[], []]))
+@example((3, []))
+@example((3, [[0, 0, 0], [2, 4, -6], [0, 0, 0], [-1, -2, 3], [10**20, 0, 7]]))
+def test_rref_and_span_match_the_fraction_reference(system):
+    ncols, mat = system
+    reduced, rank = rref(map(terms, mat), ncols)
+    reference = _fraction_gauss_jordan(mat, ncols)
+    assert rank == len(reference)
+    # the rows keep their number: a () for each zero row follows the echelon rows
+    assert reduced[rank:] == [()] * (len(mat) - rank)
+    for row, ref in zip(reduced, reference):
+        values = dense(row, ncols)
+        _, p = row[0]
+        assert p > 0 and math.gcd(*values) == 1
+        assert [Fraction(x, p) for x in values] == ref
+    sp = Subspace.span(map(terms, mat), ncols)
+    assert sp == Subspace(ncols, tuple(reduced[:rank]))
+    assert all(sp.contains_vector(terms(row)) for row in mat)
 
 
 # -- the modular rank, a certified lower bound --------------------------------
@@ -251,23 +303,23 @@ int_matrices = st.integers(1, 5).flatmap(
 @settings(max_examples=80)
 @given(int_matrices)
 def test_modular_rank_is_at_most_the_exact_rank(mat):
-    _, rank = rref(mat)
+    rank = exact_rank(mat)
     assert mod_rank(mat, len(mat[0])) <= rank
     # low-rank rows: every row a combination of the first two
     combos = [
         [a * x + b * y for x, y in zip(mat[0], mat[-1])] for a, b in ((1, 2), (3, -1), (7, 5))
     ]
-    assert mod_rank(combos, len(mat[0])) <= rref(combos)[1] <= 2
+    assert mod_rank(combos, len(mat[0])) <= exact_rank(combos) <= 2
 
 
 def test_modular_rank_falls_short_on_multiples_of_the_prime():
     # exact rank 2, but the second row vanishes mod p
     rows = [[1, 0, 0], [0, MODULUS, 3 * MODULUS]]
-    assert rref(rows)[1] == 2
+    assert exact_rank(rows) == 2
     assert mod_rank(rows, 3) == 1
     # every 2 x 2 minor is p, although no entry is a multiple of it
     rows = [[1, 1, 0], [1, MODULUS + 1, MODULUS]]
-    assert rref(rows)[1] == 2
+    assert exact_rank(rows) == 2
     assert mod_rank(rows, 3) == 1
 
 
@@ -276,7 +328,7 @@ def test_modular_rank_equals_the_exact_rank_on_small_rows():
     for _ in range(50):
         ncols = rng.randint(1, 6)
         mat = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(rng.randint(1, 7))]
-        assert mod_rank(mat, ncols) == rref(mat)[1]
+        assert mod_rank(mat, ncols) == exact_rank(mat)
     # mostly zero rows: spans of columns that start, end and fill in at random places
     for _ in range(50):
         ncols = rng.randint(1, 12)
@@ -284,7 +336,7 @@ def test_modular_rank_equals_the_exact_rank_on_small_rows():
             [rng.choice((0, 0, 0, rng.randint(-3, 3))) for _ in range(ncols)]
             for _ in range(rng.randint(1, 12))
         ]
-        assert mod_rank(mat, ncols) == rref(mat)[1]
+        assert mod_rank(mat, ncols) == exact_rank(mat)
 
 
 def test_modular_rank_stops_at_the_limit():
