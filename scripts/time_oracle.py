@@ -13,7 +13,9 @@ the verdict, the dimension of H^0(omega^n) and the seconds it took:
 - one branch <7,8> at 0, n = 40, which builds the section space of every
   weight from 1 to 40 on the way;
 - one branch <2,41> at 7/3, n = 3, which is hyperelliptic, so its products
-  miss the sections and are eliminated exactly, at a rational center.
+  miss the sections and are eliminated exactly, at a rational center;
+- three branches <3,4,5> at 0, <3,5,7> at 7/3 and <4,5,6,7> at -5/2, n = 40,
+  whose constraint rows read a change of basis at two rational centers.
 """
 
 import time
@@ -35,6 +37,11 @@ CASES = (
     ("<600,...,1199>@0", _curve((0, range(600, 1200))), 2),
     ("<7,8>@0", _curve((0, (7, 8))), 40),
     ("<2,41>@7/3", _curve((Fraction(7, 3), (2, 41))), 3),
+    (
+        "<3,4,5>@0 <3,5,7>@7/3 <4,5,6,7>@-5/2",
+        _curve((0, (3, 4, 5)), (Fraction(7, 3), (3, 5, 7)), (Fraction(-5, 2), (4, 5, 6, 7))),
+        40,
+    ),
 )
 
 
@@ -45,7 +52,7 @@ def main() -> None:
         seconds = time.perf_counter() - t0
         verdict = "holds" if check.holds else "fails"
         print(
-            f"{name:22} n={n:<3} {verdict}  sections_dim {check.sections_dim:5}  {seconds:7.2f} s"
+            f"{name:38} n={n:<3} {verdict}  sections_dim {check.sections_dim:5}  {seconds:7.2f} s"
         )
 
 

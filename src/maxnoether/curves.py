@@ -258,20 +258,20 @@ def _poly_mul(a: Terms, b: Terms, width: int) -> Terms:
     return tuple([(lo + k, x) for k, x in enumerate(out) if x])
 
 
-def _shift_matrix(center: Fraction, scale: int, size: int) -> list[list[int]]:
-    """Integer change of basis from powers of t to powers of w, t = center + scale * w.
+def _shift_matrix(center: Fraction, scale: int, size: int, rows: int) -> list[list[int]]:
+    """Rows 0..rows-1 of the integer change of basis from powers of t to powers of w.
 
-    Row k holds the coefficients of w^k in q^(size-1) * t^d for d = k, ...,
-    size - 1, where q is the denominator of the center; t^d has no w^k term
-    for d < k.  At center 0 each row keeps only its diagonal entry, the one
-    that is nonzero.
+    Here t = center + scale * w.  Row k holds the coefficients of w^k in
+    q^(size-1) * t^d for d = k, ..., size - 1, where q is the denominator of
+    the center; t^d has no w^k term for d < k.  At center 0 each row keeps
+    only its diagonal entry, the one that is nonzero.
     """
     p, q = center.numerator, center.denominator
     if p == 0:
-        return [[scale**k] for k in range(size)]
+        return [[scale**k] for k in range(rows)]
     # the entry for t^d is comb(d, k) p^(d-k) q^(size-1-d+k) scale^k
     pq = [p**i * q ** (size - 1 - i) for i in range(size)]
-    return [[comb(d, k) * pq[d - k] * scale**k for d in range(k, size)] for k in range(size)]
+    return [[comb(d, k) * pq[d - k] * scale**k for d in range(k, size)] for k in range(rows)]
 
 
 # -- section spaces ----------------------------------------------------------
@@ -311,7 +311,8 @@ def _constraint_rows(curve: RationalCurveModel, n: int) -> tuple[Columns, int]:
             beta = delta.denominator * scale // delta.numerator
             series = [comb(m + k - 1, k) * (-beta) ** k for k in range(order + 1)]
             unit = _poly_mul(unit, _terms(series), order + 1)
-        shift = _shift_matrix(br.center, scale, ambient)
+        # row k reads shift rows 0..k only, and no k exceeds order
+        shift = _shift_matrix(br.center, scale, ambient, min(order + 1, ambient))
         for k in excluded:
             # the row is the sum of unit[k - t] * shift[t] over the unit's terms;
             # shift[t] starts at column t, and the row is summed over its own span

@@ -168,13 +168,21 @@ def test_hyperelliptic_family_gap(k, gap):
 
 
 def test_single_branch_value_sets_match_sumsets():
-    # linear algebra must reproduce the pure sumset predictions
-    for gens in ((3, 4, 5), (2, 7), (3, 5, 7), (3, 7, 8)):
-        s = sg(*gens)
-        c = curve(gens)
+    # linear algebra must reproduce the pure sumset predictions, below the
+    # case-(i) bound, on every one-singularity model that noether-single
+    # checks up to genus 6, and on <2,7>, where Noether fails
+    semigroups = [sg(*gens) for gens in ((3, 4, 5), (2, 7), (3, 5, 7), (3, 7, 8))]
+    semigroups += [
+        s
+        for s in enumerate_semigroups(6, min_multiplicity=3)
+        if s.genus >= 2 and s not in semigroups
+    ]
+    assert len(semigroups) == 1 + 43
+    for s in semigroups:
+        c = RationalCurveModel.from_semigroups([s])
         k = canonical_ideal(s)
         w = ValueSet.finite(k.elements_below(s.conductor))
-        for n in (2, 3):
+        for n in (2, 3, 4):
             top = n * (s.conductor - 2)
             sections = sorted(_subspace_orders(global_sections, c, n, Fraction(0)))
             prods = sorted(_subspace_orders(products_span, c, n, Fraction(0)))
@@ -469,7 +477,7 @@ def test_affine_reparametrisation_and_branch_order_change_nothing():
 
 def jet_orders(space, center):
     """Orders at ``center`` read off the Taylor jets of the basis, eliminated once more."""
-    shift = _shift_matrix(center, 1, space.ambient)
+    shift = _shift_matrix(center, 1, space.ambient, space.ambient)
     jets = [
         [sum(x * y for x, y in zip(row, v[k:])) for k, row in enumerate(shift)]
         for v in basis(space)

@@ -202,3 +202,34 @@ def test_every_report_is_built_through_the_module_binding(name, monkeypatch):
     assert reports and len(made) == len(reports)
     assert all(m is r for m, r in zip(made, reports))
     assert {r.suite for r in reports} == {name}
+
+
+@pytest.mark.parametrize("route", ["oracle", "value"])
+def test_noether_single_failure_names_the_oracle_defect(route, monkeypatch):
+    # no pinned stream reaches a failing check, so each route is made to fail here
+    import maxnoether.suites as suites_mod
+    from maxnoether.curves import NoetherCheck, max_noether_holds
+    from maxnoether.local import SurjectivityCheck
+
+    checks = []
+
+    def oracle(curve, n):
+        check = max_noether_holds(curve, n)
+        if route == "oracle":
+            check = NoetherCheck(n, False, check.sections_dim - 1, check.sections_dim, (7,))
+        checks.append(check)
+        return check
+
+    monkeypatch.setattr(suites_mod, "max_noether_holds", oracle)
+    if route == "value":
+        monkeypatch.setattr(
+            suites_mod,
+            "verify_local_surjectivity",
+            lambda ctx, n, epsilon: SurjectivityCheck(False, n, epsilon, (1,), epsilon + 1),
+        )
+    reports = run_suite("noether-single", SuiteParams(max_genus=3, max_n=2))
+    assert reports and len(reports) == len(checks)
+    for r, check in zip(reports, checks):
+        assert (r.predicted, r.oracle) == ((True, False) if route == "oracle" else (False, True))
+        assert r.passed is False
+        assert r.witness == {"defect": check.describe()}
