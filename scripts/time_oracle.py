@@ -15,7 +15,9 @@ the verdict, the dimension of H^0(omega^n) and the seconds it took:
 - one branch <2,41> at 7/3, n = 3, which is hyperelliptic, so its products
   miss the sections and are eliminated exactly, at a rational center;
 - three branches <3,4,5> at 0, <3,5,7> at 7/3 and <4,5,6,7> at -5/2, n = 40,
-  whose constraint rows read a change of basis at two rational centers.
+  whose constraint rows read a change of basis at two rational centers;
+- two <3,4,5> branches at 0 and 1, n = 160, which builds the product span of
+  every weight from 1 to 160, each from dense rows at the center 1.
 """
 
 import time
@@ -42,6 +44,7 @@ CASES = (
         _curve((0, (3, 4, 5)), (Fraction(7, 3), (3, 5, 7)), (Fraction(-5, 2), (4, 5, 6, 7))),
         40,
     ),
+    ("<3,4,5>@0 <3,4,5>@1", _curve((0, (3, 4, 5)), (1, (3, 4, 5))), 160),
 )
 
 

@@ -34,15 +34,26 @@ equal.  At center 0 nearly every basis vector is a monomial, and so is
 nearly every product.  Deduplication, the modular rank and the membership
 test all read the terms, and so does the exact fallback.
 
-With C the constraint matrix of S, the chain rank_p(P) <= dim P <= dim S
-holds once every formed row v is shown, at run time, to satisfy C v = 0
-exactly, and rank_p, the rank modulo one fixed prime, is cheap.  C is held
-by column, so C v costs the nonzeros of C in the columns where v has terms.
-When rank_p(P) reaches dim S the chain closes, P = S is proved, and S itself
-is returned; its canonical basis is the one an exact span would give.  Any
-mismatch, from a real failure or an unlucky prime, falls back to exact
-integer elimination, which also supplies the failure witness.  Nothing is
-probabilistic: the prime costs time, never an answer.
+The certificate reads only as many products as it needs.  ``modular_rank``
+reads the product rows as ``_ordered_products`` forms them, lazily, and
+stops once its rank modulo one fixed prime reaches dim S; let R be the rows
+it read.  With C the constraint matrix of S, each v in R is shown at run
+time to satisfy C v = 0 exactly (C is held by column, so C v costs the
+nonzeros of C in the columns where v has terms).  Then rank_p(R) <=
+dim span R <= dim S, so rank_p(R) = dim S proves span R = S, and since R
+lies in P, S lies in P: surjectivity is certified from the rows read alone,
+and S itself is returned; its canonical basis is the one an exact span
+would give.  The other inclusion, P in S for the products never formed,
+is not checked at run time.  It is the model's lemma that products of
+sections are sections: at each center the support of a product lies in
+K^a + K^b, which lies in K^(a+b); the degree bound at infinity is additive
+in the weight; and the other branches' factors, units at the center, are
+powers with exponents additive in the weight, so they multiply.  The test
+suite checks the lemma on every product it forms.  Any mismatch, from a
+real failure or an unlucky prime, forms the remaining products, each once,
+and falls back to exact integer elimination of them all, which also
+supplies the failure witness.  Nothing is probabilistic: the prime costs
+time, never an answer.
 
 Everything is exact: ranks and subspace equalities over the rationals are
 stable under field extension, so nothing is lost against an algebraically
@@ -57,7 +68,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import comb, lcm
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import AmbientTooLarge, CurveSpecError, MaxNoetherError, NotApplicable, WeightTooLarge
 from .linalg import Subspace, Terms, _terms, modular_rank, nullspace
@@ -375,9 +386,13 @@ def products_span(curve: RationalCurveModel, n: int) -> Subspace:
     """Span of all n-fold products of weight-1 global differentials.
 
     Rows are the distinct products of the weight-1 basis with the basis of the
-    weight n - 1 span, since S_1^n = S_1 . S_1^(n-1).  Returns the sections
-    themselves when ``modular_rank`` reaches their dimension and
-    ``_in_sections`` passes every formed row; else the rows are eliminated exactly.
+    weight n - 1 span, since S_1^n = S_1 . S_1^(n-1), formed lazily in the
+    order of ``_ordered_products``.  ``modular_rank`` reads them until its
+    rank reaches dim S, so only those rows are formed.  When it does and
+    ``_in_sections`` passes each of them, they span S, so S lies in P, and
+    the sections themselves are returned; P lies in S by the model's lemma
+    (see the module docstring).  Otherwise the remaining products are formed
+    too, each once, and all of them are eliminated exactly.
     """
     # first, so a weight out of range fails before any recursion
     sections = global_sections(curve, n)
@@ -385,12 +400,40 @@ def products_span(curve: RationalCurveModel, n: int) -> Subspace:
         return sections
     lower = products_span(curve, n - 1).rows
     basis = global_sections(curve, 1).rows
-    width = sections.ambient
-    # repeated products (frequent among sparse rows) add nothing
-    rows = list(dict.fromkeys(_poly_mul(b, p, width) for b in basis for p in lower))
-    if modular_rank(rows, sections.dim) == sections.dim and _in_sections(curve, n, rows):
+    formed: dict[Terms, None] = {}
+    products = _ordered_products(basis, lower, sections.ambient, formed)
+    if modular_rank(products, sections.dim) == sections.dim and _in_sections(curve, n, formed):
         return sections
-    return Subspace.span(rows, width)
+    # a miss: the rows not formed yet join the ones modular_rank read
+    for _ in products:
+        pass
+    return Subspace.span(formed, sections.ambient)
+
+
+def _ordered_products(
+    basis: tuple[Terms, ...], lower: tuple[Terms, ...], width: int, formed: dict[Terms, None]
+) -> Iterator[Terms]:
+    """The distinct products of rows of ``basis`` and ``lower``, each recorded in ``formed``.
+
+    Repeated products (frequent among sparse rows) are formed but neither
+    recorded nor yielded again.  The order lets the rank close early: the
+    first basis row, of the lowest pivot, times every lower row gives rows of
+    distinct leading orders; the last basis row, of the highest pivot, times
+    the lower rows from the last one down reaches the top orders next; the
+    other basis rows follow.  Taken from the first lower row up, the rows of
+    the second batch would lead at orders the first batch holds already and
+    mostly reduce to zero.
+    """
+    batches = [(basis[0], lower)] if basis else []
+    if len(basis) > 1:
+        batches.append((basis[-1], lower[::-1]))
+        batches.extend((b, lower) for b in basis[1:-1])
+    for b, rows in batches:
+        for p in rows:
+            row = _poly_mul(b, p, width)
+            if row not in formed:
+                formed[row] = None
+                yield row
 
 
 def _in_sections(curve: RationalCurveModel, n: int, rows: Iterable[Terms]) -> bool:

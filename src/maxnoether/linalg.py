@@ -14,9 +14,8 @@ the solutions off its echelon rows, and ``rref``, which ``Subspace.span``
 runs, reads the echelon rows themselves, with the columns mirrored.
 
 ``modular_rank`` gives a cheap lower bound on the rank, modulo one fixed
-prime.  A row is reduced in one ordered pass over the echelon pivots that
-fall inside its own span of columns, which fill-in can only extend to the
-right.
+prime.  It eliminates forward only, and a row stops at its first nonzero
+column that holds no pivot.
 """
 
 from __future__ import annotations
@@ -52,50 +51,54 @@ def modular_rank(rows: Iterable[Terms], limit: int) -> int:
 
     Never above the rank r over Q: a nonzero minor mod p is a nonzero integer
     minor.  It falls short only when p divides every r x r minor, so a caller
-    can use it as a certified lower bound and nothing more.
+    can use it as a certified lower bound and nothing more.  It reads no row
+    past the one that reaches ``limit``, so a lazy iterable is formed only
+    that far.
+
+    The elimination runs forward only.  A row is reduced from its first
+    column on by the echelon rows of the pivots it meets, and it stops at
+    its first nonzero column that holds no pivot: that column becomes its
+    pivot, and the rest of the row is kept unreduced, since a rank needs no
+    reduced form.  The rows kept lead at distinct columns, so they stay
+    independent.
     """
     p = MODULUS
     if limit <= 0:
         return 0
     # pivot column j -> the echelon row from column j to its last nonzero, pivot 1
     echelon: dict[int, list[int]] = {}
-    pivots: list[int] = []  # the keys of ``echelon``, sorted
     for row in rows:
         if not row:
             continue
-        # the row, dense over its own span of columns only: lead .. lead + len(r) - 1
+        # the row mod p, dense over its own span of columns only: lead .. lead + len(r) - 1;
+        # reduced as it is laid out, so no product below outgrows p^2 by much
         lead = row[0][0]
         r = [0] * (row[-1][0] - lead + 1)
         for i, x in row:
-            r[i - lead] = x
-        for k in range(bisect_left(pivots, lead), len(pivots)):
-            j = pivots[k] - lead
-            if j >= len(r):
-                break
+            r[i - lead] = x % p
+        j = 0
+        while j < len(r):
             x = r[j] % p
-            if not x:
-                continue
-            tail = echelon[pivots[k]]
-            end = j + len(tail)
-            if end > len(r):
-                r.extend([0] * (end - len(r)))
-            # entries grow by less than p^2 a step; they are reduced when read
-            r[j:end] = [a - x * b for a, b in zip(r[j:end], tail)]
-        for first, x in enumerate(r):
-            x %= p
             if x:
-                break
+                tail = echelon.get(lead + j)
+                if tail is None:
+                    break
+                end = j + len(tail)
+                if end > len(r):
+                    r.extend([0] * (end - len(r)))
+                # entries grow by less than p^2 a step; they are reduced when read
+                r[j:end] = [a - x * b for a, b in zip(r[j:end], tail)]
+            j += 1
         else:
             continue
         inv = pow(x, -1, p)
-        tail = [v * inv % p for v in r[first:]]
+        tail = [v * inv % p for v in r[j:]]
         while not tail[-1]:
             tail.pop()
-        echelon[lead + first] = tail
-        insort(pivots, lead + first)
-        if len(pivots) == limit:
+        echelon[lead + j] = tail
+        if len(echelon) == limit:
             break
-    return len(pivots)
+    return len(echelon)
 
 
 @dataclass(frozen=True)

@@ -675,6 +675,77 @@ def test_a_short_modular_rank_falls_back_to_the_exact_span(monkeypatch):
         products_span.cache_clear()
 
 
+def products_formed(monkeypatch, c, top):
+    """Per weight 2..top: the ``_poly_mul`` calls ``products_span`` makes, and the weight.
+
+    The section spaces and constraint rows are built first, since the
+    constraint rows call ``_poly_mul`` too; the product spans start cold.
+    """
+    for n in range(1, top + 1):
+        global_sections(c, n)
+    calls = []
+
+    def counted(*args):
+        calls.append(n)
+        return _poly_mul(*args)
+
+    monkeypatch.setattr(curves_mod, "_poly_mul", counted)
+    products_span.cache_clear()
+    try:
+        for n in range(1, top + 1):
+            products_span(c, n)
+    finally:
+        products_span.cache_clear()
+    return [(calls.count(n), n) for n in range(2, top + 1)]
+
+
+def test_the_certificate_forms_few_rows_past_each_dimension(monkeypatch):
+    # each weight below closes after dim S_n rows plus at most SLACK: the
+    # order of _ordered_products puts independent rows first, and the second
+    # batch taken from the first lower row up would form thousands more
+    SLACK = 2
+    three = RationalCurveModel(
+        (
+            Branch(Fraction(0), sg(3, 4, 5)),
+            Branch(Fraction(7, 3), sg(3, 5, 7)),
+            Branch(Fraction(-5, 2), sg(4, 5, 6, 7)),
+        )
+    )
+    for c, top in ((curve((3, 4, 5), (3, 4, 5)), 40), (three, 10)):
+        for formed, n in products_formed(monkeypatch, c, top):
+            assert products_span(c, n) is global_sections(c, n)
+            dim = global_sections(c, n).dim
+            assert dim <= formed <= dim + SLACK, (str(c), n, formed)
+
+
+def test_a_miss_forms_each_product_once(monkeypatch):
+    # on the hyperelliptic family the rank never closes: the rows modular_rank
+    # read and the rest are formed once each, and all go to the exact span
+    spans = []
+    span = Subspace.span
+
+    def recorded(rows, ambient):
+        spans.append(list(rows))
+        return span(spans[-1], ambient)
+
+    monkeypatch.setattr(Subspace, "span", staticmethod(recorded))
+    for k in (3, 4):
+        for center in (Fraction(0), Fraction(7, 3)):
+            c = RationalCurveModel((Branch(center, sg(2, 2 * k + 1)),))
+            spans.clear()
+            counts = products_formed(monkeypatch, c, 3)
+            misses = list(spans)
+            assert len(misses) == len(counts) == 2
+            for (formed, n), rows in zip(counts, misses):
+                ambient = numerator_ambient(c, n)
+                pairs = [
+                    (b, p) for b in global_sections(c, 1).rows for p in products_span(c, n - 1).rows
+                ]
+                assert formed == len(pairs)
+                distinct = {_poly_mul(b, p, ambient) for b, p in pairs}
+                assert len(rows) == len(distinct) and set(rows) == distinct
+
+
 # -- the product routine -----------------------------------------------------
 
 

@@ -337,6 +337,18 @@ def test_modular_rank_equals_the_exact_rank_on_small_rows():
             for _ in range(rng.randint(1, 12))
         ]
         assert mod_rank(mat, ncols) == exact_rank(mat)
+    # rows that lead further left come later: each stops at a column left of
+    # the pivots already held and keeps them unreduced in its own row
+    for _ in range(50):
+        ncols = rng.randint(2, 10)
+        mat = [
+            [rng.choice((0, 0, rng.randint(-3, 3))) for _ in range(ncols)]
+            for _ in range(rng.randint(2, 10))
+        ]
+        mat.sort(key=lambda row: next((j for j, x in enumerate(row) if x), ncols), reverse=True)
+        assert mod_rank(mat, ncols) == exact_rank(mat)
+    rows = [[0, 0, 1, 1], [0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 0, 0], [0, 1, 0, 0]]
+    assert mod_rank(rows, 4) == exact_rank(rows) == 4
 
 
 def test_modular_rank_stops_at_the_limit():
