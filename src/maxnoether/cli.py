@@ -23,7 +23,6 @@ from .local import (
     build_certificates,
     case_epsilon,
     epsilon_case,
-    q_decomposition,
     verify_local_surjectivity,
 )
 from .reports import write_jsonl
@@ -149,8 +148,8 @@ def cmd_verify_local(args) -> int:
         "p": ctx.p,
     }
     ok = True
-    if ctx.r >= 1:
-        qd = q_decomposition(ctx)
+    qd = ctx.q_split
+    if qd is not None:
         ok &= qd.all_strict(ctx.alpha)
         data["q_pairs"] = [list(p) for p in qd.pairs]
     certs = build_certificates(ctx, max(args.n, 2), case)

@@ -624,6 +624,8 @@ def check_hyperelliptic_resolution(curve: RationalCurveModel, index: int, n: int
     Meaningful when the resolved branch has multiplicity at least 3 and the
     resolved curve is hyperelliptic of genus at least 2.  Hyperellipticity is
     accepted only from the certified family of ``is_certified_hyperelliptic``.
+    Decided by :func:`check_resolution_quotient`: the embedded resolved
+    sections lie in the product span P iff adding them leaves dim P unchanged.
     """
     br = curve.branches[index]
     if br.semigroup.multiplicity < 3:
@@ -633,5 +635,5 @@ def check_hyperelliptic_resolution(curve: RationalCurveModel, index: int, n: int
         raise NotApplicable("the resolved curve must have genus at least 2")
     if not is_certified_hyperelliptic(resolved):
         raise NotApplicable("hyperellipticity of the resolved curve is not certified")
-    prods = products_span(curve, n)
-    return all(map(prods.contains_vector, _embedded_resolved_sections(curve, index, n)))
+    res = check_resolution_quotient(curve, index, n)
+    return res.combined_dim == res.products_dim

@@ -123,27 +123,6 @@ class Subspace:
         """Pivot column of each basis row; the attained leading positions."""
         return tuple(row[0][0] for row in self.rows)
 
-    def contains_vector(self, row: Terms) -> bool:
-        """Does the term row lie in the subspace?  One reduction by the basis rows."""
-        if row and (row[0][0] < 0 or row[-1][0] >= self.ambient):
-            raise AmbientMismatch(f"a term row reaches outside ambient {self.ambient}")
-        # a basis row is zero at every other pivot, so clearing its own leaves the others alone
-        v = dict(row)
-        for basis_row in self.rows:
-            piv, p = basis_row[0]
-            q = v.get(piv)
-            if q:
-                g = math.gcd(p, q)
-                p, q = p // g, q // g
-                for i in v:
-                    v[i] *= p
-                for i, x in basis_row:
-                    v[i] = v.get(i, 0) - q * x
-                g = math.gcd(*v.values())
-                if g > 1:
-                    v = {i: x // g for i, x in v.items()}
-        return not any(v.values())
-
 
 def _clear(row: list[int], lo: int, pivot_row: list[int], pivot_lo: int) -> tuple[list[int], int]:
     """``row``, dense from column ``lo``, with the pivot of ``pivot_row`` cleared, kept primitive.

@@ -188,18 +188,6 @@ class GridRow(NamedTuple):
     cols: Columns
 
 
-def _flat_entries(base: Iterable[CertEntry | GridRow]) -> list[CertEntry]:
-    """The entries of a base table, each grid row expanded into its products."""
-    out = []
-    for item in base:
-        if type(item) is GridRow:
-            label, value, cols = item
-            out.extend(CertEntry(f"{label}*{c}", value + v, (value, v)) for c, v in cols)
-        else:
-            out.append(item)
-    return out
-
-
 @dataclass(frozen=True)
 class BasisCertificate:
     """Products of sections spanning the value window [lo, hi) of the conductor chain.
@@ -222,10 +210,10 @@ class BasisCertificate:
     column mask is shifted once per row value, the base mask once per
     power, and every distinct factor is one bit of the factor mask.
     :meth:`check` decides every rule from these masks, and ``size``,
-    ``value_bits`` and :meth:`sorted_values` read them.  Labelled entries
-    are built only when they are read (``entries``, :meth:`labelled_values`,
-    :meth:`values`: ``verify local`` and tests) and when a check fails, to
-    name its defects as a flat table would.
+    ``value_bits`` and :meth:`sorted_values` read them.  ``entries`` is the
+    one expansion of the table into labelled products; it runs only when
+    read (:meth:`labelled_values` and :meth:`values`: ``verify local`` and
+    tests) and when a check fails, to name its defects as a flat table would.
     """
 
     name: str
@@ -311,34 +299,32 @@ class BasisCertificate:
         """Number of entries."""
         return self._scan[1]
 
-    def _powers(self):
-        """(label prefix, value shift, extra factors) of each power, in entry order."""
-        for i in self.exponents:
-            prefix = f"{self.mul_label}^{i}*" if i else ""
-            yield prefix, i * self.mul, (self.mul,) * i
-
     @property
     def entries(self) -> tuple[CertEntry, ...]:
         """Every product, base entries within each power, powers in order."""
-        base = _flat_entries(self.base)
+        base = []
+        for item in self.base:
+            if type(item) is GridRow:
+                label, value, cols = item
+                base.extend(CertEntry(f"{label}*{c}", value + v, (value, v)) for c, v in cols)
+            else:
+                base.append(item)
+        mul = self.mul
+        powers = [
+            (f"{self.mul_label}^{i}*" if i else "", i * mul, (mul,) * i) for i in self.exponents
+        ]
         return tuple(
             CertEntry(prefix + label, value + shift, factors + extra)
-            for prefix, shift, extra in self._powers()
+            for prefix, shift, extra in powers
             for label, value, factors in base
         )
 
     def labelled_values(self) -> list[tuple[str, int]]:
-        """(label, value) of every entry in entry order, without the factor tuples."""
-        base = _flat_entries(self.base)
-        return [
-            (prefix + label, value + shift)
-            for prefix, shift, _ in self._powers()
-            for label, value, _ in base
-        ]
+        """(label, value) of every entry in entry order."""
+        return [(e.label, e.value) for e in self.entries]
 
     def values(self) -> tuple[int, ...]:
-        base = [value for _, value, _ in _flat_entries(self.base)]
-        return tuple(value + i * self.mul for i in self.exponents for value in base)
+        return tuple(e.value for e in self.entries)
 
     def sorted_values(self) -> list[int]:
         """The entry values in increasing order, read from the mask when none repeats."""

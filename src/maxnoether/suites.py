@@ -310,8 +310,6 @@ def suite_noether_single(params: SuiteParams) -> Iterator[tuple]:
     max_genus = params.genus(8)
     max_n = params.n(4)
     for s in enumerate_semigroups(max_genus, min_multiplicity=3):
-        if s.genus < 2:
-            continue
         # No section of the one-singularity model attains local value 0, so
         # the covering bound is always the case-(i) one; below the numerator
         # degree cap it is exactly the surjectivity question.

@@ -39,7 +39,7 @@ from maxnoether.linalg import Subspace
 from maxnoether.semigroup import NumericalSemigroup, enumerate_semigroups
 from maxnoether.suites import _MULTI_MENU, _curve_corpus, _value_route_dim
 from maxnoether.valueset import ValueSet, canonical_ideal, dualizing_values, n_fold
-from test_linalg import _fraction_gauss_jordan, basis, dense, dense_nullspace
+from test_linalg import _fraction_gauss_jordan, basis, dense, dense_nullspace, within
 
 
 def sg(*gens):
@@ -226,6 +226,38 @@ def test_hyperelliptic_resolution_preconditions():
         check_hyperelliptic_resolution(c2, 0, 2)  # resolved curve not certified
 
 
+def fraction_in_span(rows, row, ambient):
+    """Does a term row reduce to zero against the Fraction echelon form of term rows?"""
+    v = [Fraction(x) for x in dense(row, ambient)]
+    for ref in _fraction_gauss_jordan([dense(r, ambient) for r in rows], ambient):
+        col = next(j for j, x in enumerate(ref) if x)
+        q = v[col]
+        if q:
+            v = [a - q * b for a, b in zip(v, ref)]
+    return not any(v)
+
+
+@pytest.mark.parametrize("gens", [(2, 5), (2, 7)])
+def test_hyperelliptic_resolution_decides_a_proper_product_span(monkeypatch, gens):
+    # On every applicable curve tried, P = S and the shortcut decides.  Here P
+    # is replaced by proper subspaces of S, so the span branch decides: S less
+    # one basis row, for each row (the embedded rows E do not all lie in any),
+    # and the span of E with one basis row (E lies in it).
+    c = curve(gens, (3, 4, 5))
+    full = products_span(c, 2)
+    embedded = _embedded_resolved_sections(c, 1, 2)
+    proper = [Subspace(full.ambient, full.rows[:k] + full.rows[k + 1 :]) for k in range(full.dim)]
+    proper.append(Subspace.span(embedded + full.rows[:1], full.ambient))
+    outcomes = set()
+    for short in proper:
+        assert short.dim < full.dim
+        monkeypatch.setattr(curves_mod, "products_span", lambda curve, n: short)
+        expected = all(fraction_in_span(short.rows, row, full.ambient) for row in embedded)
+        assert check_hyperelliptic_resolution(c, 1, 2) == expected
+        outcomes.add(expected)
+    assert outcomes == {False, True}
+
+
 def test_numerator_degree_bound():
     assert numerator_degree_bound(curve((3, 4, 5)), 1) == 1
     assert numerator_degree_bound(curve((3, 4, 5), (2, 5)), 2) == 10
@@ -382,7 +414,7 @@ def test_products_always_land_in_sections():
             sections = global_sections(c, n)
             rows = raw_products(c, n)
             assert rows
-            assert all(sections.contains_vector(_terms(row)) for row in rows)
+            assert all(within(sections, _terms(row)) for row in rows)
 
 
 # -- integer rows at rational centers ---------------------------------------
@@ -577,7 +609,7 @@ def test_in_sections_rejects_vectors_outside():
             assert _in_sections(c, n, sections.rows)
             for j in range(ambient):
                 unit = ((j, 1),)
-                assert _in_sections(c, n, [unit]) == sections.contains_vector(unit)
+                assert _in_sections(c, n, [unit]) == within(sections, unit)
             rows = [
                 _poly_mul(b, f, ambient)
                 for b in global_sections(c, 1).rows
@@ -597,7 +629,7 @@ def test_in_sections_rejects_vectors_outside():
                     row = dense(rows[(index + k) % len(rows)], ambient)
                     bad = _terms([x + y for x, y in zip(row, power + [0] * (ambient - k - 1))])
                     assert not _in_sections(c, n, [bad])
-                    assert not sections.contains_vector(bad)
+                    assert not within(sections, bad)
                     perturbed += 1
     assert perturbed >= 30
 
