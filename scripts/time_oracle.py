@@ -12,6 +12,9 @@ the verdict, the dimension of H^0(omega^n) and the seconds it took:
 - one ordinary branch <600, ..., 1199> at 0, n = 2;
 - one branch <7,8> at 0, n = 40, which builds the section space of every
   weight from 1 to 40 on the way;
+- one ordinary branch <20, ..., 39> at 0, n = 120 (ambient 2,161, near
+  MAX_AMBIENT), which builds the section and product spaces of every weight
+  from 1 to 120, all from monomial rows;
 - one branch <2,41> at 7/3, n = 3, which is hyperelliptic, so its products
   miss the sections and are eliminated exactly, at a rational center;
 - three branches <3,4,5> at 0, <3,5,7> at 7/3 and <4,5,6,7> at -5/2, n = 40,
@@ -38,6 +41,7 @@ CASES = (
     ("<300,...,599>@0", _curve((0, range(300, 600))), 2),
     ("<600,...,1199>@0", _curve((0, range(600, 1200))), 2),
     ("<7,8>@0", _curve((0, (7, 8))), 40),
+    ("<20,...,39>@0", _curve((0, range(20, 40))), 120),
     ("<2,41>@7/3", _curve((Fraction(7, 3), (2, 41))), 3),
     (
         "<3,4,5>@0 <3,5,7>@7/3 <4,5,6,7>@-5/2",

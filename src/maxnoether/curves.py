@@ -10,7 +10,10 @@ numerator's order at each center lies in K^n, the n-th power of that
 branch's canonical ideal: in the monomial model its expansion there has no
 term on the finitely many gaps of K^n.  Spaces of sections are therefore
 exact nullspaces, and surjectivity of multiplication maps is a canonical
-subspace comparison.
+subspace comparison.  Each semigroup keeps one cached chain of the powers
+K, K^2, ..., which the constraint rows of every weight and the value route
+of ``suites`` both read, so the weights 1..n cost n - 1 sumsets per
+semigroup.
 
 Every row and vector handed to ``linalg`` has integer entries.  At a center
 p/q the expansion coefficients are read through one integer change of basis,
@@ -32,7 +35,9 @@ product multiplies the term rows of a basis vector of S_1 and of S_1^(n-1)
 into one, and coefficients that cancel are dropped, so equal products hash
 equal.  At center 0 nearly every basis vector is a monomial, and so is
 nearly every product.  Deduplication, the modular rank and the membership
-test all read the terms, and so does the exact fallback.
+test all read the terms, and so does the exact fallback.  One-term rows
+take a short path: two monomials multiply into one term without a list,
+and ``modular_rank`` takes a monomial row without laying it out.
 
 The certificate reads only as many products as it needs.  ``modular_rank``
 reads the product rows as ``_ordered_products`` forms them, lazily, and
@@ -63,7 +68,7 @@ closed ground field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
@@ -73,7 +78,7 @@ from typing import Iterable, Iterator
 from .errors import AmbientTooLarge, CurveSpecError, MaxNoetherError, NotApplicable, WeightTooLarge
 from .linalg import Subspace, Terms, _terms, modular_rank, nullspace
 from .semigroup import NumericalSemigroup
-from .valueset import ValueSet, canonical_ideal, missing_below, n_fold
+from .valueset import PowerChain, ValueSet, canonical_ideal, missing_below
 
 # Entries kept by each subspace cache.  A check reuses a curve's spaces a few
 # entries later at most, so this keeps every hit while bounding memory over a
@@ -111,6 +116,9 @@ class RationalCurveModel:
     """Rational curve with unibranch monomial singularities at distinct centers."""
 
     branches: tuple[Branch, ...]
+    # hash(branches), taken once: every cache lookup hashes the curve, and
+    # hashing a Fraction center runs in Python
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         centers = [b.center for b in self.branches]
@@ -119,6 +127,10 @@ class RationalCurveModel:
         for b in self.branches:
             if not b.semigroup.gaps:
                 raise CurveSpecError("every branch must carry a proper semigroup")
+        object.__setattr__(self, "_hash", hash(self.branches))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def genus(self) -> int:
@@ -227,13 +239,21 @@ def numerator_ambient(curve: RationalCurveModel, n: int) -> int:
     return max(numerator_degree_bound(curve, n) + 1, 0)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _canonical_powers(s: NumericalSemigroup) -> PowerChain:
+    """The powers K, K^2, ... of the canonical ideal of ``s``, shared by every weight."""
+    return PowerChain(canonical_ideal(s))
+
+
 def excluded_orders(s: NumericalSemigroup, n: int) -> list[int]:
     """Numerator orders a weight-n section must avoid at a branch with semigroup ``s``.
 
     These are the gaps of K^n, sorted: the numerator's order at the center
-    lies in K^n, which contains every order from its threshold on.
+    lies in K^n, which contains every order from its threshold on.  K^n is
+    read from the semigroup's one cached chain of powers, so the weights
+    1..n cost n - 1 sumsets in all.
     """
-    power = n_fold(canonical_ideal(s), n)
+    power = _canonical_powers(s).power(n)
     return missing_below(ValueSet.naturals(), power, power.threshold)
 
 
@@ -244,7 +264,8 @@ def _poly_mul(a: Terms, b: Terms, width: int) -> Terms:
     """The terms below index ``width`` of the product of two polynomials given by terms.
 
     Both factors list their indices in increasing order, as ``_terms`` does.
-    A monomial factor shifts and scales the other one, and nothing cancels.
+    A monomial factor shifts and scales the other one, and nothing cancels;
+    two monomials give one term, or none at or past ``width``.
     Otherwise the product accumulates into a list over its own span of
     indices only, from the sum of the lowest indices to the sum of the
     highest, and the coefficients that cancel are dropped.
@@ -253,6 +274,9 @@ def _poly_mul(a: Terms, b: Terms, width: int) -> Terms:
         a, b = b, a
     if len(a) == 1:
         ((i, x),) = a
+        if len(b) == 1:
+            ((j, y),) = b
+            return ((i + j, x * y),) if i + j < width else ()
         return tuple([(i + j, x * y) for j, y in b if i + j < width])
     if not a or not b:
         return ()

@@ -15,7 +15,8 @@ runs, reads the echelon rows themselves, with the columns mirrored.
 
 ``modular_rank`` gives a cheap lower bound on the rank, modulo one fixed
 prime.  It eliminates forward only, and a row stops at its first nonzero
-column that holds no pivot.
+column that holds no pivot.  A one-term row nonzero mod p needs no
+elimination unless the echelon row at its column has more than one term.
 """
 
 from __future__ import annotations
@@ -60,7 +61,9 @@ def modular_rank(rows: Iterable[Terms], limit: int) -> int:
     its first nonzero column that holds no pivot: that column becomes its
     pivot, and the rest of the row is kept unreduced, since a rank needs no
     reduced form.  The rows kept lead at distinct columns, so they stay
-    independent.
+    independent.  A one-term row that is nonzero mod p skips the layout:
+    it opens its column with echelon row ``[1]``, or reduces to zero against
+    an echelon row ``[1]`` there.
     """
     p = MODULUS
     if limit <= 0:
@@ -68,7 +71,20 @@ def modular_rank(rows: Iterable[Terms], limit: int) -> int:
     # pivot column j -> the echelon row from column j to its last nonzero, pivot 1
     echelon: dict[int, list[int]] = {}
     for row in rows:
-        if not row:
+        if len(row) == 1:
+            # a monomial opens its column, or a monomial echelon row there clears it;
+            # one that is zero mod p, or meets a longer echelon row, is reduced below
+            i, x = row[0]
+            if x % p:
+                tail = echelon.get(i)
+                if tail is None:
+                    echelon[i] = [1]
+                    if len(echelon) == limit:
+                        break
+                    continue
+                if len(tail) == 1:
+                    continue
+        elif not row:
             continue
         # the row mod p, dense over its own span of columns only: lead .. lead + len(r) - 1;
         # reduced as it is laid out, so no product below outgrows p^2 by much

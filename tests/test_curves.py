@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from maxnoether import curves as curves_mod
 from maxnoether.curves import (
@@ -92,6 +92,17 @@ def test_excluded_orders_match_the_dualizing_exponents():
             pole = n * s.conductor
             reference = [e for e in range(-pole, support.threshold) if e not in support]
             assert excluded_orders(s, n) == [e + pole for e in reference], (s.gaps, n)
+
+
+def test_excluded_orders_do_not_depend_on_call_order():
+    # each semigroup's chain of powers is cached: asked from the top weight
+    # down and then up again, every answer is that of a fresh n-fold sumset
+    curves_mod._canonical_powers.cache_clear()
+    for s in enumerate_semigroups(6):
+        for n in (*range(6, 0, -1), *range(1, 7)):
+            power = n_fold(canonical_ideal(s), n)
+            gaps = [k for k in range(power.threshold) if k not in power]
+            assert excluded_orders(s, n) == gaps, (s.gaps, n)
 
 
 def test_sections_single_345():
@@ -274,6 +285,26 @@ def test_curve_json_roundtrip(tmp_path):
     loaded = RationalCurveModel.from_file(str(path))
     assert loaded.branches[0].center == Fraction(1, 2)
     assert max_noether_holds(loaded, 2).holds  # center independence
+
+
+def test_equal_curves_hash_equal_and_share_cache_entries():
+    # the hash is taken once, at construction; equality still reads the branches
+    built = RationalCurveModel((Branch(Fraction(1, 2), sg(3, 4, 5)), Branch(Fraction(-2), sg(2, 5))))
+    loaded = RationalCurveModel.from_json(
+        {
+            "branches": [
+                {"center": "2/4", "generators": [5, 4, 3]},
+                {"center": -2, "generators": [2, 5]},
+            ]
+        }
+    )
+    assert loaded == built and hash(loaded) == hash(built)
+    assert loaded != RationalCurveModel(built.branches[:1])
+    global_sections.cache_clear()
+    first = global_sections(built, 2)
+    assert global_sections.cache_info().hits == 0
+    assert global_sections(loaded, 2) is first
+    assert global_sections.cache_info().hits == 1
 
 
 def test_curve_file_errors(tmp_path):
@@ -794,6 +825,8 @@ cancelling = coefficients.map(lambda a: (a, [x if i % 2 == 0 else -x for i, x in
 
 @settings(max_examples=300)
 @given(st.one_of(st.tuples(operands, operands), cancelling), st.integers(0, 30))
+# two monomials, 3 t^2 * -5 t^4: widths 7, 6 and below put their product below, at and past the width
+@example(([0, 0, 3], [0, 0, 0, 0, -5]), 7)
 def test_product_over_terms_matches_the_dense_convolution(pair, cut):
     a, b = pair
     full = len(a) + len(b) - 1

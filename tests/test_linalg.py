@@ -322,6 +322,11 @@ def test_modular_rank_falls_short_on_multiples_of_the_prime():
     rows = [[1, 1, 0], [1, MODULUS + 1, MODULUS]]
     assert exact_rank(rows) == 2
     assert mod_rank(rows, 3) == 1
+    # a monomial that is a multiple of p adds no rank, whether its column is free or held
+    assert mod_rank([[MODULUS]], 1) == 0
+    rows = [[1, 0], [2 * MODULUS, 0], [0, -MODULUS]]
+    assert exact_rank(rows) == 2
+    assert mod_rank(rows, 2) == 1
 
 
 def test_modular_rank_equals_the_exact_rank_on_small_rows():
@@ -348,8 +353,23 @@ def test_modular_rank_equals_the_exact_rank_on_small_rows():
         ]
         mat.sort(key=lambda row: next((j for j, x in enumerate(row) if x), ncols), reverse=True)
         assert mod_rank(mat, ncols) == exact_rank(mat)
+    # monomial-heavy rows: a monomial opens its column, is cleared by a
+    # monomial pivot there, or meets a longer echelon row and is reduced
+    for _ in range(100):
+        ncols = rng.randint(1, 8)
+        mat = []
+        for _ in range(rng.randint(1, 12)):
+            row = [0] * ncols
+            for j in rng.sample(range(ncols), min(rng.choice((1, 1, 1, 2)), ncols)):
+                row[j] = rng.choice((-3, -2, -1, 1, 2, 3))
+            mat.append(row)
+        assert mod_rank(mat, ncols) == exact_rank(mat)
     rows = [[0, 0, 1, 1], [0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 0, 0], [0, 1, 0, 0]]
     assert mod_rank(rows, 4) == exact_rank(rows) == 4
+    # a monomial at a column whose echelon row is longer is reduced, not dropped;
+    # one at a column whose echelon row is [1] adds nothing
+    for rows in ([[1, 1], [1, 0]], [[1, 1], [5, 0], [0, 7]], [[1, 0], [-4, 0], [0, 3]]):
+        assert mod_rank(rows, 3) == exact_rank(rows) == 2
 
 
 def test_modular_rank_stops_at_the_limit():
