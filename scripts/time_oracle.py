@@ -12,6 +12,8 @@ the verdict, the dimension of H^0(omega^n) and the seconds it took:
 - one ordinary branch <600, ..., 1199> at 0, n = 2;
 - one branch <7,8> at 0, n = 40, which builds the section space of every
   weight from 1 to 40 on the way;
+- the same branch <7,8> at 7/3, n = 10, whose rows are dense: a lone branch
+  away from 0 takes the generic change of basis and elimination;
 - one ordinary branch <20, ..., 39> at 0, n = 120 (ambient 2,161, near
   MAX_AMBIENT), which builds the section and product spaces of every weight
   from 1 to 120, all from monomial rows;
@@ -41,6 +43,7 @@ CASES = (
     ("<300,...,599>@0", _curve((0, range(300, 600))), 2),
     ("<600,...,1199>@0", _curve((0, range(600, 1200))), 2),
     ("<7,8>@0", _curve((0, (7, 8))), 40),
+    ("<7,8>@7/3", _curve((Fraction(7, 3), (7, 8))), 10),
     ("<20,...,39>@0", _curve((0, range(20, 40))), 120),
     ("<2,41>@7/3", _curve((Fraction(7, 3), (2, 41))), 3),
     (

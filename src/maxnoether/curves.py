@@ -24,9 +24,12 @@ Section spaces are term rows, ``linalg.Terms``, from the constraints to the
 canonical basis.  Each constraint row is summed over its own span of
 columns, the constraint matrix is held by column, and ``global_sections``
 reads its term rows off the columns for the sparse ``linalg.nullspace``, so
-building H^0(omega^n) costs the nonzeros of the constraints: at center 0
-every constraint of a lone branch is one unit entry.  A ``Subspace`` holds
-its basis as term rows too.
+building H^0(omega^n) costs the nonzeros of the constraints.  A lone branch
+at center 0 has no other branch's unit factor and no change of basis, so
+each of its constraints is one unit entry, on an excluded order:
+``_constraint_rows`` writes those columns straight from ``excluded_orders``,
+and ``nullspace`` takes the unit rows of the other columns as the basis,
+with no elimination.  A ``Subspace`` holds its basis as term rows too.
 
 The product span P of weight n is S_1 . S_1^(n-1), certified against the
 section space S before anything is eliminated over Q.  Its rows are term
@@ -37,7 +40,9 @@ equal.  At center 0 nearly every basis vector is a monomial, and so is
 nearly every product.  Deduplication, the modular rank and the membership
 test all read the terms, and so does the exact fallback.  One-term rows
 take a short path: two monomials multiply into one term without a list,
-and ``modular_rank`` takes a monomial row without laying it out.
+``modular_rank`` takes a monomial row without laying it out, and
+``_in_sections`` passes a monomial in a column no constraint reads without
+summing C v.
 
 The certificate reads only as many products as it needs.  ``modular_rank``
 reads the product rows as ``_ordered_products`` forms them, lazily, and
@@ -90,10 +95,11 @@ _CACHE_SIZE = 256
 MAX_WEIGHT = 256
 
 # Most numerator coefficients of a weight-n space, checked before any row is
-# built.  At the cap a one-branch check at center 0 takes about 1.5 s on a
-# 2-core Xeon VM (1.4 s for the ordinary semigroup of multiplicity 1,150 at
-# n = 2, 0.9 s for <2,1149>), since its constraint and product rows are
-# monomials; branches at nonzero centers make dense rows and cost far more.
+# built.  At the cap a one-branch check at center 0 takes about 0.3 s on a
+# 2-core Xeon VM (0.3 s for <2,1149> at n = 2, 0.2 s for <3,575>, under
+# 0.01 s for the ordinary semigroup of multiplicity 1,150), since its
+# constraint and product rows are monomials; branches at nonzero centers
+# make dense rows and cost far more.
 MAX_AMBIENT = 2300
 
 # Most decimal digits in the numerator or denominator of a branch center.  The
@@ -323,11 +329,21 @@ def _constraint_rows(curve: RationalCurveModel, n: int) -> tuple[Columns, int]:
     """The integer matrix C, by column, and its row count: H^0(omega^n) solves C v = 0.
 
     There is one entry per numerator coefficient, so C v reads only the
-    columns where v has terms.  Cached, so the columns are tuples that no
-    caller can change.
+    columns where v has terms.  A lone branch at center 0 gives row i the
+    one unit entry at its i-th excluded order, or none at or past the
+    ambient.  Cached, so the columns are tuples that no caller can change.
     """
     ambient = numerator_ambient(curve, n)
     columns: list = [None] * ambient  # each column is two lists until it is frozen
+    if len(curve.branches) == 1 and not curve.branches[0].center:
+        # no other branch gives a unit factor, and the change of basis is the
+        # identity, so the rows below reduce to unit entries
+        excluded = excluded_orders(curve.branches[0].semigroup, n)
+        for i, k in enumerate(excluded):
+            if k >= ambient:
+                break
+            columns[k] = ((i,), (1,))
+        return tuple(columns), len(excluded)
     nrows = 0
     for br in curve.branches:
         excluded = excluded_orders(br.semigroup, n)
@@ -465,10 +481,12 @@ def _in_sections(curve: RationalCurveModel, n: int, rows: Iterable[Terms]) -> bo
 
     C v sums, column by column over the terms of v, the entries C holds in
     that column, so a monomial costs one multiplication per nonzero entry of
-    its column, and none in a column no constraint reads.
+    its column, and passes at once in a column no constraint reads.
     """
     columns, nrows = _constraint_rows(curve, n)
     for row in rows:
+        if len(row) == 1 and columns[row[0][0]] is None:
+            continue
         acc = [0] * nrows
         for d, x in row:
             if columns[d] is not None:

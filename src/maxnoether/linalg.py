@@ -11,7 +11,10 @@ structural.  One elimination builds it: ``_echelon``, a sparse,
 fraction-free Gauss-Jordan elimination that keeps every row primitive by gcd
 reduction and dense only over its own span of columns.  ``nullspace`` reads
 the solutions off its echelon rows, and ``rref``, which ``Subspace.span``
-runs, reads the echelon rows themselves, with the columns mirrored.
+runs, reads the echelon rows themselves, with the columns mirrored.  A
+system of rows of one term at most needs no elimination: each row pins its
+column, and the unit rows of the other columns are the canonical basis of
+its solutions.
 
 ``modular_rank`` gives a cheap lower bound on the rank, modulo one fixed
 prime.  It eliminates forward only, and a row stops at its first nonzero
@@ -231,8 +234,20 @@ def nullspace(rows: Iterable[Terms], ncols: int) -> Subspace:
 
     ``_echelon`` reduces the rows.  Each solution, read off one free column,
     leads there and is zero on the other free columns, so it is a row of the
-    canonical basis.
+    canonical basis.  When no row has two terms, the solutions are the unit
+    rows of the columns no row pins, and nothing is eliminated.
     """
+    rows = list(rows)
+    if all(len(terms) < 2 for terms in rows):
+        pinned: set[int] = set()
+        for terms in rows:
+            if terms:
+                ((i, x),) = terms
+                if not 0 <= i < ncols:
+                    raise AmbientMismatch(f"a term row reaches outside ambient {ncols}")
+                if x:
+                    pinned.add(i)
+        return Subspace(ncols, tuple([((f, 1),) for f in range(ncols) if f not in pinned]))
     echelon, pivots = _echelon(rows, ncols)
     # free column -> the echelon rows with an entry there: (pivot, entry, pivot entry)
     touching: dict[int, list[tuple[int, int, int]]] = {}

@@ -665,6 +665,53 @@ def test_in_sections_rejects_vectors_outside():
     assert perturbed >= 30
 
 
+def test_in_sections_reads_monomials_at_a_lone_center_zero():
+    # at center 0 the constraints of a lone branch are coordinates: t^k is a
+    # section iff k is no excluded order, and one refused monomial after
+    # accepted ones still fails the batch
+    refused = 0
+    for s in enumerate_semigroups(4):
+        if not s.genus:
+            continue
+        c = RationalCurveModel((Branch(Fraction(0), s),))
+        for n in (1, 2, 3):
+            sections = global_sections(c, n)
+            excluded = set(excluded_orders(s, n))
+            ambient = numerator_ambient(c, n)
+            accepted = [((k, 1),) for k in range(ambient) if k not in excluded]
+            assert _in_sections(c, n, accepted)
+            for k in range(ambient):
+                unit = ((k, 1),)
+                assert _in_sections(c, n, [unit]) == (k not in excluded) == within(sections, unit)
+                if k in excluded:
+                    assert not _in_sections(c, n, accepted + [((k, -(10**20)),)])
+                    refused += 1
+    assert refused == 67
+
+
+def test_lone_branch_columns_are_the_excluded_orders():
+    # at center 0 a lone branch's constraint matrix is one unit entry per
+    # excluded order below the ambient; at 7/3 the same branch takes the
+    # generic change of basis, and translation is a change of basis, so the
+    # dimensions and verdicts agree
+    cases = 0
+    for s in enumerate_semigroups(6):
+        if not s.genus:
+            continue
+        origin = RationalCurveModel((Branch(Fraction(0), s),))
+        moved = RationalCurveModel((Branch(Fraction(7, 3), s),))
+        for n in range(1, 5):
+            excluded = excluded_orders(s, n)
+            columns, nrows = _constraint_rows(origin, n)
+            assert nrows == len(excluded) and len(columns) == numerator_ambient(origin, n)
+            for d, column in enumerate(columns):
+                assert column == (((excluded.index(d),), (1,)) if d in excluded else None)
+            assert global_sections(origin, n).dim == global_sections(moved, n).dim
+            assert max_noether_holds(origin, n).holds == max_noether_holds(moved, n).holds
+            cases += 1
+    assert cases == 49 * 4
+
+
 def dense_constraints(c, n):
     """The constraint matrix of weight n, read off its columns into dense rows."""
     ambient = numerator_ambient(c, n)

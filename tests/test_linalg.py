@@ -133,6 +133,15 @@ def test_nullspace_rejects_a_term_outside_the_ambient():
         nullspace([((1, 1),), ((-1, 4), (2, 1))], 3)
     with pytest.raises(AmbientMismatch):
         nullspace([((0, 1),)], 0)
+    # rows of one term at most skip the elimination, and are checked all the same
+    for ncols in (0, 1, 5):
+        for bad in (-1, ncols):
+            cases = [[((bad, 1),)], [(), ((bad, 0),)]]
+            if ncols:
+                cases.append([((0, 2),), (), ((bad, -7),)])
+            for rows in cases:
+                with pytest.raises(AmbientMismatch):
+                    nullspace(rows, ncols)
 
 
 # wide enough that rows share factors, so the gcd reduction runs
@@ -248,6 +257,46 @@ def test_nullspace_over_terms_matches_the_dense_route(system):
     ncols, mat = system
     got = nullspace(map(terms, mat), ncols)
     expected = dense_nullspace(mat, ncols)
+    assert got.ambient == ncols
+    assert basis(got) == expected
+    assert got.rows == tuple(map(terms, expected))
+
+
+nonzero_entries = st.one_of(st.integers(-6, 6), st.integers(-10**20, 10**20)).filter(bool)
+
+
+@st.composite
+def one_term_systems(draw):
+    """One-term and empty rows on a width from 0 to 12, with pinned columns repeated.
+
+    One row of two terms may join them, so a system can just miss the
+    coordinate path.
+    """
+    ncols = draw(st.integers(0, 12))
+    rows = [()] * draw(st.integers(0, 2))
+    if ncols:
+        unit = st.tuples(st.integers(0, ncols - 1), nonzero_entries).map(lambda term: (term,))
+        rows += draw(st.lists(st.one_of(unit, st.just(())), max_size=12))
+    pinned = [i for ((i, _),) in filter(None, rows)]
+    for _ in range(draw(st.integers(0, 3)) if pinned else 0):
+        again = ((draw(st.sampled_from(pinned)), draw(nonzero_entries)),)
+        rows.insert(draw(st.integers(0, len(rows))), again)
+    if ncols >= 2 and draw(st.booleans()):
+        i, j = sorted(draw(st.lists(st.integers(0, ncols - 1), min_size=2, max_size=2, unique=True)))
+        pair = ((i, draw(nonzero_entries)), (j, draw(nonzero_entries)))
+        rows.insert(draw(st.integers(0, len(rows))), pair)
+    return ncols, rows
+
+
+@settings(max_examples=300)
+@given(one_term_systems())
+@example((0, [(), ()]))
+@example((3, [((0, 1),), ((1, 1), (2, 1))]))
+@example((4, [((2, -(10**20)),), (), ((2, 3),), ((0, 1), (3, -2)), ((0, 5),)]))
+def test_nullspace_of_one_term_rows_matches_the_dense_route(system):
+    ncols, rows = system
+    got = nullspace(rows, ncols)
+    expected = dense_nullspace([dense(row, ncols) for row in rows], ncols)
     assert got.ambient == ncols
     assert basis(got) == expected
     assert got.rows == tuple(map(terms, expected))
