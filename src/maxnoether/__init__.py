@@ -38,7 +38,7 @@ from .local import (
 )
 from .reports import VerificationReport, write_jsonl
 from .semigroup import NumericalSemigroup, enumerate_semigroups
-from .suites import SuiteParams, run_suite
+from .suites import SuiteParams, iter_suite, run_suite
 from .valueset import (
     ValueSet,
     canonical_ideal,
@@ -80,6 +80,7 @@ __all__ = [
     "epsilon_case",
     "global_sections",
     "is_certified_hyperelliptic",
+    "iter_suite",
     "max_noether_holds",
     "n_fold",
     "nullspace",

@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict
 
 from . import blowup as blowup_mod
@@ -27,7 +28,7 @@ from .local import (
 )
 from .reports import write_jsonl
 from .semigroup import NumericalSemigroup, enumerate_semigroups
-from .suites import GENUS_CAPS, READS_N, SUITES, SuiteParams, check_genus_cap, run_suite
+from .suites import GENUS_CAPS, READS_N, SUITES, SuiteParams, check_genus_cap, iter_suite
 from .valueset import ValueSet, dualizing_values
 
 
@@ -215,30 +216,69 @@ def cmd_verify_corpus(args) -> int:
         if value is not None and args.suite not in readers:
             raise UnreadBound(f"suite {args.suite} does not read {flag}")
     check_genus_cap(args.suite, params)  # before --out is touched, as the weight cap is
-    # probed before any work, as a shell redirection is, but truncated only once
-    # the suite has made reports, so a bad path fails at once and loses nothing
-    created = bool(args.out) and not os.path.lexists(args.out)
-    try:
-        if args.out:
-            open(args.out, "a", encoding="utf-8").close()
-    except OSError as exc:
-        raise MaxNoetherError(f"cannot write output: {exc}") from exc
-    reports = []
-    try:
-        reports = run_suite(args.suite, params)
-    finally:
-        if created and not reports:
-            os.remove(args.out)  # leave behind no file that this run made and did not fill
-    if not reports:
-        raise MaxNoetherError(
-            f"suite {args.suite} made no checks at these bounds; nothing was verified"
-        )
-    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fp:
-        write_jsonl(reports, fp)
-    failed = [r for r in reports if not r.passed]
-    total = len(reports)
-    print(f"suite {args.suite}: {total - len(failed)}/{total} checks passed", file=sys.stderr)
+    made = [0, 0]  # failed, passed: counted as the lines are written, not kept
+
+    def counted(reports):
+        for report in reports:
+            made[bool(report.passed)] += 1
+            yield report
+
+    with _output(args.out) if args.out else nullcontext(sys.stdout) as fp:
+        write_jsonl(counted(iter_suite(args.suite, params)), fp)
+        if not sum(made):
+            raise MaxNoetherError(
+                f"suite {args.suite} made no checks at these bounds; nothing was verified"
+            )
+    failed, total = made[0], sum(made)
+    print(f"suite {args.suite}: {total - failed}/{total} checks passed", file=sys.stderr)
     return 0 if not failed else 1
+
+
+@contextmanager
+def _output(out: str):
+    """``out`` opened for the lines of one run; a path that cannot be written fails at once.
+
+    A new path, or a regular file of this user's that is not a symlink and
+    has no other hard link, gets its lines through a temp file beside it,
+    moved onto it with the file's permission bits once the block ends without
+    an error: a block that raises leaves an existing file as it was, creates
+    none, and leaves no temp file.  Any other ``out`` (a symlink, a device
+    such as ``/dev/null``, a FIFO, a file with other links or another owner,
+    or a file whose directory takes no temp file) is opened with ``"w"`` and
+    written through, as a shell redirection writes it.
+    """
+    try:
+        st = os.lstat(out)
+    except OSError:
+        st = None  # a missing path; any other fault is met again opening it below
+    fp = None
+    if st is None or (
+        stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and st.st_uid == os.geteuid()
+    ):
+        tmp = f"{out}.{os.getpid()}.tmp"
+        try:
+            if st is not None:
+                open(out, "a", encoding="utf-8").close()  # writable, as "w" would need
+            fp = open(tmp, "x", encoding="utf-8")
+        except OSError:
+            pass  # written through below, where an unwritable out fails
+    if fp is None:
+        try:
+            fp = open(out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise MaxNoetherError(f"cannot write output: {exc}") from exc
+        with fp:
+            yield fp
+        return
+    try:
+        with fp:
+            if st is not None:
+                os.fchmod(fp.fileno(), stat.S_IMODE(st.st_mode))
+            yield fp
+        os.replace(tmp, out)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -54,7 +54,7 @@ class NumericalSemigroup:
         """Largest gap, or -1 for the full semigroup."""
         return self.conductor - 1
 
-    @property
+    @cached_property
     def multiplicity(self) -> int:
         """Least positive element."""
         # the lowest member in [1, conductor]; the conductor itself is one

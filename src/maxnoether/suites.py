@@ -4,8 +4,8 @@ Every suite pits a combinatorial prediction against an independent route
 (exhaustive enumeration, residue pairing, or exact linear algebra).  A suite
 is a generator that yields one check per claim, in a canonical order, as the
 tuple ``(check, input, predicted, oracle, passed, witness)``;
-:func:`run_suite` alone turns them into timed reports, so corpus output is
-reproducible byte for byte.
+:func:`iter_suite` alone turns them into timed reports, so corpus output is
+reproducible byte for byte, and :func:`run_suite` lists them.
 """
 
 from __future__ import annotations
@@ -40,9 +40,11 @@ from .valueset import ValueSet, canonical_ideal, dualizing_values, n_fold, quoti
 
 
 # Largest --max-genus of each suite that reads one.  At its cap a suite runs
-# in under a minute on a 2-core Xeon VM (`verify corpus`: local-lemma 39 s,
-# blowup 39 s, noether-single 50 s, eq4-oracle 0.45 s, its census 0.03 s of
-# that); one genus more takes ~1.7x as long, ~2x for the eq4-oracle census.
+# in under a minute on a 2-core Xeon VM (`verify corpus --out`, streamed:
+# local-lemma 23.4-26.8 s peaking at 58 MB, blowup 29.4-31.4 s peaking at
+# 136 MB, in three runs each; noether-single 4.3-5.4 s; eq4-oracle 0.45 s, its
+# census 0.03 s of that); one genus more takes ~1.7x as long, ~2x for the
+# eq4-oracle census.
 GENUS_CAPS = {"eq4-oracle": 14, "local-lemma": 20, "blowup": 22, "noether-single": 15}
 
 # The suites that read a weight bound (--n); the others check fixed weights.
@@ -495,24 +497,33 @@ def check_genus_cap(name: str, params: SuiteParams) -> None:
         )
 
 
-def run_suite(name: str, params: SuiteParams | None = None) -> list[VerificationReport]:
-    """Run one named suite and return its report stream in canonical order.
+def iter_suite(name: str, params: SuiteParams | None = None) -> Iterator[VerificationReport]:
+    """Run one named suite, yielding its reports in canonical order as they are made.
 
-    Each report's ``elapsed`` is the time since the previous report, or since
-    the run started, so the times add up to the run's time.
-    ``VerificationReport`` is read from this module when the run starts,
-    because the benchmark workloads rebind it to mark where each check ends.
+    The suite name and the genus cap are checked at the call, before the
+    first report is asked for.  Each report's ``elapsed`` is the time since
+    the previous report was made, or since the first was asked for, so the
+    times add up to the run's time.  ``VerificationReport`` is read from this
+    module at the call, because the benchmark workloads rebind it to mark
+    where each check ends.
     """
     if name not in SUITES:
         known = ", ".join(sorted(SUITES))
         raise ValueError(f"unknown suite {name!r} (known: {known})")
     params = params or SuiteParams()
     check_genus_cap(name, params)
-    make, clock = VerificationReport, time.perf_counter
-    reports = []
+    return _reports(name, SUITES[name], params, VerificationReport)
+
+
+def _reports(name: str, suite, params: SuiteParams, make) -> Iterator[VerificationReport]:
+    clock = time.perf_counter
     last = clock()
-    for check, input_, predicted, oracle, passed, witness in SUITES[name](params):
+    for check, input_, predicted, oracle, passed, witness in suite(params):
         now = clock()
-        reports.append(make(name, check, input_, predicted, oracle, passed, witness, now - last))
+        yield make(name, check, input_, predicted, oracle, passed, witness, now - last)
         last = now
-    return reports
+
+
+def run_suite(name: str, params: SuiteParams | None = None) -> list[VerificationReport]:
+    """Run one named suite and return its report stream in canonical order (see :func:`iter_suite`)."""
+    return list(iter_suite(name, params))

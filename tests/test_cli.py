@@ -1,7 +1,9 @@
 """Command-line surface: flags, exit codes, and canonical report output."""
 
+import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -489,7 +491,7 @@ def test_verify_corpus_bound_the_suite_does_not_read_is_usage_error(
     def no_suite(*args):
         raise AssertionError("the suite ran although it does not read the bound")
 
-    monkeypatch.setattr(cli_mod, "run_suite", no_suite)
+    monkeypatch.setattr(cli_mod, "iter_suite", no_suite)
     path = tmp_path / "reports.jsonl"
     argv = ("verify", "corpus", "--suite", suite, flag, "7", "--out", str(path))
     code, out, err = run(capsys, *argv)
@@ -513,7 +515,7 @@ def test_verify_corpus_weight_above_the_cap_fails_before_any_work(monkeypatch, c
     def no_suite(*args):
         raise AssertionError("the suite ran although the weight is above the cap")
 
-    monkeypatch.setattr(cli_mod, "run_suite", no_suite)
+    monkeypatch.setattr(cli_mod, "iter_suite", no_suite)
     code, out, err = run(capsys, "verify", "corpus", *argv)
     assert code == 2
     assert out == ""
@@ -604,7 +606,7 @@ def test_verify_corpus_unwritable_out_fails_before_the_suite(tmp_path, monkeypat
     def no_suite(*args):
         raise AssertionError("the suite ran before the output was opened")
 
-    monkeypatch.setattr(cli_mod, "run_suite", no_suite)
+    monkeypatch.setattr(cli_mod, "iter_suite", no_suite)
     path = tmp_path if target == "directory" else tmp_path / "missing" / "x.jsonl"
     code, out, err = run(capsys, "verify", "corpus", "--suite", "blowup", "--out", str(path))
     assert code == 2
@@ -620,7 +622,7 @@ def _stub_suite(monkeypatch, outcome):
             raise outcome
         return outcome
 
-    monkeypatch.setattr(cli_mod, "run_suite", stub)
+    monkeypatch.setattr(cli_mod, "iter_suite", stub)
 
 
 @pytest.mark.parametrize(
@@ -666,7 +668,7 @@ def test_verify_corpus_leaves_no_out_file_when_the_suite_stops(
 def test_verify_corpus_keeps_an_existing_out_file_when_a_suite_stops_partway(
     tmp_path, monkeypatch, capsys
 ):
-    # the real run_suite: one check is made, then the suite fails
+    # the real iter_suite: one check is made and its line written, then the suite fails
     import maxnoether.suites as suites_mod
 
     def stops_partway(params):
@@ -680,6 +682,133 @@ def test_verify_corpus_keeps_an_existing_out_file_when_a_suite_stops_partway(
     assert code == 2 and out == ""
     assert err == "error: the suite stopped\n"
     assert path.read_bytes() == b"earlier results\n"
+    assert os.listdir(tmp_path) == ["results.jsonl"]  # no temp file is left behind
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["existing-out", "new-out"])
+def test_verify_corpus_crash_partway_leaves_no_temp_file(tmp_path, monkeypatch, existing):
+    import maxnoether.suites as suites_mod
+
+    def crashes_partway(params):
+        yield ("made", {}, True, True, True, None)
+        yield ("made", {}, True, True, False, None)
+        raise RuntimeError("the suite crashed")
+
+    monkeypatch.setitem(suites_mod.SUITES, "blowup", crashes_partway)
+    path = tmp_path / "results.jsonl"
+    if existing:
+        path.write_bytes(b"earlier results\n")
+    with pytest.raises(RuntimeError):
+        main(["verify", "corpus", "--suite", "blowup", "--out", str(path)])
+    assert os.listdir(tmp_path) == (["results.jsonl"] if existing else [])
+    assert not existing or path.read_bytes() == b"earlier results\n"
+
+
+@pytest.mark.parametrize(
+    "suite, bounds",
+    [
+        ("local-lemma", ("--max-genus", "6", "--n", "3")),
+        ("blowup", ("--max-genus", "7")),
+        ("noether-single", ("--max-genus", "4", "--n", "3")),
+    ],
+)
+@pytest.mark.parametrize("sink", ["out", "stdout"])
+def test_verify_corpus_streams_the_bytes_of_write_jsonl(tmp_path, capsys, suite, bounds, sink):
+    from maxnoether.reports import write_jsonl
+
+    buf = io.StringIO()
+    reports = run_suite(suite, SuiteParams(*(int(v) for v in bounds[1::2])))
+    write_jsonl(reports, buf)
+    path = tmp_path / "reports.jsonl"
+    argv = ("verify", "corpus", "--suite", suite, *bounds)
+    code, out, err = run(capsys, *argv, *(("--out", str(path)) if sink == "out" else ()))
+    assert code == 0
+    assert err == f"suite {suite}: {len(reports)}/{len(reports)} checks passed\n"
+    if sink == "out":
+        assert out == "" and path.read_bytes() == buf.getvalue().encode("utf-8")
+        assert os.listdir(tmp_path) == ["reports.jsonl"]
+    else:
+        assert out == buf.getvalue()
+
+
+def test_verify_corpus_stdout_keeps_the_lines_written_before_a_stop(monkeypatch, capsys):
+    import maxnoether.suites as suites_mod
+
+    def stops_partway(params):
+        yield ("made", {}, True, True, True, None)
+        yield ("made too", {}, True, True, False, None)
+        raise MaxNoetherError("the suite stopped")
+
+    monkeypatch.setitem(suites_mod.SUITES, "blowup", stops_partway)
+    code, out, err = run(capsys, "verify", "corpus", "--suite", "blowup")
+    assert code == 2
+    assert err == "error: the suite stopped\n"
+    assert out.endswith("\n")
+    assert [json.loads(line)["check"] for line in out.splitlines()] == ["made", "made too"]
+
+
+_EQ4_AT_4 = ("verify", "corpus", "--suite", "eq4-oracle", "--max-genus", "4")
+
+
+def _eq4_bytes():
+    from maxnoether.reports import write_jsonl
+
+    buf = io.StringIO()
+    write_jsonl(run_suite("eq4-oracle", SuiteParams(4)), buf)
+    return buf.getvalue().encode("utf-8")
+
+
+def test_verify_corpus_out_dev_null_stays_a_device(capsys):
+    code, out, err = run(capsys, *_EQ4_AT_4, "--out", os.devnull)
+    assert code == 0 and out == ""
+    assert err.endswith("checks passed\n")
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+@pytest.mark.parametrize("link", ["symlink", "hardlink"])
+def test_verify_corpus_writes_through_a_linked_out(tmp_path, capsys, link):
+    target = tmp_path / "target.jsonl"
+    target.write_bytes(b"earlier results\n")
+    path = tmp_path / "results.jsonl"
+    (os.symlink if link == "symlink" else os.link)(target, path)
+    code, _, _ = run(capsys, *_EQ4_AT_4, "--out", str(path))
+    assert code == 0
+    assert path.is_symlink() == (link == "symlink")
+    assert target.read_bytes() == path.read_bytes() == _eq4_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["results.jsonl", "target.jsonl"]
+
+
+def test_verify_corpus_keeps_the_mode_of_an_existing_out_file(tmp_path, capsys):
+    path = tmp_path / "results.jsonl"
+    path.write_bytes(b"earlier results\n")
+    path.chmod(0o640)
+    code, _, _ = run(capsys, *_EQ4_AT_4, "--out", str(path))
+    assert code == 0
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert path.read_bytes() == _eq4_bytes()
+
+
+@pytest.mark.skipif(os.geteuid() != 0, reason="only root can give a file another owner")
+def test_verify_corpus_keeps_the_owner_of_an_existing_out_file(tmp_path, capsys):
+    path = tmp_path / "results.jsonl"
+    path.write_bytes(b"earlier results\n")
+    os.chown(path, 12345, 12345)
+    code, _, _ = run(capsys, *_EQ4_AT_4, "--out", str(path))
+    assert code == 0
+    assert (path.stat().st_uid, path.stat().st_gid) == (12345, 12345)
+    assert path.read_bytes() == _eq4_bytes()
+
+
+def test_verify_corpus_writes_through_when_no_temp_file_can_be_made(tmp_path, capsys):
+    # a temp file of that name already exists, so the run cannot make its own
+    path = tmp_path / "results.jsonl"
+    path.write_bytes(b"earlier results\n")
+    stale = tmp_path / f"results.jsonl.{os.getpid()}.tmp"
+    stale.write_bytes(b"not ours\n")
+    code, _, _ = run(capsys, *_EQ4_AT_4, "--out", str(path))
+    assert code == 0
+    assert path.read_bytes() == _eq4_bytes()
+    assert stale.read_bytes() == b"not ours\n"
 
 
 def test_verify_corpus_replaces_an_existing_out_file(tmp_path, capsys):

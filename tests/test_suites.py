@@ -11,9 +11,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from maxnoether.reports import VerificationReport, write_jsonl
-from maxnoether.suites import GENUS_CAPS, READS_N, SUITES, SuiteParams, run_suite
+from maxnoether.errors import GenusTooLarge
+from maxnoether.suites import GENUS_CAPS, READS_N, SUITES, SuiteParams, iter_suite, run_suite
 
 # sha256 of the canonical JSONL (UTF-8) and the report count of each suite.
 PINNED = {
@@ -97,8 +99,8 @@ def test_report_with_a_non_json_value_does_not_encode():
 
 
 def _reference_jsonl(reports):
-    # the canonical line as one json.dumps of the whole report, as it was
-    # built before lines were assembled from parts
+    # the canonical line as one json.dumps of the whole report: the reference
+    # that the lines assembled field by field must equal
     return "".join(
         json.dumps(
             {
@@ -158,15 +160,59 @@ def test_write_jsonl_with_interleaved_inputs():
     assert [json.loads(line)["input"] for line in text.splitlines()] == [r.input for r in reports]
 
 
-@pytest.mark.parametrize("field", ["input", "witness"])
+@pytest.mark.parametrize("field", ["input", "predicted", "oracle", "passed", "witness"])
 def test_write_jsonl_with_a_non_json_value_does_not_encode(field):
-    good = VerificationReport("s", "c", {"a": 1}, 0, 0, True)
-    bad = VerificationReport("s", "c", {"a": 1}, 0, 0, True)
-    setattr(bad, field, {"a": Fraction(1, 2)})
-    with pytest.raises(TypeError):
-        _jsonl([good, bad])
-    with pytest.raises(TypeError):
-        bad.to_line()
+    # a bare value takes the scalar dispatch, a nested one the shared encoder
+    for value in (Fraction(1, 2), {"a": Fraction(1, 2)}):
+        good = VerificationReport("s", "c", {"a": 1}, 0, 0, True)
+        bad = VerificationReport("s", "c", {"a": 1}, 0, 0, True)
+        setattr(bad, field, value)
+        with pytest.raises(TypeError):
+            _jsonl([good, bad])
+        with pytest.raises(TypeError):
+            bad.to_line()
+
+
+_JSON_LEAVES = (
+    st.none()
+    | st.sampled_from([True, 1, False, 0, -1])
+    | st.integers()
+    | st.integers(min_value=2**63 - 2, max_value=2**70)
+    | st.integers(min_value=-(2**70), max_value=-(2**63) + 2)
+    # every code point: non-ASCII, control characters, lone surrogates
+    | st.text(st.characters(exclude_categories=()), max_size=6)
+)
+_JSON = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(st.characters(exclude_categories=()), max_size=3), children, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _random_reports(draw):
+    # a few suites and checks recur, so one check under two suites and True
+    # next to 1 meet in one stream; some reports share the previous input
+    reports = []
+    for _ in range(draw(st.integers(1, 6))):
+        suite = draw(st.sampled_from(["s", "t", True, 1]) | _JSON)
+        check = draw(st.sampled_from(["c", "d", True, 1]) | _JSON)
+        shared = reports and draw(st.booleans())
+        input_ = reports[-1].input if shared else draw(_JSON)
+        fields = [draw(_JSON) for _ in range(4)]
+        reports.append(VerificationReport(suite, check, input_, *fields))
+    return reports
+
+
+@given(_random_reports())
+@example([VerificationReport("s", "c", {}, 0, 0, True), VerificationReport("t", "c", {}, 0, 0, True)])
+@example([VerificationReport("s", True, 1, True, 1, 1), VerificationReport("s", 1, True, 1, True, True)])
+@example([VerificationReport("s", "c", "\u00e9\u2192\x00", "\x1f", ["\ud800"], False, {"\u00fc": -(2**70)})])
+@settings(max_examples=100)
+def test_write_jsonl_and_to_line_match_one_dumps_on_random_json(reports):
+    assert _jsonl(reports) == _reference_jsonl(reports)
+    assert [r.to_line() + "\n" for r in reports] == _reference_jsonl(reports).splitlines(True)
 
 
 def test_to_line_with_a_set_does_not_encode():
@@ -202,6 +248,21 @@ def test_every_report_is_built_through_the_module_binding(name, monkeypatch):
     assert reports and len(made) == len(reports)
     assert all(m is r for m, r in zip(made, reports))
     assert {r.suite for r in reports} == {name}
+
+
+def test_iter_suite_checks_its_arguments_before_the_first_report(monkeypatch):
+    # the errors come from the call itself: no report is asked for
+    import maxnoether.suites as suites_mod
+
+    def no_work(params):
+        raise AssertionError("suite work ran although the arguments are refused")
+
+    monkeypatch.setitem(suites_mod.SUITES, "blowup", no_work)
+    cap = GENUS_CAPS["blowup"]
+    with pytest.raises(GenusTooLarge, match=f"= {cap}$"):
+        iter_suite("blowup", SuiteParams(max_genus=cap + 1))
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        iter_suite("nope")
 
 
 @pytest.mark.parametrize("route", ["oracle", "value"])
