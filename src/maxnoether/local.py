@@ -7,6 +7,9 @@ question whether n-fold products of sections cover the n-th power of the
 dualizing stalk modulo a shifted conductor power reduces to sumset coverage,
 and the covering is certified by explicit product tables whose values are
 pairwise distinct, so linear independence is free in the monomial model.
+Since 0 lies in K, K^n is (K below alpha)^n together with [alpha, oo), and
+the first part is in W^n, so a covering is one window test: the values of
+[alpha, n alpha) that W^n misses.
 
 Three cases govern the admissible shift epsilon of the conductor power:
 
@@ -55,11 +58,20 @@ class LocalContext:
     the minimal-value differential; for the one-singularity model this is
     exactly K below the conductor.  ``d1``/``d2`` form a complementary pair
     in K minus S with d1 + d2 = alpha - 1; they exist iff the semigroup is
-    non-symmetric and are ``None`` otherwise.  ``canonical_powers`` and
-    ``section_powers`` hold the sumset powers of K and of the section values
-    made so far for this context, so every weight reuses the lower ones.
-    ``q_split`` is the :func:`q_decomposition` of the context, made once,
-    and ``None`` where it does not apply (symmetric, or r = 0).
+    non-symmetric and are ``None`` otherwise.  ``section_powers`` holds the
+    sumset powers of the section values made so far for this context, so
+    every weight reuses the lower ones.  ``q_split`` is the
+    :func:`q_decomposition` of the context, made once, and ``None`` where it
+    does not apply (symmetric, or r = 0).
+
+    However a context is made, it must hold the premise of the covering
+    test: K has least value 0 and holds [alpha, oo), and W agrees with K
+    below alpha, that is W u [alpha, oo) = K.  Then K^n =
+    (K below alpha)^n u [alpha, oo): a sum of n values of K is at least 0
+    and lies below alpha only if every summand does, and any v >= alpha is
+    v + 0 + ... + 0.  The first part is a sumset of values of W, so it lies in
+    W^n, and K^n minus W^n is [alpha, oo) minus W^n.  A context breaking the
+    premise raises :class:`HypothesisGap`.
     """
 
     semigroup: NumericalSemigroup
@@ -71,13 +83,20 @@ class LocalContext:
     d2: int | None
     r: int
     p: int
-    canonical_powers: PowerChain = field(init=False, repr=False, compare=False)
     section_powers: PowerChain = field(init=False, repr=False, compare=False)
     q_split: QDecomposition | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "canonical_powers", PowerChain(self.canonical))
-        object.__setattr__(self, "section_powers", PowerChain(self.section_values))
+        k, a = self.canonical, self.alpha
+        if k.min != 0 or k.threshold is None or k.threshold > a:
+            raise HypothesisGap("the canonical ideal must start at 0 and hold [alpha, oo)")
+        # W agrees with K below alpha iff W starts at 0 and their masks there match
+        w = self.section_values
+        if w.min != 0 or w._bits_below(0, a) != k._bits_below(0, a):
+            raise HypothesisGap(
+                "section values plus the conductor ray must equal the canonical ideal"
+            )
+        object.__setattr__(self, "section_powers", PowerChain(w))
         split = q_decomposition(self) if self.d1 is not None and self.r >= 1 else None
         object.__setattr__(self, "q_split", split)
 
@@ -91,13 +110,6 @@ class LocalContext:
         k = canonical_ideal(s)
         if section_values is None:
             section_values = k.below(alpha)
-        else:
-            if not section_values.is_subset(k):
-                raise HypothesisGap("section values must lie in the canonical ideal")
-            if section_values.below(alpha) != k.below(alpha):
-                raise HypothesisGap(
-                    "section values plus the conductor ray must equal the canonical ideal"
-                )
         lo, off_ring = missing_bits(k, s.values, alpha)
         d1 = lo + (off_ring & -off_ring).bit_length() - 1 if off_ring else None
         d2 = alpha - d1 - 1 if d1 is not None else None
@@ -410,10 +422,11 @@ def build_certificates(ctx: LocalContext, n: int, case: str) -> list[BasisCertif
     adds the product h1*b_partner of its value-1 or value-2 section.  The
     power step is the rows and entries of both, plus the gap-pair product f0
     of value alpha - 1 in cases i and ii, times the powers m^1 .. m^(n-2).
-    Building them requires each factor once, the column table first and
-    then the rest in entry order, so a missing one raises
-    :class:`HypothesisGap` naming the first met.  Each step reads its masks
-    as it is made; no entry is labelled until it is read.
+    The column table lies in K below alpha, so every context holds it.
+    Building the steps requires each other factor once, in entry order, so a
+    missing one raises :class:`HypothesisGap` naming the first met.  Each
+    step reads its masks as it is made; no entry is labelled until it is
+    read.
     """
     eps2 = case_epsilon(case, 2)
     if n < 1:
@@ -424,12 +437,9 @@ def build_certificates(ctx: LocalContext, n: int, case: str) -> list[BasisCertif
         return []
     a, b, r, p = ctx.alpha, ctx.beta, ctx.r, ctx.p
 
-    # the column table b_j = j + alpha - beta - 1, j = 1 .. beta-1, required
-    # whole: a missing b_j is named as requiring each in turn would name it
-    missing = ~ctx.section_values._bits_below(a - b, a - 1) & ((1 << (b - 1)) - 1)
-    if missing:
-        j = (missing & -missing).bit_length()
-        _require(j + a - b - 1, ctx, f"b{j}")
+    # the column table b_j = j + alpha - beta - 1, j = 1 .. beta-1, needs no
+    # test: alpha - b_j - 1 = beta - j is a gap, so b_j is in K below alpha,
+    # where the context's premise puts it in the section values
     b_cols = Columns((f"b{j}", j + a - b - 1) for j in range(1, b))
 
     conductor: list[CertEntry | GridRow] = []
@@ -493,18 +503,24 @@ def verify_local_surjectivity(ctx: LocalContext, n: int, epsilon: int) -> Surjec
     """Do n-fold section values cover the n-th canonical power mod the shifted conductor?
 
     Coverage is the value-set inclusion: every element of the n-fold sumset of
-    K below n*alpha - epsilon must be an n-fold sum of section values.  The
-    bit difference of the two powers below n*alpha gives the verdict and the
-    least shift at once; its values are listed only when it is not empty.
+    K below n*alpha - epsilon must be an n-fold sum of section values.  By the
+    context's premise (see :class:`LocalContext`), the part of K^n below alpha
+    is (K below alpha)^n, inside W^n, and K^n holds all of [alpha, oo).  So the
+    values K^n misses in W^n below n*alpha are the window [alpha, n*alpha)
+    less W^n, and that one mask gives the verdict and the least shift at once;
+    its values are listed only when it is not empty.  No power of K is built.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
-    top = n * ctx.alpha
-    lo, missing = missing_bits(ctx.canonical_powers.power(n), ctx.section_powers.power(n), top)
+    power = ctx.section_powers.power(n)
+    a = ctx.alpha
+    top = n * a
+    # bit i stands for alpha + i
+    missing = ~power._bits_below(a, top) & ((1 << (top - a)) - 1)
     if not missing:
         return SurjectivityCheck(True, n, epsilon, (), 0)
-    least = lo + (missing & -missing).bit_length() - 1
-    cut = top - epsilon - lo
+    least = a + (missing & -missing).bit_length() - 1
+    cut = top - epsilon - a
     kept = missing & ((1 << cut) - 1) if cut > 0 else 0
-    uncovered = tuple(_bit_values(lo, kept)) if kept else ()
+    uncovered = tuple(_bit_values(a, kept)) if kept else ()
     return SurjectivityCheck(not uncovered, n, epsilon, uncovered, top - least)

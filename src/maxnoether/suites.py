@@ -129,6 +129,8 @@ def residue_window_values(s: NumericalSemigroup) -> list[int]:
 
 _DIM_MENU = ((3, 4, 5), (2, 5), (3, 5, 7), (2, 7), (3, 7, 8))
 _MULTI_MENU = ((3, 4, 5), (3, 5, 7), (3, 7, 8))
+# the two-branch curves whose resolution quotients the resolution suite checks
+_RESOLUTION_PAIRS = (((3, 4, 5), (3, 4, 5)), ((3, 4, 5), (3, 5, 7)))
 
 
 def _curve_corpus(menu: tuple[tuple[int, ...], ...], max_delta: int) -> list[RationalCurveModel]:
@@ -345,14 +347,8 @@ def suite_noether_multi(params: SuiteParams) -> Iterator[tuple]:
 def suite_resolution(params: SuiteParams) -> Iterator[tuple]:
     """Resolution quotients and the hyperelliptic resolved-curve case."""
     max_n = params.n(3)
-    pairs = [
-        ((3, 4, 5), (3, 4, 5)),
-        ((3, 4, 5), (3, 5, 7)),
-    ]
-    for gens0, gens1 in pairs:
-        curve = RationalCurveModel.from_semigroups(
-            [NumericalSemigroup.from_generators(gens0), NumericalSemigroup.from_generators(gens1)]
-        )
+    for pair in _RESOLUTION_PAIRS:
+        curve = RationalCurveModel.from_semigroups(map(NumericalSemigroup.from_generators, pair))
         info = curve.to_json()
         for index in (0, 1):
             for n in range(2, max_n + 1):

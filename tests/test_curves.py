@@ -37,7 +37,7 @@ from maxnoether.curves import (
 from maxnoether.errors import AmbientTooLarge, CurveSpecError, NotApplicable, WeightTooLarge
 from maxnoether.linalg import Subspace
 from maxnoether.semigroup import NumericalSemigroup, enumerate_semigroups
-from maxnoether.suites import _MULTI_MENU, _curve_corpus, _value_route_dim
+from maxnoether.suites import _MULTI_MENU, _RESOLUTION_PAIRS, _curve_corpus, _value_route_dim
 from maxnoether.valueset import ValueSet, canonical_ideal, dualizing_values, n_fold
 from test_linalg import _fraction_gauss_jordan, basis, dense, dense_nullspace, within
 
@@ -176,6 +176,19 @@ def test_hyperelliptic_family_gap(k, gap):
     chk = max_noether_holds(curve((2, 2 * k + 1)), 2)
     assert not chk.holds
     assert chk.dimension_gap == gap == k - 2
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_hyperelliptic_products_are_polynomials_in_the_double_cover(k):
+    # <2,2k+1> is hyperelliptic of genus g = k: the weight-1 sections are
+    # f(x) w with deg f <= g - 1 in the degree-2 function x, so their n-fold
+    # products are the n(g-1) + 1 polynomials of degree <= n(g-1), inside the
+    # (2n-1)(g-1) sections of a curve whose one branch is Gorenstein
+    c = curve((2, 2 * k + 1))
+    g = c.genus
+    for n in (2, 3, 4):
+        chk = max_noether_holds(c, n)
+        assert (chk.products_dim, chk.sections_dim) == (n * (g - 1) + 1, (2 * n - 1) * (g - 1))
 
 
 def test_single_branch_value_sets_match_sumsets():
@@ -536,6 +549,29 @@ def test_affine_reparametrisation_and_branch_order_change_nothing():
                 assert section_valuations(m, a * br.center + b, n) == section_valuations(
                     c, br.center, n
                 )
+
+
+def test_an_affine_map_keeps_the_multi_branch_corpora():
+    # one seeded map t -> lam t + mu on the noether-multi and resolution
+    # curves, branch order kept so a branch index names the same branch
+    rng = random.Random(4)
+    lam = Fraction(rng.choice((-1, 1)) * rng.randint(2, 7), rng.randint(1, 5))
+    mu = Fraction(rng.randint(1, 9), rng.randint(2, 9))
+    assert lam != 1 and mu.denominator > 1
+    resolution = [curve(*pair) for pair in _RESOLUTION_PAIRS]
+    for c in _curve_corpus(_MULTI_MENU, 6) + resolution:
+        m = RationalCurveModel(tuple(Branch(lam * br.center + mu, br.semigroup) for br in c.branches))
+        for n in (1, 2, 3):
+            assert max_noether_holds(m, n) == max_noether_holds(c, n)
+            for br in c.branches:
+                assert section_valuations(m, lam * br.center + mu, n) == section_valuations(
+                    c, br.center, n
+                )
+            if len(c.branches) > 1:
+                for index in range(len(c.branches)):
+                    assert check_resolution_quotient(m, index, n) == check_resolution_quotient(
+                        c, index, n
+                    )
 
 
 def jet_orders(space, center):

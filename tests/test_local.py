@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from maxnoether import valueset as valueset_mod
 from maxnoether.errors import HypothesisGap, NotApplicable
 from maxnoether.local import (
     BasisCertificate,
@@ -275,14 +276,30 @@ def test_case_ii_requires_value_alpha():
         build_certificates(ctx, 2, "ii")
 
 
-def test_a_missing_column_factor_is_named():
-    # b_j = j + alpha - beta - 1 lie in K below alpha, so only a context made
-    # without for_semigroup can miss one; the first missing b_j is named
+def test_a_replace_dropping_a_value_below_alpha_is_refused():
+    # the covering reads K^n as (K below alpha)^n u [alpha, oo), so a context
+    # made by replace or by the plain constructor must keep W = K below alpha
     ctx = ctx_for([4, 5, 11])
-    assert [v for _, v in build_certificates(ctx, 2, "i")[0].base[0].cols] == [4, 5, 6]
-    sections = ValueSet.finite(v for v in ctx.section_values.exceptional if v not in (5, 6))
-    with pytest.raises(HypothesisGap, match=r"^required section value 5 \(b2\) is unavailable$"):
-        build_certificates(replace(ctx, section_values=sections), 2, "i")
+    below = ctx.section_values.exceptional
+    premise = r"^section values plus the conductor ray must equal the canonical ideal$"
+    for dropped in below:
+        sections = ValueSet.finite(v for v in below if v != dropped)
+        with pytest.raises(HypothesisGap, match=premise):
+            replace(ctx, section_values=sections)
+    for added in (-1, ctx.alpha - 1):
+        with pytest.raises(HypothesisGap, match=premise):
+            replace(ctx, section_values=ValueSet.finite([*below, added]))
+    fields = (ctx.semigroup, ctx.canonical, ValueSet.finite(below[1:]))
+    with pytest.raises(HypothesisGap, match=premise):
+        LocalContext(*fields, ctx.alpha, ctx.beta, ctx.d1, ctx.d2, ctx.r, ctx.p)
+    # K itself must start at 0 and hold every value from alpha on
+    for canonical in (ctx.canonical.shift(-1), ValueSet(below, ctx.alpha + 1)):
+        with pytest.raises(HypothesisGap, match="canonical ideal must start at 0"):
+            replace(ctx, canonical=canonical)
+    # values from alpha on may be added, as in cases ii and iii
+    a = ctx.alpha
+    wider = replace(ctx, section_values=ValueSet.finite([*below, a, a + 2]))
+    assert verify_local_surjectivity(wider, 3, 0).ok
 
 
 def test_certificates_not_applicable_for_symmetric():
@@ -304,7 +321,7 @@ def test_surjectivity_frozen_positive(gens, n, eps, ok):
 def test_surjectivity_345_window():
     # weight 2 with eps = 3 tests K + K below 2 * 3 - 3, that is 0, 1, 2
     ctx = ctx_for([3, 4, 5])
-    assert ctx.canonical_powers.power(2).elements_below(3) == [0, 1, 2]
+    assert n_fold(ctx.canonical, 2).elements_below(3) == [0, 1, 2]
     assert verify_local_surjectivity(ctx, 2, 3).uncovered == ()
 
 
@@ -420,20 +437,51 @@ def test_unknown_case_tag_is_rejected():
 
 
 def test_reused_power_chains_change_no_result():
-    # each context builds its powers once; asking for the weights out of order
-    # must give what fresh n-fold sumsets give
-    for ctx in census_contexts(8):
-        for n in (4, 1, 3, 2):
-            kn = n_fold(ctx.canonical, n)
-            wn = n_fold(ctx.section_values, n)
-            missing = [v for v in kn.elements_below(n * ctx.alpha) if v not in wn]
-            least = n * ctx.alpha - min(missing) if missing else 0
-            for eps in (2 * n - 1, 0):
-                required = tuple(kn.elements_below(n * ctx.alpha - eps))
-                uncovered = tuple(v for v in required if v not in wn)
-                assert verify_local_surjectivity(ctx, n, eps) == SurjectivityCheck(
-                    not uncovered, n, eps, uncovered, least
-                )
+    # each context builds its powers of W once and reads K^n as the window
+    # [alpha, n alpha) less W^n; asked for the weights out of order, with the
+    # default section values and with those of cases ii and iii, it must give
+    # what fresh n-fold sumsets of K and of W give
+    checked = 0
+    for s in enumerate_semigroups(10):
+        if s.is_symmetric():
+            continue
+        a = s.conductor
+        base = canonical_ideal(s).elements_below(a)
+        for extra in ([], [a], [a, a + 1], [a, a + 2]):
+            ctx = LocalContext.for_semigroup(s, section_values=ValueSet.finite(base + extra))
+            for n in (4, 1, 6, 3, 5, 2):
+                top = n * a
+                wn = n_fold(ctx.section_values, n)
+                missing = [v for v in n_fold(ctx.canonical, n).elements_below(top) if v not in wn]
+                least = top - missing[0] if missing else 0
+                for eps in (2 * n - 1, 1, 0):
+                    uncovered = tuple(v for v in missing if v < top - eps)
+                    assert verify_local_surjectivity(ctx, n, eps) == SurjectivityCheck(
+                        not uncovered, n, eps, uncovered, least
+                    )
+                    checked += 1
+    assert checked == 411 * 4 * 6 * 3
+
+
+def test_a_covering_builds_no_power_of_k(monkeypatch):
+    # weights 1..4 on a fresh context: W^2, W^3 and W^4, one sumset each, each
+    # step adding W; asking again builds nothing
+    calls = []
+    real = valueset_mod.sumset
+
+    def counted(a, b):
+        calls.append(b)
+        return real(a, b)
+
+    monkeypatch.setattr(valueset_mod, "sumset", counted)
+    for gens in ([3, 4, 5], [4, 5, 11], [5, 6, 7, 9], [6, 7, 8, 9, 10]):
+        ctx = ctx_for(gens)
+        calls.clear()
+        for _ in range(2):
+            for n in (1, 2, 3, 4):
+                verify_local_surjectivity(ctx, n, case_epsilon("i", n))
+        assert len(calls) == 3
+        assert all(b is ctx.section_values for b in calls)
 
 
 def test_power_weight_must_be_positive():
