@@ -15,14 +15,14 @@ the three times in seconds:
 - one branch <7,8> at 0, n = 40, which builds the section space of every
   weight from 1 to 40 on the way;
 - the same branch <7,8> at 7/3, n = 10, whose rows are dense: a lone branch
-  away from 0 takes the generic change of basis and elimination;
+  away from 0 takes the generic jet recurrence and elimination;
 - one ordinary branch <20, ..., 39> at 0, n = 120 (ambient 2,161, near
   MAX_AMBIENT), which builds the section and product spaces of every weight
   from 1 to 120, all from monomial rows;
 - one branch <2,41> at 7/3, n = 3, which is hyperelliptic, so its products
   miss the sections and are eliminated exactly, at a rational center;
 - three branches <3,4,5> at 0, <3,5,7> at 7/3 and <4,5,6,7> at -5/2, n = 40,
-  whose constraint rows read a change of basis at two rational centers;
+  whose constraint columns are jets at two rational centers;
 - two <3,4,5> branches at 0 and 1, n = 160, which builds the product span of
   every weight from 1 to 160, each from dense rows at the center 1.
 """

@@ -16,20 +16,22 @@ of ``suites`` both read, so the weights 1..n cost n - 1 sumsets per
 semigroup.
 
 Every row and vector handed to ``linalg`` has integer entries.  At a center
-p/q the expansion coefficients are read through one integer change of basis,
-``_shift_matrix``, which scales each row by a nonzero constant (powers of q
-and of the center differences) and so leaves every nullspace and pivot alone.
+p/q each row is a coefficient of the numerator's local expansion, times the
+other branches' unit factors, scaled by a nonzero constant (powers of q and
+of the center differences), which leaves every nullspace and pivot alone.
+``_constraint_rows`` writes them by column: the column of t^d is its jet at
+the center, and each jet is the one before it times one linear factor.
 
 Section spaces are term rows, ``linalg.Terms``, from the constraints to the
-canonical basis.  Each constraint row is summed over its own span of
-columns, the constraint matrix is held by column, and ``global_sections``
-reads its term rows off the columns for the sparse ``linalg.nullspace``, so
-building H^0(omega^n) costs the nonzeros of the constraints.  A lone branch
-at center 0 has no other branch's unit factor and no change of basis, so
-each of its constraints is one unit entry, on an excluded order:
-``_constraint_rows`` writes those columns straight from ``excluded_orders``,
-and ``nullspace`` takes the unit rows of the other columns as the basis,
-with no elimination.  A ``Subspace`` holds its basis as term rows too.
+canonical basis.  The constraint matrix is held by column, and
+``global_sections`` reads its term rows off the columns for the sparse
+``linalg.nullspace``, so building H^0(omega^n) costs the nonzeros of the
+constraints.  A lone branch at center 0 has no other branch's unit factor,
+and the jet of t^d is w^d, so each of its constraints is one unit entry, on
+an excluded order: ``_constraint_rows`` writes those columns straight from
+``excluded_orders``, and ``nullspace`` takes the unit rows of the other
+columns as the basis, with no elimination.  A ``Subspace`` holds its basis
+as term rows too.
 
 The product span P of weight n is S_1 . S_1^(n-1), certified against the
 section space S before anything is eliminated over Q.  Its rows are term
@@ -103,7 +105,7 @@ MAX_WEIGHT = 256
 MAX_AMBIENT = 2300
 
 # Most decimal digits in the numerator or denominator of a branch center.  The
-# shift matrices raise the denominator to the ambient's power, and a center
+# constraint columns raise the denominator to the ambient's power, and a center
 # far past this could not even be printed (Python converts at most 4,300
 # digits of an int to a string).
 MAX_CENTER_DIGITS = 1000
@@ -299,22 +301,6 @@ def _poly_mul(a: Terms, b: Terms, width: int) -> Terms:
     return tuple([(lo + k, x) for k, x in enumerate(out) if x])
 
 
-def _shift_matrix(center: Fraction, scale: int, size: int, rows: int) -> list[list[int]]:
-    """Rows 0..rows-1 of the integer change of basis from powers of t to powers of w.
-
-    Here t = center + scale * w.  Row k holds the coefficients of w^k in
-    q^(size-1) * t^d for d = k, ..., size - 1, where q is the denominator of
-    the center; t^d has no w^k term for d < k.  At center 0 each row keeps
-    only its diagonal entry, the one that is nonzero.
-    """
-    p, q = center.numerator, center.denominator
-    if p == 0:
-        return [[scale**k] for k in range(rows)]
-    # the entry for t^d is comb(d, k) p^(d-k) q^(size-1-d+k) scale^k
-    pq = [p**i * q ** (size - 1 - i) for i in range(size)]
-    return [[comb(d, k) * pq[d - k] * scale**k for d in range(k, size)] for k in range(rows)]
-
-
 # -- section spaces ----------------------------------------------------------
 
 
@@ -329,15 +315,20 @@ def _constraint_rows(curve: RationalCurveModel, n: int) -> tuple[Columns, int]:
     """The integer matrix C, by column, and its row count: H^0(omega^n) solves C v = 0.
 
     There is one entry per numerator coefficient, so C v reads only the
-    columns where v has terms.  A lone branch at center 0 gives row i the
-    one unit entry at its i-th excluded order, or none at or past the
-    ambient.  Cached, so the columns are tuples that no caller can change.
+    columns where v has terms.  At a center p/q, with t = p/q + scale * w and
+    A the ambient, column d holds the jet of q^(A-1-d) (p + q scale w)^d =
+    q^(A-1) t^d times the other branches' unit series, read at each excluded
+    order: jet_0 is the unit series, and jet_d is jet_(d-1) (p + q scale w),
+    both truncated past the largest excluded order.  At p = 0 the jets run
+    out once d passes it.  A lone branch at center 0 gives row i the one
+    unit entry at its i-th excluded order, or none at or past the ambient.
+    Cached, so the columns are tuples that no caller can change.
     """
     ambient = numerator_ambient(curve, n)
     columns: list = [None] * ambient  # each column is two lists until it is frozen
     if len(curve.branches) == 1 and not curve.branches[0].center:
-        # no other branch gives a unit factor, and the change of basis is the
-        # identity, so the rows below reduce to unit entries
+        # no other branch gives a unit factor, and each jet is one power of w,
+        # so the columns below reduce to unit entries
         excluded = excluded_orders(curve.branches[0].semigroup, n)
         for i, k in enumerate(excluded):
             if k >= ambient:
@@ -349,7 +340,7 @@ def _constraint_rows(curve: RationalCurveModel, n: int) -> tuple[Columns, int]:
         excluded = excluded_orders(br.semigroup, n)
         if not excluded:
             continue
-        order = max(excluded)
+        order = excluded[-1]
         # with u = t - center = scale * w, each other branch's factor
         # (u + delta)^(-m) is delta^(-m) (1 + beta * w)^(-m) for an integer beta;
         # the constants scale each row, which leaves the nullspace alone
@@ -357,38 +348,26 @@ def _constraint_rows(curve: RationalCurveModel, n: int) -> tuple[Columns, int]:
             (br.center - o.center, n * o.semigroup.conductor) for o in curve.branches if o is not br
         ]
         scale = lcm(*(abs(delta.numerator) for delta, _ in others))
-        unit: Terms = ((0, 1),)
+        jet = [1] + [0] * order
         for delta, m in others:
             beta = delta.denominator * scale // delta.numerator
             series = [comb(m + k - 1, k) * (-beta) ** k for k in range(order + 1)]
-            unit = _poly_mul(unit, _terms(series), order + 1)
-        # row k reads shift rows 0..k only, and no k exceeds order
-        shift = _shift_matrix(br.center, scale, ambient, min(order + 1, ambient))
-        for k in excluded:
-            # the row is the sum of unit[k - t] * shift[t] over the unit's terms;
-            # shift[t] starts at column t, and the row is summed over its own span
-            parts = []
-            for s, h in unit:
-                t = k - s
-                if t < 0:
-                    break
-                if t < ambient:
-                    parts.append((t, h))
-            if parts:
-                lo = parts[-1][0]
-                row = [0] * (max(t + len(shift[t]) for t, _ in parts) - lo)
-                for t, h in parts:
-                    start = t - lo
-                    end = start + len(shift[t])
-                    row[start:end] = [a + h * x for a, x in zip(row[start:end], shift[t])]
-                for d, x in enumerate(row, lo):
-                    if x:
-                        if columns[d] is None:
-                            columns[d] = ([], [])
-                        indices, entries = columns[d]
-                        indices.append(nrows)
-                        entries.append(x)
-            nrows += 1
+            jet = [sum(x * y for x, y in zip(jet, series[k::-1])) for k in range(order + 1)]
+        p, q = br.center.numerator, br.center.denominator
+        step, power = q * scale, q ** (ambient - 1)
+        for d in range(ambient):
+            for i, k in enumerate(excluded, nrows):
+                if jet[k]:
+                    if columns[d] is None:
+                        columns[d] = ([], [])
+                    indices, entries = columns[d]
+                    indices.append(i)
+                    entries.append(jet[k] * power)
+            jet = [p * x + step * y for x, y in zip(jet, [0, *jet])]
+            if not any(jet):
+                break
+            power //= q
+        nrows += len(excluded)
     for d in compress(range(ambient), columns):
         indices, entries = columns[d]
         columns[d] = (tuple(indices), tuple(entries))

@@ -143,6 +143,13 @@ def q_decomposition(ctx: LocalContext) -> QDecomposition:
 
     Rule: q_r2 is the largest q with q*beta <= d1 (after sorting the pair so
     d1 <= d2), q_r1 = r - q_r2, and for i < r take q_i1 = min(i, q_r1).
+
+    Every inequality is strict.  At i = r, q_r2*beta + d2 <= d1 + d2 =
+    alpha - 1, and q_r1*beta + d1 = r*beta + (d1 mod beta) < (r+1)*beta <=
+    alpha.  For i < r, q_i1 <= q_r1 and q_i2 <= q_r2, so those pairs lie below
+    these two.  Each summand q*beta + d_j is a value of S plus d_j in K, so it
+    lies in K below alpha, where the context's premise makes the section
+    values W equal K: the certificates need no test of them.
     """
     if ctx.d1 is None:
         raise NotApplicable("symmetric semigroup: no complementary gap pair")
@@ -395,12 +402,6 @@ class BasisCertificate:
         return defects
 
 
-def _require(value: int, ctx: LocalContext, what: str) -> int:
-    if value not in ctx.section_values:
-        raise HypothesisGap(f"required section value {value} ({what}) is unavailable")
-    return value
-
-
 def build_certificates(ctx: LocalContext, n: int, case: str) -> list[BasisCertificate]:
     """Product tables spanning the conductor chain used for weight n covering.
 
@@ -422,11 +423,13 @@ def build_certificates(ctx: LocalContext, n: int, case: str) -> list[BasisCertif
     adds the product h1*b_partner of its value-1 or value-2 section.  The
     power step is the rows and entries of both, plus the gap-pair product f0
     of value alpha - 1 in cases i and ii, times the powers m^1 .. m^(n-2).
-    The column table lies in K below alpha, so every context holds it.
-    Building the steps requires each other factor once, in entry order, so a
-    missing one raises :class:`HypothesisGap` naming the first met.  Each
-    step reads its masks as it is made; no entry is labelled until it is
-    read.
+    The column table, the rows m_i = i beta (values of S), the q-split
+    summands (see :func:`q_decomposition`) and the gap pair d1, d2 all lie
+    in K below alpha, so every context holds them; a context given a d1 or
+    d2 outside W gets a :meth:`BasisCertificate.check` defect naming it.
+    Only h0 and h1, of value alpha and up, are required here: a missing one
+    raises :class:`HypothesisGap`.  Each step reads its masks as it is
+    made; no entry is labelled until it is read.
     """
     eps2 = case_epsilon(case, 2)
     if n < 1:
@@ -446,19 +449,19 @@ def build_certificates(ctx: LocalContext, n: int, case: str) -> list[BasisCertif
     if r >= 1:
         qd = ctx.q_split
         for i in range(1, r + 1):
-            conductor.append(GridRow(f"m{i}", _require(i * b, ctx, f"m{i}"), b_cols))
+            conductor.append(GridRow(f"m{i}", i * b, b_cols))
             q1, q2 = qd.pairs[i - 1]
-            f1 = _require(q1 * b + qd.d1, ctx, "q-split summand")
-            f2 = _require(q2 * b + qd.d2, ctx, "q-split summand")
+            f1, f2 = q1 * b + qd.d1, q2 * b + qd.d2
             conductor.append(CertEntry(f"f{i}", f1 + f2, (f1, f2)))
     if p > 0:
-        m_top = _require((r + 1) * b, ctx, f"m{r + 1}")
-        conductor.append(GridRow(f"m{r + 1}", m_top, Columns(b_cols[:p])))
+        conductor.append(GridRow(f"m{r + 1}", (r + 1) * b, Columns(b_cols[:p])))
 
     if case == "i":
         mul_label, mul, first = f"b{b - 1}", b_cols[-1][1], 3
     else:
-        mul_label, mul, first = "h0", _require(a, ctx, "h0"), 1
+        if a not in ctx.section_values:
+            raise HypothesisGap(f"required section value {a} (h0) is unavailable")
+        mul_label, mul, first = "h0", a, 1
     square: list[CertEntry | GridRow] = [GridRow(mul_label, mul, Columns(b_cols[first - 1:]))]
     if case == "iii":
         h1 = next((v for v in (a + 1, a + 2) if v in ctx.section_values), None)
@@ -469,9 +472,7 @@ def build_certificates(ctx: LocalContext, n: int, case: str) -> list[BasisCertif
         square.append(CertEntry(f"h1*b{partner}", h1 + bj, (h1, bj)))
         pair = []
     else:
-        d1 = _require(ctx.d1, ctx, "gap-pair factor")
-        d2 = _require(ctx.d2, ctx, "gap-pair factor")
-        pair = [CertEntry("f0", d1 + d2, (d1, d2))]
+        pair = [CertEntry("f0", ctx.d1 + ctx.d2, (ctx.d1, ctx.d2))]
     certs = [
         BasisCertificate("conductor-step", a, 2 * a - b, tuple(conductor)),
         BasisCertificate("square-step", 2 * a - b, 2 * a - eps2, tuple(square)),

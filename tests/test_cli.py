@@ -395,11 +395,11 @@ def test_verify_noether_rejects_vacuous_or_rounded_curve_specs(tmp_path, capsys,
 def test_verify_noether_center_above_the_digit_cap_is_usage_error(
     tmp_path, capsys, monkeypatch, center
 ):
-    # the spec must fail while it is read, before any shift matrix is built;
-    # past 4,300 digits neither json nor Fraction can even read the integer.
-    # ``center`` is JSON text: a string or a bare integer
-    shifts = []
-    monkeypatch.setattr(curves, "_shift_matrix", lambda *args: shifts.append(args))
+    # the spec must fail while it is read, before any constraint column is
+    # built; past 4,300 digits neither json nor Fraction can even read the
+    # integer.  ``center`` is JSON text: a string or a bare integer
+    built = []
+    monkeypatch.setattr(curves, "_constraint_rows", lambda *args: built.append(args))
     path = tmp_path / "curve.json"
     path.write_text(
         '{"branches": [{"center": %s, "generators": [3, 4, 5]},'
@@ -410,7 +410,7 @@ def test_verify_noether_center_above_the_digit_cap_is_usage_error(
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"MAX_CENTER_DIGITS = {MAX_CENTER_DIGITS}" in err
-    assert shifts == []
+    assert built == []
 
 
 def test_verify_noether_missing_file(capsys):

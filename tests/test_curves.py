@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import gcd
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -30,7 +30,6 @@ from maxnoether.curves import (
     _embedded_resolved_sections,
     _in_sections,
     _poly_mul,
-    _shift_matrix,
     _subspace_orders,
     _terms,
 )
@@ -575,12 +574,21 @@ def test_an_affine_map_keeps_the_multi_branch_corpora():
 
 
 def jet_orders(space, center):
-    """Orders at ``center`` read off the Taylor jets of the basis, eliminated once more."""
-    shift = _shift_matrix(center, 1, space.ambient, space.ambient)
-    jets = [
-        [sum(x * y for x, y in zip(row, v[k:])) for k, row in enumerate(shift)]
-        for v in basis(space)
-    ]
+    """Orders at ``center`` read off the Taylor jets of the basis, eliminated once more.
+
+    With center p/q and A the ambient, the jet of N is the integer polynomial
+    q^(A-1) N(p/q + w) = sum over d of N_d q^(A-1-d) (p + q w)^d in w, taken
+    by Horner's rule; the constant q^(A-1) keeps the pivots.
+    """
+    p, q = center.numerator, center.denominator
+    jets = []
+    for v in basis(space):
+        jet = []
+        for d in reversed(range(space.ambient)):
+            # jet <- jet * (p + q w) + N_d q^(A-1-d)
+            jet = [p * x + q * y for x, y in zip(jet + [0], [0] + jet)]
+            jet[0] += v[d] * q ** (space.ambient - 1 - d)
+        jets.append(jet)
     return Subspace.span(map(_terms, jets), space.ambient).pivots
 
 
@@ -603,6 +611,80 @@ def test_constraint_rows_are_integer_at_rational_centers():
                 assert list(indices) == sorted(set(indices)) and set(indices) <= set(range(nrows))
                 assert len(entries) == len(indices) > 0
                 assert all(type(x) is int and x for x in entries)
+
+
+def reference_columns(c, n):
+    """The constraint columns of weight n, composed row by row from closed forms.
+
+    At a branch p/q, with t = p/q + scale * w and A the ambient, the row of an
+    excluded order k holds, at column d, the coefficient of w^k in q^(A-1) t^d
+    times the unit series: sum over s of unit[s] comb(d, k - s) p^(d-k+s)
+    q^(A-1-d+k-s) scale^(k-s).  The unit series multiplies, for each other
+    branch, the series inverse of (1 + beta w)^m, beta = scale / delta.
+    """
+    ambient = numerator_ambient(c, n)
+    rows = []
+    for br in c.branches:
+        excluded = excluded_orders(br.semigroup, n)
+        order = max(excluded, default=0)
+        others = [
+            (br.center - o.center, n * o.semigroup.conductor) for o in c.branches if o is not br
+        ]
+        scale = lcm(*(abs(delta.numerator) for delta, _ in others))
+        unit = [1] + [0] * order
+        for delta, m in others:
+            beta = scale / delta
+            assert beta.denominator == 1
+            power = [comb(m, j) * beta.numerator**j for j in range(order + 1)]
+            inverse = [1]
+            for k in range(1, order + 1):
+                inverse.append(-sum(power[j] * inverse[k - j] for j in range(1, k + 1)))
+            unit = [sum(unit[s] * inverse[k - s] for s in range(k + 1)) for k in range(order + 1)]
+        terms = [(s, u) for s, u in enumerate(unit) if u]
+        p, q = br.center.numerator, br.center.denominator
+        for k in excluded:
+            rows.append(
+                [
+                    sum(
+                        u * comb(d, k - s) * p ** (d - k + s) * q ** (ambient - 1 - d + k - s)
+                        * scale ** (k - s)
+                        for s, u in terms
+                        if 0 <= k - s <= d
+                    )
+                    for d in range(ambient)
+                ]
+            )
+    columns = []
+    for d in range(ambient):
+        column = [(i, row[d]) for i, row in enumerate(rows) if row[d]]
+        columns.append(tuple(map(tuple, zip(*column))) if column else None)
+    return tuple(columns), len(rows)
+
+
+def test_constraint_columns_match_the_composed_reference():
+    # every semigroup of genus <= 6 alone at four centers, then seeded curves
+    # of two and three branches, two of them with a branch at 0
+    cases = [
+        (RationalCurveModel((Branch(center, s),)), n)
+        for s in enumerate_semigroups(6)
+        if s.genus
+        for center in (Fraction(0), Fraction(1), Fraction(7, 3), Fraction(-5, 2))
+        for n in range(1, 5)
+    ]
+    at_zero = [
+        RationalCurveModel((Branch(Fraction(0), sg(3, 4, 5)), Branch(Fraction(7, 3), sg(3, 5, 7)))),
+        RationalCurveModel(
+            (
+                Branch(Fraction(-5, 2), sg(2, 5)),
+                Branch(Fraction(0), sg(3, 4)),
+                Branch(Fraction(1, 9), sg(2, 3)),
+            )
+        ),
+    ]
+    cases += [(c, n) for c in random_curves(33, 12) + at_zero for n in (1, 2, 3)]
+    assert len(cases) == 49 * 4 * 4 + 14 * 3
+    for c, n in cases:
+        assert _constraint_rows(c, n) == reference_columns(c, n), (str(c), n)
 
 
 # -- the certified product span ----------------------------------------------
@@ -728,7 +810,7 @@ def test_in_sections_reads_monomials_at_a_lone_center_zero():
 def test_lone_branch_columns_are_the_excluded_orders():
     # at center 0 a lone branch's constraint matrix is one unit entry per
     # excluded order below the ambient; at 7/3 the same branch takes the
-    # generic change of basis, and translation is a change of basis, so the
+    # generic jet recurrence, and translation is a change of basis, so the
     # dimensions and verdicts agree
     cases = 0
     for s in enumerate_semigroups(6):
@@ -824,8 +906,8 @@ def test_a_short_modular_rank_falls_back_to_the_exact_span(monkeypatch):
 def products_formed(monkeypatch, c, top):
     """Per weight 2..top: the ``_poly_mul`` calls ``products_span`` makes, and the weight.
 
-    The section spaces and constraint rows are built first, since the
-    constraint rows call ``_poly_mul`` too; the product spans start cold.
+    The section spaces are built first and the product spans start cold, so
+    only the products are counted.
     """
     for n in range(1, top + 1):
         global_sections(c, n)

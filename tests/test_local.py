@@ -270,6 +270,41 @@ def test_certificate_entries_are_plain_tuples():
     assert (label, value, factors) == (entry.label, entry.value, entry.factors)
 
 
+def test_q_split_summands_lie_below_alpha_through_genus_14():
+    # the q_decomposition bound: every summand is strictly below alpha, so in
+    # K below alpha, where the section values agree with K
+    nonsymmetric = split = 0
+    for s in enumerate_semigroups(14):
+        if not s.genus:
+            continue
+        ctx = LocalContext.for_semigroup(s)
+        if ctx.d1 is None:
+            continue
+        nonsymmetric += 1
+        qd = ctx.q_split
+        if qd is None:
+            continue
+        split += 1
+        assert qd.all_strict(ctx.alpha)
+        for q1, q2 in qd.pairs:
+            assert q1 * ctx.beta + qd.d1 in ctx.section_values
+            assert q2 * ctx.beta + qd.d2 in ctx.section_values
+    assert (nonsymmetric, split) == (3897, 2912)
+
+
+def test_a_gap_pair_factor_outside_w_is_a_check_defect():
+    # the certificates no longer test d1 while they are built; a context
+    # given a d1 outside W gets a defect naming it from the check instead
+    ctx = ctx_for([4, 5, 11])
+    assert (ctx.d1, ctx.d2) == (1, 6) and 2 not in ctx.section_values
+    bad = replace(ctx, d1=2)
+    certs = build_certificates(bad, 3, "i")
+    assert all(not cert.check(ctx.section_values) for cert in build_certificates(ctx, 3, "i"))
+    power = next(cert for cert in certs if cert.name == "power-step")
+    # at n = 3 the power step holds f0 = d1 * d2 times m = b3 once
+    assert "b3^1*f0: factor value 2 is not a section value" in power.check(bad.section_values)
+
+
 def test_case_ii_requires_value_alpha():
     ctx = ctx_for([4, 5, 11])
     with pytest.raises(HypothesisGap):
