@@ -11,7 +11,8 @@ derived from the gap list.  Membership is a bit test on the semigroup's value
 set :attr:`NumericalSemigroup.values`, and every construction is value-set
 arithmetic: a generating set is closed with :func:`ring_closure`, and one
 sumset of the nonzero members gives both the closure check of a gap set and
-the minimal generators.
+the minimal generators.  The genus-tree walk :func:`enumerate_semigroups`
+builds each child from its parent's member mask and generators instead.
 """
 
 from __future__ import annotations
@@ -200,16 +201,44 @@ def enumerate_semigroups(max_genus: int, min_multiplicity: int = 1) -> Iterator[
     """Yield every numerical semigroup with genus <= max_genus, exactly once.
 
     Order is canonical: by genus, then lexicographically by gap list.  The
-    walk is the standard genus tree, where the children of S are S minus a
-    minimal generator larger than the Frobenius number.  Semigroups with
-    multiplicity below ``min_multiplicity`` are skipped (not their
-    descendants, whose multiplicity can only grow).
+    walk is the genus tree (Bras-Amoros, Semigroup Forum 76, 2008), where the
+    children of S are S' = S minus m for each minimal generator m larger than
+    the Frobenius number, taken in ascending m.  All gap lists of a level
+    have one length, so the children of parents in lexicographic order come
+    out in lexicographic order, and no level is sorted.
+
+    Each child is built from its parent, with no closure check and no
+    sumset.  Let c, mu and G be the conductor, multiplicity and minimal
+    generators of S.  S' keeps the members of S below m, its conductor is
+    m + 1 and its gaps are S.gaps + (m,).  Its minimal generators are
+    G minus m and those m + g, g in G, below m + 1 + mu(S') that are no sum
+    of two nonzero members of S':
+
+    - g in G other than m is no sum in S, so none in the smaller S';
+    - a new generator x is a sum in S, and every way of writing it uses m,
+      so x = m + b with b nonzero in S.  If b = b1 + b2 with b1, b2 nonzero,
+      then x = (m + b1) + b2 with m + b1 > m in S', which forces b2 = m,
+      and likewise b1 = m: x = 3m.  For m >= 2, 3m >= c(S') + mu(S'), and a
+      value from there on is mu(S') plus a member, so a sum.  So b is in G.
+
+    If m = mu, S is {0} u [m, oo), S' is {0} u [m + 1, oo), and the rule
+    gives the generators m + 1, ..., 2m + 1; this holds for <1> too, whose
+    child <2,3> has the 3m = 3 that the rule alone would drop.  Otherwise
+    mu(S') = mu, g <= mu leaves g = mu, and x = m + mu is a sum iff x - h is
+    a nonzero member of S' for some h in G minus m: a sum of two nonzero
+    members is a minimal generator plus a nonzero member, and every minimal
+    generator of S' below x is an old one.  Since mu <= h < c + mu <= x,
+    x - h lies in [1, m], read on the member mask.
+
+    Semigroups with multiplicity below ``min_multiplicity`` are skipped (not
+    their descendants, whose multiplicity can only grow).  A genus-g
+    semigroup has multiplicity at most g + 1, so a ``min_multiplicity``
+    above ``max_genus + 1`` yields nothing and walks nothing.
     """
-    if max_genus < 0:
+    if max_genus < 0 or min_multiplicity > max_genus + 1:
         return
     level = [NumericalSemigroup.from_generators([1])]
     for genus in range(max_genus + 1):
-        level.sort(key=lambda s: s.gaps)
         for s in level:
             if s.multiplicity >= min_multiplicity:
                 yield s
@@ -217,8 +246,24 @@ def enumerate_semigroups(max_genus: int, min_multiplicity: int = 1) -> Iterator[
             break
         children = []
         for s in level:
-            frob = s.frobenius
-            for m in s.generators:
-                if m > frob:
-                    children.append(NumericalSemigroup.from_gaps(s.gaps + (m,)))
+            gens, gaps, mu = s.generators, s.gaps, s.multiplicity
+            c, mask = s.conductor, s.values._mask
+            for m in gens:
+                if m < c:
+                    continue
+                # the members of S below m: the parent's, then the run [c, m)
+                child_mask = mask | ((1 << m) - (1 << c))
+                if m == mu:
+                    child_gens = tuple(range(m + 1, 2 * m + 2))
+                else:
+                    x = m + mu
+                    child_gens = tuple(h for h in gens if h != m)
+                    if not any(child_mask >> (x - h) & 1 for h in child_gens):
+                        child_gens += (x,)
+                child = NumericalSemigroup(child_gens, gaps + (m,))
+                # values, then multiplicity: the order in which a from_gaps instance gains
+                # them, so the instance dicts share one key table
+                child.__dict__["values"] = ValueSet._stored(0, child_mask, m + 1)
+                child.__dict__["multiplicity"] = m + 1 if m == mu else mu
+                children.append(child)
         level = children

@@ -79,6 +79,27 @@ def test_sg_enumerate_bounds_out_of_range_are_usage_errors(capsys, argv, message
     assert message in err
 
 
+def test_sg_enumerate_multiplicity_above_every_genus_fails_before_the_walk(
+    capsys, monkeypatch
+):
+    import maxnoether.cli as cli_mod
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the walk ran although no semigroup can qualify")
+
+    # genus g allows multiplicity g + 1 at most, reached by {0} u [g + 1, oo)
+    code, out, _ = run(capsys, "sg", "enumerate", "--max-genus", "4", "--min-multiplicity", "5")
+    assert code == 0 and out.split()[0] == "<5,6,7,8,9>" and len(out.splitlines()) == 1
+    monkeypatch.setattr(cli_mod, "enumerate_semigroups", no_walk)
+    code, out, err = run(capsys, "sg", "enumerate", "--max-genus", "4", "--min-multiplicity", "6")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: --min-multiplicity 6 admits no semigroup of genus at most --max-genus 4: "
+        "genus g allows multiplicity at most g + 1\n"
+    )
+
+
 def test_verify_local_nonsymmetric(capsys):
     code, out, _ = run(capsys, "verify", "local", "--gens", "3,4,5", "--n", "3")
     assert code == 0

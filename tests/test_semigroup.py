@@ -141,12 +141,34 @@ def test_enumerate_genus_two_census():
 
 
 def test_enumerate_counts_match_bruteforce():
+    # the census scans g-subsets in combinations order, so the two agree in order,
+    # although the walk sorts no level
     from maxnoether.suites import bruteforce_gap_census
 
-    tree = sorted(s.gaps for s in enumerate_semigroups(8))
-    brute = sorted(bruteforce_gap_census(8))
-    assert tree == brute
-    assert len(tree) == 156
+    tree = [s.gaps for s in enumerate_semigroups(12)]
+    assert tree == bruteforce_gap_census(12)
+    assert len(tree) == sum(PUBLISHED_GENUS_COUNTS[:13])
+
+
+def test_enumerate_builds_each_child_as_from_gaps_does():
+    # the walk derives a child's generators, members and multiplicity from its
+    # parent; from_gaps derives them from the gaps alone, by one sumset
+    for s in enumerate_semigroups(15):
+        ref = NumericalSemigroup.from_gaps(s.gaps)
+        assert s.generators == ref.generators, s.gaps
+        assert (s.gaps, s.values, s.multiplicity) == (ref.gaps, ref.values, ref.multiplicity)
+
+
+def test_enumerate_a_multiplicity_above_every_genus_walks_nothing(monkeypatch):
+    # genus g allows multiplicity g + 1 at most, reached by {0} u [g + 1, oo) alone
+    assert [str(s) for s in enumerate_semigroups(6, min_multiplicity=7)] == ["<7,8,9,10,11,12,13>"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(NumericalSemigroup, "from_generators", refuse)
+    assert list(enumerate_semigroups(6, min_multiplicity=8)) == []
+    assert list(enumerate_semigroups(22, min_multiplicity=30)) == []
 
 
 def _pair_loop_census(max_genus):
@@ -243,10 +265,8 @@ def test_from_gaps_accepts_exactly_the_census():
 
 
 def test_enumerate_per_genus_counts():
-    counts = {}
-    for s in enumerate_semigroups(8):
-        counts[s.genus] = counts.get(s.genus, 0) + 1
-    assert counts == {0: 1, 1: 1, 2: 2, 3: 4, 4: 7, 5: 12, 6: 23, 7: 39, 8: 67}
+    counts = Counter(s.genus for s in enumerate_semigroups(14))
+    assert [counts[g] for g in range(15)] == PUBLISHED_GENUS_COUNTS
 
 
 def test_enumerate_min_multiplicity_filter():
