@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .errors import NotApplicable
 from .semigroup import NumericalSemigroup
-from .valueset import PowerChain, ValueSet, canonical_ideal, quotient_dim, sumset
+from .valueset import PowerChain, ValueSet, canonical_ideal, quotient_dim
 
 
 @dataclass(frozen=True)
@@ -65,13 +65,20 @@ class BlowupAnalysis:
         ``powers_collapse`` asks whether every power K^2, ..., K^index is
         already a module over the blowup ring; the powers past the
         stabilization index are the blowup itself.
+
+        That second question needs no sumset (the chain of powers of K, as in
+        Barucci-Froeberg, J. Algebra 188 (1997)).  With O^ = K^index, K^m +
+        O^ = K^(m + index) = O^, and K^m + O^ contains K^m as 0 lies in O^,
+        so K^m is an O^-module iff K^m = O^.  The powers ascend, K^2 <= K^m
+        <= O^, so K^2, ..., K^index all collapse iff K^2 = O^, which is
+        ``square_is_blowup``; at index 1 both hold, as K = K^2 = O^.  The
+        field stays, so that a failing witness keeps its shape.
         """
         s = self._non_gorenstein()
         ohat = self.blowup_values
         gap_one = quotient_dim(ohat, self.canonical) == 1
         square = self.power(2) == ohat
-        collapse = all(sumset(power, ohat) == power for power in self.powers[1:])
-        return AlmostGorensteinChecks(s.is_almost_gorenstein(), gap_one, square, collapse)
+        return AlmostGorensteinChecks(s.is_almost_gorenstein(), gap_one, square, square)
 
     def genus_drop(self) -> int:
         """Genus lost when passing to the blowup; at least 2 at a non-Gorenstein point."""

@@ -24,7 +24,7 @@ and a covering check reports beside it the least shift that would suffice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import HypothesisGap, NotApplicable
 from .semigroup import NumericalSemigroup
@@ -178,28 +178,49 @@ def _value_bits(values: Sequence[int]) -> tuple[int | None, int]:
     return least, mask
 
 
-class Columns(tuple):
-    """The (label, value) column factors that the rows of one grid share.
+@dataclass(frozen=True, slots=True)
+class Columns:
+    """A run of the column table b_j = j + alpha - beta - 1 that the rows of one grid share.
 
-    A plain tuple of pairs.  ``bits``, the (least value, mask) of the column
-    values ((None, 0) when there are none), is made with it, once however
-    many rows and steps read it.
+    Held as (first j, count, least value): the columns b_first ..
+    b_(first + count - 1), of values least .. least + count - 1.  ``bits``,
+    the (least value, mask) of the column values ((None, 0) when there are
+    none), is read from these three numbers.  As a sequence it is the
+    (label, value) pairs (f"b{j}", value) in column order; a pair and its
+    label are made only when read, by ``entries`` (so by ``verify local``
+    and a failing check).
     """
 
-    bits: tuple[int | None, int]
+    first: int
+    count: int
+    least: int
 
-    def __new__(cls, pairs: Iterable[tuple[str, int]] = ()) -> "Columns":
-        self = super().__new__(cls, pairs)
-        self.bits = _value_bits([value for _, value in self])
-        return self
+    @property
+    def bits(self) -> tuple[int | None, int]:
+        return (self.least, (1 << self.count) - 1) if self.count else (None, 0)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[tuple[str, int]]:
+        first, least = self.first, self.least
+        return ((f"b{first + k}", least + k) for k in range(self.count))
+
+    def __getitem__(self, k: int) -> tuple[str, int]:
+        if k < 0:
+            k += self.count
+        if not 0 <= k < self.count:
+            raise IndexError("column index out of range")
+        return f"b{self.first + k}", self.least + k
 
 
 class GridRow(NamedTuple):
-    """One section value times each of a run of others: a row of a factor grid.
+    """One section value times each of a run of column values: a row of a factor grid.
 
     Column (c, v) of ``cols`` stands for the entry ``CertEntry(f"{label}*{c}",
     value + v, (value, v))``: a row stores only factors, and each value is
-    their sum.  The rows of one grid share their :class:`Columns`.
+    their sum.  The rows of one grid share their :class:`Columns` run, so a
+    row is three fields however many columns it has.
     """
 
     label: str
@@ -224,10 +245,11 @@ class BasisCertificate:
     Validity means: hi - lo entries, pairwise distinct values (hence
     independent in the monomial model), every value in [lo, hi), every
     factor an available section value summing to the entry value.  A
-    certificate reads its value and factor masks once, when it is made, with
-    work linear in its rows, columns and powers, not in their products: a
-    column mask is shifted once per row value, the base mask once per
-    power, and every distinct factor is one bit of the factor mask.
+    certificate reads its value and factor masks once, when it is made, in
+    one scan of its rows and flat entries, with work linear in its rows and
+    powers, not in their columns or products: a column run's mask is
+    (1 << count) - 1, shifted once per row value, the base mask is shifted
+    once per power, and every distinct factor is one bit of the factor mask.
     :meth:`check` decides every rule from these masks, and ``size``,
     ``value_bits`` and :meth:`sorted_values` read them.  ``entries`` is the
     one expansion of the table into labelled products; it runs only when
@@ -253,8 +275,9 @@ class BasisCertificate:
         """(value bits, entry count, factor mask, factor sums hold) over every entry.
 
         The values are read as a mask from the window's low end: a flat entry
-        is one bit, a grid row its column mask at the row value, and the base
-        mask is shifted once per power.  The mask keeps one bit per entry iff
+        is one bit, a grid row the bits of its column run, ``count`` ones
+        from the run's least value, at the row value, and the base mask is
+        shifted once per power.  The mask keeps one bit per entry iff
         no value repeats.  Should a value fall below the window, the bits are
         read from the listed values instead.  Bit f of the factor mask stands
         for the factor f: the flat entries' factors, the row values and
@@ -269,10 +292,10 @@ class BasisCertificate:
         sums = True
         for item in self.base:
             if type(item) is GridRow:
-                row, cols = item.value, item.cols
-                if not cols:
-                    continue
+                _, row, cols = item
                 least, mask = cols.bits
+                if not mask:
+                    continue
                 at = row + least - origin
                 if at < 0:
                     below = True
@@ -282,7 +305,7 @@ class BasisCertificate:
                     negative = True
                 else:
                     factors |= mask << least | 1 << row
-                count += len(cols)
+                count += cols.count
             else:
                 _, value, item_factors = item
                 if value < origin:
@@ -413,8 +436,10 @@ def build_certificates(ctx: LocalContext, n: int, case: str) -> list[BasisCertif
 
     which tile [alpha, n alpha - eps(n)).  For n = 1 the list is empty.
 
-    Each step is a few factor grids over the column table b_j = j + alpha -
-    beta - 1 (:class:`GridRow`), with flat two-factor entries between them.
+    Each step is a few factor grids (:class:`GridRow`) whose columns are
+    runs (:class:`Columns`) of the column table b_j = j + alpha - beta - 1,
+    j = 1 .. beta-1, the values alpha - beta .. alpha - 2, with flat
+    two-factor entries between them.
     The conductor step is the rows m_i = i beta times b_1 .. b_(beta-1) for
     i = 1..r, each followed by its q-split pair f_i, then the top row
     m_(r+1) times b_1 .. b_p.  The square step is the row of one section m
@@ -429,7 +454,8 @@ def build_certificates(ctx: LocalContext, n: int, case: str) -> list[BasisCertif
     d2 outside W gets a :meth:`BasisCertificate.check` defect naming it.
     Only h0 and h1, of value alpha and up, are required here: a missing one
     raises :class:`HypothesisGap`.  Each step reads its masks as it is
-    made; no entry is labelled until it is read.
+    made, a run's bits from its three numbers; no column pair and no entry
+    is labelled until it is read.
     """
     eps2 = case_epsilon(case, 2)
     if n < 1:
@@ -440,35 +466,38 @@ def build_certificates(ctx: LocalContext, n: int, case: str) -> list[BasisCertif
         return []
     a, b, r, p = ctx.alpha, ctx.beta, ctx.r, ctx.p
 
-    # the column table b_j = j + alpha - beta - 1, j = 1 .. beta-1, needs no
-    # test: alpha - b_j - 1 = beta - j is a gap, so b_j is in K below alpha,
-    # where the context's premise puts it in the section values
-    b_cols = Columns((f"b{j}", j + a - b - 1) for j in range(1, b))
+    # the column table b_j = j + alpha - beta - 1, j = 1 .. beta-1, is the run
+    # alpha - beta .. alpha - 2 and needs no test: alpha - b_j - 1 = beta - j
+    # is a gap, so b_j is in K below alpha, where the context's premise puts
+    # it in the section values
+    shift = a - b - 1  # b_j = j + shift
+    b_cols = Columns(1, b - 1, 1 + shift)
 
     conductor: list[CertEntry | GridRow] = []
     if r >= 1:
-        qd = ctx.q_split
-        for i in range(1, r + 1):
+        d1, d2 = ctx.q_split.d1, ctx.q_split.d2
+        for i, (q1, q2) in enumerate(ctx.q_split.pairs, 1):
             conductor.append(GridRow(f"m{i}", i * b, b_cols))
-            q1, q2 = qd.pairs[i - 1]
-            f1, f2 = q1 * b + qd.d1, q2 * b + qd.d2
+            f1, f2 = q1 * b + d1, q2 * b + d2
             conductor.append(CertEntry(f"f{i}", f1 + f2, (f1, f2)))
     if p > 0:
-        conductor.append(GridRow(f"m{r + 1}", (r + 1) * b, Columns(b_cols[:p])))
+        conductor.append(GridRow(f"m{r + 1}", (r + 1) * b, Columns(1, p, 1 + shift)))
 
     if case == "i":
-        mul_label, mul, first = f"b{b - 1}", b_cols[-1][1], 3
+        mul_label, mul, first = f"b{b - 1}", b - 1 + shift, 3
     else:
         if a not in ctx.section_values:
             raise HypothesisGap(f"required section value {a} (h0) is unavailable")
         mul_label, mul, first = "h0", a, 1
-    square: list[CertEntry | GridRow] = [GridRow(mul_label, mul, Columns(b_cols[first - 1:]))]
+    square: list[CertEntry | GridRow] = [
+        GridRow(mul_label, mul, Columns(first, max(b - first, 0), first + shift))
+    ]
     if case == "iii":
         h1 = next((v for v in (a + 1, a + 2) if v in ctx.section_values), None)
         if h1 is None:
             raise HypothesisGap("case iii needs a section of value 1 or 2 at the point")
         partner = a + b - h1
-        bj = b_cols[partner - 1][1]
+        bj = partner + shift
         square.append(CertEntry(f"h1*b{partner}", h1 + bj, (h1, bj)))
         pair = []
     else:

@@ -41,7 +41,7 @@ from .valueset import ValueSet, canonical_ideal, dualizing_values, n_fold, quoti
 
 # Largest --max-genus of each suite that reads one.  At its cap a suite runs
 # in under a minute on a 2-core Xeon VM (`verify corpus --out`, streamed:
-# local-lemma 18.5-22.6 s peaking at 58 MB, blowup 23.7-28.5 s peaking at
+# local-lemma 14.4-17.2 s peaking at 58 MB, blowup 17.6-24.5 s peaking at
 # 135 MB, in three runs each; noether-single 3.6-3.8 s and eq4-oracle
 # 0.30-0.38 s, in two); one genus more takes ~1.7x as long, ~2x for the
 # eq4-oracle census.

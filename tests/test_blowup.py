@@ -192,3 +192,18 @@ def test_analysis_methods_reject_symmetric():
         ana.genus_drop()
     with pytest.raises(NotApplicable):
         ana.almost_gorenstein_checks()
+
+
+def test_powers_collapse_matches_the_sumset_definition_through_genus_14():
+    # every power K^2 .. K^index is a module over the blowup ring, tested by sumsets
+    count = collapsed = 0
+    for s in nonsymmetric(14):
+        ana = analyze(s)
+        ohat = ana.blowup_values
+        powers = [ana.power(m) for m in range(2, ana.stabilization_index + 1)]
+        by_sumsets = all(sumset(power, ohat) == power for power in powers)
+        assert ana.almost_gorenstein_checks().powers_collapse == by_sumsets, s.gaps
+        count += 1
+        collapsed += by_sumsets
+    assert count == 3897
+    assert 0 < collapsed < count

@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 import time
+from hashlib import sha256
 
 import pytest
 
@@ -14,6 +15,7 @@ from maxnoether.cli import main
 from maxnoether import curves
 from maxnoether.curves import MAX_AMBIENT, MAX_CENTER_DIGITS, MAX_WEIGHT
 from maxnoether.errors import GenusTooLarge, MaxNoetherError
+from maxnoether.semigroup import enumerate_semigroups
 from maxnoether.suites import GENUS_CAPS, READS_N, SUITES, SuiteParams, check_genus_cap, run_suite
 from maxnoether.valueset import MAX_CONDUCTOR
 
@@ -178,6 +180,26 @@ def test_verify_local_text_output_is_pinned(capsys):
         "covering n=3 epsilon=5: ok (minimal epsilon 5)\n"
     )
 
+
+
+def test_verify_local_output_is_pinned_through_genus_6(capsys):
+    # every non-symmetric semigroup of genus <= 6 at --n 1..4, text then --json:
+    # the exit code, a newline and stdout of each call, hashed in call order
+    digest = sha256()
+    calls = 0
+    for s in enumerate_semigroups(6):
+        if not s.gaps or s.is_symmetric():
+            continue
+        gens = ",".join(map(str, s.generators))
+        for n in range(1, 5):
+            for flags in ((), ("--json",)):
+                code, out, _ = run(capsys, "verify", "local", "--gens", gens, "--n", str(n), *flags)
+                digest.update(f"{code}\n{out}".encode())
+                calls += 1
+    assert calls == 264
+    assert digest.hexdigest() == (
+        "3bf79c8e782d516dc15b3b7d6914db05c1ca629dc530e9f14733d496c40cfd07"
+    )
 
 def test_verify_noether_failure_exit_code(capsys):
     code, out, _ = run(capsys, "verify", "noether", "--gens", "2,7", "--n", "2")

@@ -662,8 +662,64 @@ def test_structured_conductor_and_square_steps_match_their_flat_tables():
     }
 
 
+def _column_table(a, b):
+    """The column table b_j = j + alpha - beta - 1 as a tuple of (f"b{j}", value) pairs."""
+    return tuple((f"b{j}", j + a - b - 1) for j in range(1, b))
+
+
+def _assert_run_is_table(cols, pairs):
+    """A column run reads as the (label, value) table: bits, length, iteration, indexing."""
+    values = [v for _, v in pairs]
+    least = min(values, default=None)
+    mask = 0
+    for v in values:
+        mask |= 1 << (v - least)
+    assert type(cols) is Columns
+    assert cols.bits == (least, mask)
+    assert len(cols) == len(pairs) and bool(cols) == bool(pairs)
+    assert tuple(cols) == pairs
+    assert [cols[k] for k in range(len(pairs))] == list(pairs)
+    assert [cols[-k] for k in range(1, len(pairs) + 1)] == [pairs[-k] for k in range(1, len(pairs) + 1)]
+
+
+def test_column_runs_read_as_their_tables_through_genus_14():
+    # the grids depend on the semigroup only through alpha and beta
+    shapes = set()
+    for s in enumerate_semigroups(14):
+        if s.is_symmetric() or (s.conductor, s.multiplicity) in shapes:
+            continue
+        shapes.add((s.conductor, s.multiplicity))
+        a, b = s.conductor, s.multiplicity
+        table = _column_table(a, b)
+        below = canonical_ideal(s).elements_below(a)
+        for tag, extra in (("i", []), ("ii", [a]), ("iii", [a, a + 1]), ("iii", [a, a + 2])):
+            ctx = LocalContext.for_semigroup(s, ValueSet.finite(below + extra))
+            conductor, square = build_certificates(ctx, 2, tag)
+            rows = [item for item in conductor.base if type(item) is GridRow]
+            # m_1 .. m_r take every column, the top row m_(r+1) takes b_1 .. b_p
+            runs = [table] * ctx.r + ([table[:ctx.p]] if ctx.p else [])
+            assert [row.value for row in rows] == [i * b for i in range(1, len(runs) + 1)]
+            for row, pairs in zip(rows, runs, strict=True):
+                _assert_run_is_table(row.cols, pairs)
+            # b_(beta-1) times b_3 .. in case i, h0 times b_1 .. in cases ii and iii
+            row = square.base[0]
+            if tag == "i":
+                assert (row.label, row.value) == table[-1]
+                _assert_run_is_table(row.cols, table[2:])
+            else:
+                assert (row.label, row.value) == ("h0", a)
+                _assert_run_is_table(row.cols, table)
+            if tag == "iii":
+                h1 = extra[-1]
+                label, bj = table[a + b - h1 - 1]
+                assert square.base[1:] == (CertEntry(f"h1*{label}", h1 + bj, (h1, bj)),)
+            else:
+                assert len(square.base) == 1
+    assert len(shapes) == 195
+
+
 def test_hand_made_grids_name_their_defects_like_flat_tables():
-    cols = Columns((("c1", 3), ("c2", 4)))
+    cols = Columns(1, 2, 3)  # b1 = 3, b2 = 4
     sections = ValueSet.finite([1, 2, 3, 4])
 
     def grid(*rows):
@@ -678,42 +734,45 @@ def test_hand_made_grids_name_their_defects_like_flat_tables():
     # row 4 reaches 8, past the window
     above = grid(1, 4)
     assert above.check(sections) == _flat(above).check(sections) == [
-        "x4*c2: value 8 outside the quotient window"
+        "x4*b2: value 8 outside the quotient window"
     ]
     # row 0 starts at 3, below it; the bits are then read from the values
     below = grid(0, 3)
     assert below.value_bits == _flat(below).value_bits == (3, 0b11011)
     assert below.check(sections) == _flat(below).check(sections) == [
-        "x0*c1: value 3 outside the quotient window",
-        "x0*c1: factor value 0 is not a section value",
-        "x0*c2: factor value 0 is not a section value",
+        "x0*b1: value 3 outside the quotient window",
+        "x0*b1: factor value 0 is not a section value",
+        "x0*b2: factor value 0 is not a section value",
     ]
     # a grid row's value is its factor sum, so the row value is a factor
     assert grid(1, 3).check(ValueSet.finite([2, 3, 4])) == [
-        "x1*c1: factor value 1 is not a section value",
-        "x1*c2: factor value 1 is not a section value",
+        "x1*b1: factor value 1 is not a section value",
+        "x1*b2: factor value 1 is not a section value",
     ]
 
 
 def test_negative_factors_are_decided_by_the_flat_rules():
     # the factor mask starts at 0, so a negative factor takes the flat walk
-    cols = Columns((("c1", 3), ("c2", 4)))
+    cols = Columns(1, 2, 3)
     cert = BasisCertificate("w", 2, 4, (GridRow("x", -1, cols),))
     assert cert.check(ValueSet.finite([-1, 3, 4])) == []
     assert cert.check(ValueSet.finite([3, 4])) == _flat(cert).check(ValueSet.finite([3, 4])) == [
-        "x*c1: factor value -1 is not a section value",
-        "x*c2: factor value -1 is not a section value",
+        "x*b1: factor value -1 is not a section value",
+        "x*b2: factor value -1 is not a section value",
     ]
     flat = BasisCertificate("w", 2, 3, (CertEntry("a", 2, (-1, 3)),))
     assert flat.check(ValueSet.finite([-1, 3])) == []
 
 
 def test_columns_carry_their_value_mask():
-    assert Columns().bits == (None, 0)
-    assert Columns((("a", 5), ("b", 3), ("c", 4))).bits == (3, 0b111)
-    assert Columns((("a", 5), ("b", 9))).bits == (5, 0b10001)
-    # slices are plain tuples; a grid row takes a new Columns of one
-    assert type(Columns((("a", 1),))[:1]) is tuple
+    assert Columns(1, 0, 5).bits == (None, 0)
+    assert Columns(3, 3, 7).bits == (7, 0b111)
+    run = Columns(3, 2, 7)
+    assert (len(run), list(run), run[0], run[-1]) == (2, [("b3", 7), ("b4", 8)], ("b3", 7), ("b4", 8))
+    assert run == Columns(3, 2, 7) and hash(run) == hash(Columns(3, 2, 7))
+    assert run != Columns(4, 2, 7) and run != (("b3", 7), ("b4", 8))
+    with pytest.raises(IndexError):
+        run[2]
 
 
 def test_unavailable_multiplier_is_named_where_the_base_does_not_use_it():
