@@ -7,7 +7,7 @@ Usage:
 Runs ``max_noether_holds`` three times per case, each run from cold caches
 (every lru cache of ``maxnoether.curves`` is cleared before it), and prints
 the verdict, the dimension of H^0(omega^n), and the least and the median of
-the three times in seconds:
+the three times in seconds.  The Noether cases are:
 
 - two <10,11> branches at 0 and 1, n = 2, whose rows are dense at both centers;
 - one ordinary branch <300, ..., 599> at 0, n = 2, whose rows are monomials;
@@ -25,6 +25,13 @@ the three times in seconds:
   whose constraint columns are jets at two rational centers;
 - two <3,4,5> branches at 0 and 1, n = 160, which builds the product span of
   every weight from 1 to 160, each from dense rows at the center 1.
+
+Then it runs ``check_resolution_quotient`` the same way, and prints the same
+line with the branch resolved after the curve's name:
+
+- two <10,11> branches at 0 and 1, branch 1 resolved, n = 2: the product
+  certificate of the first case, then the resolved sections of <10,11> at 0
+  tested against the constraints of both centers.
 """
 
 import statistics
@@ -32,7 +39,12 @@ import time
 from fractions import Fraction
 
 from maxnoether import curves
-from maxnoether.curves import Branch, RationalCurveModel, max_noether_holds
+from maxnoether.curves import (
+    Branch,
+    RationalCurveModel,
+    check_resolution_quotient,
+    max_noether_holds,
+)
 from maxnoether.semigroup import NumericalSemigroup
 
 RUNS = 3
@@ -60,26 +72,37 @@ CASES = (
     ("<3,4,5>@0 <3,4,5>@1", _curve((0, (3, 4, 5)), (1, (3, 4, 5))), 160),
 )
 
+# (name, curve, index of the resolved branch, n)
+RESOLUTION_CASES = (
+    ("<10,11>@0 <10,11>@1 resolve 1", _curve((0, (10, 11)), (1, (10, 11))), 1, 2),
+)
 
-def _cold_run(curve, n):
+
+def _cold_run(check, *args):
     for fn in vars(curves).values():
         if hasattr(fn, "cache_clear"):
             fn.cache_clear()
     t0 = time.perf_counter()
-    check = max_noether_holds(curve, n)
-    return check, time.perf_counter() - t0
+    result = check(*args)
+    return result, time.perf_counter() - t0
+
+
+def _report(name, n, runs, holds):
+    seconds = [s for _, s in runs]
+    verdict = "holds" if holds else "fails"
+    print(
+        f"{name:38} n={n:<3} {verdict}  sections_dim {runs[0][0].sections_dim:5}"
+        f"  min {min(seconds):8.3f} s  median {statistics.median(seconds):8.3f} s"
+    )
 
 
 def main() -> None:
     for name, curve, n in CASES:
-        runs = [_cold_run(curve, n) for _ in range(RUNS)]
-        check = runs[0][0]
-        seconds = [s for _, s in runs]
-        verdict = "holds" if check.holds else "fails"
-        print(
-            f"{name:38} n={n:<3} {verdict}  sections_dim {check.sections_dim:5}"
-            f"  min {min(seconds):8.3f} s  median {statistics.median(seconds):8.3f} s"
-        )
+        runs = [_cold_run(max_noether_holds, curve, n) for _ in range(RUNS)]
+        _report(name, n, runs, runs[0][0].holds)
+    for name, curve, index, n in RESOLUTION_CASES:
+        runs = [_cold_run(check_resolution_quotient, curve, index, n) for _ in range(RUNS)]
+        _report(name, n, runs, runs[0][0].ok)
 
 
 if __name__ == "__main__":

@@ -67,6 +67,17 @@ and falls back to exact integer elimination of them all, which also
 supplies the failure witness.  Nothing is probabilistic: the prime costs
 time, never an answer.
 
+The resolution quotient adds to P the sections of the curve with branch r
+resolved, each numerator N embedded as f N, f = (q_r t - p_r)^m with
+m = n * alpha_r.  Where P = S, the quotient is full iff every f N lies in S,
+and that is read from jets with no f N formed: at each branch b, the jet
+that C reads from N, sum_d N_d q_b^(A-1-d) jet_d, comes from a table of the
+column jets cached per curve and weight (``_scaled_jets``), and its product
+with the jet of f, truncated, is q_b^m times the jet of f N; C (f N) = 0 iff
+that product vanishes at every excluded order, at every branch.  Only where
+P differs from S, or a jet test refuses, are the embedded rows formed and
+spanned with P exactly.
+
 Everything is exact: ranks and subspace equalities over the rationals are
 stable under field extension, so nothing is lost against an algebraically
 closed ground field.
@@ -82,7 +93,14 @@ from itertools import compress
 from math import comb, lcm
 from typing import Iterable, Iterator
 
-from .errors import AmbientTooLarge, CurveSpecError, MaxNoetherError, NotApplicable, WeightTooLarge
+from .errors import (
+    AmbientTooLarge,
+    BranchIndexError,
+    CurveSpecError,
+    MaxNoetherError,
+    NotApplicable,
+    WeightTooLarge,
+)
 from .linalg import Subspace, Terms, _terms, modular_rank, nullspace
 from .semigroup import NumericalSemigroup
 from .valueset import PowerChain, ValueSet, canonical_ideal, missing_below
@@ -310,18 +328,69 @@ def _poly_mul(a: Terms, b: Terms, width: int) -> Terms:
 Columns = tuple[tuple[tuple[int, ...], tuple[int, ...]] | None, ...]
 
 
+def _branch_frames(
+    curve: RationalCurveModel, n: int
+) -> Iterator[tuple[Branch, list[int], int, list[int]]]:
+    """Each branch with excluded orders at weight n, with its local frame.
+
+    Yields the branch, its excluded orders, the integer ``scale`` of the
+    local coordinate w, t = center + scale * w, and the unit series: the
+    product, truncated past the largest excluded order, of the other
+    branches' factors.  With u = t - center = scale * w, each other branch's
+    factor (u + delta)^(-m) is delta^(-m) (1 + beta * w)^(-m) for an integer
+    beta; the constants scale each row, which leaves the nullspace alone.
+    """
+    for br in curve.branches:
+        excluded = excluded_orders(br.semigroup, n)
+        if not excluded:
+            continue
+        order = excluded[-1]
+        others = [
+            (br.center - o.center, n * o.semigroup.conductor) for o in curve.branches if o is not br
+        ]
+        scale = lcm(*(abs(delta.numerator) for delta, _ in others))
+        unit = [1] + [0] * order
+        for delta, m in others:
+            beta = delta.denominator * scale // delta.numerator
+            series = [comb(m + k - 1, k) * (-beta) ** k for k in range(order + 1)]
+            unit = [sum(x * y for x, y in zip(unit, series[k::-1])) for k in range(order + 1)]
+        yield br, excluded, scale, unit
+
+
+def _jets(
+    center: Fraction, scale: int, unit: list[int], ambient: int
+) -> Iterator[tuple[list[int], int]]:
+    """The jet of column t^d at a branch, for d = 0, 1, ..., as (jet_d, q^(A-1-d)).
+
+    At the center p/q, jet_d is the jet of (p + q scale w)^d times the unit
+    series, so q^(A-1-d) jet_d is the jet of q^(A-1) t^d times it: jet_0 is
+    the unit series, and jet_d is jet_(d-1) (p + q scale w), truncated as
+    the unit series is.  It stops at the ambient A, or once a jet vanishes,
+    which at p = 0 happens when d passes the truncation order.
+    """
+    p, q = center.numerator, center.denominator
+    step, power = q * scale, q ** (ambient - 1)
+    jet = unit
+    for _ in range(ambient):
+        yield jet, power
+        jet = [p * x + step * y for x, y in zip(jet, [0, *jet])]
+        if not any(jet):
+            return
+        power //= q
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def _constraint_rows(curve: RationalCurveModel, n: int) -> tuple[Columns, int]:
     """The integer matrix C, by column, and its row count: H^0(omega^n) solves C v = 0.
 
     There is one entry per numerator coefficient, so C v reads only the
-    columns where v has terms.  At a center p/q, with t = p/q + scale * w and
-    A the ambient, column d holds the jet of q^(A-1-d) (p + q scale w)^d =
-    q^(A-1) t^d times the other branches' unit series, read at each excluded
-    order: jet_0 is the unit series, and jet_d is jet_(d-1) (p + q scale w),
-    both truncated past the largest excluded order.  At p = 0 the jets run
-    out once d passes it.  A lone branch at center 0 gives row i the one
-    unit entry at its i-th excluded order, or none at or past the ambient.
+    columns where v has terms.  At each branch, with A the ambient, column d
+    holds q^(A-1-d) jet_d (``_jets``), the jet of q^(A-1) t^d times the other
+    branches' unit series (``_branch_frames``), read at each excluded order.
+    At p = 0 the jets run out once d passes the largest excluded order, and
+    the columns past it are zero there.  A lone branch at center 0 gives row
+    i the one unit entry at its i-th excluded order, or none at or past the
+    ambient.
     Cached, so the columns are tuples that no caller can change.
     """
     ambient = numerator_ambient(curve, n)
@@ -336,26 +405,8 @@ def _constraint_rows(curve: RationalCurveModel, n: int) -> tuple[Columns, int]:
             columns[k] = ((i,), (1,))
         return tuple(columns), len(excluded)
     nrows = 0
-    for br in curve.branches:
-        excluded = excluded_orders(br.semigroup, n)
-        if not excluded:
-            continue
-        order = excluded[-1]
-        # with u = t - center = scale * w, each other branch's factor
-        # (u + delta)^(-m) is delta^(-m) (1 + beta * w)^(-m) for an integer beta;
-        # the constants scale each row, which leaves the nullspace alone
-        others = [
-            (br.center - o.center, n * o.semigroup.conductor) for o in curve.branches if o is not br
-        ]
-        scale = lcm(*(abs(delta.numerator) for delta, _ in others))
-        jet = [1] + [0] * order
-        for delta, m in others:
-            beta = delta.denominator * scale // delta.numerator
-            series = [comb(m + k - 1, k) * (-beta) ** k for k in range(order + 1)]
-            jet = [sum(x * y for x, y in zip(jet, series[k::-1])) for k in range(order + 1)]
-        p, q = br.center.numerator, br.center.denominator
-        step, power = q * scale, q ** (ambient - 1)
-        for d in range(ambient):
+    for br, excluded, scale, unit in _branch_frames(curve, n):
+        for d, (jet, power) in enumerate(_jets(br.center, scale, unit, ambient)):
             for i, k in enumerate(excluded, nrows):
                 if jet[k]:
                     if columns[d] is None:
@@ -363,10 +414,6 @@ def _constraint_rows(curve: RationalCurveModel, n: int) -> tuple[Columns, int]:
                     indices, entries = columns[d]
                     indices.append(i)
                     entries.append(jet[k] * power)
-            jet = [p * x + step * y for x, y in zip(jet, [0, *jet])]
-            if not any(jet):
-                break
-            power //= q
         nrows += len(excluded)
     for d in compress(range(ambient), columns):
         indices, entries = columns[d]
@@ -559,8 +606,21 @@ def max_noether_holds(curve: RationalCurveModel, n: int) -> NoetherCheck:
     return NoetherCheck(n, holds, prods.dim, sections.dim, missing)
 
 
+def _branch(curve: RationalCurveModel, index: int) -> Branch:
+    """Branch ``index`` of the curve; any other index is refused, not wrapped around."""
+    # bool is an int subclass; True does not name branch 1
+    if type(index) is not int or not 0 <= index < len(curve.branches):
+        count = len(curve.branches)
+        raise BranchIndexError(
+            f"branch index {index!r} names no branch: the curve has {count} "
+            f"branch{'' if count == 1 else 'es'}, indexed from 0"
+        )
+    return curve.branches[index]
+
+
 def resolve(curve: RationalCurveModel, index: int) -> RationalCurveModel:
     """The curve with branch ``index`` resolved (its local ring made regular)."""
+    _branch(curve, index)
     branches = list(curve.branches)
     del branches[index]
     return RationalCurveModel(tuple(branches))
@@ -576,7 +636,9 @@ def _embedded_resolved_sections(curve: RationalCurveModel, index: int, n: int) -
     eliminated: multiplying by a nonzero polynomial is injective on Q[t], so
     the images of a basis stay independent, and deg <= bound(resolved) +
     n * alpha = bound(curve), so each image has exactly the length of the
-    full ambient.
+    full ambient.  Only the span path of ``check_resolution_quotient`` forms
+    these rows; where the products are the sections, ``_resolved_in_sections``
+    decides from jets without them.
     """
     br = curve.branches[index]
     sections = global_sections(resolve(curve, index), n)
@@ -586,6 +648,72 @@ def _embedded_resolved_sections(curve: RationalCurveModel, index: int, n: int) -
     factor = _terms([comb(m, k) * q**k * (-p) ** (m - k) for k in range(m + 1)])
     width = sections.ambient + m
     return tuple(_poly_mul(vec, factor, width) for vec in sections.rows)
+
+
+# Per branch: the branch, its excluded orders, its scale and its scaled jets.
+ScaledJets = tuple[tuple[Branch, list[int], int, tuple[tuple[int, ...], ...]], ...]
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _scaled_jets(curve: RationalCurveModel, n: int) -> ScaledJets:
+    """Per branch with excluded orders at weight n: the branch, those orders, its scale and jets.
+
+    Entry d of the jets is q^(A-1-d) jet_d (``_jets``), the column of t^d
+    that ``_constraint_rows`` writes, at every order up to the largest
+    excluded one instead of at the excluded orders alone.  Past the last
+    entry every column is zero at the branch.  Only the jet certificate of
+    ``_resolved_in_sections`` reads it.
+    """
+    ambient = numerator_ambient(curve, n)
+    table = []
+    for br, excluded, scale, unit in _branch_frames(curve, n):
+        jets = _jets(br.center, scale, unit, ambient)
+        scaled = tuple([tuple([x * power for x in jet]) for jet, power in jets])
+        table.append((br, excluded, scale, scaled))
+    return tuple(table)
+
+
+def _resolved_in_sections(
+    curve: RationalCurveModel, index: int, n: int, rows: Iterable[Terms]
+) -> bool:
+    """Does f N lie in H^0(omega^n) for every resolved section row N?  Exact, from jets.
+
+    Here f = (q_r t - p_r)^m, m = n * alpha_r, is the factor of
+    ``_embedded_resolved_sections`` for branch r = ``index``, and the rows
+    are numerators of the resolved curve's weight-n sections.  C (f N) = 0 is
+    decided without forming f N: at each branch b, row by row,
+
+    - J_b(N) = sum_d N_d q_b^(A-1-d) jet_d is the jet C reads from N;
+    - J_b(f) = (u0 + u1 w)^m, with u0 = q_r p_b - p_r q_b and
+      u1 = q_r q_b scale_b, is the jet of f times q_b^m;
+
+    so J_b(N) J_b(f), truncated, is q_b^m times the jet of f N, and its
+    coefficients at the excluded orders are q_b^m times those rows of C (f N).
+    At the resolved branch u0 = 0 and m is past every excluded order, so
+    J_r(f) vanishes there.
+    """
+    rows = tuple(rows)
+    resolved = curve.branches[index]
+    p_r, q_r = resolved.center.numerator, resolved.center.denominator
+    m = n * resolved.semigroup.conductor
+    for br, excluded, scale, jets in _scaled_jets(curve, n):
+        order = excluded[-1]
+        p, q = br.center.numerator, br.center.denominator
+        u0, u1 = q_r * p - p_r * q, q_r * q * scale
+        top = min(m, order)
+        f_jet = [comb(m, j) * u0 ** (m - j) * u1**j for j in range(top + 1)] + [0] * (order - top)
+        if not any(f_jet):
+            continue
+        reach = len(jets)
+        for row in rows:
+            acc = [0] * (order + 1)
+            for d, x in row:
+                if d < reach:
+                    acc = [a + x * y for a, y in zip(acc, jets[d])]
+            for k in excluded:
+                if sum(x * y for x, y in zip(acc, f_jet[k::-1])):
+                    return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -611,17 +739,28 @@ class ResolutionCheck:
 
 
 def check_resolution_quotient(curve: RationalCurveModel, index: int, n: int) -> ResolutionCheck:
-    """Surjectivity of products onto the quotient by the resolved-curve sections."""
+    """Surjectivity of products onto the quotient by the resolved-curve sections.
+
+    The resolved sections N embed as f N (``_embedded_resolved_sections``),
+    and the embedding is injective, so their dimension is dim H^0 of the
+    resolved curve.  Where the products are the sections, the embedded rows
+    are absorbed iff each lies in the sections, which the jets of the
+    resolved rows decide (``_resolved_in_sections``) with no f N formed.
+    Otherwise, or when a jet test refuses, the embedded rows are formed and
+    the products and they are spanned exactly.
+    """
+    resolved_curve = resolve(curve, index)  # a bad index is refused before any row is built
     sections = global_sections(curve, n)
     prods = products_span(curve, n)
-    embedded = _embedded_resolved_sections(curve, index, n)
+    resolved = global_sections(resolved_curve, n)
     # products equal to the sections absorb embedded vectors that lie in them
-    if prods == sections and _in_sections(curve, n, embedded):
+    if prods == sections and _resolved_in_sections(curve, index, n, resolved.rows):
         combined = sections
     else:
+        embedded = _embedded_resolved_sections(curve, index, n)
         combined = Subspace.span(prods.rows + embedded, sections.ambient)
     return ResolutionCheck(
-        combined == sections, n, sections.dim, prods.dim, len(embedded), combined.dim
+        combined == sections, n, sections.dim, prods.dim, resolved.dim, combined.dim
     )
 
 
@@ -648,7 +787,7 @@ def check_hyperelliptic_resolution(curve: RationalCurveModel, index: int, n: int
     Decided by :func:`check_resolution_quotient`: the embedded resolved
     sections lie in the product span P iff adding them leaves dim P unchanged.
     """
-    br = curve.branches[index]
+    br = _branch(curve, index)
     if br.semigroup.multiplicity < 3:
         raise NotApplicable("the resolved branch must have multiplicity at least 3")
     resolved = resolve(curve, index)

@@ -57,6 +57,10 @@ class HypothesisGap(MaxNoetherError):
     """A certificate needs a section value that the supplied value set does not provide."""
 
 
+class BranchIndexError(MaxNoetherError):
+    """A branch was named by an index that is not one of the curve's branches."""
+
+
 class AmbientMismatch(MaxNoetherError):
     """Vectors of different ambient dimensions were combined."""
 

@@ -30,10 +30,18 @@ from maxnoether.curves import (
     _embedded_resolved_sections,
     _in_sections,
     _poly_mul,
+    _resolved_in_sections,
     _subspace_orders,
     _terms,
 )
-from maxnoether.errors import AmbientTooLarge, CurveSpecError, NotApplicable, WeightTooLarge
+from maxnoether.errors import (
+    AmbientTooLarge,
+    BranchIndexError,
+    CurveSpecError,
+    MaxNoetherError,
+    NotApplicable,
+    WeightTooLarge,
+)
 from maxnoether.linalg import Subspace
 from maxnoether.semigroup import NumericalSemigroup, enumerate_semigroups
 from maxnoether.suites import _MULTI_MENU, _RESOLUTION_PAIRS, _curve_corpus, _value_route_dim
@@ -746,6 +754,111 @@ def test_resolution_quotient_matches_the_exact_sum():
                 combined = Subspace.span(exact.rows + embedded, ambient)
                 assert res.combined_dim == combined.dim
                 assert res.ok == (combined == global_sections(c, n))
+
+
+def embedded_by_convolution(c, index, n, row):
+    """A resolved numerator times (q t - p)^m, m = n alpha, at branch ``index``, as terms."""
+    br = c.branches[index]
+    factor = [1]
+    for _ in range(n * br.semigroup.conductor):
+        factor = dense_convolution(factor, [-br.center.numerator, br.center.denominator])
+    return _terms(dense_convolution(dense(row, numerator_ambient(resolve(c, index), n)), factor))
+
+
+def test_the_jet_certificate_matches_the_exact_embedded_test():
+    # the jets of N times the jet of f decide f N in S exactly as C (f N) = 0
+    # does; resolved rows plus a random unit vector are refused now and then
+    rng = random.Random(36)
+    at_zero = RationalCurveModel(
+        (Branch(Fraction(0), sg(3, 4, 5)), Branch(Fraction(7, 3), sg(3, 5, 7)))
+    )
+    verdicts = {True: 0, False: 0}  # of the perturbed rows
+    for c in random_curves(36, 12) + [at_zero]:
+        for index in range(len(c.branches)):
+            for n in (2, 3, 4):
+                resolved = global_sections(resolve(c, index), n)
+                exact = _embedded_resolved_sections(c, index, n)
+                assert exact == tuple(
+                    embedded_by_convolution(c, index, n, row) for row in resolved.rows
+                )
+                assert _in_sections(c, n, exact)
+                for row in resolved.rows:
+                    bumped = dense(row, resolved.ambient)
+                    bumped[rng.randrange(resolved.ambient)] += 1
+                    bumped = _terms(bumped)
+                    # f N lies in S by the embedding; f (N + e_j) need not
+                    assert _resolved_in_sections(c, index, n, [row])
+                    verdict = _resolved_in_sections(c, index, n, [bumped])
+                    expected = _in_sections(c, n, [embedded_by_convolution(c, index, n, bumped)])
+                    assert verdict == expected, (str(c), index, n, bumped)
+                    verdicts[verdict] += 1
+    assert verdicts[True] >= 50 and verdicts[False] >= 1000
+
+
+def test_equal_products_and_sections_decide_the_quotient_from_jets(monkeypatch):
+    # where P = S the jets decide, so no embedded row is formed; the
+    # resolution suite's curves and the noether-multi curves at rational centers
+    def formed(*args):
+        raise AssertionError(f"embedded rows formed for {args}")
+
+    monkeypatch.setattr(curves_mod, "_embedded_resolved_sections", formed)
+    cases = [(curve(*pair), (2, 3)) for pair in _RESOLUTION_PAIRS]
+    multi = [c for c in noether_multi_at_rational_centers(36) if len(c.branches) > 1]
+    cases += [(c, range(2, 7)) for c in multi]
+    checks = 0
+    for c, ns in cases:
+        for index in range(len(c.branches)):
+            for n in ns:
+                assert products_span(c, n) == global_sections(c, n)
+                res = check_resolution_quotient(c, index, n)
+                assert res.ok and res.resolved_dim == global_sections(resolve(c, index), n).dim
+                checks += 1
+    hyper = curve((2, 5), (3, 4, 5))
+    for n in (2, 3):
+        assert products_span(hyper, n) == global_sections(hyper, n)
+        assert check_hyperelliptic_resolution(hyper, 1, n)
+        checks += 1
+    assert checks == 2 * 2 * 2 + 11 * 5 + 2
+
+
+# every entry point that takes a branch index, called at weight 2 where it has one
+BRANCH_INDEX_ENTRY_POINTS = pytest.mark.parametrize(
+    "check",
+    [
+        lambda c, index: resolve(c, index),
+        lambda c, index: check_resolution_quotient(c, index, 2),
+        lambda c, index: check_hyperelliptic_resolution(c, index, 2),
+    ],
+    ids=["resolve", "quotient", "hyperelliptic"],
+)
+
+
+def refused_index(check, index):
+    """The error a two-branch curve raises for ``index``, whose message names both counts."""
+    c = curve((3, 4, 5), (3, 5, 7))
+    message = f"^branch index {index!r} names no branch: the curve has 2 branches, indexed from 0$"
+    with pytest.raises(BranchIndexError, match=message) as info:
+        check(c, index)
+    return info.value
+
+
+@BRANCH_INDEX_ENTRY_POINTS
+def test_a_negative_branch_index_is_refused(check):
+    # a list index of -1 would resolve the last branch
+    refused_index(check, -1)
+
+
+@BRANCH_INDEX_ENTRY_POINTS
+def test_a_bool_branch_index_is_refused(check):
+    # bool is an int subclass, and True would index branch 1
+    refused_index(check, True)
+
+
+@BRANCH_INDEX_ENTRY_POINTS
+def test_a_branch_index_past_the_last_is_refused(check):
+    # a library error, not a bare IndexError from the branch tuple
+    error = refused_index(check, 2)
+    assert isinstance(error, MaxNoetherError) and not isinstance(error, IndexError)
 
 
 def test_in_sections_rejects_vectors_outside():
