@@ -40,11 +40,11 @@ product multiplies the term rows of a basis vector of S_1 and of S_1^(n-1)
 into one, and coefficients that cancel are dropped, so equal products hash
 equal.  At center 0 nearly every basis vector is a monomial, and so is
 nearly every product.  Deduplication, the modular rank and the membership
-test all read the terms, and so does the exact fallback.  One-term rows
-take a short path: two monomials multiply into one term without a list,
-``modular_rank`` takes a monomial row without laying it out, and
-``_in_sections`` passes a monomial in a column no constraint reads without
-summing C v.
+test all read the terms, and so does the exact fallback.  ``modular_rank``
+keeps a row that opens its lead column as its terms, unless a later row
+reduces by it.  One-term rows take a short path: two monomials multiply
+into one term without a list, and ``_in_sections`` passes a monomial in a
+column no constraint reads without summing C v.
 
 The certificate reads only as many products as it needs.  ``modular_rank``
 reads the product rows as ``_ordered_products`` forms them, lazily, and
@@ -91,7 +91,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import comb, lcm
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     AmbientTooLarge,
@@ -109,6 +109,12 @@ from .valueset import PowerChain, ValueSet, canonical_ideal, missing_below
 # entries later at most, so this keeps every hit while bounding memory over a
 # long corpus run.
 _CACHE_SIZE = 256
+
+# Frames kept by ``_branch_frames``.  A frame is read again only by a
+# resolution check of its curve and weight, a few weights after the
+# constraint rows first read it; on the ``multi-branch`` benchmark 32
+# entries keep every such hit, and 256 held ~0.1 MB more at peak for none more.
+_FRAMES_CACHE_SIZE = 32
 
 # Largest weight of a section or product space: products of weight n recurse
 # through every lower weight, and the cap keeps that inside the recursion limit.
@@ -271,16 +277,23 @@ def _canonical_powers(s: NumericalSemigroup) -> PowerChain:
     return PowerChain(canonical_ideal(s))
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _excluded(s: NumericalSemigroup, n: int) -> tuple[int, ...]:
+    """``excluded_orders`` as a tuple, read once per semigroup and weight."""
+    power = _canonical_powers(s).power(n)
+    return tuple(missing_below(ValueSet.naturals(), power, power.threshold))
+
+
 def excluded_orders(s: NumericalSemigroup, n: int) -> list[int]:
     """Numerator orders a weight-n section must avoid at a branch with semigroup ``s``.
 
     These are the gaps of K^n, sorted: the numerator's order at the center
     lies in K^n, which contains every order from its threshold on.  K^n is
     read from the semigroup's one cached chain of powers, so the weights
-    1..n cost n - 1 sumsets in all.
+    1..n cost n - 1 sumsets in all, and each (semigroup, weight) is read
+    once; every call returns a list of its own.
     """
-    power = _canonical_powers(s).power(n)
-    return missing_below(ValueSet.naturals(), power, power.threshold)
+    return list(_excluded(s, n))
 
 
 # -- integer series helpers --------------------------------------------------
@@ -328,20 +341,27 @@ def _poly_mul(a: Terms, b: Terms, width: int) -> Terms:
 Columns = tuple[tuple[tuple[int, ...], tuple[int, ...]] | None, ...]
 
 
-def _branch_frames(
-    curve: RationalCurveModel, n: int
-) -> Iterator[tuple[Branch, list[int], int, list[int]]]:
+# Per branch with excluded orders: the branch, those orders, its scale and its unit series.
+Frames = tuple[tuple[Branch, tuple[int, ...], int, tuple[int, ...]], ...]
+
+
+@lru_cache(maxsize=_FRAMES_CACHE_SIZE)
+def _branch_frames(curve: RationalCurveModel, n: int) -> Frames:
     """Each branch with excluded orders at weight n, with its local frame.
 
-    Yields the branch, its excluded orders, the integer ``scale`` of the
+    Gives the branch, its excluded orders, the integer ``scale`` of the
     local coordinate w, t = center + scale * w, and the unit series: the
     product, truncated past the largest excluded order, of the other
     branches' factors.  With u = t - center = scale * w, each other branch's
     factor (u + delta)^(-m) is delta^(-m) (1 + beta * w)^(-m) for an integer
     beta; the constants scale each row, which leaves the nullspace alone.
+    Cached, so ``_constraint_rows`` and ``_scaled_jets`` share one frame
+    per curve and weight; a frame holds a series only as long as the largest
+    excluded order.
     """
+    frames = []
     for br in curve.branches:
-        excluded = excluded_orders(br.semigroup, n)
+        excluded = _excluded(br.semigroup, n)
         if not excluded:
             continue
         order = excluded[-1]
@@ -354,12 +374,13 @@ def _branch_frames(
             beta = delta.denominator * scale // delta.numerator
             series = [comb(m + k - 1, k) * (-beta) ** k for k in range(order + 1)]
             unit = [sum(x * y for x, y in zip(unit, series[k::-1])) for k in range(order + 1)]
-        yield br, excluded, scale, unit
+        frames.append((br, excluded, scale, tuple(unit)))
+    return tuple(frames)
 
 
 def _jets(
-    center: Fraction, scale: int, unit: list[int], ambient: int
-) -> Iterator[tuple[list[int], int]]:
+    center: Fraction, scale: int, unit: tuple[int, ...], ambient: int
+) -> Iterator[tuple[Sequence[int], int]]:
     """The jet of column t^d at a branch, for d = 0, 1, ..., as (jet_d, q^(A-1-d)).
 
     At the center p/q, jet_d is the jet of (p + q scale w)^d times the unit
@@ -398,7 +419,7 @@ def _constraint_rows(curve: RationalCurveModel, n: int) -> tuple[Columns, int]:
     if len(curve.branches) == 1 and not curve.branches[0].center:
         # no other branch gives a unit factor, and each jet is one power of w,
         # so the columns below reduce to unit entries
-        excluded = excluded_orders(curve.branches[0].semigroup, n)
+        excluded = _excluded(curve.branches[0].semigroup, n)
         for i, k in enumerate(excluded):
             if k >= ambient:
                 break
@@ -507,9 +528,13 @@ def _in_sections(curve: RationalCurveModel, n: int, rows: Iterable[Terms]) -> bo
 
     C v sums, column by column over the terms of v, the entries C holds in
     that column, so a monomial costs one multiplication per nonzero entry of
-    its column, and passes at once in a column no constraint reads.
+    its column, and passes at once in a column no constraint reads.  When
+    no branch excludes an order at weight n, C has no rows, and every row
+    passes unread.
     """
     columns, nrows = _constraint_rows(curve, n)
+    if not nrows:
+        return True
     for row in rows:
         if len(row) == 1 and columns[row[0][0]] is None:
             continue
@@ -651,7 +676,7 @@ def _embedded_resolved_sections(curve: RationalCurveModel, index: int, n: int) -
 
 
 # Per branch: the branch, its excluded orders, its scale and its scaled jets.
-ScaledJets = tuple[tuple[Branch, list[int], int, tuple[tuple[int, ...], ...]], ...]
+ScaledJets = tuple[tuple[Branch, tuple[int, ...], int, tuple[tuple[int, ...], ...]], ...]
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

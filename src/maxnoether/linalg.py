@@ -18,8 +18,9 @@ its solutions.
 
 ``modular_rank`` gives a cheap lower bound on the rank, modulo one fixed
 prime.  It eliminates forward only, and a row stops at its first nonzero
-column that holds no pivot.  A one-term row nonzero mod p needs no
-elimination unless the echelon row at its column has more than one term.
+column that holds no pivot.  A row that opens its lead column is kept as its
+terms until a later row reduces by it: only then is it laid out mod p and
+scaled to pivot 1, so rows of distinct leads cost no elimination at all.
 """
 
 from __future__ import annotations
@@ -50,6 +51,30 @@ def _terms(v: Sequence[int]) -> Terms:
 MODULUS = (1 << 61) - 1
 
 
+def _monic(r: list[int], j: int) -> list[int]:
+    """The echelon row ``r[j:]`` mod p, scaled to pivot 1, with its trailing zeros dropped.
+
+    ``r`` is a row dense over its own span of columns, and ``r[j]`` is
+    nonzero mod p.
+    """
+    p = MODULUS
+    inv = pow(r[j], -1, p)
+    tail = [v * inv % p for v in r[j:]]
+    while not tail[-1]:
+        tail.pop()
+    return tail
+
+
+def _laid_out(row: Terms) -> list[int]:
+    """The row mod p, dense over its own span of columns only: lead .. its last column."""
+    p = MODULUS
+    lead = row[0][0]
+    r = [0] * (row[-1][0] - lead + 1)
+    for i, x in row:
+        r[i - lead] = x % p
+    return r
+
+
 def modular_rank(rows: Iterable[Terms], limit: int) -> int:
     """Rank of integer term rows modulo ``MODULUS``, stopping once it reaches ``limit``.
 
@@ -64,44 +89,42 @@ def modular_rank(rows: Iterable[Terms], limit: int) -> int:
     its first nonzero column that holds no pivot: that column becomes its
     pivot, and the rest of the row is kept unreduced, since a rank needs no
     reduced form.  The rows kept lead at distinct columns, so they stay
-    independent.  A one-term row that is nonzero mod p skips the layout:
-    it opens its column with echelon row ``[1]``, or reduces to zero against
-    an echelon row ``[1]`` there.
+    independent.  A row whose lead coefficient is nonzero mod p, at a column
+    that holds no pivot, opens that column as it stands: it is kept as its
+    terms until a later row reduces by it, and only then laid out mod p and
+    scaled to pivot 1 (``_monic``), into the same echelon row as if that were
+    done at once.  A one-term row that meets a one-term echelon row, kept as
+    terms or scaled, reduces to zero without either being laid out.
     """
-    p = MODULUS
     if limit <= 0:
         return 0
-    # pivot column j -> the echelon row from column j to its last nonzero, pivot 1
-    echelon: dict[int, list[int]] = {}
+    # pivot column j -> the row that opened it, as its terms, until a later row
+    # reduces by it; then its echelon row from column j to its last nonzero, pivot 1
+    echelon: dict[int, Terms | list[int]] = {}
     for row in rows:
-        if len(row) == 1:
-            # a monomial opens its column, or a monomial echelon row there clears it;
-            # one that is zero mod p, or meets a longer echelon row, is reduced below
-            i, x = row[0]
-            if x % p:
-                tail = echelon.get(i)
-                if tail is None:
-                    echelon[i] = [1]
-                    if len(echelon) == limit:
-                        break
-                    continue
-                if len(tail) == 1:
-                    continue
-        elif not row:
+        if not row:
             continue
-        # the row mod p, dense over its own span of columns only: lead .. lead + len(r) - 1;
-        # reduced as it is laid out, so no product below outgrows p^2 by much
-        lead = row[0][0]
-        r = [0] * (row[-1][0] - lead + 1)
-        for i, x in row:
-            r[i - lead] = x % p
+        lead, x = row[0]
+        if x % MODULUS:
+            held = echelon.get(lead)
+            if held is None:
+                echelon[lead] = row
+                if len(echelon) == limit:
+                    break
+                continue
+            if len(row) == 1 and len(held) == 1:
+                continue
+        r = _laid_out(row)
         j = 0
         while j < len(r):
-            x = r[j] % p
+            x = r[j] % MODULUS
             if x:
                 tail = echelon.get(lead + j)
                 if tail is None:
                     break
+                if tail[0] != 1:
+                    # still the terms that opened the column: an echelon row starts with 1
+                    tail = echelon[lead + j] = _monic(_laid_out(tail), 0)
                 end = j + len(tail)
                 if end > len(r):
                     r.extend([0] * (end - len(r)))
@@ -110,11 +133,7 @@ def modular_rank(rows: Iterable[Terms], limit: int) -> int:
             j += 1
         else:
             continue
-        inv = pow(x, -1, p)
-        tail = [v * inv % p for v in r[j:]]
-        while not tail[-1]:
-            tail.pop()
-        echelon[lead + j] = tail
+        echelon[lead + j] = _monic(r, j)
         if len(echelon) == limit:
             break
     return len(echelon)

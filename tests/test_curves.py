@@ -79,6 +79,16 @@ def test_excluded_orders_examples():
         assert excluded_orders(s, 1) == [d for d in range(a) if a - 1 - d in s.values]
 
 
+def test_excluded_orders_hands_out_a_list_of_its_own():
+    # the orders are read once per (semigroup, weight); changing one answer changes no other
+    s = sg(2, 7)
+    first = excluded_orders(s, 2)
+    first.append(99)
+    first[0] = -1
+    assert excluded_orders(s, 2) == [1, 3, 5]
+    assert excluded_orders(s, 2) is not excluded_orders(s, 2)
+
+
 def test_excluded_orders_window_oracle():
     # brute-force pairwise sums of the weight-1 orders on a window
     s = sg(2, 7)
@@ -105,6 +115,7 @@ def test_excluded_orders_do_not_depend_on_call_order():
     # each semigroup's chain of powers is cached: asked from the top weight
     # down and then up again, every answer is that of a fresh n-fold sumset
     curves_mod._canonical_powers.cache_clear()
+    curves_mod._excluded.cache_clear()
     for s in enumerate_semigroups(6):
         for n in (*range(6, 0, -1), *range(1, 7)):
             power = n_fold(canonical_ideal(s), n)
@@ -894,6 +905,31 @@ def test_in_sections_rejects_vectors_outside():
                     assert not within(sections, bad)
                     perturbed += 1
     assert perturbed >= 30
+
+
+def test_in_sections_accepts_every_row_where_no_order_is_excluded():
+    # K^2 has no gaps at any of these branches, so C has no rows: every
+    # numerator in the ambient is a section, and every in-range row passes
+    c = RationalCurveModel(
+        (
+            Branch(Fraction(0), sg(3, 4, 5)),
+            Branch(Fraction(7, 3), sg(4, 5, 6, 7)),
+            Branch(Fraction(-5, 2), sg(3, 7, 8)),
+        )
+    )
+    n = 2
+    ambient = numerator_ambient(c, n)
+    assert all(not excluded_orders(br.semigroup, n) for br in c.branches)
+    assert _constraint_rows(c, n)[1] == 0
+    assert global_sections(c, n).dim == ambient
+    rng = random.Random(11)
+    rows = [((d, 1),) for d in range(ambient)]
+    for _ in range(20):
+        dense_row = [rng.choice((0, rng.randint(-(10**30), 10**30))) for _ in range(ambient)]
+        rows.append(_terms(dense_row))
+    assert _in_sections(c, n, rows)
+    assert all(_in_sections(c, n, [row]) for row in rows)
+    assert all(within(global_sections(c, n), row) for row in rows[ambient:])
 
 
 def test_in_sections_reads_monomials_at_a_lone_center_zero():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from maxnoether import linalg
 from maxnoether.errors import AmbientMismatch
 from maxnoether.linalg import MODULUS, Subspace, modular_rank, nullspace, rref
 
@@ -432,3 +433,138 @@ def test_modular_rank_stops_at_the_limit():
         raise AssertionError("read past the limit")
 
     assert modular_rank(rows_then_boom(), 2) == 2
+
+
+def eager_modular_rank(rows, limit):
+    """The reference: a row that opens a column is laid out mod p and scaled to pivot 1 at once."""
+    p = MODULUS
+    if limit <= 0:
+        return 0
+    echelon = {}
+    for row in rows:
+        if not row:
+            continue
+        lead = row[0][0]
+        r = [0] * (row[-1][0] - lead + 1)
+        for i, x in row:
+            r[i - lead] = x % p
+        j = 0
+        while j < len(r):
+            x = r[j] % p
+            if x:
+                tail = echelon.get(lead + j)
+                if tail is None:
+                    break
+                end = j + len(tail)
+                if end > len(r):
+                    r.extend([0] * (end - len(r)))
+                r[j:end] = [a - x * b for a, b in zip(r[j:end], tail)]
+            j += 1
+        else:
+            continue
+        inv = pow(x, -1, p)
+        tail = [v * inv % p for v in r[j:]]
+        while not tail[-1]:
+            tail.pop()
+        echelon[lead + j] = tail
+        if len(echelon) == limit:
+            break
+    return len(echelon)
+
+
+def _coefficient(rng):
+    return rng.choice(
+        (
+            rng.randint(-3, 3) or 1,
+            rng.randint(-(10**30), 10**30) or 1,
+            rng.randint(-2, 2) * MODULUS,
+            MODULUS + rng.randint(-2, 2),
+        )
+    )
+
+
+def _random_term_rows(rng, ncols):
+    """Term rows that meet earlier rows at their leads, as monomials, or through several of them."""
+    rows = []
+    for _ in range(rng.randint(1, 12)):
+        kind = rng.randrange(4)
+        if kind == 0 or not rows:
+            # a monomial, often at a column an earlier row leads at
+            leads = [r[0][0] for r in rows if r]
+            col = rng.choice(leads) if leads and rng.random() < 0.6 else rng.randrange(ncols)
+            row = ((col, _coefficient(rng)),)
+        elif kind == 1:
+            # a combination of earlier rows: reduced through the echelon rows they opened
+            acc = [0] * ncols
+            for r in rng.sample(rows, min(len(rows), rng.randint(2, 4))):
+                k = rng.choice((1, -1, 2, MODULUS))
+                for i, x in r:
+                    acc[i] += k * x
+            if rng.random() < 0.5:
+                acc[rng.randrange(ncols)] += _coefficient(rng)
+            row = terms(acc)
+        else:
+            width = rng.randint(1, ncols)
+            row = terms([_coefficient(rng) if rng.random() < 0.6 else 0 for _ in range(width)])
+            shift = rng.randrange(ncols - width + 1)
+            row = tuple((i + shift, x) for i, x in row)
+        rows.append(row)
+    return rows
+
+
+def test_modular_rank_matches_the_eager_reference():
+    rng = random.Random(37)
+    for _ in range(400):
+        ncols = rng.randint(1, 9)
+        rows = _random_term_rows(rng, ncols)
+        for limit in range(ncols + 2):
+            assert modular_rank(iter(rows), limit) == eager_modular_rank(rows, limit), (rows, limit)
+    # a monomial meeting a held one-term entry, a held longer entry, and a scaled one
+    cases = [
+        [((0, 5),), ((0, 3),)],
+        [((0, 5), (2, 1)), ((0, 3),)],
+        [((0, 5), (2, 1)), ((0, 3), (2, 7)), ((0, 2),)],
+        [((0, MODULUS), (1, 2)), ((1, 4),)],
+        [((0, 1), (1, 1)), ((1, 1), (2, 1)), ((2, 1),), ((0, 1),)],
+        [((0, 1), (3, MODULUS)), ((0, 2),)],
+    ]
+    for rows in cases:
+        for limit in range(5):
+            assert modular_rank(rows, limit) == eager_modular_rank(rows, limit), (rows, limit)
+
+
+def test_modular_rank_lays_out_no_row_of_a_fresh_lead(monkeypatch):
+    # rows of pairwise distinct leads, each nonzero mod p, open their columns as they stand
+    def boom(*args):
+        raise AssertionError("a row was laid out")
+
+    monkeypatch.setattr(linalg, "_laid_out", boom)
+    monkeypatch.setattr(linalg, "_monic", boom)
+    rng = random.Random(3)
+    for _ in range(50):
+        ncols = rng.randint(1, 12)
+        leads = rng.sample(range(ncols), rng.randint(1, ncols))
+        rows = [
+            ((lead, rng.choice((1, -7, MODULUS + 3, 10**40))),)
+            + tuple(
+                (j, rng.randint(-9, 9) * MODULUS or 1)
+                for j in range(lead + 1, ncols)
+                if rng.random() < 0.5
+            )
+            for lead in leads
+        ]
+        for limit in range(len(rows) + 2):
+            assert modular_rank(rows, limit) == min(limit, len(rows))
+    # a monomial meeting a one-term entry reduces to zero without either being laid out
+    assert modular_rank([((2, 3),), ((2, -5),), ((0, 1), (2, 1))], 3) == 2
+
+
+def test_modular_rank_scales_a_held_row_once(monkeypatch):
+    # four rows reduce by the row that opened column 0: it is scaled the first
+    # time, and each of them is scaled where it stops
+    calls = []
+    monic = linalg._monic
+    monkeypatch.setattr(linalg, "_monic", lambda r, j: calls.append(j) or monic(r, j))
+    rows = [((0, 3), (5, 1))] + [((0, k), (j, 1)) for j, k in zip(range(1, 5), (2, -1, 7, 4))]
+    assert modular_rank(rows, 6) == eager_modular_rank(rows, 6) == 5
+    assert calls == [0, 1, 2, 3, 4]
