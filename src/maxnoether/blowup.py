@@ -17,28 +17,56 @@ has it without being almost Gorenstein.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import NotApplicable
+from .frozen import Frozen
 from .semigroup import NumericalSemigroup
 from .valueset import PowerChain, ValueSet, canonical_ideal, quotient_dim
 
 
-@dataclass(frozen=True)
-class BlowupAnalysis:
+class BlowupAnalysis(Frozen):
     """Stabilization data of the canonical-ideal powers of one semigroup.
 
     ``powers`` is the chain K, K^2, ..., K^index walked to find the blowup;
-    the checks below read it instead of building powers again.
+    the checks below read it instead of building powers again.  It is left
+    out of equality, hash and repr.
     """
 
-    semigroup: NumericalSemigroup
-    canonical: ValueSet
-    blowup_values: ValueSet
-    stabilization_index: int
-    eta: int
-    blowup_genus: int
-    powers: tuple[ValueSet, ...] = field(repr=False, compare=False)
+    _shown = ("semigroup", "canonical", "blowup_values", "stabilization_index", "eta", "blowup_genus")
+
+    def __init__(
+        self,
+        semigroup: NumericalSemigroup,
+        canonical: ValueSet,
+        blowup_values: ValueSet,
+        stabilization_index: int,
+        eta: int,
+        blowup_genus: int,
+        powers: tuple[ValueSet, ...],
+    ) -> None:
+        object.__setattr__(self, "semigroup", semigroup)
+        object.__setattr__(self, "canonical", canonical)
+        object.__setattr__(self, "blowup_values", blowup_values)
+        object.__setattr__(self, "stabilization_index", stabilization_index)
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "blowup_genus", blowup_genus)
+        object.__setattr__(self, "powers", powers)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.semigroup, self.canonical, self.blowup_values,
+                self.stabilization_index, self.eta, self.blowup_genus,
+            ) == (
+                other.semigroup, other.canonical, other.blowup_values,
+                other.stabilization_index, other.eta, other.blowup_genus,
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((
+            self.semigroup, self.canonical, self.blowup_values,
+            self.stabilization_index, self.eta, self.blowup_genus,
+        ))
 
     def to_json(self) -> dict:
         return {
@@ -107,14 +135,32 @@ def analyze(s: NumericalSemigroup) -> BlowupAnalysis:
     return BlowupAnalysis(s, k, powers[-1], index, eta, ghat, powers)
 
 
-@dataclass(frozen=True)
-class AlmostGorensteinChecks:
+class AlmostGorensteinChecks(Frozen):
     """Booleans tying the almost Gorenstein count to the blowup picture."""
 
-    almost_gorenstein: bool
-    gap_one: bool
-    square_is_blowup: bool
-    powers_collapse: bool
+    _shown = ("almost_gorenstein", "gap_one", "square_is_blowup", "powers_collapse")
+
+    def __init__(
+        self, almost_gorenstein: bool, gap_one: bool, square_is_blowup: bool, powers_collapse: bool
+    ) -> None:
+        object.__setattr__(self, "almost_gorenstein", almost_gorenstein)
+        object.__setattr__(self, "gap_one", gap_one)
+        object.__setattr__(self, "square_is_blowup", square_is_blowup)
+        object.__setattr__(self, "powers_collapse", powers_collapse)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.almost_gorenstein, self.gap_one, self.square_is_blowup, self.powers_collapse
+            ) == (
+                other.almost_gorenstein, other.gap_one, other.square_is_blowup, other.powers_collapse
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(
+            (self.almost_gorenstein, self.gap_one, self.square_is_blowup, self.powers_collapse)
+        )
 
     @property
     def consistent(self) -> bool:

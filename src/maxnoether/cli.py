@@ -14,7 +14,6 @@ import os
 import stat
 import sys
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict
 
 from . import blowup as blowup_mod
 from .curves import MAX_WEIGHT, RationalCurveModel, max_noether_holds, section_valuations
@@ -174,7 +173,7 @@ def cmd_verify_local(args) -> int:
     for n in range(1, args.n + 1):
         res = verify_local_surjectivity(ctx, n, case_epsilon(case, n))
         ok &= res.ok
-        coverings.append({**asdict(res), "uncovered": list(res.uncovered)})
+        coverings.append(res.to_json())
     data["coverings"] = coverings
     if args.json:
         print(json.dumps(data, sort_keys=True))

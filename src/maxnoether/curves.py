@@ -86,7 +86,6 @@ closed ground field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
@@ -101,6 +100,7 @@ from .errors import (
     NotApplicable,
     WeightTooLarge,
 )
+from .frozen import Frozen
 from .linalg import Subspace, Terms, _terms, modular_rank, nullspace
 from .semigroup import NumericalSemigroup
 from .valueset import PowerChain, ValueSet, canonical_ideal, missing_below
@@ -135,31 +135,45 @@ MAX_AMBIENT = 2300
 MAX_CENTER_DIGITS = 1000
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(Frozen):
     """One unibranch singular point: a rational center and its value semigroup."""
 
-    center: Fraction
-    semigroup: NumericalSemigroup
+    _shown = ("center", "semigroup")
+
+    def __init__(self, center: Fraction, semigroup: NumericalSemigroup) -> None:
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "semigroup", semigroup)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.center, self.semigroup) == (other.center, other.semigroup)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.center, self.semigroup))
 
 
-@dataclass(frozen=True)
-class RationalCurveModel:
+class RationalCurveModel(Frozen):
     """Rational curve with unibranch monomial singularities at distinct centers."""
 
-    branches: tuple[Branch, ...]
-    # hash(branches), taken once: every cache lookup hashes the curve, and
-    # hashing a Fraction center runs in Python
-    _hash: int = field(init=False, repr=False, compare=False)
+    _shown = ("branches",)
 
-    def __post_init__(self) -> None:
-        centers = [b.center for b in self.branches]
+    def __init__(self, branches: tuple[Branch, ...]) -> None:
+        object.__setattr__(self, "branches", branches)
+        centers = [b.center for b in branches]
         if len(set(centers)) != len(centers):
             raise CurveSpecError("branch centers must be pairwise distinct")
-        for b in self.branches:
+        for b in branches:
             if not b.semigroup.gaps:
                 raise CurveSpecError("every branch must carry a proper semigroup")
-        object.__setattr__(self, "_hash", hash(self.branches))
+        # hash(branches), taken once: every cache lookup hashes the curve, and
+        # hashing a Fraction center runs in Python; equality leaves it out
+        object.__setattr__(self, "_hash", hash(branches))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.branches,) == (other.branches,)
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
@@ -581,15 +595,36 @@ def section_valuations(curve: RationalCurveModel, point, n: int = 1) -> tuple[in
 # -- the surjectivity checks -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NoetherCheck:
+class NoetherCheck(Frozen):
     """Outcome of comparing product spans with full section spaces."""
 
-    n: int
-    holds: bool
-    products_dim: int
-    sections_dim: int
-    missing_values: tuple[int, ...] | None
+    _shown = ("n", "holds", "products_dim", "sections_dim", "missing_values")
+
+    def __init__(
+        self,
+        n: int,
+        holds: bool,
+        products_dim: int,
+        sections_dim: int,
+        missing_values: tuple[int, ...] | None,
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "products_dim", products_dim)
+        object.__setattr__(self, "sections_dim", sections_dim)
+        object.__setattr__(self, "missing_values", missing_values)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.n, self.holds, self.products_dim, self.sections_dim, self.missing_values
+            ) == (other.n, other.holds, other.products_dim, other.sections_dim, other.missing_values)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(
+            (self.n, self.holds, self.products_dim, self.sections_dim, self.missing_values)
+        )
 
     @property
     def dimension_gap(self) -> int:
@@ -741,16 +776,43 @@ def _resolved_in_sections(
     return True
 
 
-@dataclass(frozen=True)
-class ResolutionCheck:
+class ResolutionCheck(Frozen):
     """Do products plus resolved sections fill the full section space?"""
 
-    ok: bool
-    n: int
-    sections_dim: int
-    products_dim: int
-    resolved_dim: int
-    combined_dim: int
+    _shown = ("ok", "n", "sections_dim", "products_dim", "resolved_dim", "combined_dim")
+
+    def __init__(
+        self,
+        ok: bool,
+        n: int,
+        sections_dim: int,
+        products_dim: int,
+        resolved_dim: int,
+        combined_dim: int,
+    ) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "sections_dim", sections_dim)
+        object.__setattr__(self, "products_dim", products_dim)
+        object.__setattr__(self, "resolved_dim", resolved_dim)
+        object.__setattr__(self, "combined_dim", combined_dim)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.ok, self.n, self.sections_dim, self.products_dim, self.resolved_dim,
+                self.combined_dim,
+            ) == (
+                other.ok, other.n, other.sections_dim, other.products_dim, other.resolved_dim,
+                other.combined_dim,
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((
+            self.ok, self.n, self.sections_dim, self.products_dim, self.resolved_dim,
+            self.combined_dim,
+        ))
 
     def to_json(self) -> dict:
         return {

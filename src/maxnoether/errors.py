@@ -29,6 +29,10 @@ class GenusTooLarge(MaxNoetherError):
     """A suite was asked for a genus bound above the cap that suite runs to."""
 
 
+class InvalidBound(MaxNoetherError):
+    """A suite bound is not an integer in its range (a genus below 0, a weight below 1)."""
+
+
 class UnreadBound(MaxNoetherError):
     """A suite was given a bound that it does not read."""
 
@@ -67,3 +71,7 @@ class AmbientMismatch(MaxNoetherError):
 
 class CurveSpecError(MaxNoetherError):
     """A curve description is malformed or names an invalid curve."""
+
+
+class FrozenInstanceError(AttributeError):
+    """A field of an immutable value was assigned or deleted."""

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
 from itertools import compress, count
 from typing import Iterable, Sequence
 
 from .errors import AmbientMismatch
+from .frozen import Frozen
 
 # A row given by its nonzero entries, (index, coefficient) in increasing index order.
 Terms = tuple[tuple[int, int], ...]
@@ -139,12 +139,22 @@ def modular_rank(rows: Iterable[Terms], limit: int) -> int:
     return len(echelon)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Frozen):
     """A subspace of Q^ambient with its canonical integer echelon basis, as term rows."""
 
-    ambient: int
-    rows: tuple[Terms, ...]
+    _shown = ("ambient", "rows")
+
+    def __init__(self, ambient: int, rows: tuple[Terms, ...]) -> None:
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ambient, self.rows) == (other.ambient, other.rows)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ambient, self.rows))
 
     @classmethod
     def span(cls, rows: Iterable[Terms], ambient: int) -> "Subspace":

@@ -23,10 +23,10 @@ and a covering check reports beside it the least shift that would suffice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import HypothesisGap, NotApplicable
+from .frozen import Frozen
 from .semigroup import NumericalSemigroup
 from .valueset import PowerChain, ValueSet, _bit_values, canonical_ideal, missing_bits
 
@@ -50,8 +50,7 @@ def epsilon_case(attained: Iterable[int]) -> str:
     return "iii" if 1 in values or 2 in values else "ii"
 
 
-@dataclass(frozen=True)
-class LocalContext:
+class LocalContext(Frozen):
     """Frozen value data of one unibranch point.
 
     ``section_values`` is the value set of the available sections divided by
@@ -62,7 +61,8 @@ class LocalContext:
     sumset powers of the section values made so far for this context, so
     every weight reuses the lower ones.  ``q_split`` is the
     :func:`q_decomposition` of the context, made once, and ``None`` where it
-    does not apply (symmetric, or r = 0).
+    does not apply (symmetric, or r = 0).  Both are made by the constructor
+    and left out of equality, hash and repr.
 
     However a context is made, it must hold the premise of the covering
     test: K has least value 0 and holds [alpha, oo), and W agrees with K
@@ -74,31 +74,57 @@ class LocalContext:
     premise raises :class:`HypothesisGap`.
     """
 
-    semigroup: NumericalSemigroup
-    canonical: ValueSet
-    section_values: ValueSet
-    alpha: int
-    beta: int
-    d1: int | None
-    d2: int | None
-    r: int
-    p: int
-    section_powers: PowerChain = field(init=False, repr=False, compare=False)
-    q_split: QDecomposition | None = field(init=False, repr=False, compare=False)
+    _shown = ("semigroup", "canonical", "section_values", "alpha", "beta", "d1", "d2", "r", "p")
 
-    def __post_init__(self) -> None:
-        k, a = self.canonical, self.alpha
+    def __init__(
+        self,
+        semigroup: NumericalSemigroup,
+        canonical: ValueSet,
+        section_values: ValueSet,
+        alpha: int,
+        beta: int,
+        d1: int | None,
+        d2: int | None,
+        r: int,
+        p: int,
+    ) -> None:
+        object.__setattr__(self, "semigroup", semigroup)
+        object.__setattr__(self, "canonical", canonical)
+        object.__setattr__(self, "section_values", section_values)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "d1", d1)
+        object.__setattr__(self, "d2", d2)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "p", p)
+        k, a, w = canonical, alpha, section_values
         if k.min != 0 or k.threshold is None or k.threshold > a:
             raise HypothesisGap("the canonical ideal must start at 0 and hold [alpha, oo)")
         # W agrees with K below alpha iff W starts at 0 and their masks there match
-        w = self.section_values
         if w.min != 0 or w._bits_below(0, a) != k._bits_below(0, a):
             raise HypothesisGap(
                 "section values plus the conductor ray must equal the canonical ideal"
             )
         object.__setattr__(self, "section_powers", PowerChain(w))
-        split = q_decomposition(self) if self.d1 is not None and self.r >= 1 else None
+        split = q_decomposition(self) if d1 is not None and r >= 1 else None
         object.__setattr__(self, "q_split", split)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.semigroup, self.canonical, self.section_values, self.alpha, self.beta,
+                self.d1, self.d2, self.r, self.p,
+            ) == (
+                other.semigroup, other.canonical, other.section_values, other.alpha, other.beta,
+                other.d1, other.d2, other.r, other.p,
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((
+            self.semigroup, self.canonical, self.section_values, self.alpha, self.beta,
+            self.d1, self.d2, self.r, self.p,
+        ))
 
     @classmethod
     def for_semigroup(
@@ -117,14 +143,26 @@ class LocalContext:
         return cls(s, k, section_values, alpha, beta, d1, d2, r, alpha - (r + 1) * beta)
 
 
-@dataclass(frozen=True)
-class QDecomposition:
+class QDecomposition(Frozen):
     """Splittings i = q_i1 + q_i2 keeping q_ij * beta + d_j below the conductor."""
 
-    pairs: tuple[tuple[int, int], ...]
-    d1: int
-    d2: int
-    beta: int
+    _shown = ("pairs", "d1", "d2", "beta")
+
+    def __init__(self, pairs: tuple[tuple[int, int], ...], d1: int, d2: int, beta: int) -> None:
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "d1", d1)
+        object.__setattr__(self, "d2", d2)
+        object.__setattr__(self, "beta", beta)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.pairs, self.d1, self.d2, self.beta) == (
+                other.pairs, other.d1, other.d2, other.beta
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.pairs, self.d1, self.d2, self.beta))
 
     def inequalities(self, alpha: int) -> list[tuple[int, int]]:
         """(left side, alpha) for every strict inequality the splitting claims."""
@@ -178,8 +216,7 @@ def _value_bits(values: Sequence[int]) -> tuple[int | None, int]:
     return least, mask
 
 
-@dataclass(frozen=True, slots=True)
-class Columns:
+class Columns(Frozen):
     """A run of the column table b_j = j + alpha - beta - 1 that the rows of one grid share.
 
     Held as (first j, count, least value): the columns b_first ..
@@ -191,9 +228,21 @@ class Columns:
     and a failing check).
     """
 
-    first: int
-    count: int
-    least: int
+    __slots__ = ("first", "count", "least")
+    _shown = __slots__
+
+    def __init__(self, first: int, count: int, least: int) -> None:
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "least", least)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.first, self.count, self.least) == (other.first, other.count, other.least)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.first, self.count, self.least))
 
     @property
     def bits(self) -> tuple[int | None, int]:
@@ -228,8 +277,7 @@ class GridRow(NamedTuple):
     cols: Columns
 
 
-@dataclass(frozen=True)
-class BasisCertificate:
+class BasisCertificate(Frozen):
     """Products of sections spanning the value window [lo, hi) of the conductor chain.
 
     The window is one quotient step: the values of the larger conductor power
@@ -257,19 +305,43 @@ class BasisCertificate:
     tests) and when a check fails, to name its defects as a flat table would.
     """
 
-    name: str
-    lo: int
-    hi: int
-    base: tuple[CertEntry | GridRow, ...]
-    mul_label: str = ""
-    mul: int = 0
-    exponents: range = range(1)
-    _scan: tuple[tuple[int | None, int], int, int | None, bool] = field(
-        init=False, repr=False, compare=False
-    )
+    _shown = ("name", "lo", "hi", "base", "mul_label", "mul", "exponents")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        name: str,
+        lo: int,
+        hi: int,
+        base: tuple[CertEntry | GridRow, ...],
+        mul_label: str = "",
+        mul: int = 0,
+        exponents: range = range(1),
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "mul_label", mul_label)
+        object.__setattr__(self, "mul", mul)
+        object.__setattr__(self, "exponents", exponents)
+        # (value bits, entry count, factor mask, factor sums hold); left out
+        # of equality, hash and repr
         object.__setattr__(self, "_scan", self._read_masks())
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.name, self.lo, self.hi, self.base, self.mul_label, self.mul, self.exponents
+            ) == (
+                other.name, other.lo, other.hi, other.base, other.mul_label, other.mul,
+                other.exponents,
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(
+            (self.name, self.lo, self.hi, self.base, self.mul_label, self.mul, self.exponents)
+        )
 
     def _read_masks(self) -> tuple[tuple[int | None, int], int, int | None, bool]:
         """(value bits, entry count, factor mask, factor sums hold) over every entry.
@@ -515,18 +587,41 @@ def build_certificates(ctx: LocalContext, n: int, case: str) -> list[BasisCertif
     return certs
 
 
-@dataclass(frozen=True)
-class SurjectivityCheck:
+class SurjectivityCheck(Frozen):
     """Outcome of the value-level covering test, with explicit witnesses.
 
     ``minimal_epsilon`` is the least shift >= 0 that leaves nothing uncovered.
     """
 
-    ok: bool
-    n: int
-    epsilon: int
-    uncovered: tuple[int, ...]
-    minimal_epsilon: int
+    _shown = ("ok", "n", "epsilon", "uncovered", "minimal_epsilon")
+
+    def __init__(
+        self, ok: bool, n: int, epsilon: int, uncovered: tuple[int, ...], minimal_epsilon: int
+    ) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "uncovered", uncovered)
+        object.__setattr__(self, "minimal_epsilon", minimal_epsilon)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ok, self.n, self.epsilon, self.uncovered, self.minimal_epsilon) == (
+                other.ok, other.n, other.epsilon, other.uncovered, other.minimal_epsilon
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ok, self.n, self.epsilon, self.uncovered, self.minimal_epsilon))
+
+    def to_json(self) -> dict:
+        return {
+            "ok": self.ok,
+            "n": self.n,
+            "epsilon": self.epsilon,
+            "uncovered": list(self.uncovered),
+            "minimal_epsilon": self.minimal_epsilon,
+        }
 
 
 def verify_local_surjectivity(ctx: LocalContext, n: int, epsilon: int) -> SurjectivityCheck:

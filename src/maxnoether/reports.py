@@ -24,12 +24,10 @@ as consecutive reports carry that same object.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import IO, Any, Iterable
 
 
-@dataclass(slots=True)
 class VerificationReport:
     """One verified claim: inputs, prediction, oracle value, verdict, witness.
 
@@ -38,17 +36,51 @@ class VerificationReport:
     :meth:`to_line` raises ``TypeError`` on a value ``json`` cannot encode.
     ``elapsed`` is the time in seconds since the previous report of the same
     suite run, or since the run started, so the times of a run add up to it.
-    It is never serialized.
+    It is never serialized, and equality leaves it out.  A report is
+    assignable, so it has no hash.
     """
 
-    suite: str
-    check: str
-    input: Any
-    predicted: Any
-    oracle: Any
-    passed: bool
-    witness: Any = None
-    elapsed: float = field(default=0.0, compare=False)
+    __slots__ = ("suite", "check", "input", "predicted", "oracle", "passed", "witness", "elapsed")
+
+    def __init__(
+        self,
+        suite: str,
+        check: str,
+        input: Any,
+        predicted: Any,
+        oracle: Any,
+        passed: bool,
+        witness: Any = None,
+        elapsed: float = 0.0,
+    ) -> None:
+        self.suite = suite
+        self.check = check
+        self.input = input
+        self.predicted = predicted
+        self.oracle = oracle
+        self.passed = passed
+        self.witness = witness
+        self.elapsed = elapsed
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.suite, self.check, self.input, self.predicted, self.oracle, self.passed,
+                self.witness,
+            ) == (
+                other.suite, other.check, other.input, other.predicted, other.oracle, other.passed,
+                other.witness,
+            )
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(suite={self.suite!r}, check={self.check!r},"
+            f" input={self.input!r}, predicted={self.predicted!r}, oracle={self.oracle!r},"
+            f" passed={self.passed!r}, witness={self.witness!r}, elapsed={self.elapsed!r})"
+        )
 
     def to_line(self) -> str:
         """The canonical line of this report, without its newline."""

@@ -18,11 +18,11 @@ builds each child from its parent's member mask and generators instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import EmptyGenerators, NoSingularity, NotCofinite
+from .frozen import Frozen
 from .valueset import (
     ValueSet,
     _bit_values,
@@ -33,12 +33,22 @@ from .valueset import (
 )
 
 
-@dataclass(frozen=True)
-class NumericalSemigroup:
+class NumericalSemigroup(Frozen):
     """A numerical semigroup, stored as its minimal generators and its gaps."""
 
-    generators: tuple[int, ...]
-    gaps: tuple[int, ...]
+    _shown = ("generators", "gaps")
+
+    def __init__(self, generators: tuple[int, ...], gaps: tuple[int, ...]) -> None:
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "gaps", gaps)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.generators, self.gaps) == (other.generators, other.gaps)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.generators, self.gaps))
 
     @cached_property
     def values(self) -> ValueSet:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Iterator
 
@@ -27,7 +26,8 @@ from .curves import (
     max_noether_holds,
     numerator_degree_bound,
 )
-from .errors import GenusTooLarge, WeightTooLarge
+from .errors import GenusTooLarge, InvalidBound, WeightTooLarge
+from .frozen import Frozen
 from .local import (
     LocalContext,
     build_certificates,
@@ -52,17 +52,33 @@ GENUS_CAPS = {"eq4-oracle": 14, "local-lemma": 20, "blowup": 22, "noether-single
 READS_N = frozenset({"local-lemma", "noether-single", "noether-multi", "resolution", "dims"})
 
 
-@dataclass(frozen=True)
-class SuiteParams:
-    """Bounds shared by the suites; unset fields fall back to suite defaults."""
+class SuiteParams(Frozen):
+    """Bounds shared by the suites; unset fields fall back to suite defaults.
 
-    max_genus: int | None = None
-    max_n: int | None = None
+    A set bound is an ``int`` (not a ``bool``), at least 0 for ``max_genus``
+    and at least 1 for ``max_n``, as the command line takes them; any other
+    raises :class:`InvalidBound` before any work.
+    """
 
-    def __post_init__(self) -> None:
+    _shown = ("max_genus", "max_n")
+
+    def __init__(self, max_genus: int | None = None, max_n: int | None = None) -> None:
+        object.__setattr__(self, "max_genus", max_genus)
+        object.__setattr__(self, "max_n", max_n)
         # fail before any work, not at the first check that reaches the cap
-        if self.max_n is not None and self.max_n > MAX_WEIGHT:
-            raise WeightTooLarge(f"weight {self.max_n} is above MAX_WEIGHT = {MAX_WEIGHT}")
+        for name, value, low in (("max_genus", max_genus, 0), ("max_n", max_n, 1)):
+            if value is not None and (type(value) is not int or value < low):
+                raise InvalidBound(f"{name} must be an integer of at least {low}, got {value!r}")
+        if max_n is not None and max_n > MAX_WEIGHT:
+            raise WeightTooLarge(f"weight {max_n} is above MAX_WEIGHT = {MAX_WEIGHT}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.max_genus, self.max_n) == (other.max_genus, other.max_n)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.max_genus, self.max_n))
 
     def genus(self, default: int) -> int:
         return self.max_genus if self.max_genus is not None else default

@@ -26,19 +26,19 @@ this module imports nothing from ``semigroup``.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError
 from functools import cached_property
 from itertools import compress
 from typing import Iterable
 
 from .errors import ConductorTooLarge, EmptySet, NotARing, NotNested
+from .frozen import Frozen
 
 # Largest conductor :func:`ring_closure` computes.  The closure window, and
 # every value set made from a semigroup, grow with it.
 MAX_CONDUCTOR = 10_000
 
 
-class ValueSet:
+class ValueSet(Frozen):
     """Normalized integer set: ``exceptional`` values plus ``[threshold, oo)``.
 
     ``threshold is None`` means the set is finite (possibly empty).  The
@@ -76,11 +76,6 @@ class ValueSet:
         for e in exc:
             mask |= 1 << (e - exc[0])
         return mask
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ValueSet):

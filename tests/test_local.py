@@ -1,7 +1,6 @@
 """Local covering certificates and the value-level surjectivity verdicts."""
 
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -26,6 +25,12 @@ from maxnoether.valueset import ValueSet, canonical_ideal, n_fold, quotient_dim
 
 def ctx_for(gens, **kw):
     return LocalContext.for_semigroup(NumericalSemigroup.from_generators(gens), **kw)
+
+
+def remade(ctx, **changes):
+    """``ctx`` made again by its constructor, with some fields changed."""
+    fields = ("semigroup", "canonical", "section_values", "alpha", "beta", "d1", "d2", "r", "p")
+    return LocalContext(**{**{name: getattr(ctx, name) for name in fields}, **changes})
 
 
 def brute_cover(w_values, k_values, n, bound):
@@ -297,7 +302,7 @@ def test_a_gap_pair_factor_outside_w_is_a_check_defect():
     # given a d1 outside W gets a defect naming it from the check instead
     ctx = ctx_for([4, 5, 11])
     assert (ctx.d1, ctx.d2) == (1, 6) and 2 not in ctx.section_values
-    bad = replace(ctx, d1=2)
+    bad = remade(ctx, d1=2)
     certs = build_certificates(bad, 3, "i")
     assert all(not cert.check(ctx.section_values) for cert in build_certificates(ctx, 3, "i"))
     power = next(cert for cert in certs if cert.name == "power-step")
@@ -313,27 +318,28 @@ def test_case_ii_requires_value_alpha():
 
 def test_a_replace_dropping_a_value_below_alpha_is_refused():
     # the covering reads K^n as (K below alpha)^n u [alpha, oo), so a context
-    # made by replace or by the plain constructor must keep W = K below alpha
+    # the constructor makes, from another's fields or from scratch, must keep
+    # W = K below alpha
     ctx = ctx_for([4, 5, 11])
     below = ctx.section_values.exceptional
     premise = r"^section values plus the conductor ray must equal the canonical ideal$"
     for dropped in below:
         sections = ValueSet.finite(v for v in below if v != dropped)
         with pytest.raises(HypothesisGap, match=premise):
-            replace(ctx, section_values=sections)
+            remade(ctx, section_values=sections)
     for added in (-1, ctx.alpha - 1):
         with pytest.raises(HypothesisGap, match=premise):
-            replace(ctx, section_values=ValueSet.finite([*below, added]))
+            remade(ctx, section_values=ValueSet.finite([*below, added]))
     fields = (ctx.semigroup, ctx.canonical, ValueSet.finite(below[1:]))
     with pytest.raises(HypothesisGap, match=premise):
         LocalContext(*fields, ctx.alpha, ctx.beta, ctx.d1, ctx.d2, ctx.r, ctx.p)
     # K itself must start at 0 and hold every value from alpha on
     for canonical in (ctx.canonical.shift(-1), ValueSet(below, ctx.alpha + 1)):
         with pytest.raises(HypothesisGap, match="canonical ideal must start at 0"):
-            replace(ctx, canonical=canonical)
+            remade(ctx, canonical=canonical)
     # values from alpha on may be added, as in cases ii and iii
     a = ctx.alpha
-    wider = replace(ctx, section_values=ValueSet.finite([*below, a, a + 2]))
+    wider = remade(ctx, section_values=ValueSet.finite([*below, a, a + 2]))
     assert verify_local_surjectivity(wider, 3, 0).ok
 
 
@@ -541,6 +547,11 @@ def _flat(cert):
     return BasisCertificate(cert.name, cert.lo, cert.hi, cert.entries)
 
 
+def _with_base(cert, base):
+    """``cert`` made again by its constructor with another base table."""
+    return BasisCertificate(cert.name, cert.lo, cert.hi, base, cert.mul_label, cert.mul, cert.exponents)
+
+
 def _without(section_values, value):
     return ValueSet.finite(v for v in section_values.exceptional if v != value)
 
@@ -558,10 +569,10 @@ def _mutations(cert, section_values):
     moved = first._replace(value=low - first.cols[0][1] if type(first) is GridRow else low)
     off = base[-1]._replace(factors=base[-1].factors[:-1] + (base[-1].factors[-1] + 1,))
     return [
-        (replace(cert, base=base[:k] + (moved,) + base[k + 1:]), section_values),
-        (replace(cert, base=base + (first,)), section_values),
+        (_with_base(cert, base[:k] + (moved,) + base[k + 1:]), section_values),
+        (_with_base(cert, base + (first,)), section_values),
         (cert, _without(section_values, cert.mul)),
-        (replace(cert, base=base[:-1] + (off,)), section_values),
+        (_with_base(cert, base[:-1] + (off,)), section_values),
     ]
 
 
@@ -623,9 +634,9 @@ def _step_mutations(cert, section_values):
         k = rows[0]
         row = cert.base[k]
         moved = row._replace(value=cert.lo - 1 - row.cols[0][1])
-        out.append(("repeated row", replace(cert, base=cert.base + (row,)), section_values))
+        out.append(("repeated row", _with_base(cert, cert.base + (row,)), section_values))
         out.append(
-            ("row below", replace(cert, base=cert.base[:k] + (moved,) + cert.base[k + 1:]), section_values)
+            ("row below", _with_base(cert, cert.base[:k] + (moved,) + cert.base[k + 1:]), section_values)
         )
     return out
 

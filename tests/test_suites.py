@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from maxnoether.reports import VerificationReport, write_jsonl
-from maxnoether.errors import GenusTooLarge
+from maxnoether.errors import GenusTooLarge, InvalidBound, MaxNoetherError
 from maxnoether.suites import GENUS_CAPS, READS_N, SUITES, SuiteParams, iter_suite, run_suite
 
 # sha256 of the canonical JSONL (UTF-8) and the report count of each suite.
@@ -263,6 +263,25 @@ def test_iter_suite_checks_its_arguments_before_the_first_report(monkeypatch):
         iter_suite("blowup", SuiteParams(max_genus=cap + 1))
     with pytest.raises(ValueError, match="unknown suite 'nope'"):
         iter_suite("nope")
+
+
+@pytest.mark.parametrize(
+    "bounds, name, value",
+    [
+        # each was taken silently: max_n = 0 ran 1,091 local-lemma checks with
+        # no covering among them, True read as 1, -1 ran no check, and 2.5
+        # ended in a bare TypeError
+        ({"max_n": 0}, "max_n", "0"),
+        ({"max_n": True}, "max_n", "True"),
+        ({"max_genus": -1}, "max_genus", "-1"),
+        ({"max_genus": 2.5}, "max_genus", "2.5"),
+    ],
+)
+def test_suite_bounds_are_refused_out_of_range(bounds, name, value):
+    message = f"^{name} must be an integer of at least [01], got {value}$"
+    with pytest.raises(InvalidBound, match=message) as info:
+        run_suite("local-lemma", SuiteParams(**bounds))
+    assert isinstance(info.value, MaxNoetherError)
 
 
 @pytest.mark.parametrize("route", ["oracle", "value"])
