@@ -38,6 +38,7 @@ line with the branch resolved after the curve's name:
   tested against the constraints of both centers.
 """
 
+import argparse
 import statistics
 import time
 from fractions import Fraction
@@ -103,6 +104,7 @@ def _report(name, n, runs, holds):
 
 
 def main() -> None:
+    argparse.ArgumentParser(description=__doc__).parse_args()
     for name, curve, n in CASES:
         runs = [_cold_run(max_noether_holds, curve, n) for _ in range(RUNS)]
         _report(name, n, runs, runs[0][0].holds)

@@ -51,23 +51,6 @@ class BlowupAnalysis(Frozen):
         object.__setattr__(self, "blowup_genus", blowup_genus)
         object.__setattr__(self, "powers", powers)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (
-                self.semigroup, self.canonical, self.blowup_values,
-                self.stabilization_index, self.eta, self.blowup_genus,
-            ) == (
-                other.semigroup, other.canonical, other.blowup_values,
-                other.stabilization_index, other.eta, other.blowup_genus,
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((
-            self.semigroup, self.canonical, self.blowup_values,
-            self.stabilization_index, self.eta, self.blowup_genus,
-        ))
-
     def to_json(self) -> dict:
         return {
             "semigroup": self.semigroup.to_json(),
@@ -147,20 +130,6 @@ class AlmostGorensteinChecks(Frozen):
         object.__setattr__(self, "gap_one", gap_one)
         object.__setattr__(self, "square_is_blowup", square_is_blowup)
         object.__setattr__(self, "powers_collapse", powers_collapse)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (
-                self.almost_gorenstein, self.gap_one, self.square_is_blowup, self.powers_collapse
-            ) == (
-                other.almost_gorenstein, other.gap_one, other.square_is_blowup, other.powers_collapse
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(
-            (self.almost_gorenstein, self.gap_one, self.square_is_blowup, self.powers_collapse)
-        )
 
     @property
     def consistent(self) -> bool:

@@ -144,14 +144,6 @@ class Branch(Frozen):
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "semigroup", semigroup)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.center, self.semigroup) == (other.center, other.semigroup)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.center, self.semigroup))
-
 
 class RationalCurveModel(Frozen):
     """Rational curve with unibranch monomial singularities at distinct centers."""
@@ -169,11 +161,6 @@ class RationalCurveModel(Frozen):
         # hash(branches), taken once: every cache lookup hashes the curve, and
         # hashing a Fraction center runs in Python; equality leaves it out
         object.__setattr__(self, "_hash", hash(branches))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.branches,) == (other.branches,)
-        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
@@ -614,18 +601,6 @@ class NoetherCheck(Frozen):
         object.__setattr__(self, "sections_dim", sections_dim)
         object.__setattr__(self, "missing_values", missing_values)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (
-                self.n, self.holds, self.products_dim, self.sections_dim, self.missing_values
-            ) == (other.n, other.holds, other.products_dim, other.sections_dim, other.missing_values)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(
-            (self.n, self.holds, self.products_dim, self.sections_dim, self.missing_values)
-        )
-
     @property
     def dimension_gap(self) -> int:
         return self.sections_dim - self.products_dim
@@ -796,23 +771,6 @@ class ResolutionCheck(Frozen):
         object.__setattr__(self, "products_dim", products_dim)
         object.__setattr__(self, "resolved_dim", resolved_dim)
         object.__setattr__(self, "combined_dim", combined_dim)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (
-                self.ok, self.n, self.sections_dim, self.products_dim, self.resolved_dim,
-                self.combined_dim,
-            ) == (
-                other.ok, other.n, other.sections_dim, other.products_dim, other.resolved_dim,
-                other.combined_dim,
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((
-            self.ok, self.n, self.sections_dim, self.products_dim, self.resolved_dim,
-            self.combined_dim,
-        ))
 
     def to_json(self) -> dict:
         return {

@@ -148,14 +148,6 @@ class Subspace(Frozen):
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "rows", rows)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.ambient, self.rows) == (other.ambient, other.rows)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.ambient, self.rows))
-
     @classmethod
     def span(cls, rows: Iterable[Terms], ambient: int) -> "Subspace":
         # repeated rows (frequent among products of sparse rows) add nothing

@@ -109,23 +109,6 @@ class LocalContext(Frozen):
         split = q_decomposition(self) if d1 is not None and r >= 1 else None
         object.__setattr__(self, "q_split", split)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (
-                self.semigroup, self.canonical, self.section_values, self.alpha, self.beta,
-                self.d1, self.d2, self.r, self.p,
-            ) == (
-                other.semigroup, other.canonical, other.section_values, other.alpha, other.beta,
-                other.d1, other.d2, other.r, other.p,
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((
-            self.semigroup, self.canonical, self.section_values, self.alpha, self.beta,
-            self.d1, self.d2, self.r, self.p,
-        ))
-
     @classmethod
     def for_semigroup(
         cls, s: NumericalSemigroup, section_values: ValueSet | None = None
@@ -153,16 +136,6 @@ class QDecomposition(Frozen):
         object.__setattr__(self, "d1", d1)
         object.__setattr__(self, "d2", d2)
         object.__setattr__(self, "beta", beta)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.pairs, self.d1, self.d2, self.beta) == (
-                other.pairs, other.d1, other.d2, other.beta
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.pairs, self.d1, self.d2, self.beta))
 
     def inequalities(self, alpha: int) -> list[tuple[int, int]]:
         """(left side, alpha) for every strict inequality the splitting claims."""
@@ -235,14 +208,6 @@ class Columns(Frozen):
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "count", count)
         object.__setattr__(self, "least", least)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.first, self.count, self.least) == (other.first, other.count, other.least)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.first, self.count, self.least))
 
     @property
     def bits(self) -> tuple[int | None, int]:
@@ -327,21 +292,6 @@ class BasisCertificate(Frozen):
         # (value bits, entry count, factor mask, factor sums hold); left out
         # of equality, hash and repr
         object.__setattr__(self, "_scan", self._read_masks())
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (
-                self.name, self.lo, self.hi, self.base, self.mul_label, self.mul, self.exponents
-            ) == (
-                other.name, other.lo, other.hi, other.base, other.mul_label, other.mul,
-                other.exponents,
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(
-            (self.name, self.lo, self.hi, self.base, self.mul_label, self.mul, self.exponents)
-        )
 
     def _read_masks(self) -> tuple[tuple[int | None, int], int, int | None, bool]:
         """(value bits, entry count, factor mask, factor sums hold) over every entry.
@@ -603,16 +553,6 @@ class SurjectivityCheck(Frozen):
         object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "uncovered", uncovered)
         object.__setattr__(self, "minimal_epsilon", minimal_epsilon)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.ok, self.n, self.epsilon, self.uncovered, self.minimal_epsilon) == (
-                other.ok, other.n, other.epsilon, other.uncovered, other.minimal_epsilon
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.ok, self.n, self.epsilon, self.uncovered, self.minimal_epsilon))
 
     def to_json(self) -> dict:
         return {

@@ -42,14 +42,6 @@ class NumericalSemigroup(Frozen):
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "gaps", gaps)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.generators, self.gaps) == (other.generators, other.gaps)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.generators, self.gaps))
-
     @cached_property
     def values(self) -> ValueSet:
         """The members below the conductor, then the ray; the constructors store theirs."""

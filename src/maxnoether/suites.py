@@ -72,14 +72,6 @@ class SuiteParams(Frozen):
         if max_n is not None and max_n > MAX_WEIGHT:
             raise WeightTooLarge(f"weight {max_n} is above MAX_WEIGHT = {MAX_WEIGHT}")
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.max_genus, self.max_n) == (other.max_genus, other.max_n)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.max_genus, self.max_n))
-
     def genus(self, default: int) -> int:
         return self.max_genus if self.max_genus is not None else default
 

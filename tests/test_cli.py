@@ -296,6 +296,26 @@ def test_semigroup_census_reports_the_sharp_case_i_shift():
         assert f"  n={n}: sharp for 33, slack for 0\n" in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "argv, code, stream, text",
+    [
+        (["--help"], 0, "stdout", "usage: time_oracle.py"),
+        (["--runs", "1"], 2, "stderr", "unrecognized arguments"),
+    ],
+)
+def test_time_oracle_reads_its_arguments_before_any_case(argv, code, stream, text):
+    # every case runs for minutes, so a typo or --help must not start them
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "time_oracle.py")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, script, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == code
+    assert text in getattr(proc, stream)
+    assert "sections_dim" not in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
 def test_verify_noether_requires_exactly_one_input(capsys):
     code, _, err = run(capsys, "verify", "noether")
     assert code == 2

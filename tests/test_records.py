@@ -2,13 +2,18 @@
 
 Every value class is a record: a constructor taking its fields by position
 or keyword, equality and hash over its compared fields only, a repr of
-``Name(field=value, ...)`` over its shown fields, and, on the frozen ones,
-no assignment or deletion.  Each record below names its fields, its
-defaults, the fields left out of equality, and one changed value per
-compared field, and the tests read every class against that description.
+``Name(field=value, ...)`` over its shown fields, copies and pickles equal
+to it, and, on the frozen ones, no assignment or deletion.  Each record
+below names its fields, its defaults, the fields left out of equality, and
+one changed value per compared field, and the tests read every class
+against that description.
 """
 
+import copy
+import importlib
 import os
+import pickle
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,8 +21,10 @@ from typing import Any, Callable, NamedTuple
 
 import pytest
 
+import maxnoether
 from maxnoether.blowup import AlmostGorensteinChecks, BlowupAnalysis, analyze
 from maxnoether.curves import Branch, NoetherCheck, RationalCurveModel, ResolutionCheck
+from maxnoether.frozen import Frozen
 from maxnoether.linalg import Subspace
 from maxnoether.local import (
     BasisCertificate,
@@ -372,3 +379,33 @@ def test_a_value_set_refuses_assignment_and_deletion():
     with pytest.raises(AttributeError, match="^cannot delete field 'threshold'$"):
         del values.threshold
     assert values == ValueSet.finite([0, 2])
+
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=IDS)
+def test_records_survive_copy_and_pickle(record):
+    # restoring slot state must not go through the frozen assignment hook
+    obj = record.make()
+    for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(twin) is record.cls and twin == obj
+        # the fields kept out of equality come back too
+        for name in record.fields:
+            assert type(getattr(twin, name)) is type(getattr(obj, name)), name
+
+
+def test_value_classes_take_equality_and_hashing_from_frozen():
+    # a class naming its fields again in __eq__ or __hash__ can drift from _shown
+    for info in pkgutil.iter_modules(maxnoether.__path__):
+        if info.name != "__main__":
+            importlib.import_module(f"maxnoether.{info.name}")
+    classes, todo = {}, [Frozen]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            classes[cls.__name__] = cls
+            todo.append(cls)
+    own = {name: sorted({"__eq__", "__hash__"} & set(vars(cls))) for name, cls in classes.items()}
+    assert {name: methods for name, methods in own.items() if methods} == {
+        "ValueSet": ["__eq__", "__hash__"],
+        "RationalCurveModel": ["__hash__"],
+    }
+    assert {record.cls for record in RECORDS if record.frozen} <= set(classes.values())
