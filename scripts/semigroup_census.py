@@ -25,7 +25,9 @@ from maxnoether.suites import SuiteParams, check_genus_cap
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument("--max-genus", type=_at_least(0), default=10)
     parser.add_argument("--max-n", type=_at_least(2), default=4)
     args = parser.parse_args()

@@ -18,15 +18,21 @@ The Noether cases are:
 - one ordinary branch <600, ..., 1199> at 0, n = 2;
 - one branch <7,8> at 0, n = 40, which builds the section space of every
   weight from 1 to 40 on the way;
-- the same branch <7,8> at 7/3, n = 10, whose rows are dense: a lone branch
-  away from 0 takes the generic jet recurrence and elimination;
+- the same branch <7,8> at 7/3, n = 10: the check moves a lone branch to 0
+  first (``curves._affine_frame``), so its rows are monomials as at 0;
 - one ordinary branch <20, ..., 39> at 0, n = 120 (ambient 2,161, near
   MAX_AMBIENT), which builds the section and product spaces of every weight
   from 1 to 120, all from monomial rows;
 - one branch <2,41> at 7/3, n = 3, which is hyperelliptic, so its products
-  miss the sections and are eliminated exactly, at a rational center;
+  miss the sections and are eliminated exactly, on monomial rows once the
+  branch is moved to 0;
 - three branches <3,4,5> at 0, <3,5,7> at 7/3 and <4,5,6,7> at -5/2, n = 40,
-  whose constraint columns are jets at two rational centers;
+  where only <3,5,7> excludes orders past weight 1, and the check moves it
+  to 0 (and <3,4,5> to 1, <4,5,6,7> to 29/14);
+- three <3,5,7> branches at 0, 7/3 and -5/2, n = 40, each excluding an order
+  at every weight: the check moves them to 0, 1 and -15/14, so the third
+  branch's constraint columns are jets at a rational center, dense big
+  integers that no affine frame removes;
 - two <3,4,5> branches at 0 and 1, n = 160, which builds the product span of
   every weight from 1 to 160, each from dense rows at the center 1.
 
@@ -74,6 +80,11 @@ CASES = (
         _curve((0, (3, 4, 5)), (Fraction(7, 3), (3, 5, 7)), (Fraction(-5, 2), (4, 5, 6, 7))),
         40,
     ),
+    (
+        "<3,5,7>@0 <3,5,7>@7/3 <3,5,7>@-5/2",
+        _curve((0, (3, 5, 7)), (Fraction(7, 3), (3, 5, 7)), (Fraction(-5, 2), (3, 5, 7))),
+        40,
+    ),
     ("<3,4,5>@0 <3,4,5>@1", _curve((0, (3, 4, 5)), (1, (3, 4, 5))), 160),
 )
 
@@ -104,7 +115,9 @@ def _report(name, n, runs, holds):
 
 
 def main() -> None:
-    argparse.ArgumentParser(description=__doc__).parse_args()
+    argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    ).parse_args()
     for name, curve, n in CASES:
         runs = [_cold_run(max_noether_holds, curve, n) for _ in range(RUNS)]
         _report(name, n, runs, runs[0][0].holds)

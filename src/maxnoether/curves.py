@@ -78,6 +78,21 @@ that product vanishes at every excluded order, at every branch.  Only where
 P differs from S, or a jet test refuses, are the embedded rows formed and
 spanned with P exactly.
 
+The verdicts are read in one affine frame of the curve, ``_affine_frame``.
+Substituting t = lambda s + mu, lambda != 0, fixes infinity and sends each
+center c to c' = (c - mu) / lambda.  The local parameter t - c becomes
+lambda (s - c'), so every branch stays monomial with the same semigroup.
+A weight-n section N(t) dt^n / prod (t - c_i)^(n alpha_i) becomes
+N(lambda s + mu) ds^n / prod (s - c'_i)^(n alpha_i) times lambda^(n - sum n
+alpha_i), one constant per weight; the numerator keeps its degree and its
+order at each corresponding point.  So sections map onto sections, products
+onto the products of the images, and the dimensions, verdicts and missing
+values are the same in every frame.  The frame sends the branch with the
+most excluded orders at weight 1 to 0, where its columns stop at its largest
+excluded order, and the next such branch to 1, where q = 1 and no column
+entry carries a power of q; a lone branch goes to 0 and takes the unit-row
+path above.
+
 Everything is exact: ranks and subspace equalities over the rationals are
 stable under field extension, so nothing is lost against an algebraically
 closed ground field.
@@ -624,20 +639,46 @@ class NoetherCheck(Frozen):
         }
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _affine_frame(curve: RationalCurveModel) -> RationalCurveModel:
+    """The curve moved by t -> (t - c_a) / (c_b - c_a), which sends c_a to 0 and c_b to 1.
+
+    Branch a has the most excluded orders at weight 1, and branch b the
+    next most, ties going to the lower index; a lone branch only moves to 0.
+    The branch order and semigroups are kept, so an index names the same
+    branch, and every dimension, verdict and vanishing order is the same (see
+    the module docstring).  A curve already in its frame, or with no
+    branches, is returned as it is.  Cached, so each curve is moved once.
+    """
+    branches = curve.branches
+    if not branches:
+        return curve
+    ranked = sorted(range(len(branches)), key=lambda i: -len(_excluded(branches[i].semigroup, 1)))
+    origin = branches[ranked[0]].center
+    unit = branches[ranked[1]].center - origin if len(branches) > 1 else 1
+    if not origin and unit == 1:
+        return curve
+    return RationalCurveModel(
+        tuple(Branch((br.center - origin) / unit, br.semigroup) for br in branches)
+    )
+
+
 def max_noether_holds(curve: RationalCurveModel, n: int) -> NoetherCheck:
     """Does every weight-n section come from n-fold products of weight-1 sections?
 
     For single-branch curves a failure also reports the normalized local
-    values present in the section space but not in the product span.
+    values present in the section space but not in the product span.  The
+    check runs in the curve's ``_affine_frame``; everything it returns is
+    the same in any affine frame.
     """
+    curve = _affine_frame(curve)
     sections = global_sections(curve, n)
     prods = products_span(curve, n)
     holds = prods == sections
     missing: tuple[int, ...] | None = None
     if not holds and len(curve.branches) == 1:
-        center = curve.branches[0].center
-        attained = set(_subspace_orders(global_sections, curve, n, center))
-        missing = tuple(sorted(attained - set(_subspace_orders(products_span, curve, n, center))))
+        # the frame put the branch at 0, where the orders are the pivots
+        missing = tuple(sorted(set(sections.pivots) - set(prods.pivots)))
     return NoetherCheck(n, holds, prods.dim, sections.dim, missing)
 
 
@@ -792,12 +833,14 @@ def check_resolution_quotient(curve: RationalCurveModel, index: int, n: int) -> 
     are absorbed iff each lies in the sections, which the jets of the
     resolved rows decide (``_resolved_in_sections``) with no f N formed.
     Otherwise, or when a jet test refuses, the embedded rows are formed and
-    the products and they are spanned exactly.
+    the products and they are spanned exactly.  Like ``max_noether_holds``,
+    it runs in the curve's ``_affine_frame``, which keeps the branch order.
     """
-    resolved_curve = resolve(curve, index)  # a bad index is refused before any row is built
+    _branch(curve, index)  # a bad index is refused before the curve is moved
+    curve = _affine_frame(curve)
     sections = global_sections(curve, n)
     prods = products_span(curve, n)
-    resolved = global_sections(resolved_curve, n)
+    resolved = global_sections(resolve(curve, index), n)
     # products equal to the sections absorb embedded vectors that lie in them
     if prods == sections and _resolved_in_sections(curve, index, n, resolved.rows):
         combined = sections

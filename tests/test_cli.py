@@ -316,6 +316,36 @@ def test_time_oracle_reads_its_arguments_before_any_case(argv, code, stream, tex
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "name, lines",
+    [
+        (
+            "time_oracle.py",
+            [
+                "Usage:",
+                "    PYTHONPATH=src python scripts/time_oracle.py",
+                "- one ordinary branch <300, ..., 599> at 0, n = 2, whose rows are monomials;",
+            ],
+        ),
+        (
+            "semigroup_census.py",
+            ["Usage:", "    python scripts/semigroup_census.py [--max-genus 10] [--max-n 4]"],
+        ),
+    ],
+)
+def test_script_help_keeps_the_docstring_layout(name, lines):
+    # argparse's default formatter reflows a description into one paragraph
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", name)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, script, "--help"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0
+    shown = proc.stdout.splitlines()
+    for line in lines:
+        assert line in shown
+
+
 def test_verify_noether_requires_exactly_one_input(capsys):
     code, _, err = run(capsys, "verify", "noether")
     assert code == 2

@@ -26,6 +26,7 @@ from maxnoether.curves import (
     products_span,
     resolve,
     section_valuations,
+    _affine_frame,
     _constraint_rows,
     _embedded_resolved_sections,
     _in_sections,
@@ -560,9 +561,11 @@ def test_affine_reparametrisation_and_branch_order_change_nothing():
         b = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         m = moved(c, a, b, rng)
         for n in (1, 2, 3):
-            assert global_sections(m, n).dim == global_sections(c, n).dim
-            assert products_span(m, n).dim == products_span(c, n).dim
-            assert max_noether_holds(m, n).holds == max_noether_holds(c, n).holds
+            check = max_noether_holds(m, n)
+            assert check.holds == max_noether_holds(c, n).holds
+            # m and c share one frame: pin its dims to both callers' frames
+            assert check.sections_dim == global_sections(m, n).dim == global_sections(c, n).dim
+            assert check.products_dim == products_span(m, n).dim == products_span(c, n).dim
             for br in c.branches:
                 assert section_valuations(m, a * br.center + b, n) == section_valuations(
                     c, br.center, n
@@ -580,16 +583,54 @@ def test_an_affine_map_keeps_the_multi_branch_corpora():
     for c in _curve_corpus(_MULTI_MENU, 6) + resolution:
         m = RationalCurveModel(tuple(Branch(lam * br.center + mu, br.semigroup) for br in c.branches))
         for n in (1, 2, 3):
-            assert max_noether_holds(m, n) == max_noether_holds(c, n)
+            check = max_noether_holds(m, n)
+            assert check == max_noether_holds(c, n)
+            # m and c share one frame, so pin its dims to the caller's frame
+            assert check.sections_dim == global_sections(m, n).dim
+            assert check.products_dim == products_span(m, n).dim
             for br in c.branches:
                 assert section_valuations(m, lam * br.center + mu, n) == section_valuations(
                     c, br.center, n
                 )
             if len(c.branches) > 1:
                 for index in range(len(c.branches)):
-                    assert check_resolution_quotient(m, index, n) == check_resolution_quotient(
-                        c, index, n
-                    )
+                    res = check_resolution_quotient(m, index, n)
+                    assert res == check_resolution_quotient(c, index, n)
+                    embedded = _embedded_resolved_sections(m, index, n)
+                    rows = products_span(m, n).rows + embedded
+                    assert res.combined_dim == Subspace.span(rows, numerator_ambient(m, n)).dim
+
+
+def test_the_affine_frame_is_one_map_sending_the_most_constrained_branches_to_0_and_1():
+    def weight(br):
+        return len(excluded_orders(br.semigroup, 1))
+
+    for c in random_curves(40, 30, branches=(1, 2, 3)):
+        f = _affine_frame(c)
+        assert [br.semigroup for br in f.branches] == [br.semigroup for br in c.branches]
+        # the first branch of the most weight-1 excluded orders goes to 0, the next to 1
+        ranked = sorted(range(len(c.branches)), key=lambda i: -weight(c.branches[i]))
+        a = ranked[0]
+        b = ranked[1] if len(ranked) > 1 else None
+        assert f.branches[a].center == 0
+        if b is not None:
+            assert f.branches[b].center == 1
+        # every center moves by the one map t -> lam t + mu those two fix
+        lam = 1 / (c.branches[b].center - c.branches[a].center) if b is not None else 1
+        mu = -lam * c.branches[a].center
+        assert [br.center for br in f.branches] == [lam * br.center + mu for br in c.branches]
+    # <3,5,7> excludes more orders at weight 1 than <3,4,5>, whatever their order
+    c = RationalCurveModel((Branch(Fraction(-2, 5), sg(3, 4, 5)), Branch(Fraction(0), sg(3, 5, 7))))
+    assert str(_affine_frame(c)) == "<3,4,5>@1 <3,5,7>@0"
+    # ties go by index, and a third branch moves with the other two
+    c = RationalCurveModel(tuple(Branch(Fraction(x), sg(3, 4, 5)) for x in (5, 2, -1)))
+    assert str(_affine_frame(c)) == "<3,4,5>@0 <3,4,5>@1 <3,4,5>@2"
+    assert str(_affine_frame(RationalCurveModel((Branch(Fraction(7, 3), sg(7, 8)),)))) == "<7,8>@0"
+    # a curve already in its frame, or with no branches, is returned as it is;
+    # the cache would hand back an equal curve seen before, so it starts empty
+    _affine_frame.cache_clear()
+    for c in (curve((7, 8)), curve((3, 5, 7), (3, 4, 5), (2, 3)), RationalCurveModel(())):
+        assert _affine_frame(c) is c
 
 
 def jet_orders(space, center):

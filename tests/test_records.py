@@ -396,8 +396,7 @@ def test_records_survive_copy_and_pickle(record):
 def test_value_classes_take_equality_and_hashing_from_frozen():
     # a class naming its fields again in __eq__ or __hash__ can drift from _shown
     for info in pkgutil.iter_modules(maxnoether.__path__):
-        if info.name != "__main__":
-            importlib.import_module(f"maxnoether.{info.name}")
+        importlib.import_module(f"maxnoether.{info.name}")
     classes, todo = {}, [Frozen]
     while todo:
         for cls in todo.pop().__subclasses__():
