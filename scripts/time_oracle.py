@@ -41,7 +41,11 @@ line with the branch resolved after the curve's name:
 
 - two <10,11> branches at 0 and 1, branch 1 resolved, n = 2: the product
   certificate of the first case, then the resolved sections of <10,11> at 0
-  tested against the constraints of both centers.
+  tested against the constraints of both centers;
+- three <3,5,7> branches at 0, 7/3 and -5/2, branch 1 resolved, n = 40:
+  the check moves them to 0, 1 and -15/14, and the resolved sections are
+  tested against the jets of the branches at 0 and -15/14, which at -15/14
+  are dense big integers.
 """
 
 import argparse
@@ -91,6 +95,12 @@ CASES = (
 # (name, curve, index of the resolved branch, n)
 RESOLUTION_CASES = (
     ("<10,11>@0 <10,11>@1 resolve 1", _curve((0, (10, 11)), (1, (10, 11))), 1, 2),
+    (
+        "<3,5,7>@0 <3,5,7>@7/3 <3,5,7>@-5/2 resolve 1",
+        _curve((0, (3, 5, 7)), (Fraction(7, 3), (3, 5, 7)), (Fraction(-5, 2), (3, 5, 7))),
+        1,
+        40,
+    ),
 )
 
 

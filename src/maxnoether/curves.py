@@ -71,12 +71,12 @@ The resolution quotient adds to P the sections of the curve with branch r
 resolved, each numerator N embedded as f N, f = (q_r t - p_r)^m with
 m = n * alpha_r.  Where P = S, the quotient is full iff every f N lies in S,
 and that is read from jets with no f N formed: at each branch b, the jet
-that C reads from N, sum_d N_d q_b^(A-1-d) jet_d, comes from a table of the
-column jets cached per curve and weight (``_scaled_jets``), and its product
-with the jet of f, truncated, is q_b^m times the jet of f N; C (f N) = 0 iff
-that product vanishes at every excluded order, at every branch.  Only where
-P differs from S, or a jet test refuses, are the embedded rows formed and
-spanned with P exactly.
+that C reads from N, sum_d N_d q_b^(A-1-d) jet_d, is summed from the column
+jets that ``_jets`` yields, the ones ``_constraint_rows`` writes C from, and
+its product with the jet of f, truncated, is q_b^m times the jet of f N;
+C (f N) = 0 iff that product vanishes at every excluded order, at every
+branch.  Only where P differs from S, or a jet test refuses, are the
+embedded rows formed and spanned with P exactly.
 
 The verdicts are read in one affine frame of the curve, ``_affine_frame``.
 Substituting t = lambda s + mu, lambda != 0, fixes infinity and sends each
@@ -354,7 +354,7 @@ def _poly_mul(a: Terms, b: Terms, width: int) -> Terms:
 # A constraint matrix by column: entry d is None when column d is zero, and
 # otherwise the rows with a nonzero entry there, in increasing order, and those
 # entries.
-Columns = tuple[tuple[tuple[int, ...], tuple[int, ...]] | None, ...]
+ColumnMatrix = tuple[tuple[tuple[int, ...], tuple[int, ...]] | None, ...]
 
 
 # Per branch with excluded orders: the branch, those orders, its scale and its unit series.
@@ -371,9 +371,9 @@ def _branch_frames(curve: RationalCurveModel, n: int) -> Frames:
     branches' factors.  With u = t - center = scale * w, each other branch's
     factor (u + delta)^(-m) is delta^(-m) (1 + beta * w)^(-m) for an integer
     beta; the constants scale each row, which leaves the nullspace alone.
-    Cached, so ``_constraint_rows`` and ``_scaled_jets`` share one frame
-    per curve and weight; a frame holds a series only as long as the largest
-    excluded order.
+    Cached, so ``_constraint_rows`` and ``_resolved_in_sections`` share one
+    frame per curve and weight; a frame holds a series only as long as the
+    largest excluded order.
     """
     frames = []
     for br in curve.branches:
@@ -417,7 +417,7 @@ def _jets(
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _constraint_rows(curve: RationalCurveModel, n: int) -> tuple[Columns, int]:
+def _constraint_rows(curve: RationalCurveModel, n: int) -> tuple[ColumnMatrix, int]:
     """The integer matrix C, by column, and its row count: H^0(omega^n) solves C v = 0.
 
     There is one entry per numerator coefficient, so C v reads only the
@@ -726,29 +726,6 @@ def _embedded_resolved_sections(curve: RationalCurveModel, index: int, n: int) -
     return tuple(_poly_mul(vec, factor, width) for vec in sections.rows)
 
 
-# Per branch: the branch, its excluded orders, its scale and its scaled jets.
-ScaledJets = tuple[tuple[Branch, tuple[int, ...], int, tuple[tuple[int, ...], ...]], ...]
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _scaled_jets(curve: RationalCurveModel, n: int) -> ScaledJets:
-    """Per branch with excluded orders at weight n: the branch, those orders, its scale and jets.
-
-    Entry d of the jets is q^(A-1-d) jet_d (``_jets``), the column of t^d
-    that ``_constraint_rows`` writes, at every order up to the largest
-    excluded one instead of at the excluded orders alone.  Past the last
-    entry every column is zero at the branch.  Only the jet certificate of
-    ``_resolved_in_sections`` reads it.
-    """
-    ambient = numerator_ambient(curve, n)
-    table = []
-    for br, excluded, scale, unit in _branch_frames(curve, n):
-        jets = _jets(br.center, scale, unit, ambient)
-        scaled = tuple([tuple([x * power for x in jet]) for jet, power in jets])
-        table.append((br, excluded, scale, scaled))
-    return tuple(table)
-
-
 def _resolved_in_sections(
     curve: RationalCurveModel, index: int, n: int, rows: Iterable[Terms]
 ) -> bool:
@@ -759,20 +736,23 @@ def _resolved_in_sections(
     are numerators of the resolved curve's weight-n sections.  C (f N) = 0 is
     decided without forming f N: at each branch b, row by row,
 
-    - J_b(N) = sum_d N_d q_b^(A-1-d) jet_d is the jet C reads from N;
+    - J_b(N) = sum_d N_d q_b^(A-1-d) jet_d is the jet C reads from N, summed
+      from the pairs ``_jets`` yields, as ``_constraint_rows`` reads them;
     - J_b(f) = (u0 + u1 w)^m, with u0 = q_r p_b - p_r q_b and
       u1 = q_r q_b scale_b, is the jet of f times q_b^m;
 
     so J_b(N) J_b(f), truncated, is q_b^m times the jet of f N, and its
     coefficients at the excluded orders are q_b^m times those rows of C (f N).
     At the resolved branch u0 = 0 and m is past every excluded order, so
-    J_r(f) vanishes there.
+    J_r(f) vanishes there, and that branch's jets are never built.  The jets
+    of the other branches are held for the call only.
     """
     rows = tuple(rows)
     resolved = curve.branches[index]
     p_r, q_r = resolved.center.numerator, resolved.center.denominator
     m = n * resolved.semigroup.conductor
-    for br, excluded, scale, jets in _scaled_jets(curve, n):
+    ambient = numerator_ambient(curve, n)
+    for br, excluded, scale, unit in _branch_frames(curve, n):
         order = excluded[-1]
         p, q = br.center.numerator, br.center.denominator
         u0, u1 = q_r * p - p_r * q, q_r * q * scale
@@ -780,12 +760,15 @@ def _resolved_in_sections(
         f_jet = [comb(m, j) * u0 ** (m - j) * u1**j for j in range(top + 1)] + [0] * (order - top)
         if not any(f_jet):
             continue
+        jets = list(_jets(br.center, scale, unit, ambient))
         reach = len(jets)
         for row in rows:
             acc = [0] * (order + 1)
             for d, x in row:
                 if d < reach:
-                    acc = [a + x * y for a, y in zip(acc, jets[d])]
+                    jet, power = jets[d]
+                    x *= power
+                    acc = [a + x * y for a, y in zip(acc, jet)]
             for k in excluded:
                 if sum(x * y for x, y in zip(acc, f_jet[k::-1])):
                     return False

@@ -432,6 +432,12 @@ def _power_defect(s: NumericalSemigroup, n: int) -> int:
     return n * quotient_dim(k, ring) - quotient_dim(n_fold(k, n), ring)
 
 
+def _dim_check(check: str, input_, predicted: int, dim: int) -> tuple:
+    """A predicted dimension against the oracle's; the gap is kept only when they differ."""
+    ok = dim == predicted
+    return check, input_, predicted, dim, ok, None if ok else {"dimension_gap": predicted - dim}
+
+
 def suite_dims(params: SuiteParams) -> Iterator[tuple]:
     """Dimension formulas for the dualizing powers over the mixed curve corpus.
 
@@ -446,36 +452,15 @@ def suite_dims(params: SuiteParams) -> Iterator[tuple]:
     for curve in _curve_corpus(_DIM_MENU, 6):
         info = curve.to_json()
         g = curve.genus
-        dim1 = global_sections(curve, 1).dim
-        yield (
-            "sections-dim-n1",
-            info,
-            g,
-            dim1,
-            dim1 == g,
-            None if dim1 == g else {"dimension_gap": g - dim1},
-        )
+        yield _dim_check("sections-dim-n1", info, g, global_sections(curve, 1).dim)
         if g >= 2:
             for n in range(2, max_n + 1):
                 defects = sum(_power_defect(br.semigroup, n) for br in curve.branches)
                 expected = n * (2 * g - 2) - defects - (g - 1)
                 dim = global_sections(curve, n).dim
-                yield (
-                    f"sections-dim-n{n}",
-                    info,
-                    expected,
-                    dim,
-                    dim == expected,
-                    None if dim == expected else {"dimension_gap": expected - dim},
-                )
-                predicted = _value_route_dim(curve, n)
-                yield (
-                    f"sections-dim-value-route-n{n}",
-                    info,
-                    predicted,
-                    dim,
-                    dim == predicted,
-                    None if dim == predicted else {"dimension_gap": predicted - dim},
+                yield _dim_check(f"sections-dim-n{n}", info, expected, dim)
+                yield _dim_check(
+                    f"sections-dim-value-route-n{n}", info, _value_route_dim(curve, n), dim
                 )
 
 

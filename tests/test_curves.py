@@ -819,13 +819,19 @@ def embedded_by_convolution(c, index, n, row):
 
 def test_the_jet_certificate_matches_the_exact_embedded_test():
     # the jets of N times the jet of f decide f N in S exactly as C (f N) = 0
-    # does; resolved rows plus a random unit vector are refused now and then
+    # does; resolved rows plus a random unit vector are refused now and then.
+    # The checks run in _affine_frame, where f is a monomial at 0 and a dense
+    # binomial at 1, so the framed noether-multi curves are tested too
     rng = random.Random(36)
     at_zero = RationalCurveModel(
         (Branch(Fraction(0), sg(3, 4, 5)), Branch(Fraction(7, 3), sg(3, 5, 7)))
     )
+    framed = [
+        _affine_frame(c) for c in noether_multi_at_rational_centers(36) if len(c.branches) > 1
+    ]
     verdicts = {True: 0, False: 0}  # of the perturbed rows
-    for c in random_curves(36, 12) + [at_zero]:
+    framed_verdicts = {True: 0, False: 0}
+    for c in random_curves(36, 12) + [at_zero] + framed:
         for index in range(len(c.branches)):
             for n in (2, 3, 4):
                 resolved = global_sections(resolve(c, index), n)
@@ -844,7 +850,9 @@ def test_the_jet_certificate_matches_the_exact_embedded_test():
                     expected = _in_sections(c, n, [embedded_by_convolution(c, index, n, bumped)])
                     assert verdict == expected, (str(c), index, n, bumped)
                     verdicts[verdict] += 1
+                    framed_verdicts[verdict] += c in framed
     assert verdicts[True] >= 50 and verdicts[False] >= 1000
+    assert framed_verdicts[True] >= 100 and framed_verdicts[False] >= 10, framed_verdicts
 
 
 def test_equal_products_and_sections_decide_the_quotient_from_jets(monkeypatch):
