@@ -48,7 +48,7 @@ def main() -> None:
         else:
             rows[(s.genus, "almost_gorenstein")] += s.is_almost_gorenstein()
             stab[analyze(s).stabilization_index] += 1
-            ctx = LocalContext.for_semigroup(s)
+            ctx = LocalContext(s)
             for n in range(2, args.max_n + 1):
                 bound = case_epsilon("i", n)
                 res = verify_local_surjectivity(ctx, n, bound)

@@ -32,7 +32,6 @@ from .local import (
     SurjectivityCheck,
     build_certificates,
     case_epsilon,
-    epsilon_case,
     q_decomposition,
     verify_local_surjectivity,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "check_resolution_quotient",
     "dualizing_values",
     "enumerate_semigroups",
-    "epsilon_case",
     "global_sections",
     "is_certified_hyperelliptic",
     "iter_suite",

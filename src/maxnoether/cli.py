@@ -17,14 +17,8 @@ from contextlib import contextmanager, nullcontext
 
 from . import blowup as blowup_mod
 from .curves import MAX_WEIGHT, RationalCurveModel, max_noether_holds, section_valuations
-from .errors import MaxNoetherError, UnreadBound, WeightTooLarge
-from .local import (
-    LocalContext,
-    build_certificates,
-    case_epsilon,
-    epsilon_case,
-    verify_local_surjectivity,
-)
+from .errors import MaxNoetherError, NotApplicable, UnreadBound, WeightTooLarge
+from .local import LocalContext, build_certificates, case_epsilon, verify_local_surjectivity
 from .reports import write_jsonl
 from .semigroup import NumericalSemigroup, enumerate_semigroups
 from .suites import GENUS_CAPS, READS_N, SUITES, SuiteParams, check_genus_cap, iter_suite
@@ -135,18 +129,16 @@ def cmd_verify_local(args) -> int:
         raise WeightTooLarge(f"weight {args.n} is above MAX_WEIGHT = {MAX_WEIGHT}")
     s = _parse_gens(args.gens)
     # refuses <1> before the symmetry test: <1> is symmetric but has no singular point
-    ctx = LocalContext.for_semigroup(s)
+    LocalContext(s)
     if s.is_symmetric():
-        print("symmetric semigroup: the point is Gorenstein, nothing to verify", file=sys.stderr)
-        return 2
+        raise NotApplicable("symmetric semigroup: the point is Gorenstein, nothing to verify")
     curve = RationalCurveModel.from_semigroups([s])
     attained = section_valuations(curve, curve.branches[0].center)
     # certify with the values reported: the attained ones, moved by alpha onto K
-    ctx = LocalContext.for_semigroup(s, ValueSet.finite(v + ctx.alpha for v in attained))
-    case = epsilon_case(attained)
+    ctx = LocalContext(s, ValueSet.finite(v + s.conductor for v in attained))
     data: dict = {
         "semigroup": s.to_json(),
-        "case": case,
+        "case": ctx.case,
         "attained_values": list(attained),
         "d1": ctx.d1,
         "d2": ctx.d2,
@@ -158,7 +150,7 @@ def cmd_verify_local(args) -> int:
     if qd is not None:
         ok &= qd.all_strict(ctx.alpha)
         data["q_pairs"] = [list(p) for p in qd.pairs]
-    certs = build_certificates(ctx, max(args.n, 2), case)
+    certs = build_certificates(ctx, max(args.n, 2))
     defects = [d for c in certs for d in c.check(ctx.section_values)]
     ok &= not defects
     data["certificates"] = [
@@ -171,14 +163,14 @@ def cmd_verify_local(args) -> int:
     data["certificate_defects"] = defects
     coverings = []
     for n in range(1, args.n + 1):
-        res = verify_local_surjectivity(ctx, n, case_epsilon(case, n))
+        res = verify_local_surjectivity(ctx, n, case_epsilon(ctx.case, n))
         ok &= res.ok
         coverings.append(res.to_json())
     data["coverings"] = coverings
     if args.json:
         print(json.dumps(data, sort_keys=True))
     else:
-        print(f"{s}  case ({case})  d1={ctx.d1} d2={ctx.d2} r={ctx.r} p={ctx.p}")
+        print(f"{s}  case ({ctx.case})  d1={ctx.d1} d2={ctx.d2} r={ctx.r} p={ctx.p}")
         if "q_pairs" in data:
             print(f"q-decomposition: {data['q_pairs']}")
         for c in certs:
@@ -196,10 +188,7 @@ def cmd_verify_local(args) -> int:
 
 
 def cmd_verify_noether(args) -> int:
-    if bool(args.curve) == bool(args.gens):
-        print("exactly one of --curve or --gens is required", file=sys.stderr)
-        return 2
-    if args.curve:
+    if args.curve is not None:
         curve = RationalCurveModel.from_file(args.curve)
     else:
         curve = RationalCurveModel.from_semigroups([_parse_gens(args.gens)])
@@ -317,8 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     local.set_defaults(func=cmd_verify_local)
 
     noether = ver_sub.add_parser("noether", help="product span versus full section space")
-    noether.add_argument("--curve", help="curve spec JSON file")
-    noether.add_argument("--gens", help="single singularity at the origin")
+    source = noether.add_mutually_exclusive_group(required=True)
+    source.add_argument("--curve", help="curve spec JSON file")
+    source.add_argument("--gens", help="single singularity at the origin")
     noether.add_argument("--n", type=_at_least(1), default=2)
     noether.add_argument("--json", action="store_true")
     noether.set_defaults(func=cmd_verify_noether)

@@ -578,13 +578,19 @@ def _subspace_orders(space, curve: RationalCurveModel, n: int, point: Fraction) 
     return space(moved, n).pivots
 
 
-def section_valuations(curve: RationalCurveModel, point, n: int = 1) -> tuple[int, ...]:
+def section_valuations(
+    curve: RationalCurveModel, point: int | Fraction, n: int = 1
+) -> tuple[int, ...]:
     """All valuations attained at a point by nonzero weight-n sections.
 
     ``point`` is a rational parameter value; when it coincides with a branch
     center the valuation is shifted by the local pole order of the fixed
-    denominator.
+    denominator.  Any other type is refused, not coerced: a float is not read
+    as its binary fraction, nor a bool as a branch center.
     """
+    # bool is an int subclass; True does not name the point 1
+    if type(point) is not int and not isinstance(point, Fraction):
+        raise TypeError(f"a point must be an int or a Fraction, not {type(point).__name__}")
     point = Fraction(point)
     shift = 0
     for br in curve.branches:

@@ -17,13 +17,15 @@ Three cases govern the admissible shift epsilon of the conductor power:
 * case (ii): a section of value 0 exists, epsilon = 1;
 * case (iii): sections of value 0 and of value 1 or 2 exist, epsilon = 0.
 
-A case is its tag "i", "ii" or "iii"; :func:`case_epsilon` gives its shift,
-and a covering check reports beside it the least shift that would suffice.
+The case is read from the context (:attr:`LocalContext.case`, a tag "i",
+"ii" or "iii", counting values from alpha); :func:`case_epsilon` gives its
+shift, and a covering check reports beside it the least shift that would
+suffice.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import HypothesisGap, NotApplicable
 from .frozen import Frozen
@@ -42,88 +44,64 @@ def case_epsilon(case: str, n: int) -> int:
     raise ValueError(f"unknown case tag {case!r}")
 
 
-def epsilon_case(attained: Iterable[int]) -> str:
-    """Classify a point by the section values attained there: "i", "ii" or "iii"."""
-    values = set(attained)
-    if 0 not in values:
-        return "i"
-    return "iii" if 1 in values or 2 in values else "ii"
-
-
 class LocalContext(Frozen):
-    """Frozen value data of one unibranch point.
+    """Frozen value data of one unibranch point: its semigroup and section values.
 
-    ``section_values`` is the value set of the available sections divided by
-    the minimal-value differential; for the one-singularity model this is
-    exactly K below the conductor.  ``d1``/``d2`` form a complementary pair
-    in K minus S with d1 + d2 = alpha - 1; they exist iff the semigroup is
-    non-symmetric and are ``None`` otherwise.  ``section_powers`` holds the
-    sumset powers of the section values made so far for this context, so
-    every weight reuses the lower ones.  ``q_split`` is the
-    :func:`q_decomposition` of the context, made once, and ``None`` where it
-    does not apply (symmetric, or r = 0).  Both are made by the constructor
-    and left out of equality, hash and repr.
+    ``section_values`` W is the value set of the available sections divided
+    by the minimal-value differential; it defaults to K below the conductor,
+    which is what the one-singularity model attains.  The rest is read from
+    the two.  ``alpha`` and ``beta`` are the conductor and multiplicity.
+    ``d1`` is the least value of K minus S below alpha and d2 = alpha - 1 -
+    d1 its complement, also in K minus S, so d1 <= d2; both are ``None`` on
+    a symmetric semigroup.  r = alpha // beta - 1 and p = alpha - (r+1) beta.
+    ``case`` is the epsilon-case of W: "i" when alpha is not in W, "iii" when
+    alpha and alpha + 1 or alpha + 2 are, "ii" otherwise.  ``section_powers``
+    holds the sumset powers of W made so far for this context, so every
+    weight reuses the lower ones.  ``q_split`` is the :func:`q_decomposition`
+    of the context, made once, and ``None`` where it does not apply
+    (symmetric, or r = 0).  Only the semigroup and W are compared, hashed
+    and shown.
 
-    However a context is made, it must hold the premise of the covering
-    test: K has least value 0 and holds [alpha, oo), and W agrees with K
-    below alpha, that is W u [alpha, oo) = K.  Then K^n =
+    W must agree with K = ``canonical_ideal(semigroup)`` below alpha, that is
+    W u [alpha, oo) = K.  K has least value 0 and holds [alpha, oo), so K^n =
     (K below alpha)^n u [alpha, oo): a sum of n values of K is at least 0
     and lies below alpha only if every summand does, and any v >= alpha is
     v + 0 + ... + 0.  The first part is a sumset of values of W, so it lies in
-    W^n, and K^n minus W^n is [alpha, oo) minus W^n.  A context breaking the
+    W^n, and K^n minus W^n is [alpha, oo) minus W^n.  A W breaking this
     premise raises :class:`HypothesisGap`.
     """
 
-    _shown = ("semigroup", "canonical", "section_values", "alpha", "beta", "d1", "d2", "r", "p")
+    _shown = ("semigroup", "section_values")
 
     def __init__(
-        self,
-        semigroup: NumericalSemigroup,
-        canonical: ValueSet,
-        section_values: ValueSet,
-        alpha: int,
-        beta: int,
-        d1: int | None,
-        d2: int | None,
-        r: int,
-        p: int,
+        self, semigroup: NumericalSemigroup, section_values: ValueSet | None = None
     ) -> None:
-        object.__setattr__(self, "semigroup", semigroup)
-        object.__setattr__(self, "canonical", canonical)
-        object.__setattr__(self, "section_values", section_values)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "d1", d1)
-        object.__setattr__(self, "d2", d2)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "p", p)
-        k, a, w = canonical, alpha, section_values
-        if k.min != 0 or k.threshold is None or k.threshold > a:
-            raise HypothesisGap("the canonical ideal must start at 0 and hold [alpha, oo)")
+        if not semigroup.gaps:
+            raise NotApplicable("the full semigroup has no singular point")
+        a, b = semigroup.conductor, semigroup.multiplicity
+        k = canonical_ideal(semigroup)
+        w = k.below(a) if section_values is None else section_values
         # W agrees with K below alpha iff W starts at 0 and their masks there match
         if w.min != 0 or w._bits_below(0, a) != k._bits_below(0, a):
             raise HypothesisGap(
                 "section values plus the conductor ray must equal the canonical ideal"
             )
+        lo, off_ring = missing_bits(k, semigroup.values, a)
+        d1 = lo + (off_ring & -off_ring).bit_length() - 1 if off_ring else None
+        r = a // b - 1
+        object.__setattr__(self, "semigroup", semigroup)
+        object.__setattr__(self, "section_values", w)
+        object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "beta", b)
+        object.__setattr__(self, "d1", d1)
+        object.__setattr__(self, "d2", None if d1 is None else a - 1 - d1)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "p", a - (r + 1) * b)
+        case = "i" if a not in w else "iii" if a + 1 in w or a + 2 in w else "ii"
+        object.__setattr__(self, "case", case)
         object.__setattr__(self, "section_powers", PowerChain(w))
         split = q_decomposition(self) if d1 is not None and r >= 1 else None
         object.__setattr__(self, "q_split", split)
-
-    @classmethod
-    def for_semigroup(
-        cls, s: NumericalSemigroup, section_values: ValueSet | None = None
-    ) -> "LocalContext":
-        if not s.gaps:
-            raise NotApplicable("the full semigroup has no singular point")
-        alpha, beta = s.conductor, s.multiplicity
-        k = canonical_ideal(s)
-        if section_values is None:
-            section_values = k.below(alpha)
-        lo, off_ring = missing_bits(k, s.values, alpha)
-        d1 = lo + (off_ring & -off_ring).bit_length() - 1 if off_ring else None
-        d2 = alpha - d1 - 1 if d1 is not None else None
-        r = alpha // beta - 1
-        return cls(s, k, section_values, alpha, beta, d1, d2, r, alpha - (r + 1) * beta)
 
 
 class QDecomposition(Frozen):
@@ -152,8 +130,8 @@ class QDecomposition(Frozen):
 def q_decomposition(ctx: LocalContext) -> QDecomposition:
     """Split each i = 1..r so both scaled summands stay below the conductor.
 
-    Rule: q_r2 is the largest q with q*beta <= d1 (after sorting the pair so
-    d1 <= d2), q_r1 = r - q_r2, and for i < r take q_i1 = min(i, q_r1).
+    Rule: q_r2 is the largest q with q*beta <= d1 (the context's d1 <= d2),
+    q_r1 = r - q_r2, and for i < r take q_i1 = min(i, q_r1).
 
     Every inequality is strict.  At i = r, q_r2*beta + d2 <= d1 + d2 =
     alpha - 1, and q_r1*beta + d1 = r*beta + (d1 mod beta) < (r+1)*beta <=
@@ -166,10 +144,9 @@ def q_decomposition(ctx: LocalContext) -> QDecomposition:
         raise NotApplicable("symmetric semigroup: no complementary gap pair")
     if ctx.r < 1:
         raise NotApplicable("conductor below twice the multiplicity (r = 0)")
-    d1, d2 = sorted((ctx.d1, ctx.d2))
-    qr1 = ctx.r - d1 // ctx.beta
+    qr1 = ctx.r - ctx.d1 // ctx.beta
     pairs = tuple((min(i, qr1), i - min(i, qr1)) for i in range(1, ctx.r + 1))
-    return QDecomposition(pairs, d1, d2, ctx.beta)
+    return QDecomposition(pairs, ctx.d1, ctx.d2, ctx.beta)
 
 
 class CertEntry(NamedTuple):
@@ -195,7 +172,7 @@ class Columns(Frozen):
     Held as (first j, count, least value): the columns b_first ..
     b_(first + count - 1), of values least .. least + count - 1.  ``bits``,
     the (least value, mask) of the column values ((None, 0) when there are
-    none), is read from these three numbers.  As a sequence it is the
+    none), is read from these three numbers.  Iterated, it gives the
     (label, value) pairs (f"b{j}", value) in column order; a pair and its
     label are made only when read, by ``entries`` (so by ``verify local``
     and a failing check).
@@ -213,19 +190,9 @@ class Columns(Frozen):
     def bits(self) -> tuple[int | None, int]:
         return (self.least, (1 << self.count) - 1) if self.count else (None, 0)
 
-    def __len__(self) -> int:
-        return self.count
-
     def __iter__(self) -> Iterator[tuple[str, int]]:
         first, least = self.first, self.least
         return ((f"b{first + k}", least + k) for k in range(self.count))
-
-    def __getitem__(self, k: int) -> tuple[str, int]:
-        if k < 0:
-            k += self.count
-        if not 0 <= k < self.count:
-            raise IndexError("column index out of range")
-        return f"b{self.first + k}", self.least + k
 
 
 class GridRow(NamedTuple):
@@ -447,10 +414,10 @@ class BasisCertificate(Frozen):
         return defects
 
 
-def build_certificates(ctx: LocalContext, n: int, case: str) -> list[BasisCertificate]:
+def build_certificates(ctx: LocalContext, n: int) -> list[BasisCertificate]:
     """Product tables spanning the conductor chain used for weight n covering.
 
-    With eps = case_epsilon(case, .), the chain is the windows
+    With eps = case_epsilon(ctx.case, .), the chain is the windows
 
     * conductor step [alpha, 2 alpha - beta),
     * square step [2 alpha - beta, 2 alpha - eps(2)),
@@ -472,21 +439,19 @@ def build_certificates(ctx: LocalContext, n: int, case: str) -> list[BasisCertif
     of value alpha - 1 in cases i and ii, times the powers m^1 .. m^(n-2).
     The column table, the rows m_i = i beta (values of S), the q-split
     summands (see :func:`q_decomposition`) and the gap pair d1, d2 all lie
-    in K below alpha, so every context holds them; a context given a d1 or
-    d2 outside W gets a :meth:`BasisCertificate.check` defect naming it.
-    Only h0 and h1, of value alpha and up, are required here: a missing one
-    raises :class:`HypothesisGap`.  Each step reads its masks as it is
-    made, a run's bits from its three numbers; no column pair and no entry
-    is labelled until it is read.
+    in K below alpha, so every context holds them, and the context's case
+    holds h0 and h1, of value alpha and up.  Each step reads its masks as it
+    is made, a run's bits from its three numbers; no column pair and no
+    entry is labelled until it is read.
     """
-    eps2 = case_epsilon(case, 2)
     if n < 1:
         raise ValueError("n must be a positive integer")
     if ctx.d1 is None:
         raise NotApplicable("certificates target a non-Gorenstein point; semigroup is symmetric")
     if n == 1:
         return []
-    a, b, r, p = ctx.alpha, ctx.beta, ctx.r, ctx.p
+    a, b, r, p, case = ctx.alpha, ctx.beta, ctx.r, ctx.p, ctx.case
+    eps2 = case_epsilon(case, 2)
 
     # the column table b_j = j + alpha - beta - 1, j = 1 .. beta-1, is the run
     # alpha - beta .. alpha - 2 and needs no test: alpha - b_j - 1 = beta - j
@@ -508,16 +473,12 @@ def build_certificates(ctx: LocalContext, n: int, case: str) -> list[BasisCertif
     if case == "i":
         mul_label, mul, first = f"b{b - 1}", b - 1 + shift, 3
     else:
-        if a not in ctx.section_values:
-            raise HypothesisGap(f"required section value {a} (h0) is unavailable")
         mul_label, mul, first = "h0", a, 1
     square: list[CertEntry | GridRow] = [
         GridRow(mul_label, mul, Columns(first, max(b - first, 0), first + shift))
     ]
     if case == "iii":
-        h1 = next((v for v in (a + 1, a + 2) if v in ctx.section_values), None)
-        if h1 is None:
-            raise HypothesisGap("case iii needs a section of value 1 or 2 at the point")
+        h1 = a + 1 if a + 1 in ctx.section_values else a + 2
         partner = a + b - h1
         bj = partner + shift
         square.append(CertEntry(f"h1*b{partner}", h1 + bj, (h1, bj)))

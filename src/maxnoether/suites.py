@@ -200,7 +200,7 @@ def suite_local_lemma(params: SuiteParams) -> Iterator[tuple]:
     max_genus = params.genus(10)
     max_n = params.n(4)
     for s in _nonsymmetric(max_genus):
-        ctx = LocalContext.for_semigroup(s)
+        ctx = LocalContext(s)
         a, b = ctx.alpha, ctx.beta
         info = s.to_json()
         if ctx.r >= 1:
@@ -215,7 +215,7 @@ def suite_local_lemma(params: SuiteParams) -> Iterator[tuple]:
                 passed,
                 None if passed else [lhs for lhs, rhs in ineqs if lhs >= rhs],
             )
-        certs = build_certificates(ctx, max(max_n, 2), "i")
+        certs = build_certificates(ctx, max(max_n, 2))
         conductor = certs[0]
         expected_values = list(range(a, 2 * a - b))
         got_values = conductor.sorted_values()
@@ -325,7 +325,7 @@ def suite_noether_single(params: SuiteParams) -> Iterator[tuple]:
         # No section of the one-singularity model attains local value 0, so
         # the covering bound is always the case-(i) one; below the numerator
         # degree cap it is exactly the surjectivity question.
-        ctx = LocalContext.for_semigroup(s)
+        ctx = LocalContext(s)
         curve = RationalCurveModel.from_semigroups([s])
         info = s.to_json()
         for n in range(2, max_n + 1):

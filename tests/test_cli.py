@@ -112,6 +112,7 @@ def test_verify_local_nonsymmetric(capsys):
 def test_verify_local_symmetric_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "local", "--gens", "2,7")
     assert code == 2
+    assert err.startswith("error: ")
     assert "symmetric" in err
 
 
@@ -347,8 +348,10 @@ def test_script_help_keeps_the_docstring_layout(name, lines):
 
 
 def test_verify_noether_requires_exactly_one_input(capsys):
-    code, _, err = run(capsys, "verify", "noether")
-    assert code == 2
+    for flags in ([], ["--curve", "curve.json", "--gens", "3,4,5"]):
+        code, out, err = run(capsys, "verify", "noether", *flags)
+        assert code == 2 and out == ""
+        assert "--curve" in err and "--gens" in err
 
 
 def test_verify_corpus_writes_jsonl(tmp_path, capsys):

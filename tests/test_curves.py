@@ -157,6 +157,14 @@ def test_section_valuations():
     assert section_valuations(c, 0) == (-3, -2)
     vals = section_valuations(c, 1)
     assert 0 in vals and 1 in vals
+    assert section_valuations(c, Fraction(0)) == (-3, -2)
+
+
+@pytest.mark.parametrize("point, name", [(0.1, "float"), (True, "bool"), ("0", "str")])
+def test_section_valuations_refuse_a_point_that_is_not_rational(point, name):
+    # 0.1 would be read as its binary fraction, True as the branch center 1
+    with pytest.raises(TypeError, match=f"^a point must be an int or a Fraction, not {name}$"):
+        section_valuations(curve((3, 4, 5)), point)
 
 
 def test_products_span_identity_at_weight_one():
@@ -429,13 +437,16 @@ def test_smooth_point_valuations_reflect_gonality():
 
 
 def test_epsilon_case_of_one_singularity_models():
-    from maxnoether.local import epsilon_case
+    from maxnoether.local import LocalContext
+    from maxnoether.valueset import ValueSet
 
     for gens in ((3, 4, 5), (2, 7), (5, 6, 7, 9)):
         c = curve(gens)
         attained = section_valuations(c, 0)
         assert max(attained) <= -2
-        assert epsilon_case(attained) == "i"
+        s = c.branches[0].semigroup
+        ctx = LocalContext(s, ValueSet.finite(v + s.conductor for v in attained))
+        assert ctx.case == "i"
 
 
 def dense_convolution(a, b):

@@ -41,8 +41,8 @@ from maxnoether.valueset import ValueSet
 
 S = NumericalSemigroup.from_generators((4, 5, 11))
 T = NumericalSemigroup.from_generators((3, 4, 5))
-CTX = LocalContext.for_semigroup(S)
-POWER_STEP = build_certificates(CTX, 3, "i")[-1]
+CTX = LocalContext(S)
+POWER_STEP = build_certificates(CTX, 3)[-1]
 BLOWUP = analyze(S)
 BRANCHES = (Branch(Fraction(0), S), Branch(Fraction(7, 3), T))
 
@@ -54,7 +54,7 @@ class Record(NamedTuple):
     # one changed value per compared field; a field missing here cannot be
     # changed alone without breaking the constructor's checks
     changed: dict[str, Any]
-    # constructor fields with a default, and the default
+    # constructor fields with a default, and the value an omitted one takes
     defaults: dict[str, Any] = {}
     # fields left out of equality and hash, with another value for each
     ignored: dict[str, Any] = {}
@@ -130,30 +130,17 @@ RECORDS = [
     ),
     Record(
         LocalContext,
-        dict(
-            semigroup=S,
-            canonical=CTX.canonical,
-            section_values=CTX.section_values,
-            alpha=CTX.alpha,
-            beta=CTX.beta,
-            d1=CTX.d1,
-            d2=CTX.d2,
-            r=CTX.r,
-            p=CTX.p,
+        dict(semigroup=S, section_values=CTX.section_values),
+        # the semigroup is tied to the section values by the constructor's
+        # premise check
+        dict(section_values=ValueSet.finite([*CTX.section_values.exceptional, CTX.alpha])),
+        # section values omitted are K below alpha
+        defaults=dict(section_values=CTX.section_values),
+        # the rest is read from the semigroup and the section values
+        ignored=dict(
+            alpha=0, beta=0, d1=0, d2=0, r=0, p=0, case="ii", section_powers=None, q_split=None
         ),
-        # the canonical ideal and alpha are tied to the section values by the
-        # constructor's premise check
-        dict(
-            semigroup=T,
-            section_values=ValueSet.finite([*CTX.section_values.exceptional, CTX.alpha]),
-            beta=CTX.beta + 1,
-            d1=2,
-            d2=5,
-            r=CTX.r + 1,
-            p=CTX.p + 1,
-        ),
-        ignored=dict(section_powers=None, q_split=None),
-        hidden=("section_powers", "q_split"),
+        hidden=("alpha", "beta", "d1", "d2", "r", "p", "case", "section_powers", "q_split"),
     ),
     Record(
         QDecomposition,
