@@ -28,11 +28,9 @@ from .local import (
     Columns,
     GridRow,
     LocalContext,
-    QDecomposition,
     SurjectivityCheck,
     build_certificates,
     case_epsilon,
-    q_decomposition,
     verify_local_surjectivity,
 )
 from .reports import VerificationReport, write_jsonl
@@ -60,7 +58,6 @@ __all__ = [
     "LocalContext",
     "NoetherCheck",
     "NumericalSemigroup",
-    "QDecomposition",
     "RationalCurveModel",
     "ResolutionCheck",
     "Subspace",
@@ -83,7 +80,6 @@ __all__ = [
     "n_fold",
     "nullspace",
     "products_span",
-    "q_decomposition",
     "quotient_dim",
     "resolve",
     "rref",

@@ -26,29 +26,32 @@ from .valueset import PowerChain, ValueSet, canonical_ideal, quotient_dim
 class BlowupAnalysis(Frozen):
     """Stabilization data of the canonical-ideal powers of one semigroup.
 
-    ``powers`` is the chain K, K^2, ..., K^index walked to find the blowup;
-    the checks below read it instead of building powers again.  It is left
-    out of equality, hash and repr.
+    Everything is read from the semigroup: ``canonical`` is K, ``powers``
+    the chain K, K^2, ..., K^index walked to find the blowup, whose last
+    power is ``blowup_values`` and whose length is ``stabilization_index``;
+    ``eta`` is |K minus S| and ``blowup_genus`` the number of gaps of the
+    blowup.  The checks below read the chain instead of building powers
+    again.  Only the semigroup is compared, hashed and shown.
+
+    The powers of K ascend, as 0 is in K.  The first power that K no longer
+    enlarges is closed under addition, so it is the additive closure of K.
     """
 
-    _shown = ("semigroup", "canonical", "blowup_values", "stabilization_index", "eta", "blowup_genus")
+    _shown = ("semigroup",)
 
-    def __init__(
-        self,
-        semigroup: NumericalSemigroup,
-        canonical: ValueSet,
-        blowup_values: ValueSet,
-        stabilization_index: int,
-        eta: int,
-        blowup_genus: int,
-        powers: tuple[ValueSet, ...],
-    ) -> None:
+    def __init__(self, semigroup: NumericalSemigroup) -> None:
+        k = canonical_ideal(semigroup)
+        chain = PowerChain(k)
+        index = 1
+        while chain.power(index + 1) != chain.power(index):
+            index += 1
+        powers = tuple(chain.power(m) for m in range(1, index + 1))
         object.__setattr__(self, "semigroup", semigroup)
-        object.__setattr__(self, "canonical", canonical)
-        object.__setattr__(self, "blowup_values", blowup_values)
-        object.__setattr__(self, "stabilization_index", stabilization_index)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "blowup_genus", blowup_genus)
+        object.__setattr__(self, "canonical", k)
+        object.__setattr__(self, "blowup_values", powers[-1])
+        object.__setattr__(self, "stabilization_index", index)
+        object.__setattr__(self, "eta", quotient_dim(k, semigroup.values))
+        object.__setattr__(self, "blowup_genus", quotient_dim(ValueSet.naturals(), powers[-1]))
         object.__setattr__(self, "powers", powers)
 
     def to_json(self) -> dict:
@@ -102,20 +105,8 @@ class BlowupAnalysis(Frozen):
 
 
 def analyze(s: NumericalSemigroup) -> BlowupAnalysis:
-    """Compute the blowup value data of a semigroup (symmetric ones included).
-
-    The powers of K ascend, as 0 is in K.  The first power that K no longer
-    enlarges is closed under addition, so it is the additive closure of K.
-    """
-    k = canonical_ideal(s)
-    chain = PowerChain(k)
-    index = 1
-    while chain.power(index + 1) != chain.power(index):
-        index += 1
-    powers = tuple(chain.power(m) for m in range(1, index + 1))
-    eta = quotient_dim(k, s.values)
-    ghat = quotient_dim(ValueSet.naturals(), powers[-1])
-    return BlowupAnalysis(s, k, powers[-1], index, eta, ghat, powers)
+    """Compute the blowup value data of a semigroup (symmetric ones included)."""
+    return BlowupAnalysis(s)
 
 
 class AlmostGorensteinChecks(Frozen):

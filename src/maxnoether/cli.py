@@ -146,10 +146,9 @@ def cmd_verify_local(args) -> int:
         "p": ctx.p,
     }
     ok = True
-    qd = ctx.q_split
-    if qd is not None:
-        ok &= qd.all_strict(ctx.alpha)
-        data["q_pairs"] = [list(p) for p in qd.pairs]
+    if ctx.q_pairs is not None:
+        ok &= all(v < ctx.alpha for v in ctx.q_sums)
+        data["q_pairs"] = [list(p) for p in ctx.q_pairs]
     certs = build_certificates(ctx, max(args.n, 2))
     defects = [d for c in certs for d in c.check(ctx.section_values)]
     ok &= not defects
@@ -330,9 +329,25 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:
+            sys.stdout.flush()  # a write stdout refuses fails here, not at exit
+        return code
     except MaxNoetherError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # every input is read through MaxNoetherError, so an output refused a write
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        try:
+            if sys.stdout is not None:
+                sys.stdout.flush()
+        except OSError:
+            # stdout refuses what it still buffers: point it at the null
+            # device, or the flush at exit fails again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return 2
 
 

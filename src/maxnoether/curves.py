@@ -230,6 +230,8 @@ class RationalCurveModel(Frozen):
                 text = fp.read()
         except OSError as exc:
             raise CurveSpecError(f"cannot read curve spec: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise CurveSpecError(f"{path}: not UTF-8 text: {exc}") from exc
         try:
             obj = json.loads(text, parse_int=_parse_json_int)
         except json.JSONDecodeError as exc:
@@ -238,6 +240,8 @@ class RationalCurveModel(Frozen):
             ) from exc
         except ValueError as exc:  # an integer literal past MAX_CENTER_DIGITS
             raise CurveSpecError(f"{path}: {exc}") from exc
+        except RecursionError:
+            raise CurveSpecError(f"{path}: JSON nested too deeply to read") from None
         return cls.from_json(obj)
 
     def __str__(self) -> str:

@@ -57,10 +57,20 @@ class LocalContext(Frozen):
     ``case`` is the epsilon-case of W: "i" when alpha is not in W, "iii" when
     alpha and alpha + 1 or alpha + 2 are, "ii" otherwise.  ``section_powers``
     holds the sumset powers of W made so far for this context, so every
-    weight reuses the lower ones.  ``q_split`` is the :func:`q_decomposition`
-    of the context, made once, and ``None`` where it does not apply
-    (symmetric, or r = 0).  Only the semigroup and W are compared, hashed
-    and shown.
+    weight reuses the lower ones.  Only the semigroup and W are compared,
+    hashed and shown.
+
+    ``q_pairs`` splits each i = 1..r as q_i1 + q_i2 so that both scaled
+    summands q_i1*beta + d1 and q_i2*beta + d2 stay below alpha; ``q_sums``
+    lists those 2r summands in pair order.  Rule: q_r2 = d1 // beta, the
+    largest q with q*beta <= d1, q_r1 = r - q_r2, and for i < r take q_i1 =
+    min(i, q_r1).  ``q_pairs`` is ``None`` and ``q_sums`` empty where the
+    split does not apply (symmetric, or r = 0).  Every summand is below
+    alpha: at i = r, q_r2*beta + d2 <= d1 + d2 = alpha - 1, and q_r1*beta +
+    d1 = r*beta + (d1 mod beta) < (r+1)*beta <= alpha.  For i < r, q_i1 <=
+    q_r1 and q_i2 <= q_r2, so those pairs lie below these two.  Each summand
+    is a value of S plus d_j in K, so it lies in K below alpha, where the
+    premise below makes W equal K: the certificates need no test of them.
 
     W must agree with K = ``canonical_ideal(semigroup)`` below alpha, that is
     W u [alpha, oo) = K.  K has least value 0 and holds [alpha, oo), so K^n =
@@ -88,65 +98,26 @@ class LocalContext(Frozen):
             )
         lo, off_ring = missing_bits(k, semigroup.values, a)
         d1 = lo + (off_ring & -off_ring).bit_length() - 1 if off_ring else None
+        d2 = None if d1 is None else a - 1 - d1
         r = a // b - 1
         object.__setattr__(self, "semigroup", semigroup)
         object.__setattr__(self, "section_values", w)
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
         object.__setattr__(self, "d1", d1)
-        object.__setattr__(self, "d2", None if d1 is None else a - 1 - d1)
+        object.__setattr__(self, "d2", d2)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "p", a - (r + 1) * b)
         case = "i" if a not in w else "iii" if a + 1 in w or a + 2 in w else "ii"
         object.__setattr__(self, "case", case)
         object.__setattr__(self, "section_powers", PowerChain(w))
-        split = q_decomposition(self) if d1 is not None and r >= 1 else None
-        object.__setattr__(self, "q_split", split)
-
-
-class QDecomposition(Frozen):
-    """Splittings i = q_i1 + q_i2 keeping q_ij * beta + d_j below the conductor."""
-
-    _shown = ("pairs", "d1", "d2", "beta")
-
-    def __init__(self, pairs: tuple[tuple[int, int], ...], d1: int, d2: int, beta: int) -> None:
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "d1", d1)
-        object.__setattr__(self, "d2", d2)
-        object.__setattr__(self, "beta", beta)
-
-    def inequalities(self, alpha: int) -> list[tuple[int, int]]:
-        """(left side, alpha) for every strict inequality the splitting claims."""
-        out = []
-        for q1, q2 in self.pairs:
-            out.append((q1 * self.beta + self.d1, alpha))
-            out.append((q2 * self.beta + self.d2, alpha))
-        return out
-
-    def all_strict(self, alpha: int) -> bool:
-        return all(lhs < rhs for lhs, rhs in self.inequalities(alpha))
-
-
-def q_decomposition(ctx: LocalContext) -> QDecomposition:
-    """Split each i = 1..r so both scaled summands stay below the conductor.
-
-    Rule: q_r2 is the largest q with q*beta <= d1 (the context's d1 <= d2),
-    q_r1 = r - q_r2, and for i < r take q_i1 = min(i, q_r1).
-
-    Every inequality is strict.  At i = r, q_r2*beta + d2 <= d1 + d2 =
-    alpha - 1, and q_r1*beta + d1 = r*beta + (d1 mod beta) < (r+1)*beta <=
-    alpha.  For i < r, q_i1 <= q_r1 and q_i2 <= q_r2, so those pairs lie below
-    these two.  Each summand q*beta + d_j is a value of S plus d_j in K, so it
-    lies in K below alpha, where the context's premise makes the section
-    values W equal K: the certificates need no test of them.
-    """
-    if ctx.d1 is None:
-        raise NotApplicable("symmetric semigroup: no complementary gap pair")
-    if ctx.r < 1:
-        raise NotApplicable("conductor below twice the multiplicity (r = 0)")
-    qr1 = ctx.r - ctx.d1 // ctx.beta
-    pairs = tuple((min(i, qr1), i - min(i, qr1)) for i in range(1, ctx.r + 1))
-    return QDecomposition(pairs, ctx.d1, ctx.d2, ctx.beta)
+        pairs, sums = None, ()
+        if d1 is not None and r >= 1:
+            qr1 = r - d1 // b
+            pairs = tuple((min(i, qr1), i - min(i, qr1)) for i in range(1, r + 1))
+            sums = tuple(v for q1, q2 in pairs for v in (q1 * b + d1, q2 * b + d2))
+        object.__setattr__(self, "q_pairs", pairs)
+        object.__setattr__(self, "q_sums", sums)
 
 
 class CertEntry(NamedTuple):
@@ -438,7 +409,7 @@ def build_certificates(ctx: LocalContext, n: int) -> list[BasisCertificate]:
     power step is the rows and entries of both, plus the gap-pair product f0
     of value alpha - 1 in cases i and ii, times the powers m^1 .. m^(n-2).
     The column table, the rows m_i = i beta (values of S), the q-split
-    summands (see :func:`q_decomposition`) and the gap pair d1, d2 all lie
+    summands (see :class:`LocalContext`) and the gap pair d1, d2 all lie
     in K below alpha, so every context holds them, and the context's case
     holds h0 and h1, of value alpha and up.  Each step reads its masks as it
     is made, a run's bits from its three numbers; no column pair and no
@@ -462,8 +433,8 @@ def build_certificates(ctx: LocalContext, n: int) -> list[BasisCertificate]:
 
     conductor: list[CertEntry | GridRow] = []
     if r >= 1:
-        d1, d2 = ctx.q_split.d1, ctx.q_split.d2
-        for i, (q1, q2) in enumerate(ctx.q_split.pairs, 1):
+        d1, d2 = ctx.d1, ctx.d2
+        for i, (q1, q2) in enumerate(ctx.q_pairs, 1):
             conductor.append(GridRow(f"m{i}", i * b, b_cols))
             f1, f2 = q1 * b + d1, q2 * b + d2
             conductor.append(CertEntry(f"f{i}", f1 + f2, (f1, f2)))

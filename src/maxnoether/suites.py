@@ -204,16 +204,14 @@ def suite_local_lemma(params: SuiteParams) -> Iterator[tuple]:
         a, b = ctx.alpha, ctx.beta
         info = s.to_json()
         if ctx.r >= 1:
-            qd = ctx.q_split
-            ineqs = qd.inequalities(a)
-            passed = qd.all_strict(a)
+            passed = all(v < a for v in ctx.q_sums)
             yield (
                 "q-decomposition",
                 info,
-                [list(p) for p in qd.pairs],
-                [[lhs, rhs] for lhs, rhs in ineqs],
+                [list(p) for p in ctx.q_pairs],
+                [[v, a] for v in ctx.q_sums],
                 passed,
-                None if passed else [lhs for lhs, rhs in ineqs if lhs >= rhs],
+                None if passed else [v for v in ctx.q_sums if v >= a],
             )
         certs = build_certificates(ctx, max(max_n, 2))
         conductor = certs[0]

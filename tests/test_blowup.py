@@ -2,7 +2,7 @@
 
 import pytest
 
-from maxnoether.blowup import analyze
+from maxnoether.blowup import BlowupAnalysis, analyze
 from maxnoether.errors import NotApplicable
 from maxnoether.curves import RationalCurveModel
 from maxnoether.semigroup import NumericalSemigroup, enumerate_semigroups
@@ -163,8 +163,9 @@ def fresh_analysis(s):
 
 
 def test_one_analysis_gives_the_per_call_results():
-    for s in enumerate_semigroups(8):
+    for s in enumerate_semigroups(14):
         ana = analyze(s)
+        assert ana == BlowupAnalysis(s)
         fields, checks, drop = fresh_analysis(s)
         assert (
             ana.canonical,
@@ -173,6 +174,9 @@ def test_one_analysis_gives_the_per_call_results():
             ana.eta,
             ana.blowup_genus,
         ) == fields
+        # below alpha K has g values, alpha - 1 - h for each gap h, and S has
+        # alpha - g of them, so |K minus S| = g - (alpha - g)
+        assert ana.eta == 2 * s.genus - s.conductor
         assert [ana.power(m) for m in range(1, 7)] == [n_fold(ana.canonical, m) for m in range(1, 7)]
         if s.is_symmetric():
             continue

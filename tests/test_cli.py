@@ -1,5 +1,6 @@
 """Command-line surface: flags, exit codes, and canonical report output."""
 
+import errno
 import io
 import json
 import os
@@ -472,17 +473,28 @@ def test_verify_noether_rejects_non_integer_generators(tmp_path, capsys, generat
             '{"branches": [{"center": 0.33333333333333333333, "generators": [3, 4, 5]}]}',
             "error: branch 0: center 0.3333333333333333 must be a string",
         ),
+        ("[" * 2000 + "]" * 2000, "error: {path}: JSON nested too deeply"),
     ],
-    ids=["no-branches", "float-center"],
+    ids=["no-branches", "float-center", "deep-nesting"],
 )
 def test_verify_noether_rejects_vacuous_or_rounded_curve_specs(tmp_path, capsys, spec, message):
-    # nothing to check must not pass, and a JSON fraction has been rounded to a float
+    # nothing to check must not pass, a JSON fraction has been rounded to a
+    # float, and nesting past the recursion limit cannot be read
     path = tmp_path / "curve.json"
     path.write_text(spec)
     code, out, err = run(capsys, "verify", "noether", "--curve", str(path))
     assert code == 2
     assert out == ""
-    assert err.startswith(message)
+    assert err.startswith(message.format(path=path))
+
+
+def test_verify_noether_rejects_a_curve_spec_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "curve.json"
+    path.write_bytes(b'\xff\xfe{"branches": []}')
+    code, out, err = run(capsys, "verify", "noether", "--curve", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: not UTF-8 text")
 
 
 @pytest.mark.parametrize(
@@ -798,6 +810,73 @@ def test_verify_corpus_crash_partway_leaves_no_temp_file(tmp_path, monkeypatch, 
         main(["verify", "corpus", "--suite", "blowup", "--out", str(path)])
     assert os.listdir(tmp_path) == (["results.jsonl"] if existing else [])
     assert not existing or path.read_bytes() == b"earlier results\n"
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["existing-out", "new-out"])
+def test_verify_corpus_write_failing_partway_is_an_output_error(
+    tmp_path, monkeypatch, capsys, existing
+):
+    # a full disk met after the first line: reported as an unwritable output
+    import maxnoether.cli as cli_mod
+
+    def fills_up(reports, fp):
+        fp.write(next(iter(reports)).to_line() + "\n")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli_mod, "write_jsonl", fills_up)
+    path = tmp_path / "results.jsonl"
+    if existing:
+        path.write_bytes(b"earlier results\n")
+    code, out, err = run(capsys, "verify", "corpus", "--suite", "blowup", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == (["results.jsonl"] if existing else [])
+    assert not existing or path.read_bytes() == b"earlier results\n"
+
+
+def _run_module(argv, stdout):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run(
+        [sys.executable, "-m", "maxnoether", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+def _assert_output_error(proc):
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write output: ")
+    # nothing more: no traceback, and no second failure flushing stdout at exit
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_verify_corpus_out_to_a_full_device_is_an_output_error():
+    argv = ["verify", "corpus", "--suite", "dims", "--out", "/dev/full"]
+    _assert_output_error(_run_module(argv, subprocess.DEVNULL))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "corpus", "--suite", "noether-single"),
+        ("sg", "enumerate", "--max-genus", "10"),
+    ],
+    ids=["corpus", "enumerate"],
+)
+def test_stdout_closed_by_its_reader_is_an_output_error(argv):
+    # as `| head -1` leaves it once head exits: the pipe's read end is closed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_module(argv, write_end)
+    finally:
+        os.close(write_end)
+    _assert_output_error(proc)
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ from maxnoether.local import (
     build_certificates,
     case_epsilon,
     SurjectivityCheck,
-    q_decomposition,
     verify_local_surjectivity,
 )
 from maxnoether.semigroup import NumericalSemigroup, enumerate_semigroups
@@ -107,25 +106,29 @@ def test_context_rejects_bad_section_values():
 def test_q_decomposition_378():
     ctx = ctx_for([3, 7, 8])
     assert (ctx.alpha, ctx.beta, ctx.d1, ctx.d2, ctx.r) == (6, 3, 1, 4, 1)
-    qd = q_decomposition(ctx)
-    assert qd.pairs == ((1, 0),)
-    assert qd.all_strict(ctx.alpha)
-    assert qd.inequalities(ctx.alpha) == [(4, 6), (4, 6)]
+    assert ctx.q_pairs == ((1, 0),)
+    assert ctx.q_sums == (4, 4)
 
 
 def test_q_decomposition_not_applicable():
-    with pytest.raises(NotApplicable):
-        q_decomposition(ctx_for([3, 4, 5]))  # r = 0
-    with pytest.raises(NotApplicable):
-        q_decomposition(ctx_for([2, 7]))  # symmetric
+    for gens in ([3, 4, 5], [2, 7]):  # r = 0, and symmetric
+        ctx = ctx_for(gens)
+        assert ctx.q_pairs is None and ctx.q_sums == ()
 
 
 def test_q_decomposition_4511():
     ctx = ctx_for([4, 5, 11])
     assert (ctx.d1, ctx.d2, ctx.r) == (1, 6, 1)
-    qd = q_decomposition(ctx)
-    assert qd.pairs == ((1, 0),)
-    assert [lhs for lhs, _ in qd.inequalities(8)] == [5, 6]
+    assert ctx.q_pairs == ((1, 0),)
+    assert ctx.q_sums == (5, 6)
+
+
+def test_q_decomposition_when_d1_exceeds_beta():
+    # q_r2 = d1 // beta = 1, so q_r1 = r - 1; one more would put 3*3 + 4 = 13 past alpha
+    ctx = ctx_for([3, 7, 11])
+    assert (ctx.alpha, ctx.beta, ctx.d1, ctx.d2, ctx.r) == (9, 3, 4, 4, 2)
+    assert ctx.q_pairs == ((1, 0), (1, 1))
+    assert ctx.q_sums == (7, 4, 7, 7)
 
 
 def test_conductor_certificate_378():
@@ -306,7 +309,7 @@ def test_certificate_entries_are_plain_tuples():
 
 
 def test_q_split_summands_lie_below_alpha_through_genus_14():
-    # the q_decomposition bound: every summand is strictly below alpha, so in
+    # the q-split bound: every summand is strictly below alpha, so in
     # K below alpha, where the section values agree with K
     nonsymmetric = split = 0
     for s in enumerate_semigroups(14):
@@ -316,14 +319,13 @@ def test_q_split_summands_lie_below_alpha_through_genus_14():
         if ctx.d1 is None:
             continue
         nonsymmetric += 1
-        qd = ctx.q_split
-        if qd is None:
+        if ctx.q_pairs is None:
             continue
         split += 1
-        assert qd.all_strict(ctx.alpha)
-        for q1, q2 in qd.pairs:
-            assert q1 * ctx.beta + qd.d1 in ctx.section_values
-            assert q2 * ctx.beta + qd.d2 in ctx.section_values
+        assert [q1 + q2 for q1, q2 in ctx.q_pairs] == list(range(1, ctx.r + 1))
+        summands = [(q1 * ctx.beta + ctx.d1, q2 * ctx.beta + ctx.d2) for q1, q2 in ctx.q_pairs]
+        assert ctx.q_sums == tuple(v for pair in summands for v in pair)
+        assert all(v < ctx.alpha and v in ctx.section_values for v in ctx.q_sums)
     assert (nonsymmetric, split) == (3897, 2912)
 
 
@@ -457,7 +459,8 @@ def census_contexts(max_genus):
 def test_census_q_decomposition_strict():
     for ctx in census_contexts(9):
         if ctx.r >= 1:
-            assert q_decomposition(ctx).all_strict(ctx.alpha)
+            assert len(ctx.q_sums) == 2 * len(ctx.q_pairs) == 2 * ctx.r
+            assert all(v < ctx.alpha for v in ctx.q_sums)
 
 
 def test_census_conductor_values_exact_run():

@@ -22,7 +22,7 @@ from typing import Any, Callable, NamedTuple
 import pytest
 
 import maxnoether
-from maxnoether.blowup import AlmostGorensteinChecks, BlowupAnalysis, analyze
+from maxnoether.blowup import AlmostGorensteinChecks, BlowupAnalysis
 from maxnoether.curves import Branch, NoetherCheck, RationalCurveModel, ResolutionCheck
 from maxnoether.frozen import Frozen
 from maxnoether.linalg import Subspace
@@ -30,7 +30,6 @@ from maxnoether.local import (
     BasisCertificate,
     Columns,
     LocalContext,
-    QDecomposition,
     SurjectivityCheck,
     build_certificates,
 )
@@ -43,7 +42,6 @@ S = NumericalSemigroup.from_generators((4, 5, 11))
 T = NumericalSemigroup.from_generators((3, 4, 5))
 CTX = LocalContext(S)
 POWER_STEP = build_certificates(CTX, 3)[-1]
-BLOWUP = analyze(S)
 BRANCHES = (Branch(Fraction(0), S), Branch(Fraction(7, 3), T))
 
 
@@ -79,25 +77,20 @@ class Record(NamedTuple):
 RECORDS = [
     Record(
         BlowupAnalysis,
-        dict(
-            semigroup=S,
-            canonical=BLOWUP.canonical,
-            blowup_values=BLOWUP.blowup_values,
-            stabilization_index=BLOWUP.stabilization_index,
-            eta=BLOWUP.eta,
-            blowup_genus=BLOWUP.blowup_genus,
-            powers=BLOWUP.powers,
-        ),
-        dict(
-            semigroup=T,
+        dict(semigroup=S),
+        dict(semigroup=T),
+        # the rest is read from the semigroup
+        ignored=dict(
             canonical=ValueSet.naturals(),
-            blowup_values=BLOWUP.canonical,
-            stabilization_index=9,
-            eta=9,
+            blowup_values=S.values,
+            stabilization_index=0,
+            eta=0,
             blowup_genus=9,
+            powers=(),
         ),
-        ignored=dict(powers=()),
-        hidden=("powers",),
+        hidden=(
+            "canonical", "blowup_values", "stabilization_index", "eta", "blowup_genus", "powers"
+        ),
     ),
     Record(
         AlmostGorensteinChecks,
@@ -138,14 +131,12 @@ RECORDS = [
         defaults=dict(section_values=CTX.section_values),
         # the rest is read from the semigroup and the section values
         ignored=dict(
-            alpha=0, beta=0, d1=0, d2=0, r=0, p=0, case="ii", section_powers=None, q_split=None
+            alpha=0, beta=0, d1=0, d2=0, r=0, p=0, case="ii", section_powers=None, q_pairs=None,
+            q_sums=(),
         ),
-        hidden=("alpha", "beta", "d1", "d2", "r", "p", "case", "section_powers", "q_split"),
-    ),
-    Record(
-        QDecomposition,
-        dict(pairs=((1, 0),), d1=1, d2=6, beta=4),
-        dict(pairs=((0, 1),), d1=2, d2=5, beta=3),
+        hidden=(
+            "alpha", "beta", "d1", "d2", "r", "p", "case", "section_powers", "q_pairs", "q_sums"
+        ),
     ),
     Record(
         Columns,
