@@ -5,7 +5,8 @@ Usage:
     PYTHONPATH=src python scripts/time_oracle.py
 
 Runs ``max_noether_holds`` five times per case, each run from cold caches
-(every lru cache of ``maxnoether.curves`` is cleared before it), and prints
+(every lru cache of ``maxnoether.curves`` and ``maxnoether.pencil`` is
+cleared before it), and prints
 the verdict, the dimension of H^0(omega^n), and the least and the median of
 the five times in seconds, by wall clock (``time.perf_counter``) and, after
 ``cpu``, by the process's CPU time (``time.process_time``).  The wall clock
@@ -34,10 +35,24 @@ The Noether cases are:
   branch's constraint columns are jets at a rational center, dense big
   integers that no affine frame removes;
 - two <3,4,5> branches at 0 and 1, n = 160, which builds the product span of
-  every weight from 1 to 160, each from dense rows at the center 1.
+  every weight from 1 to 160, each from dense rows at the center 1;
+- two <7,8> branches at 0 and 1, n = 4: both branches are symmetric and
+  N0 = 3, so the check builds the spaces of weight 3 and searches for a
+  pencil on its two Gorenstein branches, where a slow search would show.
+
+Past N0 a certified base-point-free pencil decides a curve of two or more
+branches at a weight where some branch excludes an order
+(``pencil.find_pencil``, see the ``curves`` module docstring), so these
+cases build no product span past N0: three <3,5,7> at n = 40 and the mixed
+three-branch case at n = 40 (N0 = 2 on both, and <3,5,7> excludes an order
+at every weight), two <7,8> at n = 4 (N0 = 3), and the two <10,11>
+branches only from n = 4 on (N0 = 3), not at n = 2.  Two <3,4,5> exclude
+no order past weight 1, and the lone branches are lone: they keep the exact
+check at every weight.
 
 Then it runs ``check_resolution_quotient`` the same way, and prints the same
-line with the branch resolved after the curve's name:
+line with the branch resolved after the curve's name.  Past N0 it takes the
+products to be the sections from the pencil and keeps its jet test:
 
 - two <10,11> branches at 0 and 1, branch 1 resolved, n = 2: the product
   certificate of the first case, then the resolved sections of <10,11> at 0
@@ -53,7 +68,7 @@ import statistics
 import time
 from fractions import Fraction
 
-from maxnoether import curves
+from maxnoether import curves, pencil
 from maxnoether.curves import (
     Branch,
     RationalCurveModel,
@@ -90,6 +105,7 @@ CASES = (
         40,
     ),
     ("<3,4,5>@0 <3,4,5>@1", _curve((0, (3, 4, 5)), (1, (3, 4, 5))), 160),
+    ("<7,8>@0 <7,8>@1", _curve((0, (7, 8)), (1, (7, 8))), 4),
 )
 
 # (name, curve, index of the resolved branch, n)
@@ -105,9 +121,10 @@ RESOLUTION_CASES = (
 
 
 def _cold_run(check, *args):
-    for fn in vars(curves).values():
-        if hasattr(fn, "cache_clear"):
-            fn.cache_clear()
+    for module in (curves, pencil):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
     t0, c0 = time.perf_counter(), time.process_time()
     result = check(*args)
     return result, time.perf_counter() - t0, time.process_time() - c0

@@ -16,9 +16,16 @@ import sys
 from contextlib import contextmanager, nullcontext
 
 from . import blowup as blowup_mod
-from .curves import MAX_WEIGHT, RationalCurveModel, max_noether_holds, section_valuations
+from .curves import (
+    MAX_WEIGHT,
+    RationalCurveModel,
+    max_noether_holds,
+    power_index,
+    section_valuations,
+)
 from .errors import MaxNoetherError, NotApplicable, UnreadBound, WeightTooLarge
 from .local import LocalContext, build_certificates, case_epsilon, verify_local_surjectivity
+from .pencil import degree_margin, find_pencil, pencil_weight
 from .reports import write_jsonl
 from .semigroup import NumericalSemigroup, enumerate_semigroups
 from .suites import GENUS_CAPS, READS_N, SUITES, SuiteParams, check_genus_cap, iter_suite
@@ -191,12 +198,67 @@ def cmd_verify_noether(args) -> int:
         curve = RationalCurveModel.from_file(args.curve)
     else:
         curve = RationalCurveModel.from_semigroups([_parse_gens(args.gens)])
+    if args.all_n:
+        return _verify_noether_all_n(curve, args.json)
     check = max_noether_holds(curve, args.n)
     if args.json:
         print(json.dumps({"curve": curve.to_json(), "check": check.to_json()}, sort_keys=True))
     else:
         print(f"{curve}  n={args.n}: {check.describe()}")
     return 0 if check.holds else 1
+
+
+def _verify_noether_all_n(curve: RationalCurveModel, as_json: bool) -> int:
+    """Noether at every weight: exact checks at n = 2..N0, then a certified pencil.
+
+    Weight 1 holds by definition.  The pencil is searched for on any curve,
+    a lone branch included, and it proves every weight past N0 (see the
+    ``curves`` module docstring).  Exit 0 iff every base check holds and a
+    pencil is certified.
+    """
+    n0 = pencil_weight(curve)
+    data: dict = {
+        "curve": curve.to_json(),
+        "n0": n0,
+        "stabilization_indices": [power_index(br.semigroup) for br in curve.branches],
+        "degree_margin": None if n0 is None else degree_margin(curve, n0),
+        "pencil_degrees": None,
+        "failed": None,
+    }
+    checks = []
+    if n0 is None:
+        data["failed"] = "degree-bound"
+    else:
+        for n in range(2, n0 + 1):
+            check = max_noether_holds(curve, n)
+            checks.append(check)
+            if not check.holds:
+                data["failed"] = f"base-case-n{n}"
+                break
+        else:
+            pencil = find_pencil(curve)
+            if isinstance(pencil, str):
+                data["failed"] = pencil
+            else:
+                data["pencil_degrees"] = [h[-1][0] for h in pencil]
+    data["checks"] = [check.to_json() for check in checks]
+    data["holds"] = data["failed"] is None
+    if as_json:
+        print(json.dumps(data, sort_keys=True))
+    else:
+        margin = data["degree_margin"]
+        print(
+            f"{curve}  N0={_ints([n0] if n0 else [])}  r_P={_ints(data['stabilization_indices'])}"
+            f"  degree margin {'-' if margin is None else margin}"
+        )
+        for check in checks:
+            print(f"n={check.n}: {check.describe()}")
+        if data["holds"]:
+            degrees = _ints(data["pencil_degrees"])
+            print(f"pencil of degrees {degrees}: surjective for every n >= 1")
+        else:
+            print(f"not certified: {data['failed']}")
+    return 0 if data["holds"] else 1
 
 
 def cmd_verify_corpus(args) -> int:
@@ -308,7 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
     source = noether.add_mutually_exclusive_group(required=True)
     source.add_argument("--curve", help="curve spec JSON file")
     source.add_argument("--gens", help="single singularity at the origin")
-    noether.add_argument("--n", type=_at_least(1), default=2)
+    weights = noether.add_mutually_exclusive_group()
+    weights.add_argument("--n", type=_at_least(1), default=2)
+    weights.add_argument(
+        "--all-n", action="store_true", help="every weight: exact up to N0, then a pencil"
+    )
     noether.add_argument("--json", action="store_true")
     noether.set_defaults(func=cmd_verify_noether)
 

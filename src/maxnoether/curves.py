@@ -93,6 +93,56 @@ excluded order, and the next such branch to 1, where q = 1 and no column
 entry carries a power of q; a lone branch goes to 0 and takes the unit-row
 path above.
 
+Past a small weight N0 a base-point-free pencil decides every weight at once
+(Castelnuovo's pencil trick: Mumford, *Varieties defined by quadratic
+equations*, 1970; Eisenbud, *The Geometry of Syzygies*, GTM 229).  Let
+h1, h2 in S_1 span a pencil that generates an invertible L inside omega.  If
+H^1(omega^n L^-1) = 0, then V (x) H^0(omega^n) -> H^0(L omega^n) is onto, and
+L omega^n = omega^(n+1) once K_P^(n+1) = K_P^n at every branch, that is, from
+r_P on (``power_index``; the blowup's stabilization index).  Then
+S_(n+1) = h1 S_n + h2 S_n, so P_N0 = S_N0 gives P_n = S_n for every n >= N0.
+N0 is read from value data alone, before any row is built
+(``pencil.pencil_weight``): deg omega^n = n(2g - 2) - sum_P e_P(n), with
+e_P from ``power_defect``, and deg L = 2g - 2 - sum_P |K_P - S_P|; H^1
+vanishes once deg omega^n - deg L > 2g - 2 (``pencil.degree_margin``), and
+N0 is the least n >= max(2, max_P r_P) where it does.
+
+The pencil is certified by four exact conditions (``pencil.pencil_refusal``):
+
+- no base point at infinity: one of h1, h2 has the full degree
+  ``numerator_degree_bound(curve, 1)``, read off its terms;
+- a value-0 factor at each center, so that L is omega at a Gorenstein
+  point and has the degree above: h(c) != 0, evaluated exactly;
+- h2 / h1 in O_P at each branch with K != S, so L is invertible there: the
+  ratio of the weight-1 jets (``_jets``, as C reads them) has no term on a
+  gap of S.  It is one integer condition per value of K - S, fraction-free,
+  since on a gap of K the coefficient vanishes once it does below: the
+  ratio then agrees with an element of O_P, whose product with h1 has
+  support in S + K, inside K, where h, a section, has no term.  This is the
+  lemma l(J/I) = |v(J) - v(I)| for fractional ideals I in J of a monomial
+  branch.  A symmetric branch imposes no condition;
+- no common root: gcd(h1, h2) = 1, shown as a gcd of 1 modulo
+  ``linalg.MODULUS`` with p not dividing a leading coefficient.  That is
+  sound, since the primitive gcd g over Q divides both in Z[t] and keeps
+  its degree mod p, so deg gcd_p >= deg gcd_Q.  A gcd of 1 also leaves a
+  value-0 factor at every center.
+
+``pencil.find_pencil`` takes h1, the lowest-pivot row of S_1, and the first
+row of W = {h in S_1 : h / h1 in O_P where K_P != S_P}, a nullspace of
+those conditions, that is independent of h1, gives a full degree and is
+coprime to it; it runs once per framed curve, on the first weight past N0
+asked for.  At such a weight ``max_noether_holds`` forms no S_n and no
+product: P_N0 = S_N0 is the exact check of weight N0, cached, and
+dim S_n = A - rows is exact once the nonzero rows of C_n have full rank
+mod p.  ``check_resolution_quotient`` takes P = S from the same path and
+keeps its jet test.  The path is taken only where the input shows that it
+pays: a curve of two or more branches, at a weight n > N0 at which some
+branch excludes an order.  A lone branch is cheap at every weight at
+center 0, and where no branch excludes an order S_n is every numerator of
+bounded degree, certified from products with no constraint to test; in
+both cases the search would cost more than it saves.  Wherever a
+condition fails, the exact path runs as before.
+
 Everything is exact: ranks and subspace equalities over the rationals are
 stable under field extension, so nothing is lost against an algebraically
 closed ground field.
@@ -316,6 +366,31 @@ def excluded_orders(s: NumericalSemigroup, n: int) -> list[int]:
     return list(_excluded(s, n))
 
 
+def power_defect(s: NumericalSemigroup, n: int) -> int:
+    """Degree lost by the n-th dualizing power at one branch: n|K - S| - |K^n - S|.
+
+    Writing omega = lambda * K locally, the n-th power inside the
+    n-differentials is lambda^n * K^n, so deg omega^n is n deg omega less
+    this defect.  Zero on a symmetric (Gorenstein) branch, where K = S.  As
+    S lies in K^n, |K^n - S| is the genus less the gaps of K^n, which are the
+    excluded orders: no section space or matrix is built.
+    """
+    g = s.genus
+    return n * (g - len(_excluded(s, 1))) - (g - len(_excluded(s, n)))
+
+
+def power_index(s: NumericalSemigroup) -> int:
+    """r_P: the first n with K^(n+1) = K^n, read from the excluded orders.
+
+    The powers of K ascend, and once two agree every later one is the
+    blowup, so this is ``blowup.analyze(s).stabilization_index``.
+    """
+    n = 1
+    while _excluded(s, n) != _excluded(s, n + 1):
+        n += 1
+    return n
+
+
 # -- integer series helpers --------------------------------------------------
 
 
@@ -420,6 +495,22 @@ def _jets(
         power //= q
 
 
+def _row_jet(row: Terms, jets: Sequence[tuple[Sequence[int], int]]) -> list[int]:
+    """sum_d N_d q^(A-1-d) jet_d over the terms of a numerator row N: the jet C reads from N.
+
+    ``jets`` holds the pairs ``_jets`` yields at one branch; a column past
+    the last of them has a zero jet there.
+    """
+    acc = [0] * len(jets[0][0])
+    reach = len(jets)
+    for d, x in row:
+        if d < reach:
+            jet, power = jets[d]
+            x *= power
+            acc = [a + x * y for a, y in zip(acc, jet)]
+    return acc
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def _constraint_rows(curve: RationalCurveModel, n: int) -> tuple[ColumnMatrix, int]:
     """The integer matrix C, by column, and its row count: H^0(omega^n) solves C v = 0.
@@ -462,13 +553,8 @@ def _constraint_rows(curve: RationalCurveModel, n: int) -> tuple[ColumnMatrix, i
     return tuple(columns), nrows
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def global_sections(curve: RationalCurveModel, n: int) -> Subspace:
-    """Exact basis of the weight-n global differentials, as numerator coefficients.
-
-    A numerator qualifies iff its degree respects the bound at infinity and,
-    at every center, its expansion has zero coefficient on each gap of K^n.
-    """
+def _weight_ambient(curve: RationalCurveModel, n: int) -> int:
+    """The numerator ambient at weight n; a weight or an ambient past its cap is refused."""
     if n < 1:
         raise ValueError("n must be a positive integer")
     if n > MAX_WEIGHT:
@@ -478,14 +564,29 @@ def global_sections(curve: RationalCurveModel, n: int) -> Subspace:
         raise AmbientTooLarge(
             f"numerator ambient {ambient} at weight {n} is above MAX_AMBIENT = {MAX_AMBIENT}"
         )
+    return ambient
+
+
+def _constraint_term_rows(curve: RationalCurveModel, n: int, ambient: int) -> list[Terms]:
+    """The term rows of C, read off its columns in increasing order; a zero row is ()."""
     columns, nrows = _constraint_rows(curve, n)
-    # the term rows of C, read off its columns in increasing order
     rows: list[list[tuple[int, int]]] = [[] for _ in range(nrows)]
     for d in compress(range(ambient), columns):
         indices, entries = columns[d]
         for i, x in zip(indices, entries):
             rows[i].append((d, x))
-    return nullspace(map(tuple, rows), ambient)
+    return [tuple(row) for row in rows]
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def global_sections(curve: RationalCurveModel, n: int) -> Subspace:
+    """Exact basis of the weight-n global differentials, as numerator coefficients.
+
+    A numerator qualifies iff its degree respects the bound at infinity and,
+    at every center, its expansion has zero coefficient on each gap of K^n.
+    """
+    ambient = _weight_ambient(curve, n)
+    return nullspace(_constraint_term_rows(curve, n, ambient), ambient)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -679,9 +780,14 @@ def max_noether_holds(curve: RationalCurveModel, n: int) -> NoetherCheck:
     For single-branch curves a failure also reports the normalized local
     values present in the section space but not in the product span.  The
     check runs in the curve's ``_affine_frame``; everything it returns is
-    the same in any affine frame.
+    the same in any affine frame.  Past N0, where a certified pencil decides
+    the weight (``pencil.pencil_dim``, see the module docstring), it holds
+    with both dimensions A - rows(C_n), and no space of weight n is formed.
     """
     curve = _affine_frame(curve)
+    dim = pencil.pencil_dim(curve, n)
+    if dim is not None:
+        return NoetherCheck(n, True, dim, dim, None)
     sections = global_sections(curve, n)
     prods = products_span(curve, n)
     holds = prods == sections
@@ -771,14 +877,8 @@ def _resolved_in_sections(
         if not any(f_jet):
             continue
         jets = list(_jets(br.center, scale, unit, ambient))
-        reach = len(jets)
         for row in rows:
-            acc = [0] * (order + 1)
-            for d, x in row:
-                if d < reach:
-                    jet, power = jets[d]
-                    x *= power
-                    acc = [a + x * y for a, y in zip(acc, jet)]
+            acc = _row_jet(row, jets)
             for k in excluded:
                 if sum(x * y for x, y in zip(acc, f_jet[k::-1])):
                     return False
@@ -824,13 +924,20 @@ def check_resolution_quotient(curve: RationalCurveModel, index: int, n: int) -> 
     and the embedding is injective, so their dimension is dim H^0 of the
     resolved curve.  Where the products are the sections, the embedded rows
     are absorbed iff each lies in the sections, which the jets of the
-    resolved rows decide (``_resolved_in_sections``) with no f N formed.
+    resolved rows decide (``_resolved_in_sections``) with no f N formed;
+    past N0 a certified pencil shows the products are the sections, with no
+    space of weight n formed (``pencil.pencil_dim``).
     Otherwise, or when a jet test refuses, the embedded rows are formed and
     the products and they are spanned exactly.  Like ``max_noether_holds``,
     it runs in the curve's ``_affine_frame``, which keeps the branch order.
     """
     _branch(curve, index)  # a bad index is refused before the curve is moved
     curve = _affine_frame(curve)
+    dim = pencil.pencil_dim(curve, n)
+    if dim is not None:
+        resolved = global_sections(resolve(curve, index), n)
+        if _resolved_in_sections(curve, index, n, resolved.rows):
+            return ResolutionCheck(True, n, dim, dim, resolved.dim, dim)
     sections = global_sections(curve, n)
     prods = products_span(curve, n)
     resolved = global_sections(resolve(curve, index), n)
@@ -878,3 +985,8 @@ def check_hyperelliptic_resolution(curve: RationalCurveModel, index: int, n: int
         raise NotApplicable("hyperellipticity of the resolved curve is not certified")
     res = check_resolution_quotient(curve, index, n)
     return res.combined_dim == res.products_dim
+
+
+# The pencil path reads the spaces above, so its module is imported once they
+# exist; it stays a module of its own, which keeps this one's compile small.
+from . import pencil  # noqa: E402

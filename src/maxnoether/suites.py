@@ -25,6 +25,7 @@ from .curves import (
     global_sections,
     max_noether_holds,
     numerator_degree_bound,
+    power_defect,
 )
 from .errors import GenusTooLarge, InvalidBound, WeightTooLarge
 from .frozen import Frozen
@@ -36,7 +37,7 @@ from .local import (
 )
 from .reports import VerificationReport
 from .semigroup import NumericalSemigroup, enumerate_semigroups
-from .valueset import ValueSet, canonical_ideal, dualizing_values, n_fold, quotient_dim
+from .valueset import ValueSet, dualizing_values, quotient_dim
 
 
 # Largest --max-genus of each suite that reads one.  At its cap a suite runs
@@ -417,19 +418,6 @@ def _value_route_dim(curve: RationalCurveModel, n: int) -> int:
     return total
 
 
-def _power_defect(s: NumericalSemigroup, n: int) -> int:
-    """Degree lost by the n-th dualizing power at one branch: n|K - S| - |K^n - S|.
-
-    Writing omega = lambda * K locally, the n-th power inside the
-    n-differentials is lambda^n * K^n, so deg omega^n is n deg omega less
-    this defect.  Zero on a symmetric (Gorenstein) branch, where K = S.
-    Value-level only: no section space or matrix is built.
-    """
-    k = canonical_ideal(s)
-    ring = s.values
-    return n * quotient_dim(k, ring) - quotient_dim(n_fold(k, n), ring)
-
-
 def _dim_check(check: str, input_, predicted: int, dim: int) -> tuple:
     """A predicted dimension against the oracle's; the gap is kept only when they differ."""
     ok = dim == predicted
@@ -453,7 +441,7 @@ def suite_dims(params: SuiteParams) -> Iterator[tuple]:
         yield _dim_check("sections-dim-n1", info, g, global_sections(curve, 1).dim)
         if g >= 2:
             for n in range(2, max_n + 1):
-                defects = sum(_power_defect(br.semigroup, n) for br in curve.branches)
+                defects = sum(power_defect(br.semigroup, n) for br in curve.branches)
                 expected = n * (2 * g - 2) - defects - (g - 1)
                 dim = global_sections(curve, n).dim
                 yield _dim_check(f"sections-dim-n{n}", info, expected, dim)

@@ -4,9 +4,9 @@ import pytest
 
 from maxnoether.blowup import BlowupAnalysis, analyze
 from maxnoether.errors import NotApplicable
-from maxnoether.curves import RationalCurveModel
+from maxnoether.curves import RationalCurveModel, power_defect, power_index
 from maxnoether.semigroup import NumericalSemigroup, enumerate_semigroups
-from maxnoether.suites import _power_defect, _value_route_dim
+from maxnoether.suites import _value_route_dim
 from maxnoether.valueset import (
     ValueSet,
     canonical_ideal,
@@ -114,12 +114,29 @@ def test_census_equivalences():
 def test_power_defect_vanishes_on_gorenstein_branches():
     for s in enumerate_semigroups(8):
         if s.is_symmetric():
-            assert [_power_defect(s, n) for n in range(1, 5)] == [0, 0, 0, 0], s.gaps
+            assert [power_defect(s, n) for n in range(1, 5)] == [0, 0, 0, 0], s.gaps
 
 
 def test_power_defect_345():
     # K = {0, 1, 3, 4, ...} and K^n = N for n >= 2, so e(n) = n*1 - 2
-    assert [_power_defect(sg(3, 4, 5), n) for n in range(2, 6)] == [0, 1, 2, 3]
+    assert [power_defect(sg(3, 4, 5), n) for n in range(2, 6)] == [0, 1, 2, 3]
+
+
+def test_power_defect_and_power_index_read_the_value_sets():
+    # the excluded orders give n|K - S| - |K^n - S| and the stabilization
+    # index with no value set of K^n compared
+    checked = 0
+    for s in enumerate_semigroups(10):
+        if not s.gaps:
+            continue
+        k = canonical_ideal(s)
+        eta = quotient_dim(k, s.values)
+        for n in range(1, 7):
+            expected = n * eta - quotient_dim(n_fold(k, n), s.values)
+            assert power_defect(s, n) == expected, (s.gaps, n)
+        assert power_index(s) == analyze(s).stabilization_index, s.gaps
+        checked += 1
+    assert checked == 1 + 2 + 4 + 7 + 12 + 23 + 39 + 67 + 118 + 204
 
 
 def test_power_defect_count_matches_value_route_on_one_branch():
@@ -128,7 +145,7 @@ def test_power_defect_count_matches_value_route_on_one_branch():
             continue
         curve = RationalCurveModel.from_semigroups([s])
         for n in range(2, 5):
-            count = (2 * n - 1) * (s.genus - 1) - _power_defect(s, n)
+            count = (2 * n - 1) * (s.genus - 1) - power_defect(s, n)
             assert count == _value_route_dim(curve, n), (s.gaps, n)
 
 

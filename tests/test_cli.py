@@ -231,6 +231,60 @@ def test_verify_noether_curve_file(tmp_path, capsys):
         assert "n=4: surjective" in out
 
 
+def test_verify_noether_all_n_certifies_a_multi_branch_curve(tmp_path, capsys):
+    spec = {
+        "branches": [
+            {"center": "0", "generators": [3, 4, 5]},
+            {"center": "7/3", "generators": [3, 5, 7]},
+        ]
+    }
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "verify", "noether", "--curve", str(path), "--all-n")
+    assert (code, err) == (0, "")
+    assert out == (
+        "<3,4,5>@0 <3,5,7>@7/3  N0=2  r_P=2, 2  degree margin 2\n"
+        "n=2: surjective, dimension 12\n"
+        "pencil of degrees 4, 6: surjective for every n >= 1\n"
+    )
+    code, out, _ = run(capsys, "verify", "noether", "--curve", str(path), "--all-n", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "curve": spec,
+        "n0": 2,
+        "stabilization_indices": [2, 2],
+        "degree_margin": 2,
+        "checks": [
+            {"n": 2, "holds": True, "products_dim": 12, "sections_dim": 12, "missing_values": None}
+        ],
+        "pencil_degrees": [4, 6],
+        "failed": None,
+        "holds": True,
+    }
+
+
+@pytest.mark.parametrize(
+    "gens, failed, checks",
+    [("3,4,5", "ratio-outside-local-ring", [True]), ("2,7", "base-case-n2", [False])],
+    ids=["genus-2-has-no-invertible-pencil", "hyperelliptic-base-case"],
+)
+def test_verify_noether_all_n_names_what_failed(capsys, gens, failed, checks):
+    code, out, _ = run(capsys, "verify", "noether", "--gens", gens, "--all-n", "--json")
+    assert code == 1
+    data = json.loads(out)
+    assert (data["failed"], data["holds"], data["pencil_degrees"]) == (failed, False, None)
+    assert [check["holds"] for check in data["checks"]] == checks
+    code, out, _ = run(capsys, "verify", "noether", "--gens", gens, "--all-n")
+    assert code == 1
+    assert out.endswith(f"not certified: {failed}\n")
+
+
+def test_verify_noether_all_n_and_n_are_mutually_exclusive(capsys):
+    code, out, err = run(capsys, "verify", "noether", "--gens", "3,5,7", "--all-n", "--n", "3")
+    assert (code, out) == (2, "")
+    assert "not allowed with argument" in err
+
+
 def test_verify_noether_malformed_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
