@@ -38,17 +38,21 @@ The Noether cases are:
   every weight from 1 to 160, each from dense rows at the center 1;
 - two <7,8> branches at 0 and 1, n = 4: both branches are symmetric and
   N0 = 3, so the check builds the spaces of weight 3 and searches for a
-  pencil on its two Gorenstein branches, where a slow search would show.
+  pencil on its two Gorenstein branches, where a slow search would show;
+- <4,5,6> at 0 and <3,4,5> at 1, n = 4 (N0 = 2): the lowest-pivot row of
+  S_1 vanishes at the non-symmetric center 1, so the search certifies the
+  pencil with the highest-pivot row as h1.
 
 Past N0 a certified base-point-free pencil decides a curve of two or more
 branches at a weight where some branch excludes an order
 (``pencil.find_pencil``, see the ``curves`` module docstring), so these
 cases build no product span past N0: three <3,5,7> at n = 40 and the mixed
 three-branch case at n = 40 (N0 = 2 on both, and <3,5,7> excludes an order
-at every weight), two <7,8> at n = 4 (N0 = 3), and the two <10,11>
-branches only from n = 4 on (N0 = 3), not at n = 2.  Two <3,4,5> exclude
-no order past weight 1, and the lone branches are lone: they keep the exact
-check at every weight.
+at every weight), two <7,8> at n = 4 (N0 = 3), <4,5,6> and <3,4,5> at
+n = 4 (N0 = 2, and <4,5,6> excludes an order at every weight), and the two
+<10,11> branches only from n = 4 on (N0 = 3), not at n = 2.  Two <3,4,5>
+exclude no order past weight 1, and the lone branches are lone: they keep
+the exact check at every weight.
 
 Then it runs ``check_resolution_quotient`` the same way, and prints the same
 line with the branch resolved after the curve's name.  Past N0 it takes the
@@ -106,6 +110,7 @@ CASES = (
     ),
     ("<3,4,5>@0 <3,4,5>@1", _curve((0, (3, 4, 5)), (1, (3, 4, 5))), 160),
     ("<7,8>@0 <7,8>@1", _curve((0, (7, 8)), (1, (7, 8))), 4),
+    ("<4,5,6>@0 <3,4,5>@1", _curve((0, (4, 5, 6)), (1, (3, 4, 5))), 4),
 )
 
 # (name, curve, index of the resolved branch, n)

@@ -69,14 +69,16 @@ time, never an answer.
 
 The resolution quotient adds to P the sections of the curve with branch r
 resolved, each numerator N embedded as f N, f = (q_r t - p_r)^m with
-m = n * alpha_r.  Where P = S, the quotient is full iff every f N lies in S,
-and that is read from jets with no f N formed: at each branch b, the jet
-that C reads from N, sum_d N_d q_b^(A-1-d) jet_d, is summed from the column
-jets that ``_jets`` yields, the ones ``_constraint_rows`` writes C from, and
-its product with the jet of f, truncated, is q_b^m times the jet of f N;
-C (f N) = 0 iff that product vanishes at every excluded order, at every
-branch.  Only where P differs from S, or a jet test refuses, are the
-embedded rows formed and spanned with P exactly.
+m = n * alpha_r.  P = S is decided once; where it holds, the quotient is
+full iff every f N lies in S, and that is read from jets with no f N formed.
+Every test of a numerator at a branch reads it the same way: a branch
+condition is a term row on the jet window w^0..w^order, and ``_read`` reads
+it against the jet C reads from the numerator (``_row_jet``, summed from the
+column jets ``_jets`` yields).  The rows of C are the unit conditions at the
+excluded orders, which ``_constraint_rows`` writes by column; the resolution
+test shifts them by the jet of f, since the truncated product of the two
+jets is q_b^m times the jet of f N.  Only where P differs from S, or the jet
+test refuses, are the embedded rows formed and spanned with P exactly.
 
 The verdicts are read in one affine frame of the curve, ``_affine_frame``.
 Substituting t = lambda s + mu, lambda != 0, fixes infinity and sends each
@@ -112,10 +114,12 @@ The pencil is certified by four exact conditions (``pencil.pencil_refusal``):
 - no base point at infinity: one of h1, h2 has the full degree
   ``numerator_degree_bound(curve, 1)``, read off its terms;
 - a value-0 factor at each center, so that L is omega at a Gorenstein
-  point and has the degree above: h(c) != 0, evaluated exactly;
+  point and has the degree above: the constant term of h's weight-1 jet,
+  zero iff h(c) = 0.  Every branch has a weight-1 frame, since every branch
+  excludes its Frobenius number at weight 1;
 - h2 / h1 in O_P at each branch with K != S, so L is invertible there: the
-  ratio of the weight-1 jets (``_jets``, as C reads them) has no term on a
-  gap of S.  It is one integer condition per value of K - S, fraction-free,
+  ratio of the weight-1 jets has no term on a gap of S.  It is one integer
+  condition per value of K - S (``pencil._ratio_rows``), fraction-free,
   since on a gap of K the coefficient vanishes once it does below: the
   ratio then agrees with an element of O_P, whose product with h1 has
   support in S + K, inside K, where h, a section, has no term.  This is the
@@ -127,11 +131,11 @@ The pencil is certified by four exact conditions (``pencil.pencil_refusal``):
   its degree mod p, so deg gcd_p >= deg gcd_Q.  A gcd of 1 also leaves a
   value-0 factor at every center.
 
-``pencil.find_pencil`` takes h1, the lowest-pivot row of S_1, and the first
-row of W = {h in S_1 : h / h1 in O_P where K_P != S_P}, a nullspace of
-those conditions, that is independent of h1, gives a full degree and is
-coprime to it; it runs once per framed curve, on the first weight past N0
-asked for.  At such a weight ``max_noether_holds`` forms no S_n and no
+``pencil.find_pencil`` takes h1, the lowest-pivot row of S_1 or else the
+highest, and the first row of W = {h in S_1 : h / h1 in O_P where
+K_P != S_P}, a nullspace of those conditions, that ``pencil_refusal``
+certifies with h1; it runs once per framed curve, on the first weight past
+N0 asked for.  At such a weight ``max_noether_holds`` forms no S_n and no
 product: P_N0 = S_N0 is the exact check of weight N0, cached, and
 dim S_n = A - rows is exact once the nonzero rows of C_n have full rank
 mod p.  ``check_resolution_quotient`` takes P = S from the same path and
@@ -511,6 +515,16 @@ def _row_jet(row: Terms, jets: Sequence[tuple[Sequence[int], int]]) -> list[int]
     return acc
 
 
+def _read(condition: Terms, jet: Sequence[int]) -> int:
+    """A branch condition, terms (j, c_j) on the jet window w^0..w^order, read against a row's jet.
+
+    The row passes iff sum_j c_j jet[j] is 0.  C's row at an excluded order k
+    is the unit condition ((k, 1),), which ``_constraint_rows`` writes as
+    the entries jet_d[k]; the resolution test shifts it by the jet of f.
+    """
+    return sum([c * jet[j] for j, c in condition])
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def _constraint_rows(curve: RationalCurveModel, n: int) -> tuple[ColumnMatrix, int]:
     """The integer matrix C, by column, and its row count: H^0(omega^n) solves C v = 0.
@@ -522,8 +536,9 @@ def _constraint_rows(curve: RationalCurveModel, n: int) -> tuple[ColumnMatrix, i
     At p = 0 the jets run out once d passes the largest excluded order, and
     the columns past it are zero there.  A lone branch at center 0 gives row
     i the one unit entry at its i-th excluded order, or none at or past the
-    ambient.
-    Cached, so the columns are tuples that no caller can change.
+    ambient.  Each row is the unit condition at its order (``_read``), read
+    as the one entry jet[k].  Cached, so the columns are tuples that no
+    caller can change.
     """
     ambient = numerator_ambient(curve, n)
     columns: list = [None] * ambient  # each column is two lists until it is frozen
@@ -852,16 +867,17 @@ def _resolved_in_sections(
     are numerators of the resolved curve's weight-n sections.  C (f N) = 0 is
     decided without forming f N: at each branch b, row by row,
 
-    - J_b(N) = sum_d N_d q_b^(A-1-d) jet_d is the jet C reads from N, summed
-      from the pairs ``_jets`` yields, as ``_constraint_rows`` reads them;
+    - J_b(N) = sum_d N_d q_b^(A-1-d) jet_d is the jet C reads from N,
+      summed from the pairs ``_jets`` yields (``_row_jet``);
     - J_b(f) = (u0 + u1 w)^m, with u0 = q_r p_b - p_r q_b and
       u1 = q_r q_b scale_b, is the jet of f times q_b^m;
 
     so J_b(N) J_b(f), truncated, is q_b^m times the jet of f N, and its
-    coefficients at the excluded orders are q_b^m times those rows of C (f N).
-    At the resolved branch u0 = 0 and m is past every excluded order, so
-    J_r(f) vanishes there, and that branch's jets are never built.  The jets
-    of the other branches are held for the call only.
+    coefficient at an excluded order k, q_b^m times that row of C (f N), is
+    the condition with terms (j, J_b(f)_(k-j)) read against J_b(N)
+    (``_read``).  At the resolved branch u0 = 0 and m is past every
+    excluded order, so J_r(f) vanishes there, and that branch's jets are
+    never built.  The jets of the other branches are held for the call only.
     """
     rows = tuple(rows)
     resolved = curve.branches[index]
@@ -876,11 +892,12 @@ def _resolved_in_sections(
         f_jet = [comb(m, j) * u0 ** (m - j) * u1**j for j in range(top + 1)] + [0] * (order - top)
         if not any(f_jet):
             continue
+        conditions = [_terms(f_jet[k::-1]) for k in excluded]
         jets = list(_jets(br.center, scale, unit, ambient))
         for row in rows:
-            acc = _row_jet(row, jets)
-            for k in excluded:
-                if sum(x * y for x, y in zip(acc, f_jet[k::-1])):
+            jet = _row_jet(row, jets)
+            for condition in conditions:
+                if _read(condition, jet):
                     return False
     return True
 
@@ -922,31 +939,30 @@ def check_resolution_quotient(curve: RationalCurveModel, index: int, n: int) -> 
 
     The resolved sections N embed as f N (``_embedded_resolved_sections``),
     and the embedding is injective, so their dimension is dim H^0 of the
-    resolved curve.  Where the products are the sections, the embedded rows
-    are absorbed iff each lies in the sections, which the jets of the
-    resolved rows decide (``_resolved_in_sections``) with no f N formed;
-    past N0 a certified pencil shows the products are the sections, with no
-    space of weight n formed (``pencil.pencil_dim``).
-    Otherwise, or when a jet test refuses, the embedded rows are formed and
-    the products and they are spanned exactly.  Like ``max_noether_holds``,
-    it runs in the curve's ``_affine_frame``, which keeps the branch order.
+    resolved curve.  P = S is decided once: past N0 by a certified pencil,
+    with no space of weight n formed (``pencil.pencil_dim``), and otherwise
+    by comparing the spaces.  Where it holds, the embedded rows are absorbed
+    iff each lies in the sections, which the jets of the resolved rows
+    decide (``_resolved_in_sections``) with no f N formed.  Otherwise, or
+    when the jet test refuses, the embedded rows are formed and the products
+    and they are spanned exactly.  Like ``max_noether_holds``, it runs in
+    the curve's ``_affine_frame``, which keeps the branch order.
     """
     _branch(curve, index)  # a bad index is refused before the curve is moved
     curve = _affine_frame(curve)
     dim = pencil.pencil_dim(curve, n)
+    if dim is None:
+        sections, prods = global_sections(curve, n), products_span(curve, n)
+        if prods == sections:
+            dim = sections.dim
+    resolved = global_sections(resolve(curve, index), n)
     if dim is not None:
-        resolved = global_sections(resolve(curve, index), n)
+        # products equal to the sections absorb embedded vectors that lie in them
         if _resolved_in_sections(curve, index, n, resolved.rows):
             return ResolutionCheck(True, n, dim, dim, resolved.dim, dim)
-    sections = global_sections(curve, n)
-    prods = products_span(curve, n)
-    resolved = global_sections(resolve(curve, index), n)
-    # products equal to the sections absorb embedded vectors that lie in them
-    if prods == sections and _resolved_in_sections(curve, index, n, resolved.rows):
-        combined = sections
-    else:
-        embedded = _embedded_resolved_sections(curve, index, n)
-        combined = Subspace.span(prods.rows + embedded, sections.ambient)
+        sections = prods = global_sections(curve, n)  # formed now on the pencil path
+    embedded = _embedded_resolved_sections(curve, index, n)
+    combined = Subspace.span(prods.rows + embedded, sections.ambient)
     return ResolutionCheck(
         combined == sections, n, sections.dim, prods.dim, resolved.dim, combined.dim
     )

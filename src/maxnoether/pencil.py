@@ -5,25 +5,25 @@ where some branch excludes an order, to ``pencil_dim``; everything else
 takes the exact path there.  The theorem, N0, the four conditions and how
 each is certified are set out in the ``curves`` module docstring.  N0 is
 read from value data alone (``pencil_weight``).  ``find_pencil`` searches
-once per framed curve, on the first weight past N0 asked for, and
-``pencil_refusal`` names the first condition a pair fails.
+once per framed curve, on the first weight past N0 asked for, and certifies
+each candidate through ``pencil_refusal``, which names the first condition
+a pair fails; both read weight-1 jets through ``curves._read``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .curves import (
     _CACHE_SIZE,
-    _FRAMES_CACHE_SIZE,
     RationalCurveModel,
     _affine_frame,
     _branch_frames,
     _constraint_term_rows,
     _excluded,
     _jets,
+    _read,
     _row_jet,
     _weight_ambient,
     global_sections,
@@ -73,69 +73,46 @@ def _non_gorenstein_values(s: NumericalSemigroup) -> list[int]:
     return [k for k in s.gaps if k not in excluded]
 
 
-@lru_cache(maxsize=_FRAMES_CACHE_SIZE)
-def _value_frames(
-    curve: RationalCurveModel,
-) -> tuple[tuple[tuple[int, ...], tuple[tuple[Sequence[int], int], ...]], ...]:
-    """Per branch with K != S: K - S and the weight-1 column jets (``_jets``) through its top.
+# The condition row that reads a jet's constant term.
+_VALUE_ZERO: Terms = ((0, 1),)
 
-    Every branch excludes its Frobenius number F at weight 1, so it has a
+
+def _weight_one_jets(
+    curve: RationalCurveModel, rows: Sequence[Terms]
+) -> Iterator[tuple[list[int], list[list[int]]]]:
+    """Per branch, K - S and the weight-1 jet (``_row_jet``) of each numerator row.
+
+    Every branch excludes its Frobenius number F at weight 1, so each has a
     weight-1 frame, whose unit series runs through F, past every value of
-    K - S; the jets are cut after the largest value, the last order a ratio
-    condition reads.  A symmetric branch is skipped before any jet is
-    formed.  Cached, so the pencil search and each candidate's
-    ``pencil_refusal`` share one set of jets.
+    K - S; the jets are cut after the last order a condition reads, the
+    largest value, or the constant term where K = S.  The jets at one branch
+    share the factor q^(A-1) times the unit series, so a ratio of two is the
+    ratio of the numerators, and a jet's constant term is nonzero iff its
+    numerator has value 0 there.
     """
     ambient = numerator_ambient(curve, 1)
-    frames = []
     for br, _, scale, unit in _branch_frames(curve, 1):
         values = _non_gorenstein_values(br.semigroup)
-        if values:
-            jets = tuple(_jets(br.center, scale, unit[: values[-1] + 1], ambient))
-            frames.append((tuple(values), jets))
-    return tuple(frames)
-
-
-def _value_jets(
-    curve: RationalCurveModel, rows: Sequence[Terms]
-) -> Iterator[tuple[tuple[int, ...], list[list[int]]]]:
-    """Per branch with K != S: K - S, and the weight-1 jet of each numerator row.
-
-    The jets of the rows at one branch share the factor q^(A-1) times the
-    unit series, so a ratio of two of them is the ratio of the numerators,
-    and a jet's constant term is nonzero iff its numerator has value 0
-    there.
-    """
-    for values, jets in _value_frames(curve):
+        jets = list(_jets(br.center, scale, unit[: values[-1] + 1 if values else 1], ambient))
         yield values, [_row_jet(row, jets) for row in rows]
 
 
-def _vanishes_at(row: Terms, center: Fraction) -> bool:
-    """Does the numerator vanish at the center, that is, have a positive value there?"""
-    p, q = center.numerator, center.denominator
-    top = row[-1][0]
-    return not sum(x * p**d * q ** (top - d) for d, x in row)
+def _ratio_rows(den: Sequence[int], orders: Sequence[int]) -> list[Terms]:
+    """Per order k, the condition that reads y0^(k+1) times the coefficient of w^k in num / den.
 
-
-def _ratio_rows(
-    den: Sequence[int], nums: Sequence[Sequence[int]], orders: Iterable[int]
-) -> list[list[int]]:
-    """Per order k, y0^(k+1) times the coefficient of w^k in num / den, for each num.
-
-    ``den`` is a jet y with y0 = y[0] != 0.  The series z with z_0 = 1 and
-    z_m = -sum_(i=1..m) y_i y0^(i-1) z_(m-i) is y0^(m+1) / y coefficient by
-    coefficient, so the coefficient is sum_i num_i y0^i z_(k-i): an integer,
-    zero iff the ratio's coefficient is, with no fraction formed.
+    ``den`` is a jet y with y0 = y[0] != 0, and ``orders`` increase.  The
+    series z with z_0 = 1 and z_m = -sum_(i=1..m) y_i y0^(i-1) z_(m-i) is
+    y0^(m+1) / y coefficient by coefficient, so the coefficient is
+    sum_i num_i y0^i z_(k-i), the row of terms (i, y0^i z_(k-i)) read
+    against num: an integer, zero iff the ratio's coefficient is.
     """
     y0 = den[0]
     powers = [1]  # y0^i
     z = [1]
-    for m in range(1, len(den)):
+    for m in range(1, orders[-1] + 1 if orders else 1):
         powers.append(powers[-1] * y0)
         z.append(-sum(den[i] * powers[i - 1] * z[m - i] for i in range(1, m + 1)))
-    return [
-        [sum(num[i] * powers[i] * z[k - i] for i in range(k + 1)) for num in nums] for k in orders
-    ]
+    return [_terms([powers[i] * z[k - i] for i in range(k + 1)]) for k in orders]
 
 
 def _ratio_kernel(curve: RationalCurveModel, rows: Sequence[Terms]) -> Subspace | None:
@@ -150,10 +127,12 @@ def _ratio_kernel(curve: RationalCurveModel, rows: Sequence[Terms]) -> Subspace 
     a positive value at a branch with K != S.
     """
     conditions: list[list[int]] = []
-    for values, nums in _value_jets(curve, rows):
-        if not nums[0][0]:
-            return None
-        conditions.extend(_ratio_rows(nums[0], nums, values))
+    for values, nums in _weight_one_jets(curve, rows):
+        if values:
+            if not _read(_VALUE_ZERO, nums[0]):
+                return None
+            ratios = _ratio_rows(nums[0], values)
+            conditions.extend([_read(row, num) for num in nums] for row in ratios)
     return nullspace(map(_terms, conditions), len(rows))
 
 
@@ -205,15 +184,6 @@ def _coprime(a: Terms, b: Terms) -> bool:
     return len(f) == 1
 
 
-def _pair_refusal(curve: RationalCurveModel, h1: Terms, h2: Terms) -> str | None:
-    """``dependent`` or ``base-point-at-infinity`` (see ``pencil_refusal``), or None."""
-    if not (h1 and h2) or _proportional(h1, h2):
-        return "dependent"
-    if numerator_degree_bound(curve, 1) not in (h1[-1][0], h2[-1][0]):
-        return "base-point-at-infinity"
-    return None
-
-
 def pencil_refusal(curve: RationalCurveModel, h1: Terms, h2: Terms) -> str | None:
     """The first condition on which two weight-1 numerators fail as a pencil, or None.
 
@@ -232,15 +202,16 @@ def pencil_refusal(curve: RationalCurveModel, h1: Terms, h2: Terms) -> str | Non
     - ``common-root``: the numerators are not coprime mod ``MODULUS``
       (``_coprime``), as when they share a root off the centers.
     """
-    refusal = _pair_refusal(curve, h1, h2)
-    if refusal is not None:
-        return refusal
-    for br in curve.branches:
-        if _vanishes_at(h1, br.center) and _vanishes_at(h2, br.center):
-            return "no-value-zero-factor"
-    for values, (a, b) in _value_jets(curve, (h1, h2)):
-        den, num = (a, b) if a[0] else (b, a)
-        if any(row[0] for row in _ratio_rows(den, (num,), values)):
+    if not (h1 and h2) or _proportional(h1, h2):
+        return "dependent"
+    if numerator_degree_bound(curve, 1) not in (h1[-1][0], h2[-1][0]):
+        return "base-point-at-infinity"
+    branches = list(_weight_one_jets(curve, (h1, h2)))
+    if any(not (_read(_VALUE_ZERO, a) or _read(_VALUE_ZERO, b)) for _, (a, b) in branches):
+        return "no-value-zero-factor"
+    for values, (a, b) in branches:
+        den, num = (a, b) if _read(_VALUE_ZERO, a) else (b, a)
+        if any(_read(row, num) for row in _ratio_rows(den, values)):
             return "ratio-outside-local-ring"
     if not _coprime(h1, h2):
         return "common-root"
@@ -259,32 +230,33 @@ def _combination(coords: Terms, rows: Sequence[Terms]) -> Terms:
 def find_pencil(curve: RationalCurveModel) -> tuple[Terms, Terms] | str:
     """A certified pencil (h1, h2) in the curve's ``_affine_frame``, or the condition that failed.
 
-    h1 is the lowest-pivot row of S_1, and h2 the first row of W's basis
-    (``_ratio_kernel``) independent of h1, of full degree if h1 is not, and
-    coprime to h1: the conditions of ``pencil_refusal`` that W leaves open.
-    The others hold on W by construction.  Where K != S, h1 has value 0 and
-    h2 / h1 lies in O_P; at a symmetric branch gcd 1 leaves one of them a
-    value-0 factor, a generator of omega there.  The failure named is that
-    of the first candidate independent of h1, or ``ratio-outside-local-ring``
-    when W holds only multiples of h1.
+    h1 is the lowest-pivot row of S_1, or, where no h2 goes with it, the
+    highest: the two rows ``_ordered_products`` puts first.  h2 is the first
+    row of W's basis (``_ratio_kernel``) that ``pencil_refusal`` certifies
+    with h1.  The failure named is the lowest-pivot row's:
+    ``no-value-zero-factor`` when it has a positive value at a branch with
+    K != S, else that of its first candidate independent of it, or
+    ``ratio-outside-local-ring`` when W holds only its multiples.
     """
     curve = _affine_frame(curve)
     basis = global_sections(curve, 1).rows
     if len(basis) < 2:
         return "dependent"
-    kernel = _ratio_kernel(curve, basis)
-    if kernel is None:
-        return "no-value-zero-factor"
-    h1 = basis[0]
-    failed = None
-    for coords in kernel.rows:
-        h2 = _combination(coords, basis)
-        refusal = _pair_refusal(curve, h1, h2) or (None if _coprime(h1, h2) else "common-root")
-        if refusal is None:
-            return h1, h2
-        if failed is None and refusal != "dependent":
-            failed = refusal
-    return failed or "ratio-outside-local-ring"
+    failed = []
+    for rows in (basis, basis[-1:] + basis[:-1]):  # h1 = rows[0]
+        kernel = _ratio_kernel(curve, rows)
+        if kernel is None:
+            failed.append("no-value-zero-factor")
+            continue
+        for coords in kernel.rows:
+            h2 = _combination(coords, rows)
+            refusal = pencil_refusal(curve, rows[0], h2)
+            if refusal is None:
+                return rows[0], h2
+            if refusal != "dependent":
+                failed.append(refusal)
+        failed.append("ratio-outside-local-ring")
+    return failed[0]
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

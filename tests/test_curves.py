@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -27,11 +27,15 @@ from maxnoether.curves import (
     resolve,
     section_valuations,
     _affine_frame,
+    _branch_frames,
     _constraint_rows,
     _embedded_resolved_sections,
     _in_sections,
+    _jets,
     _poly_mul,
+    _read,
     _resolved_in_sections,
+    _row_jet,
     _subspace_orders,
     _terms,
 )
@@ -556,6 +560,43 @@ def test_sections_vanish_on_every_excluded_exponent():
                 for vec in basis(space):
                     series = laurent_at(vec, c, n, index, order)
                     assert all(series[k] == 0 for k in excluded)
+
+
+def test_a_non_unit_condition_reads_the_exact_expansion():
+    # a random integer functional on the jet window w^0..w^order, read through
+    # _row_jet and _read, against the Fraction Laurent expansion: with
+    # u = t - c = scale w, jet_k is q^(A-1) prod_o delta_o^(n alpha_o) scale^k
+    # times the coefficient of u^k, as C reads it
+    rng = random.Random(45)
+    readings = 0
+    for center in (Fraction(0), Fraction(7, 3)):
+        c = RationalCurveModel(
+            (
+                Branch(center, sg(3, 5, 7)),
+                Branch(Fraction(-5, 2), sg(4, 5, 6, 7)),
+                Branch(Fraction(1, 9), sg(3, 4)),
+            )
+        )
+        for n in (1, 2, 3):
+            ambient = numerator_ambient(c, n)
+            rows = list(global_sections(c, n).rows)
+            rows += [_terms([rng.randint(-9, 9) for _ in range(ambient)]) for _ in range(4)]
+            for br, excluded, scale, unit in _branch_frames(c, n):
+                index = c.branches.index(br)
+                order = excluded[-1]
+                condition = _terms([rng.randint(-9, 9) for _ in range(order + 1)])
+                jets = list(_jets(br.center, scale, unit, ambient))
+                factor = br.center.denominator ** (ambient - 1) * prod(
+                    (br.center - o.center) ** (n * o.semigroup.conductor)
+                    for o in c.branches
+                    if o is not br
+                )
+                for row in rows:
+                    series = laurent_at(dense(row, ambient), c, n, index, order)
+                    expected = sum(x * factor * scale**j * series[j] for j, x in condition)
+                    assert _read(condition, _row_jet(row, jets)) == expected, (str(c), n, row)
+                    readings += 1
+    assert readings == 346
 
 
 def moved(curve, a, b, rng):

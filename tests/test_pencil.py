@@ -22,15 +22,18 @@ from maxnoether.curves import (
     _embedded_resolved_sections,
     _jets,
     _poly_mul,
+    _read,
     _row_jet,
     _terms,
 )
 from maxnoether.linalg import Subspace, nullspace
 from maxnoether.pencil import (
+    _VALUE_ZERO,
     _coprime,
     _combination,
     _ratio_kernel,
     _ratio_rows,
+    _weight_one_jets,
     find_pencil,
     pencil_refusal,
     pencil_weight,
@@ -127,7 +130,7 @@ def differential(curve_list):
 def test_the_pencil_verdicts_match_the_exhaustive_oracle_on_the_two_branch_census():
     pairs = census_pairs()
     assert len(pairs) == 55
-    assert differential(pairs) == 54
+    assert differential(pairs) == 55
 
 
 def test_the_pencil_verdicts_match_the_exhaustive_oracle_on_random_three_branch_curves():
@@ -145,7 +148,7 @@ def all_gap_kernel(c, rows):
             den, *nums = [_row_jet(row, jets) for row in (rows[0], *rows)]
             if not den[0]:
                 return None
-            conditions.extend(_ratio_rows(den, nums, s.gaps))
+            conditions.extend([_read(r, num) for num in nums] for r in _ratio_rows(den, s.gaps))
     return nullspace(map(_terms, conditions), len(rows))
 
 
@@ -160,6 +163,26 @@ def test_the_value_conditions_give_the_all_gap_kernel_on_the_census():
         assert fewer == all_gap_kernel(f, basis), str(c)
         kernels += fewer is not None
     assert kernels == 54
+
+
+def test_the_constant_term_of_a_weight_one_jet_reads_value_zero_at_every_center():
+    # the value-0 test reads the constant term of a row's weight-1 jet; it is
+    # zero iff the numerator vanishes at the center, exactly, symmetric
+    # centers included, on the census at G <= 5 at two pairs of centers
+    menu = [s for s in enumerate_semigroups(5) if s.gaps and s.multiplicity >= 3]
+    seen = {(symmetric, vanishes): 0 for symmetric in (True, False) for vanishes in (True, False)}
+    for centers in ((0, 1), ("7/3", "-5/2")):
+        for a, b in combinations_with_replacement(menu, 2):
+            c = at((centers[0], a.generators), (centers[1], b.generators))
+            rows = global_sections(c, 1).rows
+            branches = list(_weight_one_jets(c, rows))
+            assert len(branches) == len(c.branches)  # each has a weight-1 frame
+            for br, (_, jets) in zip(c.branches, branches):
+                for row, jet in zip(rows, jets):
+                    vanishes = not sum(x * br.center**d for d, x in row)
+                    assert (_read(_VALUE_ZERO, jet) == 0) == vanishes, (str(c), row)
+                    seen[br.semigroup.is_symmetric(), vanishes] += 1
+    assert all(seen.values()) and sum(seen.values()) == 7920, seen
 
 
 def test_every_certified_pencil_passes_the_full_condition_check():
@@ -268,6 +291,34 @@ def test_a_short_constraint_rank_mod_p_takes_the_exact_path(monkeypatch):
     assert numerator_ambient(_affine_frame(c), n) in widths
     monkeypatch.undo()
     assert (got.holds, got.products_dim, got.sections_dim) == exhaustive_noether(c, n)
+    clear_caches()
+
+
+def test_a_refused_jet_test_past_n0_goes_straight_to_the_span(monkeypatch):
+    # P_n = S_n is decided once: where the jet test refuses on the pencil
+    # path, S_n and the embedded rows are spanned, with no product span of
+    # weight n formed and no second jet test
+    c = at((0, (3, 4, 5)), (1, (3, 5, 7)))
+    n = pencil_weight(c) + 1
+    expected = [exhaustive_resolution(c, index, n) for index in range(2)]
+    tests = []
+    products = curves_mod.products_span
+
+    def refused(*args):
+        tests.append(args)
+        return False
+
+    def below_n(curve, k):
+        assert k < n, "a product span of weight n formed"
+        return products(curve, k)
+
+    clear_caches()
+    monkeypatch.setattr(curves_mod, "_resolved_in_sections", refused)
+    monkeypatch.setattr(curves_mod, "products_span", below_n)
+    for index in range(2):
+        got = check_resolution_quotient(c, index, n)
+        assert tuple(got.to_json().values()) == expected[index]
+    assert len(tests) == 2
     clear_caches()
 
 
