@@ -5,8 +5,7 @@ Usage:
     PYTHONPATH=src python scripts/time_oracle.py
 
 Runs ``max_noether_holds`` five times per case, each run from cold caches
-(every lru cache of ``maxnoether.curves`` and ``maxnoether.pencil`` is
-cleared before it), and prints
+(every lru cache of ``maxnoether.curves`` is cleared before it), and prints
 the verdict, the dimension of H^0(omega^n), and the least and the median of
 the five times in seconds, by wall clock (``time.perf_counter``) and, after
 ``cpu``, by the process's CPU time (``time.process_time``).  The wall clock
@@ -45,7 +44,7 @@ The Noether cases are:
 
 Past N0 a certified base-point-free pencil decides a curve of two or more
 branches at a weight where some branch excludes an order
-(``pencil.find_pencil``, see the ``curves`` module docstring), so these
+(``curves.find_pencil``, see the ``curves`` module docstring), so these
 cases build no product span past N0: three <3,5,7> at n = 40 and the mixed
 three-branch case at n = 40 (N0 = 2 on both, and <3,5,7> excludes an order
 at every weight), two <7,8> at n = 4 (N0 = 3), <4,5,6> and <3,4,5> at
@@ -72,7 +71,7 @@ import statistics
 import time
 from fractions import Fraction
 
-from maxnoether import curves, pencil
+from maxnoether import curves
 from maxnoether.curves import (
     Branch,
     RationalCurveModel,
@@ -126,10 +125,9 @@ RESOLUTION_CASES = (
 
 
 def _cold_run(check, *args):
-    for module in (curves, pencil):
-        for fn in vars(module).values():
-            if hasattr(fn, "cache_clear"):
-                fn.cache_clear()
+    for fn in vars(curves).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
     t0, c0 = time.perf_counter(), time.process_time()
     result = check(*args)
     return result, time.perf_counter() - t0, time.process_time() - c0

@@ -19,13 +19,15 @@ from . import blowup as blowup_mod
 from .curves import (
     MAX_WEIGHT,
     RationalCurveModel,
+    degree_margin,
+    find_pencil,
     max_noether_holds,
+    pencil_weight,
     power_index,
     section_valuations,
 )
 from .errors import MaxNoetherError, NotApplicable, UnreadBound, WeightTooLarge
 from .local import LocalContext, build_certificates, case_epsilon, verify_local_surjectivity
-from .pencil import degree_margin, find_pencil, pencil_weight
 from .reports import write_jsonl
 from .semigroup import NumericalSemigroup, enumerate_semigroups
 from .suites import GENUS_CAPS, READS_N, SUITES, SuiteParams, check_genus_cap, iter_suite

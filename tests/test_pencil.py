@@ -6,38 +6,37 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from maxnoether import curves as curves_mod, pencil as pencil_mod
+from maxnoether import curves as curves_mod
 from maxnoether.curves import (
     Branch,
     RationalCurveModel,
     check_resolution_quotient,
+    find_pencil,
     global_sections,
     max_noether_holds,
     numerator_ambient,
     numerator_degree_bound,
+    pencil_refusal,
+    pencil_weight,
     products_span,
     resolve,
+    _VALUE_ZERO,
     _affine_frame,
     _branch_frames,
+    _combination,
+    _constraint_term_rows,
+    _coprime,
     _embedded_resolved_sections,
     _jets,
     _poly_mul,
+    _ratio_kernel,
+    _ratio_rows,
     _read,
     _row_jet,
     _terms,
-)
-from maxnoether.linalg import Subspace, nullspace
-from maxnoether.pencil import (
-    _VALUE_ZERO,
-    _coprime,
-    _combination,
-    _ratio_kernel,
-    _ratio_rows,
     _weight_one_jets,
-    find_pencil,
-    pencil_refusal,
-    pencil_weight,
 )
+from maxnoether.linalg import Subspace, modular_rank, nullspace
 from maxnoether.semigroup import NumericalSemigroup, enumerate_semigroups
 from maxnoether.suites import run_suite
 from test_suites import PINNED, _pin
@@ -52,10 +51,9 @@ def at(*branches):
 
 
 def clear_caches():
-    for module in (curves_mod, pencil_mod):
-        for fn in vars(module).values():
-            if hasattr(fn, "cache_clear"):
-                fn.cache_clear()
+    for fn in vars(curves_mod).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
 
 
 def exhaustive_noether(c, n):
@@ -245,7 +243,7 @@ def test_failed_searches_name_their_condition():
 def test_a_search_whose_candidates_share_a_root_with_h1_finds_none(monkeypatch):
     c = at((0, (3, 4, 5)), (1, (3, 5, 7)))
     assert not isinstance(find_pencil(c), str)
-    monkeypatch.setattr(pencil_mod, "_coprime", lambda a, b: False)
+    monkeypatch.setattr(curves_mod, "_coprime", lambda a, b: False)
     assert find_pencil(c) == "common-root"
 
 
@@ -283,12 +281,24 @@ def test_no_product_row_of_a_weight_past_n0_is_formed(monkeypatch):
 def test_a_short_constraint_rank_mod_p_takes_the_exact_path(monkeypatch):
     # dim S_n is read off C_n only when its rank mod p is its row count
     c = at((0, (3, 4, 5)), (1, (3, 5, 7)))
+    f = _affine_frame(c)
+    n = pencil_weight(c) + 1
+    live = [row for row in _constraint_term_rows(f, n, numerator_ambient(f, n)) if row]
+    shortened = []
+
+    def short_on_c_n(rows, limit):
+        # products_span reads the same name: only the rank of C_n falls short
+        if rows == live:
+            shortened.append(limit)
+            return limit - 1
+        return modular_rank(rows, limit)
+
     clear_caches()
     widths = widths_formed(monkeypatch)
-    monkeypatch.setattr(pencil_mod, "modular_rank", lambda rows, limit: limit - 1)
-    n = pencil_weight(c) + 1
+    monkeypatch.setattr(curves_mod, "modular_rank", short_on_c_n)
     got = max_noether_holds(c, n)
-    assert numerator_ambient(_affine_frame(c), n) in widths
+    assert shortened == [len(live)]
+    assert numerator_ambient(f, n) in widths
     monkeypatch.undo()
     assert (got.holds, got.products_dim, got.sections_dim) == exhaustive_noether(c, n)
     clear_caches()
@@ -326,8 +336,8 @@ def test_lone_branches_never_run_the_search(monkeypatch):
     def refused(*args):
         raise AssertionError("the pencil search ran")
 
-    monkeypatch.setattr(pencil_mod, "find_pencil", refused)
-    monkeypatch.setattr(pencil_mod, "pencil_weight", refused)
+    monkeypatch.setattr(curves_mod, "find_pencil", refused)
+    monkeypatch.setattr(curves_mod, "pencil_weight", refused)
     clear_caches()
     for k in (3, 4, 5):
         for center in (0, "7/3"):
@@ -351,7 +361,7 @@ def test_a_failed_base_case_runs_no_search(monkeypatch):
     def refused(*args):
         raise AssertionError("the pencil search ran")
 
-    monkeypatch.setattr(pencil_mod, "find_pencil", refused)
+    monkeypatch.setattr(curves_mod, "find_pencil", refused)
     clear_caches()
     verdicts = [max_noether_holds(c, n).holds for n in range(2, 6)]
     assert verdicts == [True, False, False, False]
