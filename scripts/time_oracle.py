@@ -7,10 +7,10 @@ Usage:
 Runs ``max_noether_holds`` five times per case, each run from cold caches
 (every lru cache of ``maxnoether.curves`` is cleared before it), and prints
 the verdict, the dimension of H^0(omega^n), and the least and the median of
-the five times in seconds, by wall clock (``time.perf_counter``) and, after
-``cpu``, by the process's CPU time (``time.process_time``).  The wall clock
-also counts the time the process waits while other processes hold the CPU;
-the CPU time does not, though it still moves with the host's speed.
+the five times in milliseconds, by wall clock (``time.perf_counter``) and,
+after ``cpu``, by the process's CPU time (``time.process_time``).  The wall
+clock also counts the time the process waits while other processes hold the
+CPU; the CPU time does not, though it still moves with the host's speed.
 The Noether cases are:
 
 - two <10,11> branches at 0 and 1, n = 2, whose rows are dense at both centers;
@@ -134,13 +134,13 @@ def _cold_run(check, *args):
 
 
 def _report(name, n, runs, holds):
-    wall = [w for _, w, _ in runs]
-    cpu = [c for _, _, c in runs]
+    wall = [1000 * w for _, w, _ in runs]
+    cpu = [1000 * c for _, _, c in runs]
     verdict = "holds" if holds else "fails"
     print(
         f"{name:38} n={n:<3} {verdict}  sections_dim {runs[0][0].sections_dim:5}"
-        f"  min {min(wall):8.3f} s  median {statistics.median(wall):8.3f} s"
-        f"  cpu min {min(cpu):8.3f} s  median {statistics.median(cpu):8.3f} s"
+        f"  min {min(wall):11.3f} ms  median {statistics.median(wall):11.3f} ms"
+        f"  cpu min {min(cpu):11.3f} ms  median {statistics.median(cpu):11.3f} ms"
     )
 
 

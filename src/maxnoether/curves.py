@@ -257,11 +257,21 @@ class RationalCurveModel(Frozen):
     def from_json(cls, obj: dict) -> "RationalCurveModel":
         if not isinstance(obj, dict) or not isinstance(obj.get("branches"), list):
             raise CurveSpecError('curve spec must be an object with a "branches" list')
+        extra = [key for key in obj if key != "branches"]
+        if extra:
+            raise CurveSpecError(f'unknown key {extra[0]!r}: a curve spec reads only "branches"')
         if not obj["branches"]:
             raise CurveSpecError("curve spec has no branches: nothing to check")
         branches = []
         for i, raw in enumerate(obj["branches"]):
             try:
+                if not isinstance(raw, dict):
+                    raise TypeError(f"a branch must be an object, not {type(raw).__name__}")
+                extra = [key for key in raw if key not in ("center", "generators")]
+                if extra:
+                    raise ValueError(
+                        f'unknown key {extra[0]!r}: a branch reads only "center" and "generators"'
+                    )
                 center = raw["center"]
                 # any other JSON number has been rounded to a float already; true is not 1
                 if type(center) not in (str, int):
@@ -287,12 +297,12 @@ class RationalCurveModel(Frozen):
         except UnicodeDecodeError as exc:
             raise CurveSpecError(f"{path}: not UTF-8 text: {exc}") from exc
         try:
-            obj = json.loads(text, parse_int=_parse_json_int)
+            obj = json.loads(text, parse_int=_parse_json_int, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise CurveSpecError(
                 f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from exc
-        except ValueError as exc:  # an integer literal past MAX_CENTER_DIGITS
+        except ValueError as exc:  # an integer past MAX_CENTER_DIGITS, or a repeated key
             raise CurveSpecError(f"{path}: {exc}") from exc
         except RecursionError:
             raise CurveSpecError(f"{path}: JSON nested too deeply to read") from None
@@ -311,6 +321,16 @@ def _parse_json_int(literal: str) -> int:
             f"{MAX_CENTER_DIGITS}, the most digits any number in a curve spec may have"
         )
     return int(literal)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object; a key written twice is refused, not read as its last value."""
+    seen: set[str] = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ValueError(f"key {key!r} is repeated in one object")
+        seen.add(key)
+    return dict(pairs)
 
 
 def _parse_center(raw: str | int) -> Fraction:
@@ -799,6 +819,9 @@ def max_noether_holds(curve: RationalCurveModel, n: int) -> NoetherCheck:
     the weight (``pencil_dim``, see the module docstring), it holds with
     both dimensions A - rows(C_n), and no space of weight n is formed.
     """
+    # bool is an int subclass; True is not weight 1
+    if type(n) is not int:
+        raise TypeError(f"a weight must be an int, not {type(n).__name__}")
     curve = _affine_frame(curve)
     dim = pencil_dim(curve, n)
     if dim is not None:
@@ -948,6 +971,9 @@ def check_resolution_quotient(curve: RationalCurveModel, index: int, n: int) -> 
     and they are spanned exactly.  Like ``max_noether_holds``, it runs in
     the curve's ``_affine_frame``, which keeps the branch order.
     """
+    # bool is an int subclass; True is not weight 1
+    if type(n) is not int:
+        raise TypeError(f"a weight must be an int, not {type(n).__name__}")
     _branch(curve, index)  # a bad index is refused before the curve is moved
     curve = _affine_frame(curve)
     dim = pencil_dim(curve, n)

@@ -415,6 +415,9 @@ def build_certificates(ctx: LocalContext, n: int) -> list[BasisCertificate]:
     is made, a run's bits from its three numbers; no column pair and no
     entry is labelled until it is read.
     """
+    # bool is an int subclass; True is not weight 1
+    if type(n) is not int:
+        raise TypeError(f"a weight must be an int, not {type(n).__name__}")
     if n < 1:
         raise ValueError("n must be a positive integer")
     if ctx.d1 is None:
@@ -507,6 +510,9 @@ def verify_local_surjectivity(ctx: LocalContext, n: int, epsilon: int) -> Surjec
     less W^n, and that one mask gives the verdict and the least shift at once;
     its values are listed only when it is not empty.  No power of K is built.
     """
+    # bool is an int subclass; True is not weight 1
+    if type(n) is not int:
+        raise TypeError(f"a weight must be an int, not {type(n).__name__}")
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
     power = ctx.section_powers.power(n)

@@ -1,5 +1,6 @@
 """Curve models: exact section spaces, products, and the surjectivity oracle."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -48,6 +49,7 @@ from maxnoether.errors import (
     WeightTooLarge,
 )
 from maxnoether.linalg import Subspace
+from maxnoether.local import LocalContext, build_certificates, verify_local_surjectivity
 from maxnoether.semigroup import NumericalSemigroup, enumerate_semigroups
 from maxnoether.suites import _MULTI_MENU, _RESOLUTION_PAIRS, _curve_corpus, _value_route_dim
 from maxnoether.valueset import ValueSet, canonical_ideal, dualizing_values, n_fold
@@ -169,6 +171,27 @@ def test_section_valuations_refuse_a_point_that_is_not_rational(point, name):
     # 0.1 would be read as its binary fraction, True as the branch center 1
     with pytest.raises(TypeError, match=f"^a point must be an int or a Fraction, not {name}$"):
         section_valuations(curve((3, 4, 5)), point)
+
+
+@pytest.mark.parametrize(
+    "n, name", [(True, "bool"), (2.0, "float"), (Fraction(2), "Fraction"), ("2", "str")]
+)
+def test_every_check_refuses_a_weight_that_is_not_an_int(n, name):
+    # True would run weight 1, and 2.0 or Fraction(2) failed deep inside the
+    # oracle; each is refused before any cache is read
+    c = curve((3, 4, 5), (3, 5, 7))
+    ctx = LocalContext(sg(4, 5, 11))
+    frames = curves_mod._affine_frame.cache_info()
+    message = f"^a weight must be an int, not {name}$"
+    for check, args in (
+        (max_noether_holds, (c, n)),
+        (check_resolution_quotient, (c, 0, n)),
+        (build_certificates, (ctx, n)),
+        (verify_local_surjectivity, (ctx, n, 1)),
+    ):
+        with pytest.raises(TypeError, match=message):
+            check(*args)
+    assert curves_mod._affine_frame.cache_info() == frames
 
 
 def test_products_span_identity_at_weight_one():
@@ -373,6 +396,21 @@ def test_curve_file_errors(tmp_path):
             "branch 1: center",
         ),
         ('{"branches": [{"center": true, "generators": [3, 4, 5]}]}', "branch 0: center"),
+        # a key the reader does not read, a key written twice, and a branch
+        # that is not an object are refused, not passed over
+        (
+            '{"branches": [{"center": "0", "generators": [3, 4, 5]}], "nodes": [[1, 2]]}',
+            "unknown key 'nodes'",
+        ),
+        (
+            '{"branches": [{"center": "0", "generators": [3, 4, 5], "semigroup": [3, 5]}]}',
+            "branch 0: unknown key 'semigroup'",
+        ),
+        (
+            '{"branches": [{"center": "0", "center": "1/2", "generators": [3, 4, 5]}]}',
+            "key 'center' is repeated",
+        ),
+        ('{"branches": [["0", [3, 4, 5]]]}', "branch 0: a branch must be an object, not list"),
         # a center past the digit cap, as a string, a fraction or a JSON integer
         *(
             ('{"branches": [{"center": %s, "generators": [3, 5]}]}' % c, "MAX_CENTER_DIGITS")
@@ -382,6 +420,10 @@ def test_curve_file_errors(tmp_path):
         path.write_text(spec)
         with pytest.raises(CurveSpecError, match=message):
             RationalCurveModel.from_file(str(path))
+    # what to_json writes reads back as the same curve
+    written = RationalCurveModel.from_semigroups([sg(3, 4, 5), sg(3, 5, 7)])
+    path.write_text(json.dumps(written.to_json()))
+    assert RationalCurveModel.from_file(str(path)) == written
     # an exact string and a JSON integer are both accepted
     path.write_text(
         '{"branches": [{"center": "1e-400", "generators": [3, 4, 5]},'

@@ -9,6 +9,7 @@ one changed value per compared field, and the tests read every class
 against that description.
 """
 
+import ast
 import copy
 import importlib
 import os
@@ -17,6 +18,8 @@ import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
+from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 import pytest
@@ -347,6 +350,26 @@ def test_the_package_imports_no_dataclasses_or_inspect():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_the_package_has_no_import_cycle():
+    # read from the source, with nothing imported: in a cycle, which of two
+    # modules finishes first depends on which one the importer named
+    package = Path(__file__).resolve().parent.parent / "src" / "maxnoether"
+    graph: dict[str, set[str]] = {}
+    for path in package.glob("*.py"):
+        imported = graph.setdefault(path.stem, set())
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:  # from .x import ...
+                    imported.add(node.module.split(".")[0])
+                else:  # from . import x
+                    imported.update(alias.name for alias in node.names)
+    assert {"linalg", "semigroup", "valueset"} <= graph["curves"]
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError as exc:
+        pytest.fail("import cycle: " + " -> ".join(exc.args[1]))
 
 
 def test_a_value_set_refuses_assignment_and_deletion():
