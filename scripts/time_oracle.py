@@ -40,7 +40,10 @@ The Noether cases are:
   pencil on its two Gorenstein branches, where a slow search would show;
 - <4,5,6> at 0 and <3,4,5> at 1, n = 4 (N0 = 2): the lowest-pivot row of
   S_1 vanishes at the non-symmetric center 1, so the search certifies the
-  pencil with the highest-pivot row as h1.
+  pencil with the highest-pivot row as h1;
+- <3,4,5> at 2/5 and <3,5,7> at 0, n = 3 (N0 = 2): the first weight past
+  N0, so a cold run builds the spaces of weight 2 and runs the search, whose
+  cost shows here.
 
 Past N0 a certified base-point-free pencil decides a curve of two or more
 branches at a weight where some branch excludes an order
@@ -48,10 +51,11 @@ branches at a weight where some branch excludes an order
 cases build no product span past N0: three <3,5,7> at n = 40 and the mixed
 three-branch case at n = 40 (N0 = 2 on both, and <3,5,7> excludes an order
 at every weight), two <7,8> at n = 4 (N0 = 3), <4,5,6> and <3,4,5> at
-n = 4 (N0 = 2, and <4,5,6> excludes an order at every weight), and the two
-<10,11> branches only from n = 4 on (N0 = 3), not at n = 2.  Two <3,4,5>
-exclude no order past weight 1, and the lone branches are lone: they keep
-the exact check at every weight.
+n = 4 and <3,4,5> and <3,5,7> at n = 3 (N0 = 2, and <4,5,6> and <3,5,7>
+exclude an order at every weight), and the two <10,11> branches only from
+n = 4 on (N0 = 3), not at n = 2.  Two <3,4,5> exclude no order past
+weight 1, and the lone branches are lone: they keep the exact check at
+every weight.
 
 Then it runs ``check_resolution_quotient`` the same way, and prints the same
 line with the branch resolved after the curve's name.  Past N0 it takes the
@@ -110,6 +114,7 @@ CASES = (
     ("<3,4,5>@0 <3,4,5>@1", _curve((0, (3, 4, 5)), (1, (3, 4, 5))), 160),
     ("<7,8>@0 <7,8>@1", _curve((0, (7, 8)), (1, (7, 8))), 4),
     ("<4,5,6>@0 <3,4,5>@1", _curve((0, (4, 5, 6)), (1, (3, 4, 5))), 4),
+    ("<3,4,5>@2/5 <3,5,7>@0", _curve((Fraction(2, 5), (3, 4, 5)), (0, (3, 5, 7))), 3),
 )
 
 # (name, curve, index of the resolved branch, n)

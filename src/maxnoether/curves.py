@@ -115,8 +115,7 @@ The pencil is certified by four exact conditions (``pencil_refusal``):
   ``numerator_degree_bound(curve, 1)``, read off its terms;
 - a value-0 factor at each center, so that L is omega at a Gorenstein
   point and has the degree above: the constant term of h's weight-1 jet,
-  zero iff h(c) = 0.  Every branch has a weight-1 frame, since every branch
-  excludes its Frobenius number at weight 1;
+  zero iff h(c) = 0 (every branch has a weight-1 frame, ``_pencil_jets``);
 - h2 / h1 in O_P at each branch with K != S, so L is invertible there: the
   ratio of the weight-1 jets has no term on a gap of S.  It is one integer
   condition per value of K - S (``_ratio_rows``), fraction-free, since on
@@ -131,21 +130,21 @@ The pencil is certified by four exact conditions (``pencil_refusal``):
   its degree mod p, so deg gcd_p >= deg gcd_Q.  A gcd of 1 also leaves a
   value-0 factor at every center.
 
-``find_pencil`` takes h1, the lowest-pivot row of S_1 or else the
-highest, and the first row of W = {h in S_1 : h / h1 in O_P where
-K_P != S_P}, a nullspace of those conditions, that ``pencil_refusal``
-certifies with h1; it runs once per framed curve, on the first weight past
-N0 asked for.  At such a weight ``max_noether_holds`` forms no S_n and no
-product: P_N0 = S_N0 is the exact check of weight N0, cached, and
-dim S_n = A - rows is exact once the nonzero rows of C_n have full rank
-mod p.  ``check_resolution_quotient`` takes P = S from the same path and
-keeps its jet test.  The path is taken only where the input shows that it
-pays: a curve of two or more branches, at a weight n > N0 at which some
-branch excludes an order.  A lone branch is cheap at every weight at
-center 0, and where no branch excludes an order S_n is every numerator of
-bounded degree, certified from products with no constraint to test; in
-both cases the search would cost more than it saves.  Wherever a
-condition fails, the exact path runs as before.
+``find_pencil`` forms each branch's weight-1 column jets once
+(``_pencil_jets``), and W = {h in S_1 : h / h1 in O_P where K_P != S_P}, a
+nullspace of those conditions, and every certificate read them.  Its
+candidates are one stream, h1 the lowest-pivot row of S_1 and then the
+highest, each with the rows of W's basis as h2, every pair checked on all
+four conditions with h2's jets summed from its own terms, so the
+certificate does not rest on how W was built; the first certified pair is
+the pencil, else the first refusal in the stream is named.  Past N0
+``max_noether_holds`` forms no S_n and no product: P_N0 = S_N0 is the
+exact check of weight N0, cached, and dim S_n = A - rows is exact once the
+nonzero rows of C_n have full rank mod p.  ``check_resolution_quotient``
+takes P = S from the same path and keeps its jet test.  The path is taken
+only where it pays, a curve of two or more branches at a weight n > N0 at
+which some branch excludes an order (``pencil_dim`` says why); wherever a
+condition fails the exact path runs as before.
 
 Everything is exact: ranks and subspace equalities over the rationals are
 stable under field extension, so nothing is lost against an algebraically
@@ -725,12 +724,14 @@ def section_valuations(
 
     ``point`` is a rational parameter value; when it coincides with a branch
     center the valuation is shifted by the local pole order of the fixed
-    denominator.  Any other type is refused, not coerced: a float is not read
-    as its binary fraction, nor a bool as a branch center.
+    denominator.  Any other point, or a weight that is not an int, is refused,
+    not coerced: a float is not read as its binary fraction, nor a bool as 1.
     """
     # bool is an int subclass; True does not name the point 1
     if type(point) is not int and not isinstance(point, Fraction):
         raise TypeError(f"a point must be an int or a Fraction, not {type(point).__name__}")
+    if type(n) is not int:
+        raise TypeError(f"a weight must be an int, not {type(n).__name__}")
     point = Fraction(point)
     shift = 0
     for br in curve.branches:
@@ -1062,34 +1063,33 @@ def pencil_weight(curve: RationalCurveModel) -> int | None:
     return n
 
 
-def _non_gorenstein_values(s: NumericalSemigroup) -> list[int]:
-    """K - S: the gaps of S that are not gaps of K; empty iff S is symmetric."""
-    excluded = set(_excluded(s, 1))
-    return [k for k in s.gaps if k not in excluded]
-
-
 # The condition row that reads a jet's constant term.
 _VALUE_ZERO: Terms = ((0, 1),)
 
 
-def _weight_one_jets(
-    curve: RationalCurveModel, rows: Sequence[Terms]
-) -> Iterator[tuple[list[int], list[list[int]]]]:
-    """Per branch, K - S and the weight-1 jet (``_row_jet``) of each numerator row.
+# Per branch: K - S and the weight-1 column jets, as ``_pencil_jets`` gives them.
+PencilJets = list[tuple[list[int], list[tuple[Sequence[int], int]]]]
 
+
+def _pencil_jets(curve: RationalCurveModel) -> PencilJets:
+    """Per branch, K - S and the weight-1 column jets (``_jets``) that every pencil condition reads.
+
+    K - S is the gaps of S that are not gaps of K, empty iff S is symmetric.
     Every branch excludes its Frobenius number F at weight 1, so each has a
     weight-1 frame, whose unit series runs through F, past every value of
     K - S; the jets are cut after the last order a condition reads, the
-    largest value, or the constant term where K = S.  The jets at one branch
-    share the factor q^(A-1) times the unit series, so a ratio of two is the
-    ratio of the numerators, and a jet's constant term is nonzero iff its
-    numerator has value 0 there.
+    largest value, or the constant term where K = S.  The row jets
+    (``_row_jet``) at one branch share the factor q^(A-1) times the unit
+    series, so a ratio of two is the ratio of the numerators, and a row
+    jet's constant term is nonzero iff its numerator has value 0 there.
     """
     ambient = numerator_ambient(curve, 1)
-    for br, _, scale, unit in _branch_frames(curve, 1):
-        values = _non_gorenstein_values(br.semigroup)
-        jets = list(_jets(br.center, scale, unit[: values[-1] + 1 if values else 1], ambient))
-        yield values, [_row_jet(row, jets) for row in rows]
+    branches = []
+    for br, excluded, scale, unit in _branch_frames(curve, 1):
+        values = sorted(set(br.semigroup.gaps).difference(excluded))
+        window = unit[: values[-1] + 1 if values else 1]
+        branches.append((values, list(_jets(br.center, scale, window, ambient))))
+    return branches
 
 
 def _ratio_rows(den: Sequence[int], orders: Sequence[int]) -> list[Terms]:
@@ -1110,7 +1110,7 @@ def _ratio_rows(den: Sequence[int], orders: Sequence[int]) -> list[Terms]:
     return [_terms([powers[i] * z[k - i] for i in range(k + 1)]) for k in orders]
 
 
-def _ratio_kernel(curve: RationalCurveModel, rows: Sequence[Terms]) -> Subspace | None:
+def _ratio_kernel(branches: PencilJets, rows: Sequence[Terms]) -> Subspace | None:
     """W, in coordinates on ``rows``: the combinations h with h / h1 in O_P at every branch, h1 = rows[0].
 
     h / h1 lies in O_P iff its jet vanishes on every gap of S.  On a gap k of
@@ -1122,8 +1122,9 @@ def _ratio_kernel(curve: RationalCurveModel, rows: Sequence[Terms]) -> Subspace 
     a positive value at a branch with K != S.
     """
     conditions: list[list[int]] = []
-    for values, nums in _weight_one_jets(curve, rows):
+    for values, jets in branches:
         if values:
+            nums = [_row_jet(row, jets) for row in rows]
             if not _read(_VALUE_ZERO, nums[0]):
                 return None
             ratios = _ratio_rows(nums[0], values)
@@ -1197,14 +1198,19 @@ def pencil_refusal(curve: RationalCurveModel, h1: Terms, h2: Terms) -> str | Non
     - ``common-root``: the numerators are not coprime mod ``MODULUS``
       (``_coprime``), as when they share a root off the centers.
     """
+    return _refusal(curve, _pencil_jets(curve), h1, h2)
+
+
+def _refusal(curve: RationalCurveModel, branches: PencilJets, h1: Terms, h2: Terms) -> str | None:
+    """``pencil_refusal`` on the curve's ``_pencil_jets``; each row jet is summed from its own terms."""
     if not (h1 and h2) or _proportional(h1, h2):
         return "dependent"
     if numerator_degree_bound(curve, 1) not in (h1[-1][0], h2[-1][0]):
         return "base-point-at-infinity"
-    branches = list(_weight_one_jets(curve, (h1, h2)))
-    if any(not (_read(_VALUE_ZERO, a) or _read(_VALUE_ZERO, b)) for _, (a, b) in branches):
+    pairs = [(values, _row_jet(h1, jets), _row_jet(h2, jets)) for values, jets in branches]
+    if any(not (_read(_VALUE_ZERO, a) or _read(_VALUE_ZERO, b)) for _, a, b in pairs):
         return "no-value-zero-factor"
-    for values, (a, b) in branches:
+    for values, a, b in pairs:
         den, num = (a, b) if _read(_VALUE_ZERO, a) else (b, a)
         if any(_read(row, num) for row in _ratio_rows(den, values)):
             return "ratio-outside-local-ring"
@@ -1225,33 +1231,32 @@ def _combination(coords: Terms, rows: Sequence[Terms]) -> Terms:
 def find_pencil(curve: RationalCurveModel) -> tuple[Terms, Terms] | str:
     """A certified pencil (h1, h2) in the curve's ``_affine_frame``, or the condition that failed.
 
-    h1 is the lowest-pivot row of S_1, or, where no h2 goes with it, the
-    highest: the two rows ``_ordered_products`` puts first.  h2 is the first
-    row of W's basis (``_ratio_kernel``) that ``pencil_refusal`` certifies
-    with h1.  The failure named is the lowest-pivot row's:
-    ``no-value-zero-factor`` when it has a positive value at a branch with
-    K != S, else that of its first candidate independent of it, or
-    ``ratio-outside-local-ring`` when W holds only its multiples.
+    One stream of candidates on jets formed once (``_pencil_jets``): h1 is
+    the lowest-pivot row of S_1, then the highest, the two rows
+    ``_ordered_products`` puts first, and h2 each row of W's basis
+    (``_ratio_kernel``) not a multiple of h1, each pair checked on every
+    condition of ``pencil_refusal``.  The first certified pair is returned,
+    else the first refusal in the stream: an h1 with a positive value at a
+    branch with K != S refuses as ``no-value-zero-factor``, and one with no
+    certified h2 closes with ``ratio-outside-local-ring``.
     """
     curve = _affine_frame(curve)
     basis = global_sections(curve, 1).rows
     if len(basis) < 2:
         return "dependent"
-    failed = []
+    branches = _pencil_jets(curve)
+    named = None
     for rows in (basis, basis[-1:] + basis[:-1]):  # h1 = rows[0]
-        kernel = _ratio_kernel(curve, rows)
-        if kernel is None:
-            failed.append("no-value-zero-factor")
-            continue
-        for coords in kernel.rows:
+        kernel = _ratio_kernel(branches, rows)
+        for coords in kernel.rows if kernel else ():
             h2 = _combination(coords, rows)
-            refusal = pencil_refusal(curve, rows[0], h2)
+            refusal = _refusal(curve, branches, rows[0], h2)
             if refusal is None:
                 return rows[0], h2
             if refusal != "dependent":
-                failed.append(refusal)
-        failed.append("ratio-outside-local-ring")
-    return failed[0]
+                named = named or refusal
+        named = named or ("ratio-outside-local-ring" if kernel else "no-value-zero-factor")
+    return named
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -1267,6 +1272,7 @@ def _pencil_holds(curve: RationalCurveModel) -> bool:
     )
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def pencil_dim(curve: RationalCurveModel, n: int) -> int | None:
     """dim S_n = dim P_n where a certified pencil decides weight n, else None.
 
@@ -1274,23 +1280,14 @@ def pencil_dim(curve: RationalCurveModel, n: int) -> int | None:
     order at weight n, takes this path at n > N0.  Where no branch excludes
     one, S_n is every numerator of bounded degree, and the exact path
     certifies it from products with no constraint to test, for less than
-    the search costs.  A weight or an ambient past its cap is refused as
-    ``global_sections`` refuses it, before any row is built.
+    the search costs.  With a certified pencil, dim S_n = A - rows(C_n) once
+    the nonzero rows of C_n have full rank mod p, since rank_Q >= rank_p.
+    A weight or an ambient past its cap is refused as ``global_sections``
+    refuses it, before any row is built.  Cached for the resolution check.
     """
     # N0 >= 2, and a lone branch never takes the path: neither reads value data
     if n <= 2 or len(curve.branches) < 2:
         return None
-    return _decided_dim(curve, n)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _decided_dim(curve: RationalCurveModel, n: int) -> int | None:
-    """``pencil_dim`` past its first two tests, cached: a resolution check reads it again.
-
-    With a certified pencil, dim S_n = A - rows(C_n) once rank_p of the
-    nonzero rows of C_n is their count: rank_Q >= rank_p, and no more than
-    the nonzero rows.  None when the rank mod p falls short.
-    """
     ambient = _weight_ambient(curve, n)  # before K^n is built
     if not any(_excluded(br.semigroup, n) for br in curve.branches):
         return None

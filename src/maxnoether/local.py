@@ -513,6 +513,8 @@ def verify_local_surjectivity(ctx: LocalContext, n: int, epsilon: int) -> Surjec
     # bool is an int subclass; True is not weight 1
     if type(n) is not int:
         raise TypeError(f"a weight must be an int, not {type(n).__name__}")
+    if type(epsilon) is not int:
+        raise TypeError(f"epsilon must be an int, not {type(epsilon).__name__}")
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
     power = ctx.section_powers.power(n)

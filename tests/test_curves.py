@@ -182,16 +182,19 @@ def test_every_check_refuses_a_weight_that_is_not_an_int(n, name):
     c = curve((3, 4, 5), (3, 5, 7))
     ctx = LocalContext(sg(4, 5, 11))
     frames = curves_mod._affine_frame.cache_info()
+    sections = curves_mod.global_sections.cache_info()
     message = f"^a weight must be an int, not {name}$"
     for check, args in (
         (max_noether_holds, (c, n)),
         (check_resolution_quotient, (c, 0, n)),
         (build_certificates, (ctx, n)),
         (verify_local_surjectivity, (ctx, n, 1)),
+        (section_valuations, (c, 0, n)),
     ):
         with pytest.raises(TypeError, match=message):
             check(*args)
     assert curves_mod._affine_frame.cache_info() == frames
+    assert curves_mod.global_sections.cache_info() == sections
 
 
 def test_products_span_identity_at_weight_one():

@@ -1,6 +1,7 @@
 """Local covering certificates and the value-level surjectivity verdicts."""
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -589,6 +590,16 @@ def test_negative_epsilon_is_rejected():
     for n in (1, 2, 3):
         with pytest.raises(ValueError, match="epsilon"):
             verify_local_surjectivity(ctx, n, -1)
+
+
+@pytest.mark.parametrize(
+    "epsilon, name", [(True, "bool"), (1.5, "float"), (Fraction(1), "Fraction"), ("1", "str")]
+)
+def test_an_epsilon_that_is_not_an_int_is_refused(epsilon, name):
+    # True ran as 1 and came back as true in the JSON; 1.5 failed deep inside
+    ctx = ctx_for([4, 5, 11])
+    with pytest.raises(TypeError, match=f"^epsilon must be an int, not {name}$"):
+        verify_local_surjectivity(ctx, 2, epsilon)
 
 
 # -- structured power steps against flat tables ---------------------------------

@@ -28,13 +28,13 @@ from maxnoether.curves import (
     _coprime,
     _embedded_resolved_sections,
     _jets,
+    _pencil_jets,
     _poly_mul,
     _ratio_kernel,
     _ratio_rows,
     _read,
     _row_jet,
     _terms,
-    _weight_one_jets,
 )
 from maxnoether.linalg import Subspace, modular_rank, nullspace
 from maxnoether.semigroup import NumericalSemigroup, enumerate_semigroups
@@ -157,7 +157,7 @@ def test_the_value_conditions_give_the_all_gap_kernel_on_the_census():
     for c in census_pairs():
         f = _affine_frame(c)
         basis = global_sections(f, 1).rows
-        fewer = _ratio_kernel(f, basis)
+        fewer = _ratio_kernel(_pencil_jets(f), basis)
         assert fewer == all_gap_kernel(f, basis), str(c)
         kernels += fewer is not None
     assert kernels == 54
@@ -173,10 +173,11 @@ def test_the_constant_term_of_a_weight_one_jet_reads_value_zero_at_every_center(
         for a, b in combinations_with_replacement(menu, 2):
             c = at((centers[0], a.generators), (centers[1], b.generators))
             rows = global_sections(c, 1).rows
-            branches = list(_weight_one_jets(c, rows))
+            branches = _pencil_jets(c)
             assert len(branches) == len(c.branches)  # each has a weight-1 frame
             for br, (_, jets) in zip(c.branches, branches):
-                for row, jet in zip(rows, jets):
+                for row in rows:
+                    jet = _row_jet(row, jets)
                     vanishes = not sum(x * br.center**d for d, x in row)
                     assert (_read(_VALUE_ZERO, jet) == 0) == vanishes, (str(c), row)
                     seen[br.semigroup.is_symmetric(), vanishes] += 1
@@ -188,6 +189,24 @@ def test_every_certified_pencil_passes_the_full_condition_check():
         pencil = find_pencil(c)
         if not isinstance(pencil, str):
             assert pencil_refusal(_affine_frame(c), *pencil) is None, str(c)
+
+
+def test_a_search_forms_each_branch_weight_one_jets_once(monkeypatch):
+    # the kernel and every candidate's certificate read one list of column
+    # jets per branch; the sections of weight 1 are formed before counting
+    c = at(("2/5", (3, 4, 5)), (0, (3, 5, 7)))
+    clear_caches()
+    global_sections(_affine_frame(c), 1)
+    formed = []
+
+    def counted(*args):
+        formed.append(args)
+        return _jets(*args)
+
+    monkeypatch.setattr(curves_mod, "_jets", counted)
+    assert not isinstance(find_pencil(c), str)
+    assert len(formed) == len(c.branches) == 2
+    clear_caches()
 
 
 def sections_where(c, *functionals):
