@@ -68,9 +68,18 @@ products to be the sections from the pencil and keeps its jet test:
   the check moves them to 0, 1 and -15/14, and the resolved sections are
   tested against the jets of the branches at 0 and -15/14, which at -15/14
   are dense big integers.
+
+Last it times ``find_pencil`` alone on <3,4,5> at 2/5 and <3,5,7> at 0, the
+search that the last Noether case runs once.  A cold run cannot resolve it:
+the search is tens of microseconds inside a check that spreads by hundreds.
+So the caches it reads (the affine frame, S_1 and the excluded orders) are
+filled by one search first, the garbage collector is off, and five runs of
+2,000 searches each are timed; the least, divided by 2,000, is printed in
+microseconds per search.
 """
 
 import argparse
+import gc
 import statistics
 import time
 from fractions import Fraction
@@ -80,11 +89,13 @@ from maxnoether.curves import (
     Branch,
     RationalCurveModel,
     check_resolution_quotient,
+    find_pencil,
     max_noether_holds,
 )
 from maxnoether.semigroup import NumericalSemigroup
 
 RUNS = 5
+SEARCHES = 2000
 
 
 def _curve(*branches):
@@ -149,6 +160,21 @@ def _report(name, n, runs, holds):
     )
 
 
+def _time_search(name, curve):
+    find_pencil(curve)  # fills the caches that every later search reads
+    gc.disable()
+    try:
+        runs = []
+        for _ in range(RUNS):
+            t0 = time.perf_counter()
+            for _ in range(SEARCHES):
+                find_pencil(curve)
+            runs.append(time.perf_counter() - t0)
+    finally:
+        gc.enable()
+    print(f"find_pencil {name:26} min {1e6 * min(runs) / SEARCHES:11.3f} us per search")
+
+
 def main() -> None:
     argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -159,6 +185,8 @@ def main() -> None:
     for name, curve, index, n in RESOLUTION_CASES:
         runs = [_cold_run(check_resolution_quotient, curve, index, n) for _ in range(RUNS)]
         _report(name, n, runs, runs[0][0].ok)
+    name, curve, _ = CASES[-1]
+    _time_search(name, curve)
 
 
 if __name__ == "__main__":

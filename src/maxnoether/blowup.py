@@ -18,7 +18,7 @@ has it without being almost Gorenstein.
 from __future__ import annotations
 
 from .errors import NotApplicable
-from .frozen import Frozen
+from .frozen import Frozen, shown_json
 from .semigroup import NumericalSemigroup
 from .valueset import PowerChain, ValueSet, canonical_ideal, quotient_dim
 
@@ -114,14 +114,6 @@ class AlmostGorensteinChecks(Frozen):
 
     _shown = ("almost_gorenstein", "gap_one", "square_is_blowup", "powers_collapse")
 
-    def __init__(
-        self, almost_gorenstein: bool, gap_one: bool, square_is_blowup: bool, powers_collapse: bool
-    ) -> None:
-        object.__setattr__(self, "almost_gorenstein", almost_gorenstein)
-        object.__setattr__(self, "gap_one", gap_one)
-        object.__setattr__(self, "square_is_blowup", square_is_blowup)
-        object.__setattr__(self, "powers_collapse", powers_collapse)
-
     @property
     def consistent(self) -> bool:
         """The predicted equivalences: ag iff gap_one, and ag forces the rest."""
@@ -132,11 +124,5 @@ class AlmostGorensteinChecks(Frozen):
         return True
 
     def to_json(self) -> dict:
-        return {
-            "almost_gorenstein": self.almost_gorenstein,
-            "gap_one": self.gap_one,
-            "square_is_blowup": self.square_is_blowup,
-            "powers_collapse": self.powers_collapse,
-            "consistent": self.consistent,
-        }
+        return {**shown_json(self), "consistent": self.consistent}
 

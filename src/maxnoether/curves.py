@@ -167,8 +167,9 @@ from .errors import (
     MaxNoetherError,
     NotApplicable,
     WeightTooLarge,
+    check_weight,
 )
-from .frozen import Frozen
+from .frozen import Frozen, shown_json
 from .linalg import MODULUS, Subspace, Terms, _terms, modular_rank, nullspace
 from .semigroup import NumericalSemigroup
 from .valueset import PowerChain, ValueSet, canonical_ideal, missing_below
@@ -207,10 +208,6 @@ class Branch(Frozen):
     """One unibranch singular point: a rational center and its value semigroup."""
 
     _shown = ("center", "semigroup")
-
-    def __init__(self, center: Fraction, semigroup: NumericalSemigroup) -> None:
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "semigroup", semigroup)
 
 
 class RationalCurveModel(Frozen):
@@ -589,8 +586,7 @@ def _constraint_rows(curve: RationalCurveModel, n: int) -> tuple[ColumnMatrix, i
 
 def _weight_ambient(curve: RationalCurveModel, n: int) -> int:
     """The numerator ambient at weight n; a weight or an ambient past its cap is refused."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    check_weight(n)
     if n > MAX_WEIGHT:
         raise WeightTooLarge(f"weight {n} is above MAX_WEIGHT = {MAX_WEIGHT}")
     ambient = numerator_ambient(curve, n)
@@ -730,8 +726,7 @@ def section_valuations(
     # bool is an int subclass; True does not name the point 1
     if type(point) is not int and not isinstance(point, Fraction):
         raise TypeError(f"a point must be an int or a Fraction, not {type(point).__name__}")
-    if type(n) is not int:
-        raise TypeError(f"a weight must be an int, not {type(n).__name__}")
+    check_weight(n)
     point = Fraction(point)
     shift = 0
     for br in curve.branches:
@@ -748,20 +743,7 @@ class NoetherCheck(Frozen):
     """Outcome of comparing product spans with full section spaces."""
 
     _shown = ("n", "holds", "products_dim", "sections_dim", "missing_values")
-
-    def __init__(
-        self,
-        n: int,
-        holds: bool,
-        products_dim: int,
-        sections_dim: int,
-        missing_values: tuple[int, ...] | None,
-    ) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "products_dim", products_dim)
-        object.__setattr__(self, "sections_dim", sections_dim)
-        object.__setattr__(self, "missing_values", missing_values)
+    to_json = shown_json
 
     @property
     def dimension_gap(self) -> int:
@@ -775,15 +757,6 @@ class NoetherCheck(Frozen):
             label = "value" if len(self.missing_values) == 1 else "values"
             msg += f", missing {label} " + ", ".join(str(v) for v in self.missing_values)
         return msg
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "holds": self.holds,
-            "products_dim": self.products_dim,
-            "sections_dim": self.sections_dim,
-            "missing_values": list(self.missing_values) if self.missing_values else None,
-        }
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -820,9 +793,7 @@ def max_noether_holds(curve: RationalCurveModel, n: int) -> NoetherCheck:
     the weight (``pencil_dim``, see the module docstring), it holds with
     both dimensions A - rows(C_n), and no space of weight n is formed.
     """
-    # bool is an int subclass; True is not weight 1
-    if type(n) is not int:
-        raise TypeError(f"a weight must be an int, not {type(n).__name__}")
+    check_weight(n)
     curve = _affine_frame(curve)
     dim = pencil_dim(curve, n)
     if dim is not None:
@@ -930,32 +901,7 @@ class ResolutionCheck(Frozen):
     """Do products plus resolved sections fill the full section space?"""
 
     _shown = ("ok", "n", "sections_dim", "products_dim", "resolved_dim", "combined_dim")
-
-    def __init__(
-        self,
-        ok: bool,
-        n: int,
-        sections_dim: int,
-        products_dim: int,
-        resolved_dim: int,
-        combined_dim: int,
-    ) -> None:
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "sections_dim", sections_dim)
-        object.__setattr__(self, "products_dim", products_dim)
-        object.__setattr__(self, "resolved_dim", resolved_dim)
-        object.__setattr__(self, "combined_dim", combined_dim)
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "n": self.n,
-            "sections_dim": self.sections_dim,
-            "products_dim": self.products_dim,
-            "resolved_dim": self.resolved_dim,
-            "combined_dim": self.combined_dim,
-        }
+    to_json = shown_json
 
 
 def check_resolution_quotient(curve: RationalCurveModel, index: int, n: int) -> ResolutionCheck:
@@ -972,9 +918,7 @@ def check_resolution_quotient(curve: RationalCurveModel, index: int, n: int) -> 
     and they are spanned exactly.  Like ``max_noether_holds``, it runs in
     the curve's ``_affine_frame``, which keeps the branch order.
     """
-    # bool is an int subclass; True is not weight 1
-    if type(n) is not int:
-        raise TypeError(f"a weight must be an int, not {type(n).__name__}")
+    check_weight(n)
     _branch(curve, index)  # a bad index is refused before the curve is moved
     curve = _affine_frame(curve)
     dim = pencil_dim(curve, n)
@@ -1272,7 +1216,6 @@ def _pencil_holds(curve: RationalCurveModel) -> bool:
     )
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def pencil_dim(curve: RationalCurveModel, n: int) -> int | None:
     """dim S_n = dim P_n where a certified pencil decides weight n, else None.
 
@@ -1283,11 +1226,18 @@ def pencil_dim(curve: RationalCurveModel, n: int) -> int | None:
     the search costs.  With a certified pencil, dim S_n = A - rows(C_n) once
     the nonzero rows of C_n have full rank mod p, since rank_Q >= rank_p.
     A weight or an ambient past its cap is refused as ``global_sections``
-    refuses it, before any row is built.  Cached for the resolution check.
+    refuses it, before any row is built.  Cached for the resolution check,
+    past the lone-branch and n <= 2 answers: each is None at once, and a
+    cache entry for it would only hold memory.
     """
     # N0 >= 2, and a lone branch never takes the path: neither reads value data
     if n <= 2 or len(curve.branches) < 2:
         return None
+    return _pencil_dim(curve, n)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _pencil_dim(curve: RationalCurveModel, n: int) -> int | None:
     ambient = _weight_ambient(curve, n)  # before K^n is built
     if not any(_excluded(br.semigroup, n) for br in curve.branches):
         return None

@@ -1,4 +1,4 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one check of a weight."""
 
 
 class MaxNoetherError(Exception):
@@ -75,3 +75,12 @@ class CurveSpecError(MaxNoetherError):
 
 class FrozenInstanceError(AttributeError):
     """A field of an immutable value was assigned or deleted."""
+
+
+def check_weight(n: int) -> None:
+    """Refuse a weight that is not a positive int; it is never coerced."""
+    # bool is an int subclass; True is not weight 1
+    if type(n) is not int:
+        raise TypeError(f"a weight must be an int, not {type(n).__name__}")
+    if n < 1:
+        raise ValueError("n must be a positive integer")

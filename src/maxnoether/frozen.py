@@ -1,12 +1,18 @@
 """The base of the library's immutable value classes.
 
-A value class names its fields once, in ``_shown``, and writes only its
-``__init__``: one ``object.__setattr__`` per field.  This base compares,
-hashes and prints over the ``_shown`` fields: equality is one tuple compare
-of them against an object of the same class, the hash is the hash of their
-tuple, and the repr is ``Name(field=value, ...)``.  A field set in
-``__init__`` but not named in ``_shown`` (a cache, a derived table) stays
-out of all three.  Any assignment or deletion raises
+A value class names its fields once, in ``_shown``, in constructor order.
+This base builds the object from them: its one constructor stores the
+``_shown`` fields, by position or by keyword, with one
+``object.__setattr__`` each, and refuses a field that is missing, extra,
+repeated or unknown with :class:`TypeError`.  A class with derived fields,
+defaults or input checks writes its own ``__init__`` instead.  The base
+also compares, hashes and prints over the ``_shown`` fields: equality is one
+tuple compare of them against an object of the same class, the hash is the
+hash of their tuple, and the repr is ``Name(field=value, ...)``.  A field
+set in ``__init__`` but not named in ``_shown`` (a cache, a derived table)
+stays out of all three.  :func:`shown_json` is the JSON form of the
+``_shown`` fields, which a class takes only by naming it as its
+``to_json``.  Any assignment or deletion raises
 :class:`FrozenInstanceError`; copy and pickle restore state past that guard.
 The base has no slots of its own, so a subclass without ``__slots__`` keeps
 its ``__dict__``, and ``functools.cached_property`` works there.
@@ -17,6 +23,9 @@ from __future__ import annotations
 from operator import attrgetter
 
 from .errors import FrozenInstanceError
+
+# bound once: the constructor calls it once per field of every record made
+_set = object.__setattr__
 
 
 class Frozen:
@@ -33,6 +42,29 @@ class Frozen:
             def values(obj):
                 return tuple(getattr(obj, name) for name in names)
         cls._shown_values = staticmethod(values)
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self._shown
+        if kwargs or len(args) != len(names):
+            args = self._fields(args, kwargs)
+        # an index, not zip, which allocates an iterator per call
+        i = 0
+        for name in names:
+            _set(self, name, args[i])
+            i += 1
+
+    @classmethod
+    def _fields(cls, args: tuple, kwargs: dict) -> tuple:
+        """The ``_shown`` fields, in order, from positional and keyword arguments."""
+        names = cls._shown
+        rest = names[len(args):]
+        # the keywords must name exactly the fields after the positional ones
+        if len(args) > len(names) or kwargs.keys() != set(rest):
+            raise TypeError(
+                f"{cls.__qualname__}() takes the fields ({', '.join(names)}), not"
+                f" {len(args)} by position and ({', '.join(kwargs)}) by keyword"
+            )
+        return (*args, *(kwargs[name] for name in rest))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -57,3 +89,12 @@ class Frozen:
         for part in state if isinstance(state, tuple) else (state,):
             for name, value in (part or {}).items():
                 object.__setattr__(self, name, value)
+
+
+def shown_json(record: Frozen) -> dict:
+    """The ``_shown`` fields of a record by name, in order, each tuple written as a list."""
+    out = {}
+    for name in record._shown:
+        value = getattr(record, name)
+        out[name] = list(value) if type(value) is tuple else value
+    return out

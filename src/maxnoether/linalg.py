@@ -144,10 +144,6 @@ class Subspace(Frozen):
 
     _shown = ("ambient", "rows")
 
-    def __init__(self, ambient: int, rows: tuple[Terms, ...]) -> None:
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "rows", rows)
-
     @classmethod
     def span(cls, rows: Iterable[Terms], ambient: int) -> "Subspace":
         # repeated rows (frequent among products of sparse rows) add nothing

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import HypothesisGap, NotApplicable
-from .frozen import Frozen
+from .errors import HypothesisGap, NotApplicable, check_weight
+from .frozen import Frozen, shown_json
 from .semigroup import NumericalSemigroup
 from .valueset import PowerChain, ValueSet, _bit_values, canonical_ideal, missing_bits
 
@@ -151,11 +151,6 @@ class Columns(Frozen):
 
     __slots__ = ("first", "count", "least")
     _shown = __slots__
-
-    def __init__(self, first: int, count: int, least: int) -> None:
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "least", least)
 
     @property
     def bits(self) -> tuple[int | None, int]:
@@ -415,11 +410,7 @@ def build_certificates(ctx: LocalContext, n: int) -> list[BasisCertificate]:
     is made, a run's bits from its three numbers; no column pair and no
     entry is labelled until it is read.
     """
-    # bool is an int subclass; True is not weight 1
-    if type(n) is not int:
-        raise TypeError(f"a weight must be an int, not {type(n).__name__}")
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    check_weight(n)
     if ctx.d1 is None:
         raise NotApplicable("certificates target a non-Gorenstein point; semigroup is symmetric")
     if n == 1:
@@ -479,24 +470,7 @@ class SurjectivityCheck(Frozen):
     """
 
     _shown = ("ok", "n", "epsilon", "uncovered", "minimal_epsilon")
-
-    def __init__(
-        self, ok: bool, n: int, epsilon: int, uncovered: tuple[int, ...], minimal_epsilon: int
-    ) -> None:
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "uncovered", uncovered)
-        object.__setattr__(self, "minimal_epsilon", minimal_epsilon)
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "n": self.n,
-            "epsilon": self.epsilon,
-            "uncovered": list(self.uncovered),
-            "minimal_epsilon": self.minimal_epsilon,
-        }
+    to_json = shown_json
 
 
 def verify_local_surjectivity(ctx: LocalContext, n: int, epsilon: int) -> SurjectivityCheck:
@@ -510,9 +484,7 @@ def verify_local_surjectivity(ctx: LocalContext, n: int, epsilon: int) -> Surjec
     less W^n, and that one mask gives the verdict and the least shift at once;
     its values are listed only when it is not empty.  No power of K is built.
     """
-    # bool is an int subclass; True is not weight 1
-    if type(n) is not int:
-        raise TypeError(f"a weight must be an int, not {type(n).__name__}")
+    check_weight(n)
     if type(epsilon) is not int:
         raise TypeError(f"epsilon must be an int, not {type(epsilon).__name__}")
     if epsilon < 0:

@@ -38,10 +38,6 @@ class NumericalSemigroup(Frozen):
 
     _shown = ("generators", "gaps")
 
-    def __init__(self, generators: tuple[int, ...], gaps: tuple[int, ...]) -> None:
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "gaps", gaps)
-
     @cached_property
     def values(self) -> ValueSet:
         """The members below the conductor, then the ray; the constructors store theirs."""

@@ -1,8 +1,10 @@
 """Blowup stabilization data and the almost Gorenstein equivalences."""
 
+import json
+
 import pytest
 
-from maxnoether.blowup import BlowupAnalysis, analyze
+from maxnoether.blowup import AlmostGorensteinChecks, BlowupAnalysis, analyze
 from maxnoether.errors import NotApplicable
 from maxnoether.curves import RationalCurveModel, power_defect, power_index
 from maxnoether.semigroup import NumericalSemigroup, enumerate_semigroups
@@ -228,3 +230,21 @@ def test_powers_collapse_matches_the_sumset_definition_through_genus_14():
         collapsed += by_sumsets
     assert count == 3897
     assert 0 < collapsed < count
+
+
+def test_almost_gorenstein_checks_json_adds_consistent_to_the_fields():
+    def text(checks):
+        return json.dumps(checks.to_json(), separators=(",", ":"))
+
+    assert text(analyze(sg(3, 4, 5)).almost_gorenstein_checks()) == (
+        '{"almost_gorenstein":true,"gap_one":true,"square_is_blowup":true,'
+        '"powers_collapse":true,"consistent":true}'
+    )
+    assert text(analyze(sg(4, 5, 11)).almost_gorenstein_checks()) == (
+        '{"almost_gorenstein":false,"gap_one":false,"square_is_blowup":false,'
+        '"powers_collapse":false,"consistent":true}'
+    )
+    assert text(AlmostGorensteinChecks(True, True, False, True)) == (
+        '{"almost_gorenstein":true,"gap_one":true,"square_is_blowup":false,'
+        '"powers_collapse":true,"consistent":false}'
+    )

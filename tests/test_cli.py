@@ -210,6 +210,15 @@ def test_verify_noether_failure_exit_code(capsys):
     assert "missing value 7" in out
 
 
+def test_verify_noether_json_of_a_failing_check_is_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "noether", "--gens", "2,7", "--n", "2", "--json")
+    assert code == 1
+    assert out == (
+        '{"check": {"holds": false, "missing_values": [7], "n": 2, "products_dim": 5,'
+        ' "sections_dim": 6}, "curve": {"branches": [{"center": "0", "generators": [2, 7]}]}}\n'
+    )
+
+
 def test_verify_noether_pass(capsys):
     code, out, _ = run(capsys, "verify", "noether", "--gens", "3,5,7", "--n", "4")
     assert code == 0

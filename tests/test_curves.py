@@ -223,6 +223,25 @@ def test_max_noether_hyperelliptic_failure_27():
     assert chk.describe() == "dimension 5 < 6, missing value 7"
 
 
+def test_a_failing_lone_branch_check_names_a_missing_value():
+    # P < S, both in canonical echelon form, leaves S a pivot that P lacks:
+    # so a failing check never writes [] where a passing one writes null
+    failed = 0
+    for s in enumerate_semigroups(4):
+        if not s.gaps:
+            continue
+        for n in (2, 3):
+            chk = max_noether_holds(RationalCurveModel.from_semigroups([s]), n)
+            if chk.holds:
+                assert chk.to_json()["missing_values"] is None
+            else:
+                failed += 1
+                assert chk.missing_values and chk.to_json()["missing_values"] == list(
+                    chk.missing_values
+                )
+    assert failed
+
+
 def test_max_noether_357():
     chk = max_noether_holds(curve((3, 5, 7)), 2)
     assert chk.holds and chk.sections_dim == 6

@@ -1,5 +1,6 @@
 """Local covering certificates and the value-level surjectivity verdicts."""
 
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -900,3 +901,11 @@ def test_mask_coverings_match_the_list_definition():
                 assert (res.ok, res.uncovered, res.minimal_epsilon) == _listed_covering(ctx, n, eps)
                 failing += not res.ok
     assert failing > 0
+
+
+def test_a_failing_covering_writes_its_uncovered_values_as_a_list():
+    ctx = LocalContext(NumericalSemigroup.from_generators((4, 5, 11)))
+    check = verify_local_surjectivity(ctx, 2, 0)
+    assert json.dumps(check.to_json(), separators=(",", ":")) == (
+        '{"ok":false,"n":2,"epsilon":0,"uncovered":[13,14,15],"minimal_epsilon":3}'
+    )

@@ -1,5 +1,6 @@
 """The pencil path: weights past N0 decided by a certified base-point-free pencil."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -38,7 +39,7 @@ from maxnoether.curves import (
 )
 from maxnoether.linalg import Subspace, modular_rank, nullspace
 from maxnoether.semigroup import NumericalSemigroup, enumerate_semigroups
-from maxnoether.suites import run_suite
+from maxnoether.suites import SuiteParams, run_suite
 from test_suites import PINNED, _pin
 
 
@@ -123,6 +124,24 @@ def differential(curve_list):
                     n,
                 )
     return certified
+
+
+def test_a_resolution_check_writes_its_fields_in_constructor_order():
+    # the tests here read tuple(res.to_json().values()) in this order
+    res = check_resolution_quotient(at((0, (3, 4, 5)), (1, (4, 5, 11))), 1, 2)
+    assert json.dumps(res.to_json(), separators=(",", ":")) == (
+        '{"ok":true,"n":2,"sections_dim":18,"products_dim":18,"resolved_dim":3,"combined_dim":18}'
+    )
+
+
+def test_lone_branch_checks_store_no_pencil_decision():
+    clear_caches()
+    run_suite("noether-single", SuiteParams(4, 3))
+    assert curves_mod._pencil_dim.cache_info().currsize == 0
+    # a two-branch curve past weight 2 stores its decision
+    max_noether_holds(at((0, (3, 4, 5)), (1, (3, 5, 7))), 3)
+    assert curves_mod._pencil_dim.cache_info().currsize == 1
+    clear_caches()
 
 
 def test_the_pencil_verdicts_match_the_exhaustive_oracle_on_the_two_branch_census():

@@ -409,3 +409,61 @@ def test_value_classes_take_equality_and_hashing_from_frozen():
         "RationalCurveModel": ["__hash__"],
     }
     assert {record.cls for record in RECORDS if record.frozen} <= set(classes.values())
+
+
+def test_only_classes_that_derive_or_check_fields_write_a_constructor():
+    # a record that stores its fields as given takes Frozen's constructor,
+    # and only the classes that had a JSON form keep one
+    for info in pkgutil.iter_modules(maxnoether.__path__):
+        importlib.import_module(f"maxnoether.{info.name}")
+    classes, todo = {}, [Frozen]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            classes[cls.__name__] = cls
+            todo.append(cls)
+    assert sorted(name for name, cls in classes.items() if "__init__" in vars(cls)) == [
+        "BasisCertificate",
+        "BlowupAnalysis",
+        "LocalContext",
+        "RationalCurveModel",
+        "SuiteParams",
+        "ValueSet",
+    ]
+    assert sorted(name for name, cls in classes.items() if hasattr(cls, "to_json")) == [
+        "AlmostGorensteinChecks",
+        "BlowupAnalysis",
+        "NoetherCheck",
+        "NumericalSemigroup",
+        "RationalCurveModel",
+        "ResolutionCheck",
+        "SurjectivityCheck",
+        "ValueSet",
+    ]
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, given",
+    [
+        # missing
+        ((1, 3), {}, "2 by position and ()"),
+        ((), {"first": 1}, "0 by position and (first)"),
+        # extra
+        ((1, 3, 4, 5), {}, "4 by position and ()"),
+        # repeated
+        ((1, 3), {"first": 2, "least": 4}, "2 by position and (first, least)"),
+        # unknown
+        ((1, 3, 4), {"last": 6}, "3 by position and (last)"),
+        ((1, 3), {"last": 6}, "2 by position and (last)"),
+    ],
+)
+def test_the_shared_constructor_refuses_a_bad_field(args, kwargs, given):
+    with pytest.raises(TypeError) as info:
+        Columns(*args, **kwargs)
+    fields = "(first, count, least)"
+    assert str(info.value) == f"Columns() takes the fields {fields}, not {given} by keyword"
+
+
+def test_the_shared_constructor_takes_keywords_in_any_order():
+    made = Columns(least=4, first=1, count=3)
+    assert made == Columns(1, 3, 4) == Columns(1, least=4, count=3)
+    assert (made.first, made.count, made.least) == (1, 3, 4)
