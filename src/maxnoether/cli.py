@@ -28,7 +28,7 @@ from .curves import (
 )
 from .errors import MaxNoetherError, NotApplicable, UnreadBound, WeightTooLarge
 from .local import LocalContext, build_certificates, case_epsilon, verify_local_surjectivity
-from .reports import write_jsonl
+from .reports import json_encoder, write_jsonl
 from .semigroup import NumericalSemigroup, enumerate_semigroups
 from .suites import GENUS_CAPS, READS_N, SUITES, SuiteParams, check_genus_cap, iter_suite
 from .valueset import ValueSet, dualizing_values
@@ -125,9 +125,11 @@ def cmd_sg_enumerate(args) -> int:
             f"--min-multiplicity {args.min_multiplicity} admits no semigroup of genus at most "
             f"--max-genus {args.max_genus}: genus g allows multiplicity at most g + 1"
         )
+    # one encoder for every line: json.dumps(..., sort_keys=True) would build one per line
+    encode = json_encoder((", ", ": "))
     for s in enumerate_semigroups(args.max_genus, args.min_multiplicity):
         if args.json:
-            print(json.dumps(s.to_json(), sort_keys=True))
+            print("".join(encode(s.to_json(), 0)))
         else:
             print(f"{str(s):24} genus {s.genus:2}  gaps {_ints(s.gaps)}")
     return 0

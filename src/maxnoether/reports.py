@@ -19,12 +19,23 @@ encoder would write it; only lists, dicts and anything else go through the
 one shared encoder.  A suite gives the reports of one semigroup or curve one
 shared ``input`` object, and :func:`write_jsonl` encodes it once, for as long
 as consecutive reports carry that same object.
+
+The shared encoder is ``json``'s C encoder, built once at import by
+:func:`json_encoder`.  ``json.JSONEncoder.encode`` runs the same C encoder
+with the same options, but builds it anew, with a float formatter and a
+circular-reference ``markers`` dict, on every call; on short values such as
+a witness ``{"minimal_epsilon": 0}`` that set-up is more than half of the
+encode (CPython 3.11).  The shared encoder keeps no ``markers``: a failed
+encode leaves the containers it had entered in that dict, which holds them,
+so a reused one would keep every value that ever failed to encode alive.  A
+value that contains itself therefore raises ``RecursionError``
+(``json.dumps`` raises ``ValueError``), and either way its line is not
+written.
 """
 
 from __future__ import annotations
 
-import json
-from json.encoder import encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import IO, Any, Iterable
 
 
@@ -87,8 +98,27 @@ class VerificationReport:
         return _line(self, _value(self.input))[:-1]
 
 
-# one encoder for every container; its options make the canonical form
-_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+def _not_json(o: Any) -> Any:
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def json_encoder(separators: tuple[str, str]) -> Any:
+    """A C encoder with sorted keys and ASCII output, built once for reuse.
+
+    ``separators`` is ``(item_separator, key_separator)``, as in
+    ``json.dumps``.  ``"".join(encoder(v, 0))`` equals
+    ``json.dumps(v, sort_keys=True, separators=separators)``, except that a
+    value containing itself raises ``RecursionError``, not ``ValueError``.
+    """
+    item_separator, key_separator = separators
+    return c_make_encoder(
+        None, _not_json, encode_basestring_ascii, None, key_separator, item_separator,
+        True, False, True,
+    )
+
+
+# the one encoder for every container; its options make the canonical form
+_ENCODE = json_encoder((",", ":"))
 
 
 def _value(v: Any) -> str:
@@ -96,6 +126,9 @@ def _value(v: Any) -> str:
 
     The exact types are tested, so a ``bool`` is never written as an ``int``
     and a subclass (an ``IntEnum``, a ``str`` subclass) goes to the encoder.
+    Anything else is ``"".join(_ENCODE(v, 0))``: the encoder built at import,
+    with no per-call set-up and no circular-reference check, so a value that
+    contains itself raises ``RecursionError`` before its line is written.
     """
     t = type(v)
     if v is None:
@@ -106,7 +139,7 @@ def _value(v: Any) -> str:
         return int.__repr__(v)
     if t is str:
         return encode_basestring_ascii(v)
-    return _ENCODE(v)
+    return "".join(_ENCODE(v, 0))
 
 
 def _line(report: VerificationReport, input_text: str) -> str:

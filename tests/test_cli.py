@@ -64,6 +64,15 @@ def test_sg_enumerate(capsys):
     assert len(out.strip().splitlines()) == 3
 
 
+def test_sg_enumerate_json_lines_are_pinned_to_json_dumps(capsys):
+    code, out, _ = run(capsys, "sg", "enumerate", "--max-genus", "6", "--json")
+    assert code == 0
+    assert out.splitlines() == [
+        json.dumps(s.to_json(), sort_keys=True) for s in enumerate_semigroups(6)
+    ]
+    assert len(out.splitlines()) == 1 + 1 + 2 + 4 + 7 + 12 + 23
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -1,5 +1,6 @@
 """Report streams of the suites at their default bounds, pinned byte for byte."""
 
+import gc
 import hashlib
 import io
 import json
@@ -7,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -218,6 +220,67 @@ def test_write_jsonl_and_to_line_match_one_dumps_on_random_json(reports):
 def test_to_line_with_a_set_does_not_encode():
     with pytest.raises(TypeError):
         VerificationReport("s", "c", {1, 2}, 0, 0, True).to_line()
+
+
+def test_writing_builds_no_encoder_per_value(monkeypatch):
+    # JSONEncoder.encode builds a new C encoder in iterencode on every call;
+    # the shared encoder is built once, at import
+    calls = []
+    iterencode = json.JSONEncoder.iterencode
+
+    def counting_iterencode(self, o, _one_shot=False):
+        calls.append(o)
+        return iterencode(self, o, _one_shot)
+
+    reports = run_suite("local-lemma", SuiteParams(6))
+    assert any(isinstance(r.witness, (list, dict)) for r in reports)
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", counting_iterencode)
+    buf = io.StringIO()
+    write_jsonl(reports, buf)
+    lines = [r.to_line() for r in reports]
+    assert calls == []
+    monkeypatch.undo()
+    assert buf.getvalue() == "".join(line + "\n" for line in lines) == _reference_jsonl(reports)
+
+
+class _WeakDict(dict):
+    """A dict that takes a weak reference; the encoder writes it as a dict."""
+
+
+def test_a_failed_encode_leaves_the_shared_encoder_usable():
+    # a failed encode leaves the containers it entered in a circular-reference
+    # dict, which holds them: a reused one would keep the witness alive
+    witness = _WeakDict(a=Fraction(1, 2))
+    alive = weakref.ref(witness)
+    try:
+        VerificationReport("s", "c", {}, 0, 0, False, witness=witness).to_line()
+    except TypeError:
+        pass
+    else:
+        pytest.fail("a Fraction was encoded")
+    del witness
+    gc.collect()
+    assert alive() is None
+    reports = [
+        VerificationReport("s", "c", {"i": i}, 0, 0, True, witness={"minimal_epsilon": i})
+        for i in range(1000)
+    ]
+    assert _jsonl(reports) == _reference_jsonl(reports)
+
+
+@pytest.mark.parametrize("field", ["input", "witness"])
+def test_a_value_that_contains_itself_writes_no_line(field):
+    cyclic = [1]
+    cyclic.append(cyclic)
+    good = [VerificationReport("s", f"c{i}", {"i": i}, 0, 0, True, witness=[i]) for i in range(3)]
+    bad = VerificationReport("s", "c", {"i": 3}, 0, 0, True)
+    setattr(bad, field, cyclic)
+    buf = io.StringIO()
+    with pytest.raises((RecursionError, ValueError)):
+        write_jsonl(good + [bad], buf)
+    assert buf.getvalue() == _reference_jsonl(good)
+    with pytest.raises((RecursionError, ValueError)):
+        bad.to_line()
 
 
 def test_elapsed_times_add_up_to_the_run():
