@@ -13,7 +13,11 @@ exact nullspaces, and surjectivity of multiplication maps is a canonical
 subspace comparison.  Each semigroup keeps one cached chain of the powers
 K, K^2, ..., which the constraint rows of every weight and the value route
 of ``suites`` both read, so the weights 1..n cost n - 1 sumsets per
-semigroup.
+semigroup.  Each fixed datum is derived once per object: a curve hashes its
+branches and sums their conductors when it is built, a semigroup takes its
+hash on first use, and ``resolve`` keeps one model per curve and branch
+index.  So a cache lookup rehashes no tuple, a degree bound sums nothing,
+and the resolution checks of every weight read one resolved curve.
 
 Every row and vector handed to ``linalg`` has integer entries.  At a center
 p/q each row is a coefficient of the numerator's local expansion, times the
@@ -223,9 +227,11 @@ class RationalCurveModel(Frozen):
         for b in branches:
             if not b.semigroup.gaps:
                 raise CurveSpecError("every branch must carry a proper semigroup")
-        # hash(branches), taken once: every cache lookup hashes the curve, and
-        # hashing a Fraction center runs in Python; equality leaves it out
+        # hash(branches) and the conductor sum, each taken once: every cache
+        # lookup hashes the curve, hashing a Fraction center runs in Python,
+        # and every degree bound reads the sum; equality leaves both out
         object.__setattr__(self, "_hash", hash(branches))
+        object.__setattr__(self, "_conductor_sum", sum(b.semigroup.conductor for b in branches))
 
     def __hash__(self) -> int:
         return self._hash
@@ -354,7 +360,7 @@ def _parse_center(raw: str | int) -> Fraction:
 
 def numerator_degree_bound(curve: RationalCurveModel, n: int) -> int:
     """Largest numerator degree regular at infinity; negative means no sections."""
-    return sum(n * b.semigroup.conductor for b in curve.branches) - 2 * n
+    return n * curve._conductor_sum - 2 * n
 
 
 def numerator_ambient(curve: RationalCurveModel, n: int) -> int:
@@ -608,18 +614,20 @@ def _constraint_term_rows(curve: RationalCurveModel, n: int, ambient: int) -> li
     return [tuple(row) for row in rows]
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def global_sections(curve: RationalCurveModel, n: int) -> Subspace:
     """Exact basis of the weight-n global differentials, as numerator coefficients.
 
     A numerator qualifies iff its degree respects the bound at infinity and,
     at every center, its expansion has zero coefficient on each gap of K^n.
+    Cached by the weight's type as well as its value, like ``products_span``,
+    so a bool or float weight never finds the int entry and is refused.
     """
     ambient = _weight_ambient(curve, n)
     return nullspace(_constraint_term_rows(curve, n, ambient), ambient)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def products_span(curve: RationalCurveModel, n: int) -> Subspace:
     """Span of all n-fold products of weight-1 global differentials.
 
@@ -821,8 +829,18 @@ def _branch(curve: RationalCurveModel, index: int) -> Branch:
 
 
 def resolve(curve: RationalCurveModel, index: int) -> RationalCurveModel:
-    """The curve with branch ``index`` resolved (its local ring made regular)."""
+    """The curve with branch ``index`` resolved (its local ring made regular).
+
+    One model per curve and index, cached: the resolution checks of every
+    weight read it.  The index is refused before the cache is read, where
+    True would find the entry of 1.
+    """
     _branch(curve, index)
+    return _resolved(curve, index)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _resolved(curve: RationalCurveModel, index: int) -> RationalCurveModel:
     branches = list(curve.branches)
     del branches[index]
     return RationalCurveModel(tuple(branches))
@@ -1225,11 +1243,14 @@ def pencil_dim(curve: RationalCurveModel, n: int) -> int | None:
     certifies it from products with no constraint to test, for less than
     the search costs.  With a certified pencil, dim S_n = A - rows(C_n) once
     the nonzero rows of C_n have full rank mod p, since rank_Q >= rank_p.
-    A weight or an ambient past its cap is refused as ``global_sections``
+    A weight that is not a positive int is refused first, before the cache,
+    where 5.0 would find the entry of 5, and before the n <= 2 answer; a
+    weight or an ambient past its cap is refused as ``global_sections``
     refuses it, before any row is built.  Cached for the resolution check,
     past the lone-branch and n <= 2 answers: each is None at once, and a
     cache entry for it would only hold memory.
     """
+    check_weight(n)
     # N0 >= 2, and a lone branch never takes the path: neither reads value data
     if n <= 2 or len(curve.branches) < 2:
         return None

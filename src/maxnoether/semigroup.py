@@ -39,6 +39,15 @@ class NumericalSemigroup(Frozen):
     _shown = ("generators", "gaps")
 
     @cached_property
+    def _hash(self) -> int:
+        # taken once, on first use: the caches keyed by a semigroup hash it
+        # on every lookup, and its two tuples are rehashed item by item
+        return hash(self._shown_values(self))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
     def values(self) -> ValueSet:
         """The members below the conductor, then the ray; the constructors store theirs."""
         return ring_closure(ValueSet.finite((0, *self.generators)))

@@ -51,7 +51,14 @@ from maxnoether.errors import (
 from maxnoether.linalg import Subspace
 from maxnoether.local import LocalContext, build_certificates, verify_local_surjectivity
 from maxnoether.semigroup import NumericalSemigroup, enumerate_semigroups
-from maxnoether.suites import _MULTI_MENU, _RESOLUTION_PAIRS, _curve_corpus, _value_route_dim
+from maxnoether.suites import (
+    _MULTI_MENU,
+    _RESOLUTION_PAIRS,
+    SuiteParams,
+    _curve_corpus,
+    _value_route_dim,
+    run_suite,
+)
 from maxnoether.valueset import ValueSet, canonical_ideal, dualizing_values, n_fold
 from test_linalg import _fraction_gauss_jordan, basis, dense, dense_nullspace, within
 
@@ -62,6 +69,12 @@ def sg(*gens):
 
 def curve(*gen_lists):
     return RationalCurveModel.from_semigroups([sg(*g) for g in gen_lists])
+
+
+def clear_curve_caches():
+    for fn in vars(curves_mod).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
 
 
 def test_model_validation():
@@ -195,6 +208,31 @@ def test_every_check_refuses_a_weight_that_is_not_an_int(n, name):
             check(*args)
     assert curves_mod._affine_frame.cache_info() == frames
     assert curves_mod.global_sections.cache_info() == sections
+
+
+@pytest.mark.parametrize(
+    "entry, branches, n",
+    [
+        (global_sections, ((3, 4, 5), (3, 5, 7)), 1),
+        (products_span, ((3, 4, 5), (3, 5, 7)), 2),
+        (curves_mod.pencil_dim, ((3, 5, 7), (3, 5, 7)), 5),
+    ],
+    ids=["sections", "products", "pencil"],
+)
+def test_a_weight_that_is_not_an_int_is_refused_whether_or_not_the_int_is_cached(
+    entry, branches, n
+):
+    # each caches by (curve, weight), and True == 1 == 1.0 == Fraction(1)
+    c = curve(*branches)
+    clear_curve_caches()
+    answers = []
+    for _ in ("cold", "warm"):
+        for bad in (True, float(n), Fraction(n)):
+            with pytest.raises(TypeError, match="^a weight must be an int, not "):
+                entry(c, bad)
+        answers.append(entry(c, n))
+    assert answers[0] is not None and answers[1] == answers[0]
+    clear_curve_caches()
 
 
 def test_products_span_identity_at_weight_one():
@@ -1035,6 +1073,44 @@ def test_a_branch_index_past_the_last_is_refused(check):
     # a library error, not a bare IndexError from the branch tuple
     error = refused_index(check, 2)
     assert isinstance(error, MaxNoetherError) and not isinstance(error, IndexError)
+
+
+@BRANCH_INDEX_ENTRY_POINTS
+def test_a_bool_branch_index_is_refused_when_branch_1_is_cached(check):
+    # resolve's cache is keyed by value, where True == 1: the index is refused first
+    resolve(curve((3, 4, 5), (3, 5, 7)), 1)
+    refused_index(check, True)
+
+
+def test_resolve_keeps_one_model_per_curve_and_index():
+    c = RationalCurveModel(
+        tuple(Branch(Fraction(x), sg(*g)) for x, g in ((0, (3, 4, 5)), (-2, (3, 5, 7)), (1, (2, 5))))
+    )
+    for i in range(3):
+        assert resolve(c, i) is resolve(c, i)
+        assert resolve(c, i) == RationalCurveModel(c.branches[:i] + c.branches[i + 1 :])
+    # an equal curve finds the same model
+    assert resolve(RationalCurveModel(c.branches), 2) is resolve(c, 2)
+
+
+def test_the_resolution_suite_builds_each_curve_once_at_every_weight(monkeypatch):
+    # its 3 curves, 1 of them moved into its affine frame, and 5 resolved
+    # (curve, index) pairs: one model each, however many weights are checked
+    made = []
+    init = RationalCurveModel.__init__
+
+    def counting(self, branches):
+        made.append(branches)
+        init(self, branches)
+
+    monkeypatch.setattr(RationalCurveModel, "__init__", counting)
+    for max_n in (3, 4):
+        clear_curve_caches()
+        made.clear()
+        reports = run_suite("resolution", SuiteParams(None, max_n))
+        assert len(reports) == 6 * (max_n - 1) and all(r.passed for r in reports)
+        assert len(made) == 9, max_n
+    clear_curve_caches()
 
 
 def test_in_sections_rejects_vectors_outside():

@@ -134,6 +134,14 @@ def test_a_resolution_check_writes_its_fields_in_constructor_order():
     )
 
 
+def test_every_degree_bound_reads_the_conductor_sum_taken_when_the_curve_is_built():
+    for c in census_pairs() + random_three_branch(12, "three-branch pencils"):
+        conductors = [b.semigroup.conductor for b in c.branches]
+        assert c._conductor_sum == sum(conductors)
+        for n in range(1, 6):
+            assert numerator_degree_bound(c, n) == sum(n * a for a in conductors) - 2 * n
+
+
 def test_lone_branch_checks_store_no_pencil_decision():
     clear_caches()
     run_suite("noether-single", SuiteParams(4, 3))

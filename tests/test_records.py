@@ -37,7 +37,7 @@ from maxnoether.local import (
     build_certificates,
 )
 from maxnoether.reports import VerificationReport
-from maxnoether.semigroup import NumericalSemigroup
+from maxnoether.semigroup import NumericalSemigroup, enumerate_semigroups
 from maxnoether.suites import SuiteParams
 from maxnoether.valueset import ValueSet
 
@@ -206,6 +206,8 @@ RECORDS = [
         NumericalSemigroup,
         dict(generators=(4, 5, 11), gaps=(1, 2, 3, 6, 7)),
         dict(generators=(3, 4, 5), gaps=(1, 2)),
+        ignored=dict(_hash=0),
+        hidden=("_hash",),
     ),
     Record(
         SuiteParams,
@@ -406,9 +408,13 @@ def test_value_classes_take_equality_and_hashing_from_frozen():
     own = {name: sorted({"__eq__", "__hash__"} & set(vars(cls))) for name, cls in classes.items()}
     assert {name: methods for name, methods in own.items() if methods} == {
         "ValueSet": ["__eq__", "__hash__"],
+        "NumericalSemigroup": ["__hash__"],
         "RationalCurveModel": ["__hash__"],
     }
     assert {record.cls for record in RECORDS if record.frozen} <= set(classes.values())
+    # a semigroup keeps the hash it takes once, and it is the hash of its _shown fields
+    for s in enumerate_semigroups(6):
+        assert hash(s) == hash(s._shown_values(s))
 
 
 def test_only_classes_that_derive_or_check_fields_write_a_constructor():
