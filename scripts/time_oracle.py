@@ -69,6 +69,12 @@ products to be the sections from the pencil and keeps its jet test:
   tested against the jets of the branches at 0 and -15/14, which at -15/14
   are dense big integers.
 
+Then it times ``every_weight``, the verdict for every n that ``verify
+noether --all-n`` prints, on two <7,8> at 0 and 1 the same way: the exact
+checks at n = 2..N0 and the pencil search.  Its line reads "every weight"
+after the curve's name, gives N0 as n and dim S_N0, and "holds" when the
+pencil is certified.
+
 Last it times ``find_pencil`` alone on <3,4,5> at 2/5 and <3,5,7> at 0, the
 search that the last Noether case runs once.  A cold run cannot resolve it:
 the search is tens of microseconds inside a check that spreads by hundreds.
@@ -89,6 +95,7 @@ from maxnoether.curves import (
     Branch,
     RationalCurveModel,
     check_resolution_quotient,
+    every_weight,
     find_pencil,
     max_noether_holds,
 )
@@ -185,6 +192,11 @@ def main() -> None:
     for name, curve, index, n in RESOLUTION_CASES:
         runs = [_cold_run(check_resolution_quotient, curve, index, n) for _ in range(RUNS)]
         _report(name, n, runs, runs[0][0].ok)
+    curve = _curve((0, (7, 8)), (1, (7, 8)))
+    runs = [_cold_run(every_weight, curve) for _ in range(RUNS)]
+    checks, pencil = runs[0][0]
+    at_n0 = [(found[0][-1], wall, cpu) for found, wall, cpu in runs]
+    _report("<7,8>@0 <7,8>@1 every weight", checks[-1].n, at_n0, not isinstance(pencil, str))
     name, curve, _ = CASES[-1]
     _time_search(name, curve)
 

@@ -20,7 +20,7 @@ from .curves import (
     MAX_WEIGHT,
     RationalCurveModel,
     degree_margin,
-    find_pencil,
+    every_weight,
     max_noether_holds,
     pencil_weight,
     power_index,
@@ -213,40 +213,23 @@ def cmd_verify_noether(args) -> int:
 
 
 def _verify_noether_all_n(curve: RationalCurveModel, as_json: bool) -> int:
-    """Noether at every weight: exact checks at n = 2..N0, then a certified pencil.
+    """Print ``every_weight``: the checks at n = 2..N0 and the pencil, or what failed.
 
-    Weight 1 holds by definition.  The pencil is searched for on any curve,
-    a lone branch included, and it proves every weight past N0 (see the
-    ``curves`` module docstring).  Exit 0 iff every base check holds and a
-    pencil is certified.
+    Exit 0 iff every base check holds and a pencil is certified.
     """
     n0 = pencil_weight(curve)
+    checks, pencil = every_weight(curve)
+    failed = pencil if isinstance(pencil, str) else None
     data: dict = {
         "curve": curve.to_json(),
         "n0": n0,
         "stabilization_indices": [power_index(br.semigroup) for br in curve.branches],
         "degree_margin": None if n0 is None else degree_margin(curve, n0),
-        "pencil_degrees": None,
-        "failed": None,
+        "pencil_degrees": None if failed else [h[-1][0] for h in pencil],
+        "failed": failed,
+        "checks": [check.to_json() for check in checks],
+        "holds": failed is None,
     }
-    checks = []
-    if n0 is None:
-        data["failed"] = "degree-bound"
-    else:
-        for n in range(2, n0 + 1):
-            check = max_noether_holds(curve, n)
-            checks.append(check)
-            if not check.holds:
-                data["failed"] = f"base-case-n{n}"
-                break
-        else:
-            pencil = find_pencil(curve)
-            if isinstance(pencil, str):
-                data["failed"] = pencil
-            else:
-                data["pencil_degrees"] = [h[-1][0] for h in pencil]
-    data["checks"] = [check.to_json() for check in checks]
-    data["holds"] = data["failed"] is None
     if as_json:
         print(json.dumps(data, sort_keys=True))
     else:
@@ -257,12 +240,11 @@ def _verify_noether_all_n(curve: RationalCurveModel, as_json: bool) -> int:
         )
         for check in checks:
             print(f"n={check.n}: {check.describe()}")
-        if data["holds"]:
-            degrees = _ints(data["pencil_degrees"])
-            print(f"pencil of degrees {degrees}: surjective for every n >= 1")
+        if failed is None:
+            print(f"pencil of degrees {_ints(data['pencil_degrees'])}: surjective for every n >= 1")
         else:
-            print(f"not certified: {data['failed']}")
-    return 0 if data["holds"] else 1
+            print(f"not certified: {failed}")
+    return 0 if failed is None else 1
 
 
 def cmd_verify_corpus(args) -> int:

@@ -141,14 +141,15 @@ candidates are one stream, h1 the lowest-pivot row of S_1 and then the
 highest, each with the rows of W's basis as h2, every pair checked on all
 four conditions with h2's jets summed from its own terms, so the
 certificate does not rest on how W was built; the first certified pair is
-the pencil, else the first refusal in the stream is named.  Past N0
-``max_noether_holds`` forms no S_n and no product: P_N0 = S_N0 is the
-exact check of weight N0, cached, and dim S_n = A - rows is exact once the
-nonzero rows of C_n have full rank mod p.  ``check_resolution_quotient``
-takes P = S from the same path and keeps its jet test.  The path is taken
-only where it pays, a curve of two or more branches at a weight n > N0 at
-which some branch excludes an order (``pencil_dim`` says why); wherever a
-condition fails the exact path runs as before.
+the pencil, else the first refusal in the stream is named.
+``every_weight``, cached, is the verdict for every n: the exact checks of
+n = 2..N0, then the search.  P_n = S_n is decided by ``_surjective_dim``
+alone; past N0, where that verdict holds, it forms no S_n and no product:
+dim S_n = A - rows is exact once the nonzero rows of C_n have full rank
+mod p.  The path is taken only where it pays, a curve of two or more
+branches at a weight n > N0 at which some branch excludes an order
+(``_pencil_dim`` says why); wherever a condition fails the exact path runs
+as before.
 
 Everything is exact: ranks and subspace equalities over the rationals are
 stable under field extension, so nothing is lost against an algebraically
@@ -387,8 +388,10 @@ def excluded_orders(s: NumericalSemigroup, n: int) -> list[int]:
     lies in K^n, which contains every order from its threshold on.  K^n is
     read from the semigroup's one cached chain of powers, so the weights
     1..n cost n - 1 sumsets in all, and each (semigroup, weight) is read
-    once; every call returns a list of its own.
+    once; every call returns a list of its own.  A weight that is not a
+    positive int is refused before the cache, where True finds the entry of 1.
     """
+    check_weight(n)
     return list(_excluded(s, n))
 
 
@@ -399,8 +402,10 @@ def power_defect(s: NumericalSemigroup, n: int) -> int:
     n-differentials is lambda^n * K^n, so deg omega^n is n deg omega less
     this defect.  Zero on a symmetric (Gorenstein) branch, where K = S.  As
     S lies in K^n, |K^n - S| is the genus less the gaps of K^n, which are the
-    excluded orders: no section space or matrix is built.
+    excluded orders: no section space or matrix is built.  The weight is
+    refused as in ``excluded_orders``.
     """
+    check_weight(n)
     g = s.genus
     return n * (g - len(_excluded(s, 1))) - (g - len(_excluded(s, n)))
 
@@ -797,23 +802,38 @@ def max_noether_holds(curve: RationalCurveModel, n: int) -> NoetherCheck:
     For single-branch curves a failure also reports the normalized local
     values present in the section space but not in the product span.  The
     check runs in the curve's ``_affine_frame``; everything it returns is
-    the same in any affine frame.  Past N0, where a certified pencil decides
-    the weight (``pencil_dim``, see the module docstring), it holds with
-    both dimensions A - rows(C_n), and no space of weight n is formed.
+    the same in any affine frame.  P_n = S_n is read from
+    ``_surjective_dim``: past N0, where the pencil decides the weight (see
+    the module docstring), it holds with both dimensions A - rows(C_n), and
+    no space of weight n is formed.
     """
     check_weight(n)
     curve = _affine_frame(curve)
-    dim = pencil_dim(curve, n)
+    dim = _surjective_dim(curve, n)
     if dim is not None:
         return NoetherCheck(n, True, dim, dim, None)
-    sections = global_sections(curve, n)
-    prods = products_span(curve, n)
-    holds = prods == sections
+    sections, prods = global_sections(curve, n), products_span(curve, n)
     missing: tuple[int, ...] | None = None
-    if not holds and len(curve.branches) == 1:
+    if len(curve.branches) == 1:
         # the frame put the branch at 0, where the orders are the pivots
         missing = tuple(sorted(set(sections.pivots) - set(prods.pivots)))
-    return NoetherCheck(n, holds, prods.dim, sections.dim, missing)
+    return NoetherCheck(n, False, prods.dim, sections.dim, missing)
+
+
+def _surjective_dim(curve: RationalCurveModel, n: int) -> int | None:
+    """dim S_n where P_n = S_n on a framed curve, else None.
+
+    Past N0 a curve of two or more branches reads the pencil
+    (``_pencil_dim``); a lone branch, or n <= 2 <= N0, reads no value data
+    and stores no entry in that cache.  Otherwise the spans are compared.
+    The callers refuse a weight that is not a positive int first.
+    """
+    if n > 2 and len(curve.branches) > 1:
+        dim = _pencil_dim(curve, n)
+        if dim is not None:
+            return dim
+    sections = global_sections(curve, n)
+    return sections.dim if products_span(curve, n) == sections else None
 
 
 def _branch(curve: RationalCurveModel, index: int) -> Branch:
@@ -927,9 +947,9 @@ def check_resolution_quotient(curve: RationalCurveModel, index: int, n: int) -> 
 
     The resolved sections N embed as f N (``_embedded_resolved_sections``),
     and the embedding is injective, so their dimension is dim H^0 of the
-    resolved curve.  P = S is decided once: past N0 by a certified pencil,
-    with no space of weight n formed (``pencil_dim``), and otherwise by
-    comparing the spaces.  Where it holds, the embedded rows are absorbed
+    resolved curve.  P = S is read from ``_surjective_dim``, as
+    ``max_noether_holds`` reads it: past N0 from the pencil, with no space of
+    weight n formed.  Where it holds, the embedded rows are absorbed
     iff each lies in the sections, which the jets of the resolved rows
     decide (``_resolved_in_sections``) with no f N formed.  Otherwise, or
     when the jet test refuses, the embedded rows are formed and the products
@@ -939,17 +959,13 @@ def check_resolution_quotient(curve: RationalCurveModel, index: int, n: int) -> 
     check_weight(n)
     _branch(curve, index)  # a bad index is refused before the curve is moved
     curve = _affine_frame(curve)
-    dim = pencil_dim(curve, n)
-    if dim is None:
-        sections, prods = global_sections(curve, n), products_span(curve, n)
-        if prods == sections:
-            dim = sections.dim
+    dim = _surjective_dim(curve, n)
     resolved = global_sections(resolve(curve, index), n)
-    if dim is not None:
-        # products equal to the sections absorb embedded vectors that lie in them
-        if _resolved_in_sections(curve, index, n, resolved.rows):
-            return ResolutionCheck(True, n, dim, dim, resolved.dim, dim)
-        sections = prods = global_sections(curve, n)  # formed now on the pencil path
+    # products equal to the sections absorb embedded vectors that lie in them
+    if dim is not None and _resolved_in_sections(curve, index, n, resolved.rows):
+        return ResolutionCheck(True, n, dim, dim, resolved.dim, dim)
+    sections = global_sections(curve, n)  # formed now on the pencil path
+    prods = sections if dim is not None else products_span(curve, n)
     embedded = _embedded_resolved_sections(curve, index, n)
     combined = Subspace.span(prods.rows + embedded, sections.ambient)
     return ResolutionCheck(
@@ -1000,8 +1016,10 @@ def degree_margin(curve: RationalCurveModel, n: int) -> int:
 
     deg omega^n = n(2g - 2) - sum_P e_P(n) (``power_defect``) and
     deg L = 2g - 2 - sum_P |K_P - S_P|, so H^1(omega^n L^-1) = 0 once this
-    is positive.  Value data only.
+    is positive.  Value data only; the weight is refused as in
+    ``excluded_orders``.
     """
+    check_weight(n)
     total = (n - 2) * (2 * curve.genus - 2)
     for br in curve.branches:
         s = br.semigroup
@@ -1222,48 +1240,50 @@ def find_pencil(curve: RationalCurveModel) -> tuple[Terms, Terms] | str:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _pencil_holds(curve: RationalCurveModel) -> bool:
-    """P_N0 = S_N0 by the exact path, and a certified pencil: then P_n = S_n for n > N0.
+def every_weight(
+    curve: RationalCurveModel,
+) -> tuple[tuple[NoetherCheck, ...], tuple[Terms, Terms] | str]:
+    """The checks at n = 2..N0 and a certified pencil: P_n = S_n for every n >= 1.
 
-    Cached per framed curve, so the search runs once, on the first weight
-    past N0 asked for.
+    Where a condition fails, the pencil's place holds the first failure by
+    name: ``degree-bound`` (no N0), ``base-case-n{n}`` or the refusal of
+    ``find_pencil``, which searches any curve, a lone branch included.
+    Cached per framed curve, so the search runs once whatever frame the
+    caller gives.
     """
+    framed = _affine_frame(curve)
+    if framed is not curve:
+        return every_weight(framed)
     n0 = pencil_weight(curve)
-    return products_span(curve, n0) == global_sections(curve, n0) and not isinstance(
-        find_pencil(curve), str
-    )
-
-
-def pencil_dim(curve: RationalCurveModel, n: int) -> int | None:
-    """dim S_n = dim P_n where a certified pencil decides weight n, else None.
-
-    Only a framed curve of two or more branches, one of which excludes an
-    order at weight n, takes this path at n > N0.  Where no branch excludes
-    one, S_n is every numerator of bounded degree, and the exact path
-    certifies it from products with no constraint to test, for less than
-    the search costs.  With a certified pencil, dim S_n = A - rows(C_n) once
-    the nonzero rows of C_n have full rank mod p, since rank_Q >= rank_p.
-    A weight that is not a positive int is refused first, before the cache,
-    where 5.0 would find the entry of 5, and before the n <= 2 answer; a
-    weight or an ambient past its cap is refused as ``global_sections``
-    refuses it, before any row is built.  Cached for the resolution check,
-    past the lone-branch and n <= 2 answers: each is None at once, and a
-    cache entry for it would only hold memory.
-    """
-    check_weight(n)
-    # N0 >= 2, and a lone branch never takes the path: neither reads value data
-    if n <= 2 or len(curve.branches) < 2:
-        return None
-    return _pencil_dim(curve, n)
+    if n0 is None:
+        return (), "degree-bound"
+    checks = []
+    for n in range(2, n0 + 1):
+        checks.append(max_noether_holds(curve, n))
+        if not checks[-1].holds:
+            return tuple(checks), f"base-case-n{n}"
+    return tuple(checks), find_pencil(curve)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _pencil_dim(curve: RationalCurveModel, n: int) -> int | None:
+    """dim S_n = dim P_n where a certified pencil decides weight n, else None.
+
+    Taken at n > N0 where ``every_weight`` holds and a branch excludes an
+    order at weight n.  Where none does, S_n is every numerator of bounded
+    degree, and the exact path certifies it from products with no
+    constraint to test, for less than the search costs.  With a certified
+    pencil, dim S_n = A - rows(C_n) once the nonzero rows of C_n have full
+    rank mod p, since rank_Q >= rank_p.  A weight or an ambient past its
+    cap is refused as ``global_sections`` refuses it, before any row is
+    built.  Cached for the resolution check.
+    """
     ambient = _weight_ambient(curve, n)  # before K^n is built
     if not any(_excluded(br.semigroup, n) for br in curve.branches):
         return None
     n0 = pencil_weight(curve)
-    if n0 is None or n <= n0 or not _pencil_holds(curve):
+    # n <= n0 first: every_weight checks those weights through this path
+    if n0 is None or n <= n0 or isinstance(every_weight(curve)[1], str):
         return None
     live = [row for row in _constraint_term_rows(curve, n, ambient) if row]
     if modular_rank(live, len(live)) != len(live):

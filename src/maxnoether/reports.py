@@ -36,6 +36,7 @@ written.
 from __future__ import annotations
 
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import attrgetter
 from typing import IO, Any, Iterable
 
 
@@ -75,27 +76,21 @@ class VerificationReport:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return (
-                self.suite, self.check, self.input, self.predicted, self.oracle, self.passed,
-                self.witness,
-            ) == (
-                other.suite, other.check, other.input, other.predicted, other.oracle, other.passed,
-                other.witness,
-            )
+            return _fields(self)[:-1] == _fields(other)[:-1]  # all but elapsed, the last
         return NotImplemented
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        return (
-            f"{type(self).__qualname__}(suite={self.suite!r}, check={self.check!r},"
-            f" input={self.input!r}, predicted={self.predicted!r}, oracle={self.oracle!r},"
-            f" passed={self.passed!r}, witness={self.witness!r}, elapsed={self.elapsed!r})"
-        )
+        shown = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, _fields(self)))
+        return f"{type(self).__qualname__}({shown})"
 
     def to_line(self) -> str:
         """The canonical line of this report, without its newline."""
         return _line(self, _value(self.input))[:-1]
+
+
+_fields = attrgetter(*VerificationReport.__slots__)
 
 
 def _not_json(o: Any) -> Any:

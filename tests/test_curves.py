@@ -18,12 +18,14 @@ from maxnoether.curves import (
     RationalCurveModel,
     check_hyperelliptic_resolution,
     check_resolution_quotient,
+    degree_margin,
     excluded_orders,
     global_sections,
     is_certified_hyperelliptic,
     max_noether_holds,
     numerator_ambient,
     numerator_degree_bound,
+    power_defect,
     products_span,
     resolve,
     section_valuations,
@@ -191,11 +193,13 @@ def test_section_valuations_refuse_a_point_that_is_not_rational(point, name):
 )
 def test_every_check_refuses_a_weight_that_is_not_an_int(n, name):
     # True would run weight 1, and 2.0 or Fraction(2) failed deep inside the
-    # oracle; each is refused before any cache is read
+    # oracle; each is refused before any cache is read, the excluded orders'
+    # too, where True found the weight-1 entry
     c = curve((3, 4, 5), (3, 5, 7))
+    s = sg(3, 5, 7)
     ctx = LocalContext(sg(4, 5, 11))
-    frames = curves_mod._affine_frame.cache_info()
-    sections = curves_mod.global_sections.cache_info()
+    caches = [curves_mod._affine_frame, curves_mod.global_sections, curves_mod._excluded]
+    before = [cache.cache_info() for cache in caches]
     message = f"^a weight must be an int, not {name}$"
     for check, args in (
         (max_noether_holds, (c, n)),
@@ -203,11 +207,13 @@ def test_every_check_refuses_a_weight_that_is_not_an_int(n, name):
         (build_certificates, (ctx, n)),
         (verify_local_surjectivity, (ctx, n, 1)),
         (section_valuations, (c, 0, n)),
+        (excluded_orders, (s, n)),
+        (power_defect, (s, n)),
+        (degree_margin, (c, n)),
     ):
         with pytest.raises(TypeError, match=message):
             check(*args)
-    assert curves_mod._affine_frame.cache_info() == frames
-    assert curves_mod.global_sections.cache_info() == sections
+    assert [cache.cache_info() for cache in caches] == before
 
 
 @pytest.mark.parametrize(
@@ -215,7 +221,7 @@ def test_every_check_refuses_a_weight_that_is_not_an_int(n, name):
     [
         (global_sections, ((3, 4, 5), (3, 5, 7)), 1),
         (products_span, ((3, 4, 5), (3, 5, 7)), 2),
-        (curves_mod.pencil_dim, ((3, 5, 7), (3, 5, 7)), 5),
+        (max_noether_holds, ((3, 5, 7), (3, 5, 7)), 5),
     ],
     ids=["sections", "products", "pencil"],
 )

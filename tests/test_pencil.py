@@ -2,12 +2,13 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
-from maxnoether import curves as curves_mod
+from maxnoether import cli, curves as curves_mod
 from maxnoether.curves import (
     Branch,
     RationalCurveModel,
@@ -411,6 +412,33 @@ def test_a_failed_base_case_runs_no_search(monkeypatch):
     clear_caches()
     verdicts = [max_noether_holds(c, n).holds for n in range(2, 6)]
     assert verdicts == [True, False, False, False]
+    clear_caches()
+
+
+def test_the_checks_past_n0_and_all_n_run_one_search(monkeypatch, tmp_path, capsys):
+    # the pencil path of both checks and --all-n read one cached verdict, so
+    # one process searches a curve once, whichever module asks first and in
+    # whichever frame --all-n is given the curve
+    c = at((0, (7, 8)), (1, (7, 8)))
+    moved = at((2, (7, 8)), (5, (7, 8)))
+    assert _affine_frame(c) is c and _affine_frame(moved) == c and pencil_weight(c) == 3
+    searches = []
+
+    def counted(curve):
+        searches.append(curve)
+        return find_pencil(curve)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "maxnoether" and vars(module).get("find_pencil") is find_pencil:
+            monkeypatch.setattr(module, "find_pencil", counted)
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(moved.to_json()))
+    clear_caches()
+    assert max_noether_holds(c, 4).holds
+    assert check_resolution_quotient(c, 0, 4).ok
+    assert cli.main(["verify", "noether", "--curve", str(path), "--all-n"]) == 0
+    assert capsys.readouterr().out.endswith("surjective for every n >= 1\n")
+    assert searches == [c]
     clear_caches()
 
 
